@@ -181,8 +181,10 @@ def truncated_cohomology(cat, source: str, target: str, window, bound: int,
     """Kernel/image ranks of the word-length-truncated hom complex."""
     if not field.is_field():
         raise ValueError(f"{field.render()} is not a field")
-    work = change_coefficients(cat, field)
     lo, hi = window
+    if lo > hi:
+        raise ValueError(f"hom window {lo}:{hi} is empty (lo > hi)")
+    work = change_coefficients(cat, field)
     slice_ = hom_slice(work, source, target, (lo - 1, hi + 1), bound)
     basis = {k: list(slice_.words_by_degree.get(k, []))
              for k in range(lo - 1, hi + 2)}
@@ -216,8 +218,14 @@ def truncated_cohomology(cat, source: str, target: str, window, bound: int,
     exact = {}
     for k in range(lo, hi + 1):
         dim = len(basis[k])
-        value = dim - ranks_d.get(k, 0) - ranks_d.get(k - 1, 0)
-        ranks[k] = max(value, 0)
+        rank_out, rank_in = ranks_d.get(k, 0), ranks_d.get(k - 1, 0)
+        value = dim - rank_out - rank_in
+        if value < 0:
+            raise ValueError(
+                f"negative cohomology rank in degree {k}: dim {dim} - "
+                f"rank d_{k} {rank_out} - rank d_{k - 1} {rank_in} = {value}; "
+                f"the truncated differential does not square to zero")
+        ranks[k] = value
         exact[k] = not (dropped.get(k, False) or dropped.get(k - 1, False))
     return RankTable(source, target, (lo, hi), bound, field.render(), ranks,
                      exact, {k: len(basis[k]) for k in range(lo, hi + 1)})

@@ -19,7 +19,6 @@ from .algebra import (
     leibniz_d,
     parse_poly,
     render_poly,
-    word_degree,
 )
 
 
@@ -306,32 +305,73 @@ class HomBasisSlice:
     words_by_degree: dict  # degree -> list of word keys, deterministic order
 
 
+def _reach_table(generators, target: str, length_bound: int) -> list:
+    """reach[r][x] = (min, max) degree of a path of at most r letters x->target.
+
+    Objects with no such path have no entry.  The interval may contain degrees
+    no path has, which only makes pruning by it weaker, never wrong.
+    """
+    reach = [{target: (0, 0)}]
+    for _ in range(length_bound):
+        prev = reach[-1]
+        cur = dict(prev)
+        for g in generators:
+            rest = prev.get(g.target)
+            if rest is None:
+                continue
+            low, high = rest[0] + g.degree, rest[1] + g.degree
+            seen = cur.get(g.source)
+            if seen is not None:
+                low, high = min(low, seen[0]), max(high, seen[1])
+            cur[g.source] = (low, high)
+        reach.append(cur)
+    return reach
+
+
 def hom_slice(cat, source: str, target: str, window, length_bound: int) -> HomBasisSlice:
     """All composable words source->target with degree in window, length <= bound.
 
-    For relational categories only rule-irreducible words are listed.
+    For relational categories only rule-irreducible words are listed.  A partial
+    word is grown only while some extension of it within the bound can still
+    end at target with degree in the window, so the result is the same as
+    growing every word and filtering at the end.
     """
     lo, hi = window
+    for role, obj in (("source", source), ("target", target)):
+        if obj not in cat.objects:
+            known = ", ".join(map(str, cat.objects))
+            raise ValueError(f"hom {role} {obj!r} is not an object of the "
+                             f"category (objects: {known})")
+    if lo > hi:
+        raise ValueError(f"hom window {lo}:{hi} is empty (lo > hi)")
+    if length_bound < 0:
+        raise ValueError(f"hom length bound {length_bound} is negative")
     reducible = getattr(cat, "is_reducible", None)
+    out_of = {}
+    for g in cat.generators:
+        out_of.setdefault(g.source, []).append(g)
+    reach = _reach_table(cat.generators, target, length_bound)
     by_degree = {}
     if lo <= 0 <= hi and source == target:
         by_degree.setdefault(0, []).append(source)
     # grow words by extending on the left, starting from the source object
-    paths = [((), source)]  # (written-order word so far, current left end)
-    for _ in range(length_bound):
+    paths = [((), source, 0)]  # (written-order word so far, left end, degree)
+    for length in range(1, length_bound + 1):
+        ahead = reach[length_bound - length]
         grown = []
-        for word, tip in paths:
-            for g in cat.generators:
-                if g.source != tip:
+        for word, tip, deg in paths:
+            for g in out_of.get(tip, ()):
+                rest = ahead.get(g.target)
+                new_deg = deg + g.degree
+                if (rest is None or new_deg + rest[0] > hi
+                        or new_deg + rest[1] < lo):
                     continue
                 new_word = (g,) + word
                 if reducible is not None and reducible(new_word):
                     continue
-                grown.append((new_word, g.target))
-                if g.target == target:
-                    deg = word_degree(new_word)
-                    if lo <= deg <= hi:
-                        by_degree.setdefault(deg, []).append(new_word)
+                grown.append((new_word, g.target, new_deg))
+                if g.target == target and lo <= new_deg <= hi:
+                    by_degree.setdefault(new_deg, []).append(new_word)
         paths = grown
     for deg in by_degree:
         by_degree[deg].sort(key=lambda w: (0, ()) if isinstance(w, str)

@@ -102,6 +102,23 @@ def test_rational_and_modular_ranks_agree():
         assert tq.ranks == tp.ranks
 
 
+def test_negative_rank_raises_instead_of_clamping(monkeypatch):
+    # ranks larger than the basis would give a negative cohomology rank,
+    # which only a truncated d o d != 0 can cause; it must not read as zero
+    import semifree.analysis as analysis
+    monkeypatch.setattr(analysis, "exact_rank", lambda rows, ring: 5)
+    d12 = build_d12(3, ring)
+    with pytest.raises(ValueError, match=r"degree -3: dim 1 - rank d_-3 5 "
+                                         r"- rank d_-4 5"):
+        truncated_cohomology(d12, "L1", "L1", (-3, 0), 8, Q)
+
+
+def test_empty_window_rejected():
+    d12 = build_d12(3, ring)
+    with pytest.raises(ValueError, match="window 0:-1"):
+        truncated_cohomology(d12, "L1", "L1", (0, -1), 8, Q)
+
+
 def test_truncation_caveat_flagged():
     # dh = a2 a1 - 1 grows word length, so this slice never saturates and
     # every degree carries the caveat; a zero-differential slice is exact

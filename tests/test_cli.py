@@ -147,3 +147,18 @@ def test_error_reported_to_stderr(capsys, tmp_path):
 def test_ginzburg_witness_exit_code():
     assert main(["ginzburg", str(DATA / "loop_quiver.json"), "--n", "4",
                  "--witness", "--out", "/dev/null"]) == 0
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--src", "Q", "--tgt", "L", "--window=-3:0"], "source 'Q'"),
+    (["--src", "L", "--tgt", "L", "--window=0:-3"], "window 0:-3"),
+    (["--src", "L", "--tgt", "L", "--window=-3:0", "--bound", "-2"],
+     "bound -2"),
+], ids=["unknown-object", "empty-window", "negative-bound"])
+def test_hom_rejects_bad_arguments(flags, named, capsys, tmp_path):
+    # each of these used to print a table marked exact and exit 0
+    out = tmp_path / "table.json"
+    assert main(["hom", str(DATA / "c3.json"), *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not out.exists()

@@ -14,6 +14,7 @@ from semifree.algebra import (
     render_poly,
     word_names,
 )
+from semifree.constructions import tensor
 from semifree.dgcat import (
     DegreeError,
     DgFunctor,
@@ -162,22 +163,32 @@ def test_restriction_of_valid_functor_is_valid():
 # hom slices
 # ---------------------------------------------------------------------------
 
-def brute_force_words(cat, source, target, window, bound):
-    """Independent oracle: enumerate all letter sequences and filter."""
-    letters = list(cat.generators)
-    found = []
+def brute_force_slice(cat, source, target, window, bound):
+    """Independent oracle: enumerate all letter sequences and filter.
+
+    Returns degree -> words in hom_slice's order, which here falls out of
+    itertools.product over rank-ordered letters, length by length.  Words a
+    relational category can rewrite are dropped.
+    """
+    reducible = getattr(cat, "is_reducible", lambda word: False)
+    found = {}
     if window[0] <= 0 <= window[1] and source == target:
-        found.append(("1", source))
+        found[0] = [source]
     for length in range(1, bound + 1):
-        for combo in itertools.product(letters, repeat=length):
+        for combo in itertools.product(cat.generators, repeat=length):
             ok = all(combo[i + 1].target == combo[i].source
                      for i in range(length - 1))
             if not ok or combo[-1].source != source or combo[0].target != target:
                 continue
             deg = sum(g.degree for g in combo)
-            if window[0] <= deg <= window[1]:
-                found.append(tuple(g.name for g in combo))
-    return sorted(found)
+            if window[0] <= deg <= window[1] and not reducible(combo):
+                found.setdefault(deg, []).append(combo)
+    return found
+
+
+def brute_force_words(cat, source, target, window, bound):
+    found = brute_force_slice(cat, source, target, window, bound)
+    return sorted(word_names(w) for words in found.values() for w in words)
 
 
 def test_hom_slice_d12_matches_brute_force():
@@ -214,6 +225,57 @@ def test_hom_slice_monotone(extra, bound):
     for deg, words in small.words_by_degree.items():
         got = {word_names(w) for w in large.words_by_degree.get(deg, [])}
         assert {word_names(w) for w in words} <= got
+
+
+@st.composite
+def small_hom_problems(draw):
+    """A d = 0 category on 1-3 objects, a source/target pair, window, bound."""
+    objects = ("A", "B", "C")[:draw(st.integers(1, 3))]
+    edges = draw(st.lists(st.tuples(st.sampled_from(objects),
+                                    st.sampled_from(objects),
+                                    st.integers(-2, 2)), max_size=5))
+    gens = tuple(Generator(f"g{i}", src, tgt, deg, i)
+                 for i, (src, tgt, deg) in enumerate(edges))
+    cat = new_semifree(ring, objects, gens,
+                       {g.name: NcPoly.zero(ring, g.source, g.target)
+                        for g in gens})
+    lo = draw(st.integers(-6, 6))
+    window = (lo, lo + draw(st.integers(0, 6)))
+    return (cat, draw(st.sampled_from(objects)), draw(st.sampled_from(objects)),
+            window, draw(st.integers(0, 6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_hom_problems())
+def test_hom_slice_pruning_matches_unpruned(problem):
+    # degrees of both signs, zero-degree loops and unreachable targets: the
+    # pruned growth must list exactly the words, in the order, of the oracle
+    cat, source, target, window, bound = problem
+    got = hom_slice(cat, source, target, window, bound).words_by_degree
+    assert got == brute_force_slice(cat, source, target, window, bound)
+
+
+@pytest.mark.parametrize("window,bound", [((-4, 0), 4), ((-2, 3), 5),
+                                          ((-6, -1), 6)])
+def test_hom_slice_relational_matches_unpruned(window, bound):
+    a2 = build(ModelId("A2"), ring)
+    t = tensor(a2, build(ModelId.parse("C:3"), ring))
+    for source in t.objects:
+        for target in t.objects:
+            got = hom_slice(t, source, target, window, bound).words_by_degree
+            assert got == brute_force_slice(t, source, target, window, bound)
+
+
+@pytest.mark.parametrize("args,named", [
+    (("Q", "L", (-3, 0), 4), "source 'Q'"),
+    (("L", "Q", (-3, 0), 4), "target 'Q'"),
+    (("L", "L", (0, -3), 4), "window 0:-3"),
+    (("L", "L", (-3, 0), -1), "bound -1"),
+])
+def test_hom_slice_rejects_bad_arguments(args, named):
+    s = build(ModelId.parse("S:3,2,0"), ring)
+    with pytest.raises(ValueError, match=named):
+        hom_slice(s, *args)
 
 
 # ---------------------------------------------------------------------------
