@@ -85,6 +85,16 @@ class SemifreeDgCat:
 def new_semifree(ring: Ring, objects, generators, differentials,
                  provenance=()) -> SemifreeDgCat:
     """Validated construction: degree, ordinal condition, d^2 = 0."""
+    cat = unaudited_semifree(ring, objects, generators, differentials,
+                             provenance)
+    audit_d_squared(cat)
+    return cat
+
+
+def unaudited_semifree(ring: Ring, objects, generators, differentials,
+                       provenance=()) -> SemifreeDgCat:
+    """Every structural check of new_semifree except the d^2 audit, which a
+    category with relations must run modulo its rules."""
     objects = tuple(objects)
     generators = tuple(generators)
     obj_set = set(objects)
@@ -122,9 +132,7 @@ def new_semifree(ring: Ring, objects, generators, differentials,
                     raise OrdinalViolation(
                         f"d({g.name}) uses {letter.name} of rank {letter.rank} "
                         f">= rank {g.rank}")
-    cat = SemifreeDgCat(ring, objects, generators, table, tuple(provenance))
-    audit_d_squared(cat)
-    return cat
+    return SemifreeDgCat(ring, objects, generators, table, tuple(provenance))
 
 
 def audit_d_squared(cat) -> None:

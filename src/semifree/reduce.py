@@ -132,7 +132,7 @@ def change_basis(cat, name: str, unit, lower: NcPoly | None = None,
                                        images, ring)
     rules = None
     if isinstance(cat, RelationalDgCat):
-        from .rewrite import normalize_poly
+        from .rewrite import RuleIndex, normalize_poly
         carried = []
         pending_eqs = []
         for lhs, rhs in cat.rules:
@@ -144,8 +144,9 @@ def change_basis(cat, name: str, unit, lower: NcPoly | None = None,
             else:
                 carried.append((lhs, push_poly(rhs, omap, images, ring)))
         rules = list(carried)
+        carried_index = RuleIndex(carried)
         for eq in pending_eqs:
-            eq = normalize_poly(carried, eq)
+            eq = normalize_poly(carried_index, eq)
             if not eq.is_zero():
                 rules.append(_orient(eq, getattr(cat, "weights", {})))
     entry = {"op": "change_basis", "gen": name, "unit": ring.render_value(unit),

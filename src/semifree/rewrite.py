@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import NcPoly, compose, render_poly, render_word
-from .dgcat import DSquaredNonzero, SemifreeDgCat
+from .dgcat import DSquaredNonzero, SemifreeDgCat, unaudited_semifree
 
 
 class RuleError(Exception):
@@ -47,17 +47,44 @@ def _strictly_smaller(rhs_word, lhs, weights) -> bool:
     return tuple(g.rank for g in rhs_word) < tuple(g.rank for g in lhs)
 
 
-def match_rule(rules, word):
-    """First (position, rule index) whose lhs occurs in word, or None."""
+class RuleIndex:
+    """Rule left-hand sides keyed by their tuple of generator names.
+
+    Built once per rule set.  A duplicate lhs keeps its first rule index, so
+    a lookup returns the smallest index among the rules with that lhs.
+    """
+
+    __slots__ = ("rules", "first", "lengths")
+
+    def __init__(self, rules):
+        self.rules = tuple(rules)
+        self.first = {}
+        for idx, (lhs, _) in enumerate(self.rules):
+            self.first.setdefault(tuple(g.name for g in lhs), idx)
+        self.lengths = sorted({len(lhs) for lhs, _ in self.rules})
+
+
+def match_rule(index: RuleIndex, word):
+    """First (position, rule index) whose lhs occurs in word, or None.
+
+    One dict lookup per distinct lhs length at each position.
+    """
     if isinstance(word, str):
         return None
-    n = len(word)
+    names = tuple(g.name for g in word)
+    n = len(names)
+    first = index.first
+    lengths = index.lengths
     for i in range(n):
-        for idx, (lhs, _) in enumerate(rules):
-            k = len(lhs)
-            if i + k <= n and all(word[i + j].name == lhs[j].name
-                                  for j in range(k)):
-                return i, idx
+        best = None
+        for k in lengths:
+            if i + k > n:
+                break
+            idx = first.get(names[i:i + k])
+            if idx is not None and (best is None or idx < best):
+                best = idx
+        if best is not None:
+            return i, best
     return None
 
 
@@ -74,22 +101,26 @@ def _replace_at(ring, word, i, lhs, rhs) -> NcPoly:
     return out
 
 
-def normalize_poly(rules, p: NcPoly) -> NcPoly:
-    """Rewrite every word of p to normal form under the rules."""
+def normalize_poly(index: RuleIndex, p: NcPoly) -> NcPoly:
+    """Rewrite every word of p to normal form under the indexed rules."""
     ring = p.ring
-    out = NcPoly.zero(ring, p.source, p.target)
+    terms = {}
     pending = list(p.terms.items())
     while pending:
         word, coeff = pending.pop()
-        hit = match_rule(rules, word)
+        hit = match_rule(index, word)
         if hit is None:
-            out = out + NcPoly(ring, p.source, p.target, {word: coeff})
+            s = ring.add(terms.get(word, ring.zero()), coeff)
+            if ring.is_zero(s):
+                terms.pop(word, None)
+            else:
+                terms[word] = s
             continue
         i, idx = hit
-        lhs, rhs = rules[idx]
+        lhs, rhs = index.rules[idx]
         for w, c in _replace_at(ring, word, i, lhs, rhs).terms.items():
             pending.append((w, ring.mul(coeff, c)))
-    return out
+    return NcPoly(ring, p.source, p.target, terms)
 
 
 @dataclass(frozen=True)
@@ -112,6 +143,8 @@ class RelationalDgCat:
                     raise RuleError(
                         f"rule {render_word(lhs)} -> {render_poly(rhs)} does not "
                         f"decrease the reduction order at {render_word(w)}")
+        # not a field: equality and repr stay those of (core, rules, weights)
+        object.__setattr__(self, "_index", RuleIndex(self.rules))
 
     # -- category interface --
     @property
@@ -155,10 +188,10 @@ class RelationalDgCat:
 
     # -- rewriting --
     def is_reducible(self, word) -> bool:
-        return match_rule(self.rules, word) is not None
+        return match_rule(self._index, word) is not None
 
     def normalize(self, p: NcPoly) -> NcPoly:
-        return normalize_poly(self.rules, p)
+        return normalize_poly(self._index, p)
 
     # -- confluence/diagnostics --
     def critical_pairs(self, max_len: int = 3):
@@ -204,7 +237,8 @@ def new_relational(ring, objects, generators, differentials, rules,
                    weights=None, provenance=()) -> RelationalDgCat:
     """Validated relational category: structure checks, then d^2 = 0 and
     rule/d compatibility modulo the rewrite system."""
-    core = _structure_only(ring, objects, generators, differentials, provenance)
+    core = unaudited_semifree(ring, objects, generators, differentials,
+                              provenance)
     cat = RelationalDgCat(core, tuple(rules), dict(weights or {}))
     for g in cat.generators:
         residual = cat.normalize(cat.d(cat.differentials[g.name]))
@@ -218,37 +252,3 @@ def new_relational(ring, objects, generators, differentials, rules,
             raise DSquaredNonzero(
                 render_word(lhs), residual)
     return cat
-
-
-def _structure_only(ring, objects, generators, differentials, provenance):
-    """Same checks as new_semifree except the d^2 audit (done modulo rules)."""
-    from .algebra import CompositionError
-    from .dgcat import DegreeError, OrdinalViolation
-    objects = tuple(objects)
-    generators = tuple(generators)
-    obj_set = set(objects)
-    names = [g.name for g in generators]
-    if len(set(names)) != len(names):
-        raise ValueError("duplicate generator names")
-    ranks = [g.rank for g in generators]
-    if sorted(ranks) != ranks or len(set(ranks)) != len(ranks):
-        raise ValueError("generators must be listed in strict rank order")
-    table = dict(differentials)
-    for g in generators:
-        if g.source not in obj_set or g.target not in obj_set:
-            raise ValueError(f"generator {g.name} references undeclared objects")
-        dg = table[g.name]
-        if dg.source != g.source or dg.target != g.target:
-            raise CompositionError(f"d({g.name}) has the wrong boundary")
-        deg = dg.degree()
-        if deg is not None and deg != g.degree + 1:
-            raise DegreeError(f"d({g.name}) has degree {deg}, "
-                              f"expected {g.degree + 1}")
-        for word in dg.terms:
-            if isinstance(word, str):
-                continue
-            for letter in word:
-                if letter.rank >= g.rank:
-                    raise OrdinalViolation(
-                        f"d({g.name}) uses {letter.name} of rank >= its own")
-    return SemifreeDgCat(ring, objects, generators, table, tuple(provenance))
