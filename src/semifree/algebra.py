@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple, Union
 
 
 class CompositionError(Exception):
@@ -143,51 +143,6 @@ def integers_mod(p: int) -> Ring:
     return Ring("Zmod", p)
 
 
-@dataclass(frozen=True)
-class Coefficient:
-    """A ring tag together with an exact value; the serialization-facing type."""
-
-    ring: Ring
-    value: Union[int, Fraction]
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.ring.normalize(self.value))
-
-    def __add__(self, other: "Coefficient") -> "Coefficient":
-        self._check(other)
-        return Coefficient(self.ring, self.ring.add(self.value, other.value))
-
-    def __neg__(self) -> "Coefficient":
-        return Coefficient(self.ring, self.ring.neg(self.value))
-
-    def __sub__(self, other: "Coefficient") -> "Coefficient":
-        return self + (-other)
-
-    def __mul__(self, other: "Coefficient") -> "Coefficient":
-        self._check(other)
-        return Coefficient(self.ring, self.ring.mul(self.value, other.value))
-
-    def is_zero(self) -> bool:
-        return self.ring.is_zero(self.value)
-
-    def is_unit(self) -> bool:
-        return self.ring.is_unit(self.value)
-
-    def inv(self) -> "Coefficient":
-        return Coefficient(self.ring, self.ring.inv(self.value))
-
-    def _check(self, other: "Coefficient"):
-        if self.ring != other.ring:
-            raise ValueError("coefficient rings differ")
-
-    def render(self) -> str:
-        return self.ring.render_value(self.value)
-
-    @staticmethod
-    def parse(ring: Ring, text: str) -> "Coefficient":
-        return Coefficient(ring, ring.parse_value(text))
-
-
 # ---------------------------------------------------------------------------
 # generators and words
 # ---------------------------------------------------------------------------
@@ -311,10 +266,6 @@ class NcPoly:
             raise ValueError(f"inhomogeneous polynomial with degrees {sorted(degs)}")
         return degs.pop()
 
-    def homogeneous_part(self, degree: int) -> "NcPoly":
-        terms = {w: c for w, c in self.terms.items() if word_degree(w) == degree}
-        return NcPoly(self.ring, self.source, self.target, terms)
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: _word_sort_key(item[0]))
 
@@ -372,15 +323,6 @@ class NcPoly:
 
     def __repr__(self):
         return f"NcPoly({self.source}->{self.target}: {render_poly(self)})"
-
-    def map_coefficients(self, fn: Callable) -> "NcPoly":
-        ring = self.ring
-        terms = {}
-        for w, c in self.terms.items():
-            v = ring.normalize(fn(c))
-            if not ring.is_zero(v):
-                terms[w] = v
-        return NcPoly(ring, self.source, self.target, terms)
 
 
 def _concat(left: WordKey, right: WordKey) -> WordKey:
@@ -585,3 +527,30 @@ def _is_number(tok: str) -> bool:
         num, _, den = body.partition("/")
         return num.isdigit() and den.isdigit()
     return body.isdigit()
+
+
+# ---------------------------------------------------------------------------
+# disjoint sets
+# ---------------------------------------------------------------------------
+
+class UnionFind:
+    """Disjoint sets of comparable elements; each set's representative is its
+    smallest member."""
+
+    def __init__(self, elements):
+        self.parent = {x: x for x in elements}
+
+    def find(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a, b) -> bool:
+        """Merge the sets of a and b; False if they were one set already."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[max(ra, rb)] = min(ra, rb)
+        return True

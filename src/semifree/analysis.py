@@ -15,7 +15,7 @@ from math import gcd
 
 from .algebra import NcPoly, Ring, render_poly, word_names
 from .dgcat import hom_slice, new_semifree, push_poly
-from .rewrite import RelationalDgCat, new_relational
+from .rewrite import new_relational
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +128,7 @@ def change_coefficients(cat, ring: Ring):
                            if not ring.is_zero(convert(c))})
              for name, p in cat.differentials.items()}
     entry = {"op": "change_coefficients", "ring": ring.render()}
-    if isinstance(cat, RelationalDgCat):
+    if cat.rules:
         rules = [(lhs, NcPoly(ring, r.source, r.target,
                               {w: convert(c) for w, c in r.terms.items()
                                if not ring.is_zero(convert(c))}))
@@ -283,9 +283,7 @@ def presentation_equal(cat_a, cat_b, object_renaming: dict,
             fail(f"d({g.name}) maps to {render_poly(lhs)} but "
                  f"d({target_name}) = {render_poly(rhs)}")
             return report
-    rules_a = getattr(cat_a, "rules", ())
-    rules_b = getattr(cat_b, "rules", ())
-    if bool(rules_a) != bool(rules_b):
+    if bool(cat_a.rules) != bool(cat_b.rules):
         fail("one presentation carries rewrite rules and the other does not")
     return report
 

@@ -18,7 +18,6 @@ from .analysis import functor_rank_compat, truncated_cohomology
 from .constructions import PushoutSpan, hocolim, localize, tensor
 from .dgcat import (
     DgFunctor,
-    audit_d_squared,
     from_json,
     to_json,
     validate_functor,
@@ -57,10 +56,9 @@ def render_text(cat) -> str:
         lines.append(f"  {g.name}: {g.source} -> {g.target}  deg {g.degree}")
         lines.append(f"    d {g.name} = "
                      f"{render_poly(cat.differentials[g.name])}")
-    rules = getattr(cat, "rules", None)
-    if rules:
+    if cat.rules:
         lines.append("relations:")
-        for lhs, rhs in rules:
+        for lhs, rhs in cat.rules:
             lines.append("  " + "*".join(g.name for g in lhs)
                          + " = " + render_poly(rhs))
     return "\n".join(lines) + "\n"
@@ -158,7 +156,7 @@ def cmd_verify(args):
                 target = from_json(doc["target"])
                 validate_functor(functor_from_json(doc, source, target))
             else:
-                audit_d_squared(from_json(doc))
+                from_json(doc)  # loading runs the d^2 audit
             sys.stdout.write(f"ok {path}\n")
         except Exception as err:  # audit failures and parse errors alike
             failures.append(path)

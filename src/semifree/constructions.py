@@ -20,7 +20,7 @@ from .dgcat import (
     push_poly,
     validate_functor,
 )
-from .rewrite import RelationalDgCat, new_relational
+from .rewrite import new_relational
 
 QUAD_SUFFIXES = ("'", "_hat", "_check", "_bar")
 
@@ -536,7 +536,7 @@ def pair_object(a_obj: str, b_obj: str) -> str:
     return f"({a_obj},{b_obj})"
 
 
-def tensor(cat_a, cat_b) -> RelationalDgCat:
+def tensor(cat_a, cat_b) -> SemifreeDgCat:
     """A x B with interchange relations as rewrite rules.
 
     Generators are f(x)1_b and 1_a(x)g; a word with a B-letter directly left

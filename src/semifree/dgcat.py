@@ -3,12 +3,14 @@
 A category is immutable after construction; new_semifree enforces the degree
 check d(g) of degree |g|+1, the ordinal condition (differentials only use
 earlier generators), and d^2 = 0, reporting the offending generator and the
-residual polynomial on failure.
+residual polynomial on failure.  A category may also carry a terminating
+rewrite system (see rewrite.py); morphisms are then taken modulo its rules,
+and a semifree category is the case with no rules.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .algebra import (
     CompositionError,
@@ -19,6 +21,7 @@ from .algebra import (
     leibniz_d,
     parse_poly,
     render_poly,
+    render_word,
 )
 
 
@@ -53,6 +56,26 @@ class SemifreeDgCat:
     generators: tuple  # Generator, ordered by rank
     differentials: dict  # name -> NcPoly
     provenance: tuple = ()
+    rules: tuple = ()  # ((Generator, ...), NcPoly) pairs, lhs -> rhs
+    weights: dict = field(default_factory=dict)  # name -> reduction weight
+
+    def __post_init__(self):
+        if not self.rules:
+            return
+        from .rewrite import RuleError, RuleIndex, _strictly_smaller
+        for lhs, rhs in self.rules:
+            if not lhs:
+                raise RuleError("empty rule lhs")
+            if rhs.source != lhs[-1].source or rhs.target != lhs[0].target:
+                raise RuleError(
+                    f"rule {render_word(lhs)} -> {render_poly(rhs)} changes boundary")
+            for w in rhs.terms:
+                if not _strictly_smaller(w, lhs, self.weights):
+                    raise RuleError(
+                        f"rule {render_word(lhs)} -> {render_poly(rhs)} does not "
+                        f"decrease the reduction order at {render_word(w)}")
+        # not a field: equality and repr stay those of the fields
+        object.__setattr__(self, "_index", RuleIndex(self.rules))
 
     # -- lookups --
     def gen(self, name: str) -> Generator:
@@ -67,9 +90,6 @@ class SemifreeDgCat:
     def d(self, p: NcPoly) -> NcPoly:
         return leibniz_d(p, self.differentials)
 
-    def normalize(self, p: NcPoly) -> NcPoly:
-        return p
-
     def poly(self, text: str, source: str, target: str) -> NcPoly:
         gm = self.gen_map()
         return parse_poly(text, self.ring, source, target, gm.get)
@@ -77,9 +97,52 @@ class SemifreeDgCat:
     def next_rank(self) -> int:
         return max((g.rank for g in self.generators), default=-1) + 1
 
-    def with_provenance(self, entry) -> "SemifreeDgCat":
-        return SemifreeDgCat(self.ring, self.objects, self.generators,
-                             self.differentials, self.provenance + (entry,))
+    # -- rewriting --
+    def is_reducible(self, word) -> bool:
+        return bool(self.rules) and self._index.match(word) is not None
+
+    def normalize(self, p: NcPoly) -> NcPoly:
+        return self._index.normalize(p) if self.rules else p
+
+    # -- confluence/diagnostics --
+    def critical_pairs(self, max_len: int = 3):
+        """Overlap words of bounded length with both one-step reducts normalized."""
+        pairs = []
+        rules = list(self.rules)
+        for a, (l1, r1) in enumerate(rules):
+            for b, (l2, r2) in enumerate(rules):
+                # overlap: proper suffix of l1 equals prefix of l2
+                for k in range(1, min(len(l1), len(l2)) + (1 if a != b else 0)):
+                    if l1[-k:] != l2[:k]:
+                        continue
+                    word = l2[:0] + l1 + l2[k:]
+                    if len(word) > max_len:
+                        continue
+                    if any(word[i].source != word[i + 1].target
+                           for i in range(len(word) - 1)):
+                        continue
+                    left = self._reduce_at(word, 0, a)
+                    right = self._reduce_at(word, len(l1) - k, b)
+                    pairs.append((word, self.normalize(left),
+                                  self.normalize(right)))
+                # containment: l2 inside l1 (strict)
+                if a != b and len(l2) < len(l1):
+                    for i in range(len(l1) - len(l2) + 1):
+                        if l1[i:i + len(l2)] == l2:
+                            word = l1
+                            left = self._reduce_at(word, 0, a)
+                            right = self._reduce_at(word, i, b)
+                            pairs.append((word, self.normalize(left),
+                                          self.normalize(right)))
+        return pairs
+
+    def joinable(self, max_len: int = 3) -> bool:
+        return all(x == y for _, x, y in self.critical_pairs(max_len))
+
+    def _reduce_at(self, word, i, rule_idx) -> NcPoly:
+        from .rewrite import _replace_at
+        lhs, rhs = self.rules[rule_idx]
+        return _replace_at(self.ring, word, i, lhs, rhs)
 
 
 def new_semifree(ring: Ring, objects, generators, differentials,
@@ -136,7 +199,7 @@ def unaudited_semifree(ring: Ring, objects, generators, differentials,
 
 
 def audit_d_squared(cat) -> None:
-    """Re-runnable d^2 = 0 audit; works for semifree and relational categories."""
+    """Re-runnable d^2 = 0 audit, modulo the category's rules."""
     for g in cat.generators:
         residual = cat.normalize(cat.d(cat.differentials[g.name]))
         if not residual.is_zero():
@@ -339,7 +402,7 @@ def _reach_table(generators, target: str, length_bound: int) -> list:
 def hom_slice(cat, source: str, target: str, window, length_bound: int) -> HomBasisSlice:
     """All composable words source->target with degree in window, length <= bound.
 
-    For relational categories only rule-irreducible words are listed.  A partial
+    With rewrite rules only rule-irreducible words are listed.  A partial
     word is grown only while some extension of it within the bound can still
     end at target with degree in the window, so the result is the same as
     growing every word and filtering at the end.
@@ -354,7 +417,7 @@ def hom_slice(cat, source: str, target: str, window, length_bound: int) -> HomBa
         raise ValueError(f"hom window {lo}:{hi} is empty (lo > hi)")
     if length_bound < 0:
         raise ValueError(f"hom length bound {length_bound} is negative")
-    reducible = getattr(cat, "is_reducible", None)
+    reducible = cat.is_reducible if cat.rules else None
     out_of = {}
     for g in cat.generators:
         out_of.setdefault(g.source, []).append(g)
@@ -408,15 +471,13 @@ def to_json(cat) -> dict:
         ],
         "provenance": list(cat.provenance),
     }
-    rules = getattr(cat, "rules", None)
-    if rules is not None:
+    if cat.rules:
         data["rules"] = [
             {"lhs": [g.name for g in lhs], "rhs": render_poly(rhs)}
-            for lhs, rhs in rules
+            for lhs, rhs in cat.rules
         ]
-        weights = getattr(cat, "weights", None)
-        if weights:
-            data["weights"] = dict(sorted(weights.items()))
+        if cat.weights:
+            data["weights"] = dict(sorted(cat.weights.items()))
     return data
 
 
@@ -429,14 +490,15 @@ def from_json(data: dict):
     table = {}
     for spec, g in zip(data["generators"], gens):
         table[g.name] = parse_poly(spec["d"], ring, g.source, g.target, gm.get)
-    provenance = tuple(data.get("provenance", ()))
-    if "rules" in data:
-        from .rewrite import RelationalDgCat
-        core = SemifreeDgCat(ring, objects, gens, table, provenance)
+    cat = unaudited_semifree(ring, objects, gens, table,
+                             data.get("provenance", ()))
+    if data.get("rules"):
         rules = []
         for r in data["rules"]:
             lhs = tuple(gm[name] for name in r["lhs"])
             src, tgt = lhs[-1].source, lhs[0].target
             rules.append((lhs, parse_poly(r["rhs"], ring, src, tgt, gm.get)))
-        return RelationalDgCat(core, tuple(rules), dict(data.get("weights", {})))
-    return new_semifree(ring, objects, gens, table, provenance)
+        cat = replace(cat, rules=tuple(rules),
+                      weights=dict(data.get("weights", {})))
+    audit_d_squared(cat)
+    return cat

@@ -16,6 +16,7 @@ from .algebra import (
     Generator,
     NcPoly,
     Ring,
+    UnionFind,
     compose,
     compose_all,
     parse_poly,
@@ -145,20 +146,11 @@ class GradingClass:
 
 
 def _spanning_forest(data: PlumbingData):
-    parent = {vid: vid for vid, _ in data.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    components = UnionFind(vid for vid, _ in data.vertices)
     tree = []
     rest = []
     for a in sorted(data.arrows, key=lambda a: a.id):
-        ra, rb = find(a.src), find(a.tgt)
-        if ra != rb:
-            parent[ra] = rb
+        if components.union(a.src, a.tgt):
             tree.append(a)
         else:
             rest.append(a)
@@ -593,24 +585,15 @@ def sign_gauge_witness(data: PlumbingData, flip_set) -> GaugeWitness:
         for a in data.arrows)
     regauged = PlumbingData(data.n, data.vertices, arrows, data.ring)
     # connected components of the underlying graph
-    comp = {vid: vid for vid, _ in data.vertices}
-
-    def find(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
+    components = UnionFind(vid for vid, _ in data.vertices)
     for a in data.arrows:
-        ra, rb = find(a.src), find(a.tgt)
-        if ra != rb:
-            comp[ra] = rb
+        components.union(a.src, a.tgt)
     eta_vertices = {vid for vid, spec in data.vertices
                     if spec.kind not in ("sphere",)
                     and not (spec.kind == "surface" and spec.genus == 0)}
     members = {}
     for vid, _ in data.vertices:
-        members.setdefault(find(vid), []).append(vid)
+        members.setdefault(components.find(vid), []).append(vid)
     chi = {}
     for root, vids in sorted(members.items()):
         for candidate in (set(vids) & flip_set,

@@ -9,11 +9,11 @@ mentions a removed generator are dropped and recorded).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .algebra import Generator, NcPoly, render_poly
+from .algebra import Generator, NcPoly, UnionFind, render_poly
 from .dgcat import new_semifree, push_poly
-from .rewrite import RelationalDgCat, new_relational
+from .rewrite import new_relational
 
 
 @dataclass(frozen=True)
@@ -28,13 +28,12 @@ class ReductionStep:
                 "before": self.before, "after": self.after}
 
 
-def _rebuild(cat, objects, gens, table, rules=None, weights=None, entry=None):
-    provenance = cat.provenance + ((entry,) if entry else ())
-    if isinstance(cat, RelationalDgCat) or rules:
-        return new_relational(cat.ring, objects, gens, table, rules or (),
-                              weights or getattr(cat, "weights", {}),
-                              provenance)
-    return new_semifree(cat.ring, objects, gens, table, provenance)
+def _rebuild(cat, gens, table, rules, entry):
+    provenance = cat.provenance + (entry,)
+    if rules:
+        return new_relational(cat.ring, cat.objects, gens, table, rules,
+                              cat.weights, provenance)
+    return new_semifree(cat.ring, cat.objects, gens, table, provenance)
 
 
 def _substitute(cat, removed: dict, entry: dict, renames: dict | None = None):
@@ -57,9 +56,8 @@ def _substitute(cat, removed: dict, entry: dict, renames: dict | None = None):
     for g, ng in zip([g for g in cat.generators if g.name not in removed],
                      survivors):
         table[ng.name] = push_poly(cat.differentials[g.name], omap, images, ring)
-    rules = None
-    if isinstance(cat, RelationalDgCat):
-        rules = []
+    rules = []
+    if cat.rules:
         dropped = []
         by_name = {g.name: g for g in survivors}
         for lhs, rhs in cat.rules:
@@ -71,7 +69,7 @@ def _substitute(cat, removed: dict, entry: dict, renames: dict | None = None):
         if dropped:
             entry = dict(entry)
             entry["dropped_rules"] = dropped
-    return _rebuild(cat, cat.objects, survivors, table, rules, entry=entry)
+    return _rebuild(cat, survivors, table, rules, entry)
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +128,8 @@ def change_basis(cat, name: str, unit, lower: NcPoly | None = None,
         else:
             table[nh.name] = push_poly(cat.differentials[h.name], omap,
                                        images, ring)
-    rules = None
-    if isinstance(cat, RelationalDgCat):
+    rules = []
+    if cat.rules:
         from .rewrite import RuleIndex, normalize_poly
         carried = []
         pending_eqs = []
@@ -148,11 +146,11 @@ def change_basis(cat, name: str, unit, lower: NcPoly | None = None,
         for eq in pending_eqs:
             eq = normalize_poly(carried_index, eq)
             if not eq.is_zero():
-                rules.append(_orient(eq, getattr(cat, "weights", {})))
+                rules.append(_orient(eq, cat.weights))
     entry = {"op": "change_basis", "gen": name, "unit": ring.render_value(unit),
              "lower": render_poly(lower), "renamed": fresh,
              "before": len(cat.generators), "after": len(survivors)}
-    return _rebuild(cat, cat.objects, survivors, table, rules, entry=entry)
+    return _rebuild(cat, survivors, table, rules, entry)
 
 
 def _orient(eq: NcPoly, weights) -> tuple:
@@ -246,22 +244,14 @@ def strictify_t_with_map(cat):
     for cluster in entry["clusters"]:
         cluster_names[cluster[0]] = cluster[1:]
 
-    # union-find on objects via the recorded identifications
-    parent = {o: o for o in cat.objects}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    # merge the objects each t_X connects; a merged object takes the
+    # smallest name
+    merged = UnionFind(cat.objects)
     by_name = cat.gen_map()
     for t_name in sorted(t_names):
         t = by_name[t_name]
-        ra, rb = find(t.source), find(t.target)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    rep = {o: find(o) for o in cat.objects}
+        merged.union(t.source, t.target)
+    rep = {o: merged.find(o) for o in cat.objects}
     objects = []
     for o in cat.objects:
         if rep[o] == o:
@@ -325,7 +315,7 @@ def eliminate_generator(cat, name: str):
     u^{-1} w everywhere and the defining rule is dropped.  The rebuild
     re-checks ordinal and d^2 conditions, so an unsound elimination raises.
     """
-    if not isinstance(cat, RelationalDgCat):
+    if not cat.rules:
         raise ValueError("eliminate_generator works on relational categories")
     ring = cat.ring
     defining = None
@@ -343,9 +333,7 @@ def eliminate_generator(cat, name: str):
     idx, lhs, coeff = defining
     replacement = NcPoly(ring, lhs[-1].source, lhs[0].target,
                          {lhs: ring.inv(coeff)})
-    trimmed = RelationalDgCat(cat.core,
-                              cat.rules[:idx] + cat.rules[idx + 1:],
-                              cat.weights)
+    trimmed = replace(cat, rules=cat.rules[:idx] + cat.rules[idx + 1:])
     entry = {"op": "eliminate", "gen": name,
              "word": [g.name for g in lhs],
              "before": len(cat.generators), "after": len(cat.generators) - 1}

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .algebra import Generator, NcPoly, compose, render_poly
 from .dgcat import DgFunctor, SemifreeDgCat, new_semifree, validate_functor
-from .rewrite import RelationalDgCat, new_relational
+from .rewrite import new_relational
 
 
 def _shifted_object(obj: str, m: int) -> str:
@@ -132,7 +132,7 @@ def cone_object(g_name: str) -> str:
     return f"Cone({g_name})"
 
 
-def cone_extend(cat, g, cone_name: str | None = None) -> RelationalDgCat:
+def cone_extend(cat, g, cone_name: str | None = None) -> SemifreeDgCat:
     """Extend by Cone(g) for a closed degree-0 morphism g: L0 -> L1.
 
     Adds i0, i1, p0, p1 with di0 = i1 g, dp1 = -g p0 and the splitting
@@ -174,7 +174,7 @@ def cone_extend(cat, g, cone_name: str | None = None) -> RelationalDgCat:
     table[p0.name] = NcPoly.zero(ring, cone, l0)
     table[p1.name] = -compose(g_poly, NcPoly.gen(ring, p0))
 
-    rules = list(getattr(cat, "rules", ()))
+    rules = list(cat.rules)
     rules += [
         ((p0, i0), NcPoly.identity(ring, l0)),
         ((p0, i1), NcPoly.zero(ring, l1, l0)),
@@ -186,7 +186,7 @@ def cone_extend(cat, g, cone_name: str | None = None) -> RelationalDgCat:
     entry = {"op": "cone", "of": label, "object": cone,
              "structural": [i0.name, i1.name, p0.name, p1.name]}
     return new_relational(ring, list(cat.objects) + [cone], gens, table,
-                          rules, getattr(cat, "weights", {}),
+                          rules, cat.weights,
                           cat.provenance + (entry,))
 
 
@@ -266,7 +266,7 @@ def generator_change_d12(n: int, ring):
     return d12, functor, images
 
 
-def build_e12(n: int, ring, first_form: bool = False) -> RelationalDgCat:
+def build_e12(n: int, ring, first_form: bool = False) -> SemifreeDgCat:
     """The cone-side presentation of the plumbing-sector category.
 
     The first form keeps the loop alpha1 and the generator c with

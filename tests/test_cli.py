@@ -107,6 +107,26 @@ def test_verify_fails_on_broken_presentation(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_rejects_malformed_document_with_rules_key(tmp_path, capsys):
+    # objects X twice, a target Y that is not an object, ranks out of order
+    doc = {
+        "coefficients": "Z",
+        "objects": ["X", "X"],
+        "generators": [
+            {"name": "a", "src": "X", "tgt": "Y", "deg": 0, "rank": 5,
+             "d": "0"},
+            {"name": "b", "src": "X", "tgt": "X", "deg": 0, "rank": 1,
+             "d": "0"},
+        ],
+        "rules": [],
+    }
+    path = tmp_path / "found.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().out == \
+        f"FAIL {path}: duplicate object ids\n"
+
+
 def test_verify_functor_files(tmp_path):
     from semifree.algebra import INTEGERS
     from semifree.dgcat import to_json

@@ -1,6 +1,8 @@
 """Category construction checks, functor validation, hom enumeration."""
 
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,9 +33,10 @@ from semifree.dgcat import (
     validate_functor,
 )
 from semifree.fukaya import ModelId, build
-from semifree.twisted import build_d12
+from semifree.twisted import build_d01, build_d12, cone_extend
 
 ring = INTEGERS
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_sphere_category_valid():
@@ -168,9 +171,9 @@ def brute_force_slice(cat, source, target, window, bound):
 
     Returns degree -> words in hom_slice's order, which here falls out of
     itertools.product over rank-ordered letters, length by length.  Words a
-    relational category can rewrite are dropped.
+    category's rules can rewrite are dropped.
     """
-    reducible = getattr(cat, "is_reducible", lambda word: False)
+    reducible = cat.is_reducible
     found = {}
     if window[0] <= 0 <= window[1] and source == target:
         found[0] = [source]
@@ -282,13 +285,77 @@ def test_hom_slice_rejects_bad_arguments(args, named):
 # JSON round trip
 # ---------------------------------------------------------------------------
 
+# categories with rewrite rules, by test id
+RELATIONAL = {
+    "tensor(A2,C:3)": lambda: tensor(build(ModelId("A2"), ring),
+                                     build(ModelId.parse("C:3"), ring)),
+    "cone(D01:3,g)": lambda: cone_extend(build_d01(3, ring), "g"),
+    "e12_n3.json": lambda: from_json(
+        json.loads((DATA / "e12_n3.json").read_text())),
+}
+
+
 @pytest.mark.parametrize("spec", ["C:1", "S:3,2,1", "S:2,2,0", "M:1,1",
-                                  "D12:4", "B01:3"])
+                                  "D12:4", "B01:3", "A1", "A2", "D01:3",
+                                  *RELATIONAL])
 def test_presentation_roundtrip(spec):
-    cat = build(ModelId.parse(spec), ring)
+    if spec in RELATIONAL:
+        cat = RELATIONAL[spec]()
+        assert cat.rules
+    else:
+        cat = build(ModelId.parse(spec), ring)
     doc = to_json(cat)
     back = from_json(doc)
     assert to_json(back) == doc
+    assert back == cat
+    # "rules" (and "weights") are written only when there are rules
+    assert ("rules" in doc) == bool(cat.rules)
+    if not cat.rules:
+        assert "weights" not in doc
+        empty = from_json(dict(doc, rules=[]))
+        assert empty.rules == ()
+        assert to_json(empty) == doc
+
+
+# objects X twice, a target Y that is not an object, ranks out of order
+FOUND_DOC = {
+    "coefficients": "Z",
+    "objects": ["X", "X"],
+    "generators": [
+        {"name": "a", "src": "X", "tgt": "Y", "deg": 0, "rank": 5, "d": "0"},
+        {"name": "b", "src": "X", "tgt": "X", "deg": 0, "rank": 1, "d": "0"},
+    ],
+    "rules": [],
+}
+
+
+def test_from_json_checks_structure_with_rules_key():
+    with pytest.raises(ValueError, match="duplicate object ids"):
+        from_json(FOUND_DOC)
+
+
+def test_from_json_audits_d_squared_modulo_rules():
+    # d(c) = b, d(b) = a, so d^2(c) = a: nonzero unless a rule kills a
+    doc = {
+        "coefficients": "Z",
+        "objects": ["L"],
+        "generators": [
+            {"name": "a", "src": "L", "tgt": "L", "deg": 0, "rank": 0,
+             "d": "0"},
+            {"name": "b", "src": "L", "tgt": "L", "deg": -1, "rank": 1,
+             "d": "a"},
+            {"name": "c", "src": "L", "tgt": "L", "deg": -2, "rank": 2,
+             "d": "b"},
+        ],
+        "rules": [{"lhs": ["b", "b"], "rhs": "0"}],
+    }
+    with pytest.raises(DSquaredNonzero) as err:
+        from_json(doc)
+    assert err.value.gen_name == "c"
+    assert render_poly(err.value.residual) == "a"
+    doc["rules"].append({"lhs": ["a"], "rhs": "0"})
+    cat = from_json(doc)  # the rule a -> 0 kills the residual
+    assert cat.normalize(cat.d(cat.differentials["c"])).is_zero()
 
 
 def test_audit_runs_over_collection():
