@@ -236,21 +236,9 @@ class NcPoly:
 
     @staticmethod
     def from_terms(ring: Ring, source: str, target: str, items: Iterable) -> "NcPoly":
-        terms = {}
-        for word, value in items:
-            check_word(word)
-            if word_source(word) != source or word_target(word) != target:
-                raise CompositionError(
-                    f"word {word_names(word)} has boundary "
-                    f"{word_source(word)}->{word_target(word)}, expected {source}->{target}"
-                )
-            value = ring.normalize(value)
-            if word in terms:
-                value = ring.add(terms[word], value)
-            if ring.is_zero(value):
-                terms.pop(word, None)
-            else:
-                terms[word] = value
+        terms = accumulate(ring, {}, ((_checked(word, source, target),
+                                       ring.normalize(value))
+                                      for word, value in items))
         return NcPoly(ring, source, target, terms)
 
     # -- basic queries --
@@ -285,15 +273,26 @@ class NcPoly:
 
     def __add__(self, other: "NcPoly") -> "NcPoly":
         self._check_boundary(other)
+        return NcPoly(self.ring, self.source, self.target,
+                      accumulate(self.ring, dict(self.terms),
+                                 other.terms.items()))
+
+    def add_in_place(self, other: "NcPoly", coeff=None) -> None:
+        """self += coeff * other, without copying self's terms.
+
+        Only for a polynomial its caller has built and not yet handed out:
+        everywhere else an NcPoly is treated as immutable (it hashes by its
+        terms).
+        """
+        self._check_boundary(other)
         ring = self.ring
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            s = ring.add(terms.get(w, ring.zero()), c)
-            if ring.is_zero(s):
-                terms.pop(w, None)
-            else:
-                terms[w] = s
-        return NcPoly(ring, self.source, self.target, terms)
+        items = other.terms.items()
+        if coeff is not None:
+            coeff = ring.normalize(coeff)
+            if ring.is_zero(coeff):
+                return
+            items = ((w, ring.mul(coeff, c)) for w, c in items)
+        accumulate(ring, self.terms, items)
 
     def __neg__(self) -> "NcPoly":
         ring = self.ring
@@ -325,6 +324,35 @@ class NcPoly:
         return f"NcPoly({self.source}->{self.target}: {render_poly(self)})"
 
 
+def accumulate(ring: Ring, terms: dict, items) -> dict:
+    """Add (word, value) pairs into terms in place and return terms.
+
+    The one summation loop of the package.  Values must be reduced elements
+    of ring, as ring.normalize leaves them.  A word whose sum is zero is
+    removed; any other word keeps its place in the dict's order.
+    """
+    add, is_zero = ring.add, ring.is_zero
+    for word, value in items:
+        if word in terms:
+            value = add(terms[word], value)
+        if is_zero(value):
+            terms.pop(word, None)
+        else:
+            terms[word] = value
+    return terms
+
+
+def _checked(word: WordKey, source: str, target: str) -> WordKey:
+    """word, after checking that it composes and runs source -> target."""
+    check_word(word)
+    if word_source(word) != source or word_target(word) != target:
+        raise CompositionError(
+            f"word {word_names(word)} has boundary "
+            f"{word_source(word)}->{word_target(word)}, expected {source}->{target}"
+        )
+    return word
+
+
 def _concat(left: WordKey, right: WordKey) -> WordKey:
     left_unit = isinstance(left, str) or left == ()
     right_unit = isinstance(right, str) or right == ()
@@ -347,16 +375,10 @@ def compose(p: NcPoly, q: NcPoly) -> NcPoly:
             f"right factor ends at {q.target}"
         )
     ring = p.ring
-    terms = {}
-    for wp, cp in p.terms.items():
-        for wq, cq in q.terms.items():
-            w = _concat(wp, wq)
-            c = ring.mul(cp, cq)
-            s = ring.add(terms.get(w, ring.zero()), c)
-            if ring.is_zero(s):
-                terms.pop(w, None)
-            else:
-                terms[w] = s
+    mul = ring.mul
+    terms = accumulate(ring, {}, ((_concat(wp, wq), mul(cp, cq))
+                                  for wp, cp in p.terms.items()
+                                  for wq, cq in q.terms.items()))
     return NcPoly(ring, q.source, p.target, terms)
 
 
@@ -380,27 +402,30 @@ def leibniz_d(p: NcPoly, table: dict) -> NcPoly:
     generator occurring in p must have an entry.
     """
     ring = p.ring
-    out = NcPoly.zero(ring, p.source, p.target)
+    terms = {}
     for word, coeff in p.terms.items():
         if isinstance(word, str):
             continue  # d(1_X) = 0
         left_degree = 0
-        for j in range(len(word)):
-            g = word[j]
-            if g.name not in table:
+        for j, g in enumerate(word):
+            dg = table.get(g.name)
+            if dg is None:
                 raise MissingDifferential(f"no differential entry for {g.name}")
-            dg = table[g.name]
-            if not dg.is_zero():
+            if dg.terms:
+                if dg.ring != ring:
+                    raise ValueError("mixed coefficient rings")
                 sign = -1 if left_degree % 2 else 1
-                piece = NcPoly.from_terms(
-                    ring, p.source, p.target,
-                    _splice(ring, word, j, dg, ring.mul(ring.normalize(sign), coeff)))
-                out = out + piece
+                accumulate(ring, terms, _splice(
+                    ring, word, j, dg, ring.mul(ring.normalize(sign), coeff),
+                    p.source, p.target))
             left_degree += g.degree
-    return out
+    return NcPoly(ring, p.source, p.target, terms)
 
 
-def _splice(ring: Ring, word: tuple, j: int, dg: NcPoly, coeff):
+def _splice(ring: Ring, word: tuple, j: int, dg: NcPoly, coeff,
+            source: str, target: str):
+    """The terms of coeff * (word with dg in place of letter j), each word
+    checked to compose and to run source -> target."""
     left = word[:j]
     right = word[j + 1:]
     for w, c in dg.terms.items():
@@ -410,9 +435,7 @@ def _splice(ring: Ring, word: tuple, j: int, dg: NcPoly, coeff):
                 whole = w
         else:
             whole = left + w + right
-        if isinstance(whole, tuple):
-            check_word(whole)
-        yield whole, ring.mul(coeff, c)
+        yield _checked(whole, source, target), ring.mul(coeff, c)
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,14 @@ Rank computation restricts a hom complex to a degree window and word-length
 bound.  Truncation is a filtration approximation: a degree is marked exact
 only when no differential of a basis word leaves the bound, and the caveat
 travels with every table.  All elimination is exact (fraction-free over the
-integers for rational ranks, modular for prime fields).
+integers for rational ranks, modular for prime fields) and shares one core.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .algebra import NcPoly, Ring, render_poly, word_names
 from .dgcat import hom_slice, new_semifree, push_poly
@@ -25,84 +25,71 @@ from .rewrite import new_relational
 def exact_rank(rows, ring: Ring) -> int:
     """Rank of a sparse integer/rational/modular matrix, exactly.
 
-    rows is a list of {column: value} dicts.  Rational rows are cleared to
-    integers first; integer elimination is fraction-free with gcd reduction.
+    rows is a list of {column: value} dicts; they are not modified.
+    Rational rows are cleared to integers first, and Q ranks are always
+    computed over the integers, never modulo a prime.
     """
-    if ring.kind == "Zmod":
-        return _rank_mod(rows, ring.modulus)
+    p = ring.modulus if ring.kind == "Zmod" else None
     cleaned = []
     for row in rows:
-        if not row:
-            continue
-        if ring.kind == "Q":
-            denom = 1
-            for v in row.values():
-                f = Fraction(v)
-                denom = denom * f.denominator // gcd(denom, f.denominator)
-            row = {c: int(Fraction(v) * denom) for c, v in row.items()}
-        row = {c: int(v) for c, v in row.items() if v != 0}
+        if p is not None:
+            row = {c: v % p for c, v in row.items() if v % p}
+        elif ring.kind == "Q":
+            denom = lcm(*(v.denominator for v in row.values()))
+            row = {c: int(v * denom) for c, v in row.items() if v}
+        else:
+            row = {c: int(v) for c, v in row.items() if v}
         if row:
             cleaned.append(row)
-    return _rank_int(cleaned)
+    return _rank_core(cleaned, p)
 
 
-def _rank_int(rows) -> int:
-    rank = 0
-    rows = [dict(r) for r in rows]
-    while rows:
-        pivot_row = min(rows, key=lambda r: (min(r), min(abs(v) for v in r.values())))
-        rows.remove(pivot_row)
-        col = min(pivot_row)
-        piv = pivot_row[col]
-        rank += 1
-        reduced = []
-        for r in rows:
-            if col in r:
-                factor = r[col]
-                new = {}
-                for c in set(r) | set(pivot_row):
-                    v = r.get(c, 0) * piv - pivot_row.get(c, 0) * factor
-                    if v:
-                        new[c] = v
-                if new:
-                    g = 0
-                    for v in new.values():
-                        g = gcd(g, abs(v))
-                    if g > 1:
-                        new = {c: v // g for c, v in new.items()}
-                    reduced.append(new)
-            elif r:
-                reduced.append(r)
-        rows = reduced
-    return rank
+def _rank_core(rows, p) -> int:
+    """Rank by sparse elimination into pivot rows keyed by leading column.
 
-
-def _rank_mod(rows, p: int) -> int:
-    rows = [{c: v % p for c, v in r.items() if v % p} for r in rows]
-    rows = [r for r in rows if r]
-    rank = 0
-    while rows:
-        pivot_row = min(rows, key=min)
-        rows.remove(pivot_row)
-        col = min(pivot_row)
-        inv = pow(pivot_row[col], -1, p)
-        pivot_row = {c: (v * inv) % p for c, v in pivot_row.items()}
-        rank += 1
-        reduced = []
-        for r in rows:
-            if col in r:
-                factor = r[col]
-                new = {}
-                for c in set(r) | set(pivot_row):
-                    v = (r.get(c, 0) - pivot_row.get(c, 0) * factor) % p
-                    if v:
-                        new[c] = v
-                if new:
-                    reduced.append(new)
-            elif r:
-                reduced.append(r)
-        rows = reduced
-    return rank
+    rows are {column: nonzero value} dicts, which the core reduces in
+    place.  Rows enter sparsest first.  Each is reduced
+    against the pivots found so far until it vanishes or its leading column
+    has no pivot, and then it becomes that column's pivot.  With p None the
+    entries are integers and a reduction is fraction-free: cross-multiply,
+    then divide out the gcd of the row.  With p set the entries are residues
+    mod the prime p and each pivot is scaled to lead with 1.  A pivot row is
+    never changed again, so a row costs one pass over each pivot it meets.
+    """
+    pivots = {}
+    for row in sorted(rows, key=len):
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                if p is not None and row[col] != 1:
+                    inv = pow(row[col], -1, p)
+                    row = {c: v * inv % p for c, v in row.items()}
+                pivots[col] = row
+                break
+            factor = row[col]
+            if p is None:
+                g = gcd(pivot[col], factor)
+                lead, factor = pivot[col] // g, factor // g
+                if lead != 1:
+                    row = {c: v * lead for c, v in row.items()}
+            for c, v in pivot.items():
+                s = row.get(c, 0) - v * factor
+                if p is not None:
+                    s %= p
+                if s:
+                    row[c] = s
+                else:
+                    del row[c]
+            if p is None and row:
+                g = 0
+                for v in row.values():
+                    g = gcd(g, v)
+                    if g == 1:
+                        break
+                if g > 1:
+                    row = {c: v // g for c, v in row.items()}
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------

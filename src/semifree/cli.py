@@ -9,6 +9,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -257,7 +258,10 @@ def cmd_functor_check(args):
     return 0
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused: parsing
+    leaves it unchanged, and every call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="semifree",
         description="exact engine for semifree dg categories and plumbings")

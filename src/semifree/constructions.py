@@ -16,6 +16,7 @@ from .dgcat import (
     DgFunctor,
     SemifreeDgCat,
     compose_functors,
+    keep_generators,
     new_semifree,
     push_poly,
     validate_functor,
@@ -229,22 +230,9 @@ def strip_localization(cat):
     if not cluster_names:
         return cat, set()
     gens = tuple(g for g in cat.generators if g.name not in cluster_names)
-    table = {}
-    for g in gens:
-        dg = cat.differentials[g.name]
-        for word in dg.terms:
-            if isinstance(word, str):
-                continue
-            for letter in word:
-                if letter.name in cluster_names:
-                    raise ValueError(
-                        f"cannot strip localization: d({g.name}) uses "
-                        f"{letter.name}")
-        table[g.name] = dg
     provenance = tuple(e for e in cat.provenance
                        if not (isinstance(e, dict) and e.get("op") == "localize"))
-    core = SemifreeDgCat(cat.ring, cat.objects, gens, table, provenance)
-    return core, cluster_names
+    return keep_generators(cat, gens, provenance=provenance), cluster_names
 
 
 def _restrict_leg(leg: DgFunctor, core) -> DgFunctor:
@@ -375,7 +363,7 @@ def _hocolim_full(span: PushoutSpan):
                         NcPoly(ring, left[-1].source, left[0].target,
                                {left: ring.one()})), piece)
                 sign = -1 if right_degree % 2 else 1
-                out = out + piece.scale(ring.mul(ring.normalize(sign), coeff))
+                out.add_in_place(piece, ring.mul(ring.normalize(sign), coeff))
                 right_degree += word[j].degree
         return out
 

@@ -217,7 +217,7 @@ def push_poly(p: NcPoly, object_map: dict, gen_images: dict, ring: Ring) -> NcPo
             for g in word:
                 img = gen_images[g.name]
                 piece = img if piece is None else compose(piece, img)
-        out = out + piece.scale(coeff)
+        out.add_in_place(piece, coeff)
     return out
 
 
@@ -262,8 +262,8 @@ class DgFunctor:
                           self.object_map[p.target])
         for word, coeff in p.terms.items():
             if isinstance(word, str):
-                piece = NcPoly.identity(ring, self.object_map[word])
-                out = out + piece.scale(coeff)
+                out.add_in_place(NcPoly.identity(ring, self.object_map[word]),
+                                 coeff)
                 continue
             s0 = self.shift(word[-1].source)
             exponent = 0
@@ -274,7 +274,7 @@ class DgFunctor:
                 if idx < len(word) - 1:  # letters f_k..f_2 in written order
                     exponent += g.degree * (self.shift(g.source) - s0)
             sign = -1 if exponent % 2 else 1
-            out = out + piece.scale(ring.mul(ring.normalize(sign), coeff))
+            out.add_in_place(piece, ring.mul(ring.normalize(sign), coeff))
         return self.target.normalize(out)
 
 
@@ -341,18 +341,42 @@ def restrict_to_objects(cat: SemifreeDgCat, objects) -> SemifreeDgCat:
     keep = set(objects)
     gens = tuple(g for g in cat.generators
                  if g.source in keep and g.target in keep)
-    ok = {g.name for g in gens}
-    for g in gens:
-        for word in cat.differentials[g.name].terms:
+    return keep_generators(cat, gens, objects=tuple(sorted(keep)),
+                           provenance=cat.provenance + (
+                               {"op": "restrict", "objects": sorted(keep)},))
+
+
+def keep_generators(cat: SemifreeDgCat, gens, **changes) -> SemifreeDgCat:
+    """cat cut down to gens: their differentials, and the rules (with their
+    weights) whose lhs letters all survive.
+
+    A kept differential or rule rhs that uses a dropped generator is a
+    ValueError.  The result is built by dataclasses.replace with changes,
+    so the class checks the kept rules.
+    """
+    names = {g.name for g in gens}
+
+    def check(what: str, poly: NcPoly):
+        for word in poly.terms:
             if isinstance(word, str):
                 continue
             for letter in word:
-                if letter.name not in ok:
+                if letter.name not in names:
                     raise ValueError(
-                        f"d({g.name}) escapes the object set via {letter.name}")
-    table = {g.name: cat.differentials[g.name] for g in gens}
-    return SemifreeDgCat(cat.ring, tuple(sorted(keep)), gens, table,
-                         cat.provenance + ({"op": "restrict", "objects": sorted(keep)},))
+                        f"{what} uses the dropped generator {letter.name}")
+
+    for g in gens:
+        check(f"d({g.name})", cat.differentials[g.name])
+    rules = tuple((lhs, rhs) for lhs, rhs in cat.rules
+                  if all(g.name in names for g in lhs))
+    for lhs, rhs in rules:
+        check(f"rule {render_word(lhs)} -> {render_poly(rhs)}", rhs)
+    weights = ({n: w for n, w in cat.weights.items() if n in names}
+               if rules else {})
+    return replace(cat, generators=tuple(gens),
+                   differentials={g.name: cat.differentials[g.name]
+                                  for g in gens},
+                   rules=rules, weights=weights, **changes)
 
 
 def restrict_functor(f: DgFunctor, objects) -> DgFunctor:
@@ -494,10 +518,16 @@ def from_json(data: dict):
                              data.get("provenance", ()))
     if data.get("rules"):
         rules = []
-        for r in data["rules"]:
+        for i, r in enumerate(data["rules"]):
+            for name in r["lhs"]:
+                if name not in gm:
+                    raise ValueError(
+                        f"rules[{i}]: lhs names unknown generator {name!r}")
             lhs = tuple(gm[name] for name in r["lhs"])
-            src, tgt = lhs[-1].source, lhs[0].target
-            rules.append((lhs, parse_poly(r["rhs"], ring, src, tgt, gm.get)))
+            # an empty lhs has no boundary; the class raises RuleError for it
+            rhs = (parse_poly(r["rhs"], ring, lhs[-1].source, lhs[0].target,
+                              gm.get) if lhs else None)
+            rules.append((lhs, rhs))
         cat = replace(cat, rules=tuple(rules),
                       weights=dict(data.get("weights", {})))
     audit_d_squared(cat)

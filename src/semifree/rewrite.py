@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .algebra import NcPoly, compose, render_word
+from .algebra import NcPoly, accumulate, compose, render_word
 from .dgcat import (
     DSquaredNonzero,
     SemifreeDgCat,
@@ -123,23 +123,19 @@ def _replace_at(ring, word, i, lhs, rhs) -> NcPoly:
 def normalize_poly(index: RuleIndex, p: NcPoly) -> NcPoly:
     """Rewrite every word of p to normal form under the indexed rules."""
     ring = p.ring
-    terms = {}
+    normal = []  # irreducible terms, in the order they are summed
     pending = list(p.terms.items())
     while pending:
         word, coeff = pending.pop()
         hit = match_rule(index, word)
         if hit is None:
-            s = ring.add(terms.get(word, ring.zero()), coeff)
-            if ring.is_zero(s):
-                terms.pop(word, None)
-            else:
-                terms[word] = s
+            normal.append((word, coeff))
             continue
         i, idx = hit
         lhs, rhs = index.rules[idx]
         for w, c in _replace_at(ring, word, i, lhs, rhs).terms.items():
             pending.append((w, ring.mul(coeff, c)))
-    return NcPoly(ring, p.source, p.target, terms)
+    return NcPoly(ring, p.source, p.target, accumulate(ring, {}, normal))
 
 
 def new_relational(ring, objects, generators, differentials, rules,

@@ -35,27 +35,8 @@ class ShiftComparison:
     gen_map: dict  # name -> Generator in target
 
     def tilde(self, p: NcPoly) -> NcPoly:
-        ring = self.target.ring
-        out = NcPoly.zero(ring, self.object_map[p.source],
-                          self.object_map[p.target])
-        for word, coeff in p.terms.items():
-            if isinstance(word, str):
-                out = out + NcPoly.identity(
-                    ring, self.object_map[word]).scale(coeff)
-                continue
-            s0 = self.shifts.get(word[-1].source, 0)
-            exponent = 0
-            letters = []
-            for idx, g in enumerate(word):
-                letters.append(self.gen_map[g.name])
-                if idx < len(word) - 1:
-                    exponent += g.degree * (self.shifts.get(g.source, 0) - s0)
-            sign = -1 if exponent % 2 else 1
-            new_word = tuple(letters)
-            piece = NcPoly(ring, new_word[-1].source, new_word[0].target,
-                           {new_word: ring.one()})
-            out = out + piece.scale(ring.mul(ring.normalize(sign), coeff))
-        return out
+        return _tilde(p, self.target.ring, self.shifts, self.object_map,
+                      self.gen_map)
 
     def annotated_functor(self) -> DgFunctor:
         gm = {name: NcPoly.gen(self.target.ring, g)
@@ -70,6 +51,26 @@ class ShiftComparison:
         out = DgFunctor(f.source, self.target, om, gm)
         validate_functor(out)
         return out
+
+
+def _tilde(p: NcPoly, ring, shifts: dict, object_map: dict,
+           gen_map: dict) -> NcPoly:
+    """p renamed into the shifted presentation with its Koszul signs: a word
+    f_k...f_1 from X_0 gets (-1)^(sum_{i>=2} |f_i| (s(X_{i-1}) - s(X_0)))."""
+    out = NcPoly.zero(ring, object_map[p.source], object_map[p.target])
+    for word, coeff in p.terms.items():
+        if isinstance(word, str):
+            out.add_in_place(NcPoly.identity(ring, object_map[word]), coeff)
+            continue
+        s0 = shifts.get(word[-1].source, 0)
+        exponent = sum(g.degree * (shifts.get(g.source, 0) - s0)
+                       for g in word[:-1])
+        new_word = tuple(gen_map[g.name] for g in word)
+        sign = -1 if exponent % 2 else 1
+        out.add_in_place(NcPoly(ring, new_word[-1].source, new_word[0].target,
+                                {new_word: ring.one()}),
+                         ring.mul(ring.normalize(sign), coeff))
+    return out
 
 
 def shift_presentation(cat: SemifreeDgCat, shifts: dict):
@@ -90,29 +91,10 @@ def shift_presentation(cat: SemifreeDgCat, shifts: dict):
         gens.append(ng)
         gen_map[g.name] = ng
 
-    def tilde(p: NcPoly) -> NcPoly:
-        out = NcPoly.zero(ring, object_map[p.source], object_map[p.target])
-        for word, coeff in p.terms.items():
-            if isinstance(word, str):
-                out = out + NcPoly.identity(ring, object_map[word]).scale(coeff)
-                continue
-            s0 = shifts[word[-1].source]
-            exponent = 0
-            letters = []
-            for idx, g in enumerate(word):
-                letters.append(gen_map[g.name])
-                if idx < len(word) - 1:
-                    exponent += g.degree * (shifts[g.source] - s0)
-            new_word = tuple(letters)
-            sign = -1 if exponent % 2 else 1
-            out = out + NcPoly(ring, new_word[-1].source, new_word[0].target,
-                               {new_word: ring.one()}).scale(
-                                   ring.mul(ring.normalize(sign), coeff))
-        return out
-
     table = {}
     for g in cat.generators:
-        dg = tilde(cat.differentials[g.name])
+        dg = _tilde(cat.differentials[g.name], ring, shifts, object_map,
+                    gen_map)
         if (shifts[g.source] - shifts[g.target]) % 2:
             dg = -dg
         table[g.name] = dg

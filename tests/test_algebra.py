@@ -1,5 +1,6 @@
 """Ring arithmetic, word composition, and the graded Leibniz rule."""
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from semifree.algebra import (
     parse_poly,
     render_poly,
 )
+from semifree.fukaya import ModelId, build
 
 RINGS = [INTEGERS, RATIONALS, integers_mod(7), integers_mod(10007)]
 
@@ -195,6 +197,108 @@ def test_leibniz_is_a_graded_derivation(data):
     rhs = (compose(leibniz_d(p, table), q)
            + compose(p, leibniz_d(q, table)).scale(sign))
     assert lhs == rhs
+
+
+def oracle_leibniz_d(p, table) -> dict:
+    """The former leibniz_d: one checked piece per spliced letter, summed
+    by copying the running total; dict arithmetic written out here so the
+    oracle shares no code with the accumulator it checks."""
+    ring = p.ring
+
+    def add_into(terms, items):
+        for w, c in items:
+            s = ring.add(terms.get(w, ring.zero()), c)
+            if ring.is_zero(s):
+                terms.pop(w, None)
+            else:
+                terms[w] = s
+        return terms
+
+    out = {}
+    for word, coeff in p.terms.items():
+        if isinstance(word, str):
+            continue
+        left_degree = 0
+        for j, g in enumerate(word):
+            dg = table[g.name]
+            if dg.terms:
+                scale = ring.mul(ring.normalize(-1 if left_degree % 2 else 1),
+                                 coeff)
+                piece = {}
+                for w, c in dg.terms.items():
+                    if isinstance(w, str):
+                        whole = word[:j] + word[j + 1:] or w
+                    else:
+                        whole = word[:j] + w + word[j + 1:]
+                    add_into(piece, [(whole, ring.normalize(ring.mul(scale, c)))])
+                out = add_into(dict(out), piece.items())
+            left_degree += g.degree
+    return out
+
+
+@functools.cache
+def built_model(spec: str, ring_text: str):
+    return build(ModelId.parse(spec), Ring.parse(ring_text))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_leibniz_matches_piecewise_oracle(data):
+    # term for term and in insertion order, on random words of built models
+    cat = built_model(data.draw(st.sampled_from(
+                          ["M:1,1", "C:1", "S:2,1,1", "B01:3", "D01:3"])),
+                      data.draw(st.sampled_from(["Z", "Q", "Zmod:7"])))
+    ring = cat.ring
+    out_of = {}
+    for g in cat.generators:
+        out_of.setdefault(g.source, []).append(g)
+    start = data.draw(st.sampled_from(cat.objects))
+    words = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        word, tip = (), start
+        for _ in range(data.draw(st.integers(0, 5))):
+            if tip not in out_of:
+                break
+            g = data.draw(st.sampled_from(out_of[tip]))
+            word, tip = (g,) + word, g.target
+        words.append(word or start)
+    end = words[0] if isinstance(words[0], str) else words[0][0].target
+    items = [(w, data.draw(st.integers(-5, 5)))
+             for w in words
+             if (w if isinstance(w, str) else w[0].target) == end]
+    p = NcPoly.from_terms(ring, start, end, items)
+    got = leibniz_d(p, cat.differentials)
+    assert (got.ring, got.source, got.target) == (ring, start, end)
+    assert list(got.terms.items()) == \
+        list(oracle_leibniz_d(p, cat.differentials).items())
+
+
+def test_leibniz_checks_spliced_words_and_rings():
+    ring = INTEGERS
+    x, y = two_object_setup(ring, 3)
+    # d(x) lands L2 -> L1, so splicing it into y*x breaks composability
+    bad = {"x": NcPoly.gen(ring, y), "y": NcPoly.zero(ring, "L2", "L1")}
+    with pytest.raises(CompositionError):
+        leibniz_d(compose(NcPoly.gen(ring, y), NcPoly.gen(ring, x)), bad)
+    mixed = {"x": NcPoly.zero(ring, "L1", "L2"),
+             "y": NcPoly.gen(RATIONALS, y)}
+    with pytest.raises(ValueError, match="mixed coefficient rings"):
+        leibniz_d(NcPoly.gen(ring, y), mixed)
+
+
+def test_add_in_place_checks_each_piece():
+    ring = INTEGERS
+    x, y = two_object_setup(ring, 3)
+    out = NcPoly.zero(ring, "L1", "L2")
+    out.add_in_place(NcPoly.gen(ring, x), 3)
+    out.add_in_place(NcPoly.gen(ring, x), -3)
+    assert out.terms == {}
+    out.add_in_place(NcPoly.gen(ring, x), 2)
+    assert out == NcPoly.gen(ring, x, 2)
+    with pytest.raises(CompositionError):
+        out.add_in_place(NcPoly.gen(ring, y))
+    with pytest.raises(ValueError, match="mixed coefficient rings"):
+        out.add_in_place(NcPoly.gen(RATIONALS, x))
 
 
 def test_leibniz_missing_entry():

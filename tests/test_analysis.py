@@ -1,6 +1,10 @@
 """Truncated cohomology, presentation equality, rank compatibility."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semifree.algebra import (
     Generator,
@@ -46,6 +50,85 @@ def test_exact_rank_fractions_and_mod():
     assert exact_rank(rows2, Q) == 2
     assert exact_rank([{0: 10007}], P) == 0
     assert exact_rank([{0: 10008}], P) == 1
+
+
+def dense_rank(rows, ncols, p=None) -> int:
+    """Oracle: dense Gauss-Jordan elimination over Fractions (p None) or
+    over the residues mod the prime p."""
+    if p is None:
+        matrix = [[Fraction(row.get(c, 0)) for c in range(ncols)]
+                  for row in rows]
+    else:
+        matrix = [[row.get(c, 0) % p for c in range(ncols)] for row in rows]
+    rank = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(matrix))
+                      if matrix[i][col] != 0), None)
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        lead = matrix[rank][col]
+        for i in range(len(matrix)):
+            if i != rank and matrix[i][col] != 0:
+                if p is None:
+                    f = matrix[i][col] / lead
+                    matrix[i] = [a - f * b
+                                 for a, b in zip(matrix[i], matrix[rank])]
+                else:
+                    f = matrix[i][col] * pow(lead, -1, p) % p
+                    matrix[i] = [(a - f * b) % p
+                                 for a, b in zip(matrix[i], matrix[rank])]
+        rank += 1
+    return rank
+
+
+NCOLS = 6
+BIG = st.integers(-10**12, 10**12)
+ENTRY = st.one_of(st.integers(-3, 3), BIG)
+
+
+@st.composite
+def sparse_rows(draw, rational: bool):
+    """Rows with duplicates, multiples of earlier rows and empty rows."""
+    value = (st.builds(Fraction, ENTRY, st.integers(1, 10**6)) if rational
+             else ENTRY)
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "copy", "multiple",
+                                     "empty"]))
+        if kind in ("copy", "multiple") and rows:
+            base = draw(st.sampled_from(rows))
+            factor = 1 if kind == "copy" else draw(value.filter(bool))
+            rows.append({c: v * factor for c, v in base.items()})
+        elif kind == "empty":
+            rows.append({})
+        else:
+            cols = draw(st.sets(st.integers(0, NCOLS - 1), max_size=NCOLS))
+            row = {c: draw(value) for c in sorted(cols)}
+            rows.append({c: v for c, v in row.items() if v != 0})
+    return rows
+
+
+@settings(max_examples=200)
+@given(sparse_rows(rational=False))
+def test_exact_rank_integer_matches_dense_oracle(rows):
+    before = [dict(r) for r in rows]
+    assert exact_rank(rows, ring) == dense_rank(rows, NCOLS)
+    assert rows == before  # the caller's rows are not modified
+
+
+@settings(max_examples=200)
+@given(sparse_rows(rational=True))
+def test_exact_rank_rational_matches_dense_oracle(rows):
+    assert exact_rank(rows, Q) == dense_rank(rows, NCOLS)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([2, 3, 7]), sparse_rows(rational=False))
+def test_exact_rank_modular_matches_dense_oracle(p, rows):
+    before = [dict(r) for r in rows]
+    assert exact_rank(rows, integers_mod(p)) == dense_rank(rows, NCOLS, p)
+    assert rows == before
 
 
 def test_non_field_rejected():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from semifree.cli import main
+from semifree.cli import main, make_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data"
@@ -125,6 +125,50 @@ def test_verify_rejects_malformed_document_with_rules_key(tmp_path, capsys):
     assert main(["verify", str(path)]) == 1
     assert capsys.readouterr().out == \
         f"FAIL {path}: duplicate object ids\n"
+
+
+@pytest.mark.parametrize("rule,message", [
+    ({"lhs": ["z", "q"], "rhs": "0"}, "rules[0]: lhs names unknown generator 'q'"),
+    ({"lhs": [], "rhs": "0"}, "empty rule lhs"),
+], ids=["unknown-generator", "empty-lhs"])
+def test_verify_rejects_malformed_rules(rule, message, tmp_path, capsys):
+    doc = json.loads((DATA / "c3.json").read_text())
+    doc["rules"] = [rule]
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().out == f"FAIL {path}: {message}\n"
+
+
+def test_parser_is_reused_without_leaking_values(capsys):
+    # one parser serves every call; each parse starts from the defaults
+    assert make_parser() is make_parser()
+    fresh = make_parser.__wrapped__
+    c3 = str(DATA / "c3.json")
+    hom = ["hom", c3, "--src", "L", "--tgt", "L", "--window=-3:0"]
+    runs = [
+        hom + ["--bound", "2", "--emit", "md", "--field", "Zmod:7"],
+        ["build", "--model", "A2", "--coeff", "Q", "--emit", "text"],
+        hom,
+        ["plumb", str(DATA / "a2_n3.json"), "--emit", "text"],
+        ["build", "--model", "A2"],
+        hom + ["--bound", "3"],
+        hom,
+    ]
+    for argv in runs:
+        assert vars(make_parser().parse_args(argv)) == \
+            vars(fresh().parse_args(argv))
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        if argv[0] == "hom" and "md" not in argv:
+            table = json.loads(out)  # JSON again after the --emit md run
+            bound = 3 if "--bound" in argv else 8
+            assert (table["bound"], table["field"]) == (bound, "Q")
+        elif argv[:3] == ["build", "--model", "A2"]:
+            assert out.startswith("coefficients: Q") if "text" in argv \
+                else json.loads(out)["coefficients"] == "Z"
+        elif "md" in argv:
+            assert out.startswith("| degree |")
 
 
 def test_verify_functor_files(tmp_path):

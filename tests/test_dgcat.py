@@ -29,10 +29,12 @@ from semifree.dgcat import (
     identity_functor,
     new_semifree,
     restrict_functor,
+    restrict_to_objects,
     to_json,
     validate_functor,
 )
 from semifree.fukaya import ModelId, build
+from semifree.rewrite import RuleError, new_relational
 from semifree.twisted import build_d01, build_d12, cone_extend
 
 ring = INTEGERS
@@ -356,6 +358,55 @@ def test_from_json_audits_d_squared_modulo_rules():
     doc["rules"].append({"lhs": ["a"], "rhs": "0"})
     cat = from_json(doc)  # the rule a -> 0 kills the residual
     assert cat.normalize(cat.d(cat.differentials["c"])).is_zero()
+
+
+def test_from_json_rejects_rule_with_unknown_generator():
+    doc = to_json(tensor(build(ModelId.parse("A2"), ring),
+                         build(ModelId.parse("C:3"), ring)))
+    doc["rules"].append({"lhs": [doc["rules"][0]["lhs"][0], "q"], "rhs": "0"})
+    index = len(doc["rules"]) - 1
+    with pytest.raises(ValueError,
+                       match=rf"rules\[{index}\]: .*unknown generator 'q'"):
+        from_json(doc)
+
+
+def test_from_json_rejects_empty_rule_lhs():
+    doc = to_json(tensor(build(ModelId.parse("A2"), ring),
+                         build(ModelId.parse("C:3"), ring)))
+    doc["rules"].append({"lhs": [], "rhs": "0"})
+    with pytest.raises(RuleError, match="empty rule lhs"):
+        from_json(doc)
+
+
+def test_restriction_keeps_rewrite_rules():
+    # restricting to every object is the identity on hom spaces
+    cat = tensor(build(ModelId.parse("A2"), ring),
+                 build(ModelId.parse("C:3"), ring))
+    sub = restrict_to_objects(cat, cat.objects)
+    assert sub.rules == cat.rules and sub.rules
+    window = ((-6, 2), 3)
+    assert hom_slice(sub, "(K0,L)", "(K1,L)", *window).words_by_degree == \
+        hom_slice(cat, "(K0,L)", "(K1,L)", *window).words_by_degree
+    assert sum(len(ws) for ws in hom_slice(
+        sub, "(K0,L)", "(K1,L)", *window).words_by_degree.values()) == 3
+    # one object: the rules whose letters all stay on it survive
+    one = restrict_to_objects(cat, ["(K0,L)"])
+    names = {g.name for g in one.generators}
+    assert one.rules == tuple(r for r in cat.rules
+                              if all(g.name in names for g in r[0]))
+
+
+def test_restriction_rejects_rule_through_dropped_generator():
+    # a*a -> c*b on X, where b and c pass through Y
+    a = Generator("a", "X", "X", 0, 0)
+    b = Generator("b", "X", "Y", 0, 1)
+    c = Generator("c", "Y", "X", 0, 2)
+    zero = {g.name: NcPoly.zero(ring, g.source, g.target) for g in (a, b, c)}
+    rhs = compose(NcPoly.gen(ring, c), NcPoly.gen(ring, b))
+    cat = new_relational(ring, ("X", "Y"), (a, b, c), zero, [((a, a), rhs)],
+                         {"a": 3})
+    with pytest.raises(ValueError, match="dropped generator"):
+        restrict_to_objects(cat, ["X"])
 
 
 def test_audit_runs_over_collection():
