@@ -54,14 +54,19 @@ class Ring:
                 value = value.numerator
             return int(value)
         if self.kind == "Q":
-            return Fraction(value)
+            # an integral rational is kept as int: int arithmetic is faster
+            # and renders the same
+            if isinstance(value, int):
+                return int(value)
+            value = Fraction(value)
+            return value.numerator if value.denominator == 1 else value
         return int(value) % self.modulus
 
     def zero(self):
-        return Fraction(0) if self.kind == "Q" else 0
+        return 0
 
     def one(self):
-        return Fraction(1) if self.kind == "Q" else 1
+        return 1
 
     def add(self, a, b):
         return (a + b) % self.modulus if self.kind == "Zmod" else a + b
@@ -88,7 +93,7 @@ class Ring:
         if self.kind == "Z":
             return a
         if self.kind == "Q":
-            return Fraction(1) / a
+            return self.normalize(1 / Fraction(a))
         return pow(int(a), -1, self.modulus)
 
     def is_field(self) -> bool:
@@ -117,9 +122,7 @@ class Ring:
 
     def parse_value(self, text: str):
         text = text.strip()
-        if self.kind == "Q":
-            return Fraction(text)
-        return self.normalize(int(text))
+        return self.normalize(Fraction(text) if self.kind == "Q" else int(text))
 
 
 def _is_prime(n: int) -> bool:

@@ -12,8 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 
-from .algebra import NcPoly, Ring, render_poly, word_names
+from .algebra import (
+    MissingDifferential,
+    NcPoly,
+    Ring,
+    _checked,
+    render_poly,
+)
 from .dgcat import hom_slice, new_semifree, push_poly
 from .rewrite import new_relational
 
@@ -172,39 +179,23 @@ def truncated_cohomology(cat, source: str, target: str, window, bound: int,
     if lo > hi:
         raise ValueError(f"hom window {lo}:{hi} is empty (lo > hi)")
     work = change_coefficients(cat, field)
-    slice_ = hom_slice(work, source, target, (lo - 1, hi + 1), bound)
-    basis = {k: list(slice_.words_by_degree.get(k, []))
+    words = hom_slice(work, source, target, (lo - 1, hi + 1),
+                      bound).words_by_degree
+    # degree -> {coded word: column}, in the slice's order
+    index = {k: {_code(w): i for i, w in enumerate(words.get(k, ()))}
              for k in range(lo - 1, hi + 2)}
-    index = {k: {word_names(w): i for i, w in enumerate(basis[k])}
-             for k in basis}
+    del words  # the index holds every word the rows need, coded
+    table = _d_table(work)
     ranks_d = {}
     dropped = {}
     for k in range(lo - 1, hi + 1):
-        rows = []
-        lost = False
-        for w in basis[k]:
-            if isinstance(w, str):
-                dw = NcPoly.zero(work.ring, source, target)
-            else:
-                dw = work.normalize(work.d(
-                    NcPoly(work.ring, w[-1].source, w[0].target,
-                           {w: work.ring.one()})))
-            row = {}
-            for word, coeff in dw.terms.items():
-                length = 0 if isinstance(word, str) else len(word)
-                key = word_names(word)
-                if length > bound or key not in index[k + 1]:
-                    lost = True
-                    continue
-                row[index[k + 1][key]] = coeff
-            if row:
-                rows.append(row)
+        rows, dropped[k] = _d_rows(work, table, index[k], index[k + 1],
+                                   source, target)
         ranks_d[k] = exact_rank(rows, work.ring)
-        dropped[k] = lost
     ranks = {}
     exact = {}
     for k in range(lo, hi + 1):
-        dim = len(basis[k])
+        dim = len(index[k])
         rank_out, rank_in = ranks_d.get(k, 0), ranks_d.get(k - 1, 0)
         value = dim - rank_out - rank_in
         if value < 0:
@@ -215,7 +206,106 @@ def truncated_cohomology(cat, source: str, target: str, window, bound: int,
         ranks[k] = value
         exact[k] = not (dropped.get(k, False) or dropped.get(k - 1, False))
     return RankTable(source, target, (lo, hi), bound, field.render(), ranks,
-                     exact, {k: len(basis[k]) for k in range(lo, hi + 1)})
+                     exact, {k: len(index[k]) for k in range(lo, hi + 1)})
+
+
+# The hom complex is assembled on coded words: a word is the tuple of its
+# generators' ranks, and an identity is ().
+
+_rank = attrgetter("rank")
+
+
+def _code(word) -> tuple:
+    return () if isinstance(word, str) else tuple(map(_rank, word))
+
+
+def _d_table(cat) -> dict:
+    """rank -> (generator, (+d terms, -d terms)) of each generator, where
+    the d terms are the (coded word, value) pairs of d(generator), and the
+    -d terms the same words with negated values.
+
+    Ranks must be distinct, since they code the words.  Every term is
+    checked here to compose and to run along its generator's boundary.
+    Put in place of its generator in a composable word, such a term gives
+    a composable word with the same boundary, so the spliced words of
+    _d_rows need no check of their own.
+    """
+    ring = cat.ring
+    table = {}
+    for g in cat.generators:
+        if g.rank in table:
+            raise ValueError(f"generators {table[g.rank][0].name} and "
+                             f"{g.name} share the ordinal rank {g.rank}")
+        dg = cat.differentials.get(g.name)
+        if dg is None:
+            raise MissingDifferential(f"no differential entry for {g.name}")
+        if dg.ring != ring:
+            raise ValueError("mixed coefficient rings")
+        terms = [(_code(_checked(w, g.source, g.target)), c)
+                 for w, c in dg.terms.items()]
+        table[g.rank] = (g, (terms, [(t, ring.neg(c)) for t, c in terms]))
+    return table
+
+
+def _d_rows(cat, table: dict, basis: dict, index: dict, source: str,
+            target: str):
+    """The rows {column in index: value} of d on the coded words of basis,
+    by the graded Leibniz rule, and whether a term of some d(word) was lost
+    (outside index: longer than the bound or not listed).  With rules, the
+    terms outside index are normalized through the category's rules first.
+    """
+    ring = cat.ring
+    p = ring.modulus if ring.kind == "Zmod" else None
+    rows = []
+    lost = False
+    for word in basis:
+        terms = {}
+        get = terms.get
+        left_degree = 0
+        for j, r in enumerate(word):
+            g, signed = table[r]
+            dterms = signed[left_degree % 2]
+            if dterms:
+                left, right = word[:j], word[j + 1:]
+                for t, c in dterms:
+                    key = left + t + right
+                    terms[key] = get(key, 0) + c
+            left_degree += g.degree
+        if cat.rules:
+            _normalize_outside(cat, table, terms, index, source, target, p)
+        row = {}
+        for key, value in terms.items():
+            if p is not None:
+                value %= p
+            if value:
+                col = index.get(key)
+                if col is None:
+                    lost = True
+                else:
+                    row[col] = value
+        if row:
+            rows.append(row)
+    return rows, lost
+
+
+def _normalize_outside(cat, table: dict, terms: dict, index: dict,
+                       source: str, target: str, p) -> None:
+    """Replace, in place, the terms whose coded word is not in index by
+    their normal form under cat's rules.  The words of index are
+    irreducible already: hom_slice lists no reducible word."""
+    outside = {}
+    for key in [key for key in terms if key not in index]:
+        value = terms.pop(key)
+        if p is not None:
+            value %= p
+        if value:
+            word = tuple(table[r][0] for r in key) if key else source
+            outside[word] = value
+    if outside:
+        normal = cat.normalize(NcPoly(cat.ring, source, target, outside))
+        for word, value in normal.terms.items():
+            key = _code(word)
+            terms[key] = terms.get(key, 0) + value
 
 
 # ---------------------------------------------------------------------------

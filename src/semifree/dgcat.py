@@ -22,6 +22,7 @@ from .algebra import (
     parse_poly,
     render_poly,
     render_word,
+    word_degree,
 )
 
 
@@ -60,6 +61,9 @@ class SemifreeDgCat:
     weights: dict = field(default_factory=dict)  # name -> reduction weight
 
     def __post_init__(self):
+        # not fields: equality and repr stay those of the fields
+        object.__setattr__(self, "_gen_map",
+                           {g.name: g for g in self.generators})
         if not self.rules:
             return
         from .rewrite import RuleError, RuleIndex, _strictly_smaller
@@ -69,12 +73,17 @@ class SemifreeDgCat:
             if rhs.source != lhs[-1].source or rhs.target != lhs[0].target:
                 raise RuleError(
                     f"rule {render_word(lhs)} -> {render_poly(rhs)} changes boundary")
+            lhs_degree = word_degree(lhs)
             for w in rhs.terms:
+                if word_degree(w) != lhs_degree:
+                    raise RuleError(
+                        f"rule {render_word(lhs)} -> {render_poly(rhs)} changes "
+                        f"degree: lhs has degree {lhs_degree}, rhs term "
+                        f"{render_word(w)} has degree {word_degree(w)}")
                 if not _strictly_smaller(w, lhs, self.weights):
                     raise RuleError(
                         f"rule {render_word(lhs)} -> {render_poly(rhs)} does not "
                         f"decrease the reduction order at {render_word(w)}")
-        # not a field: equality and repr stay those of the fields
         object.__setattr__(self, "_index", RuleIndex(self.rules))
 
     # -- lookups --
@@ -84,8 +93,9 @@ class SemifreeDgCat:
             raise KeyError(f"no generator named {name!r}")
         return g
 
-    def gen_map(self):
-        return {g.name: g for g in self.generators}
+    def gen_map(self) -> dict:
+        """name -> Generator, built once per category; do not modify it."""
+        return self._gen_map
 
     def d(self, p: NcPoly) -> NcPoly:
         return leibniz_d(p, self.differentials)
@@ -242,9 +252,6 @@ class DgFunctor:
 
     def shift(self, obj: str) -> int:
         return self.object_shifts.get(obj, 0)
-
-    def apply_object(self, obj: str) -> str:
-        return self.object_map[obj]
 
     def apply(self, p: NcPoly) -> NcPoly:
         """Push a source polynomial through the functor (no shift signs)."""
@@ -516,9 +523,25 @@ def from_json(data: dict):
         table[g.name] = parse_poly(spec["d"], ring, g.source, g.target, gm.get)
     cat = unaudited_semifree(ring, objects, gens, table,
                              data.get("provenance", ()))
-    if data.get("rules"):
+    specs = data.get("rules", [])
+    if not isinstance(specs, list):
+        raise ValueError(f"rules: expected a list of rules, got {specs!r}")
+    if specs:
         rules = []
-        for i, r in enumerate(data["rules"]):
+        for i, r in enumerate(specs):
+            if not isinstance(r, dict):
+                raise ValueError(f"rules[{i}]: expected an object with "
+                                 f"\"lhs\" and \"rhs\", got {r!r}")
+            for key in ("lhs", "rhs"):
+                if key not in r:
+                    raise ValueError(f"rules[{i}]: missing {key!r}")
+            if not isinstance(r["lhs"], list) or not all(
+                    isinstance(name, str) for name in r["lhs"]):
+                raise ValueError(f"rules[{i}]: lhs must be a list of generator "
+                                 f"names, got {r['lhs']!r}")
+            if not isinstance(r["rhs"], str):
+                raise ValueError(f"rules[{i}]: rhs must be a polynomial "
+                                 f"string, got {r['rhs']!r}")
             for name in r["lhs"]:
                 if name not in gm:
                     raise ValueError(

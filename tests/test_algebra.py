@@ -72,6 +72,21 @@ def test_rational_units_and_inverse():
     assert integers_mod(7).inv(3) == 5
 
 
+def test_integral_rationals_are_ints():
+    two = RATIONALS.normalize(Fraction(4, 2))
+    assert type(two) is int and two == 2
+    half = RATIONALS.normalize(Fraction(1, 2))
+    assert type(half) is Fraction and half == Fraction(1, 2)
+    assert type(RATIONALS.inv(-1)) is int and RATIONALS.inv(-1) == -1
+    assert RATIONALS.inv(Fraction(1, 3)) == 3
+    assert type(RATIONALS.inv(Fraction(1, 3))) is int
+    assert type(RATIONALS.parse_value("6/3")) is int
+    assert type(RATIONALS.parse_value("3/4")) is Fraction
+    assert type(RATIONALS.zero()) is int and type(RATIONALS.one()) is int
+    # an int renders as the Fraction of the same value did
+    assert RATIONALS.render_value(two) == str(Fraction(2))
+
+
 def test_no_floats_accepted():
     for ring in RINGS:
         with pytest.raises(TypeError):

@@ -1,5 +1,6 @@
 """Truncated cohomology, presentation equality, rank compatibility."""
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -7,21 +8,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semifree.algebra import (
+    CompositionError,
     Generator,
     INTEGERS,
     NcPoly,
     RATIONALS,
+    Ring,
+    compose,
     integers_mod,
+    leibniz_d,
+    word_names,
 )
 from semifree.analysis import (
+    _code,
+    _d_rows,
+    _d_table,
     change_coefficients,
     exact_rank,
     functor_rank_compat,
     presentation_equal,
     truncated_cohomology,
 )
-from semifree.dgcat import DgFunctor, new_semifree, validate_functor
+from semifree.constructions import tensor
+from semifree.dgcat import (
+    DgFunctor,
+    SemifreeDgCat,
+    hom_slice,
+    new_semifree,
+    validate_functor,
+)
 from semifree.fukaya import ModelId, build
+from semifree.rewrite import new_relational
 from semifree.twisted import build_d12, build_e12
 
 ring = INTEGERS
@@ -211,6 +228,103 @@ def test_truncation_caveat_flagged():
     d12 = build_d12(3, ring)
     free = truncated_cohomology(d12, "L1", "L1", (-2, 0), 6, Q)
     assert all(free.exact.values())
+
+
+def oracle_rows(cat, basis, next_basis, bound):
+    """The former assembly: d of each basis word by leibniz_d, normalized
+    by the category's rules, columns found by word_names."""
+    index = {word_names(w): i for i, w in enumerate(next_basis)}
+    rows, lost = [], False
+    for w in basis:
+        if isinstance(w, str):
+            continue  # d(1_X) = 0
+        dw = cat.normalize(leibniz_d(
+            NcPoly(cat.ring, w[-1].source, w[0].target, {w: cat.ring.one()}),
+            cat.differentials))
+        row = {}
+        for word, coeff in dw.terms.items():
+            length = 0 if isinstance(word, str) else len(word)
+            if length > bound or word_names(word) not in index:
+                lost = True
+                continue
+            row[index[word_names(word)]] = coeff
+        if row:
+            rows.append(row)
+    return rows, lost
+
+
+def spliced_reducible():
+    """A relational category in which d of an irreducible word can be
+    reducible, which no built model has: d(x*y) = x*x -> z + 2*1_L, and
+    d(t) = z + x*x sums to 2*z + 2*1_L."""
+    z = Generator("z", "L", "L", 0, 0)
+    x = Generator("x", "L", "L", 0, 1)
+    y = Generator("y", "L", "L", -1, 2)
+    u = Generator("u", "L", "L", -1, 3)
+    t = Generator("t", "L", "L", -1, 4)
+    xx = compose(NcPoly.gen(ring, x), NcPoly.gen(ring, x))
+    table = {g.name: NcPoly.zero(ring, "L", "L") for g in (z, x)}
+    table["y"] = NcPoly.gen(ring, x)
+    table["u"] = NcPoly.gen(ring, z, -1)
+    table["t"] = NcPoly.gen(ring, z) + xx
+    rhs = NcPoly.gen(ring, z) + NcPoly.identity(ring, "L").scale(2)
+    return new_relational(ring, ("L",), (z, x, y, u, t), table,
+                          [((x, x), rhs)])
+
+
+@functools.cache
+def assembly_model(spec: str, ring_text: str):
+    if spec == "spliced-reducible":
+        cat = spliced_reducible()
+    else:
+        parts = [build(ModelId.parse(s), ring) for s in spec.split(" x ")]
+        cat = parts[0] if len(parts) == 1 else tensor(*parts)
+    return change_coefficients(cat, Ring.parse(ring_text))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_assembled_rows_match_leibniz_oracle(data):
+    spec, max_bound = data.draw(st.sampled_from([
+        ("M:1,1", 3), ("S:2,1,1", 4), ("D01:3", 4), ("A2 x C:3", 4),
+        ("M:1,1 x S:2,1,1", 2), ("spliced-reducible", 4)]))
+    cat = assembly_model(spec, data.draw(st.sampled_from(["Z", "Q",
+                                                          "Zmod:7"])))
+    source = data.draw(st.sampled_from(cat.objects))
+    target = data.draw(st.sampled_from(cat.objects))
+    k = data.draw(st.integers(-4, 1))
+    bound = data.draw(st.integers(0, max_bound))
+    words = hom_slice(cat, source, target, (k, k + 1), bound).words_by_degree
+    basis, next_basis = words.get(k, []), words.get(k + 1, [])
+    index = {_code(w): i for i, w in enumerate(next_basis)}
+    got = _d_rows(cat, _d_table(cat), {_code(w): i for i, w in
+                                       enumerate(basis)},
+                  index, source, target)
+    assert got == oracle_rows(cat, basis, next_basis, bound)
+
+
+def test_non_composable_d_term_rejected():
+    # built without new_semifree's checks: d(g) holds a*e, which does not
+    # compose (e ends at Y, a starts at X)
+    a = Generator("a", "X", "X", 0, 0)
+    e = Generator("e", "X", "Y", 0, 1)
+    g = Generator("g", "X", "X", -1, 2)
+    cat = SemifreeDgCat(Q, ("X", "Y"), (a, e, g), {
+        "a": NcPoly.zero(Q, "X", "X"), "e": NcPoly.zero(Q, "X", "Y"),
+        "g": NcPoly(Q, "X", "X", {(a, e): 1})})
+    with pytest.raises(CompositionError, match="non-composable"):
+        truncated_cohomology(cat, "X", "X", (-1, 0), 1, Q)
+
+
+def test_assembly_rejects_shared_ranks():
+    # ranks code the words, so two generators with one rank would merge
+    # distinct words into one column
+    a = Generator("a", "X", "X", 0, 0)
+    b = Generator("b", "X", "X", 0, 0)
+    cat = SemifreeDgCat(Q, ("X",), (a, b), {
+        "a": NcPoly.zero(Q, "X", "X"), "b": NcPoly.zero(Q, "X", "X")})
+    with pytest.raises(ValueError, match="a and b share the ordinal rank 0"):
+        truncated_cohomology(cat, "X", "X", (0, 0), 1, Q)
 
 
 def test_change_coefficients_roundtrip():

@@ -127,13 +127,23 @@ def test_verify_rejects_malformed_document_with_rules_key(tmp_path, capsys):
         f"FAIL {path}: duplicate object ids\n"
 
 
-@pytest.mark.parametrize("rule,message", [
-    ({"lhs": ["z", "q"], "rhs": "0"}, "rules[0]: lhs names unknown generator 'q'"),
-    ({"lhs": [], "rhs": "0"}, "empty rule lhs"),
-], ids=["unknown-generator", "empty-lhs"])
-def test_verify_rejects_malformed_rules(rule, message, tmp_path, capsys):
+@pytest.mark.parametrize("rules,message", [
+    ([{"lhs": ["z", "q"], "rhs": "0"}],
+     "rules[0]: lhs names unknown generator 'q'"),
+    ([{"lhs": [], "rhs": "0"}], "empty rule lhs"),
+    ("abc", "rules: expected a list of rules, got 'abc'"),
+    ([5], 'rules[0]: expected an object with "lhs" and "rhs", got 5'),
+    ([{"lhs": ["z", "z", "z"]}], "rules[0]: missing 'rhs'"),
+    ([{"lhs": "zz", "rhs": "0"}],
+     "rules[0]: lhs must be a list of generator names, got 'zz'"),
+    ([{"lhs": ["z", "z"], "rhs": "z"}],
+     "rule z*z -> z changes degree: lhs has degree -4, rhs term z has "
+     "degree -2"),
+], ids=["unknown-generator", "empty-lhs", "rules-not-a-list",
+        "rule-not-an-object", "missing-rhs", "string-lhs", "degree-change"])
+def test_verify_rejects_malformed_rules(rules, message, tmp_path, capsys):
     doc = json.loads((DATA / "c3.json").read_text())
-    doc["rules"] = [rule]
+    doc["rules"] = rules
     path = tmp_path / "rules.json"
     path.write_text(json.dumps(doc))
     assert main(["verify", str(path)]) == 1

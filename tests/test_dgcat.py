@@ -378,6 +378,34 @@ def test_from_json_rejects_empty_rule_lhs():
         from_json(doc)
 
 
+def test_rule_must_preserve_degree():
+    # z has degree -2, so z*z (degree -4) -> z (degree -2) changes degree
+    doc = json.loads((DATA / "c3.json").read_text())
+    doc["rules"] = [{"lhs": ["z", "z"], "rhs": "z"}]
+    with pytest.raises(RuleError, match=r"rule z\*z -> z changes degree: "
+                                        r"lhs has degree -4, rhs term z has "
+                                        r"degree -2"):
+        from_json(doc)
+    doc["rules"] = [{"lhs": ["z", "z", "z"], "rhs": "0"}]
+    assert from_json(doc).rules  # a zero rhs has no degree to disagree
+
+
+@pytest.mark.parametrize("rules,message", [
+    ("abc", r"rules: expected a list of rules, got 'abc'"),
+    ([5], r"rules\[0\]: expected an object with \"lhs\" and \"rhs\", got 5"),
+    ([{"lhs": ["z", "z", "z"]}], r"rules\[0\]: missing 'rhs'"),
+    ([{"rhs": "0"}], r"rules\[0\]: missing 'lhs'"),
+    ([{"lhs": "zzz", "rhs": "0"}],
+     r"rules\[0\]: lhs must be a list of generator names, got 'zzz'"),
+], ids=["rules-not-a-list", "rule-not-an-object", "missing-rhs",
+        "missing-lhs", "string-lhs"])
+def test_from_json_rejects_malformed_rule_shape(rules, message):
+    doc = json.loads((DATA / "c3.json").read_text())
+    doc["rules"] = rules
+    with pytest.raises(ValueError, match=message):
+        from_json(doc)
+
+
 def test_restriction_keeps_rewrite_rules():
     # restricting to every object is the identity on hom spaces
     cat = tensor(build(ModelId.parse("A2"), ring),
