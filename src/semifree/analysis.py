@@ -55,7 +55,10 @@ def _rank_core(rows, p) -> int:
     """Rank by sparse elimination into pivot rows keyed by leading column.
 
     rows are {column: nonzero value} dicts, which the core reduces in
-    place.  Rows enter sparsest first.  Each is reduced
+    place.  A row's leading column is its largest.  The hom complex lists
+    columns by word length, so that is the row's longest word, which few
+    other rows share: pivots chosen there meet fewer rows and stay short
+    (fill-in).  Rows enter sparsest first.  Each is reduced
     against the pivots found so far until it vanishes or its leading column
     has no pivot, and then it becomes that column's pivot.  With p None the
     entries are integers and a reduction is fraction-free: cross-multiply,
@@ -66,7 +69,7 @@ def _rank_core(rows, p) -> int:
     pivots = {}
     for row in sorted(rows, key=len):
         while row:
-            col = min(row)
+            col = max(row)
             pivot = pivots.get(col)
             if pivot is None:
                 if p is not None and row[col] != 1:
@@ -182,9 +185,9 @@ def truncated_cohomology(cat, source: str, target: str, window, bound: int,
     words = hom_slice(work, source, target, (lo - 1, hi + 1),
                       bound).words_by_degree
     # degree -> {coded word: column}, in the slice's order
-    index = {k: {_code(w): i for i, w in enumerate(words.get(k, ()))}
+    index = {k: {w: i for i, w in enumerate(words.get(k, ()))}
              for k in range(lo - 1, hi + 2)}
-    del words  # the index holds every word the rows need, coded
+    del words  # the index holds every word the rows need
     table = _d_table(work)
     ranks_d = {}
     dropped = {}
@@ -209,8 +212,8 @@ def truncated_cohomology(cat, source: str, target: str, window, bound: int,
                      exact, {k: len(index[k]) for k in range(lo, hi + 1)})
 
 
-# The hom complex is assembled on coded words: a word is the tuple of its
-# generators' ranks, and an identity is ().
+# The hom complex is assembled on the coded words of hom_slice: a word is
+# the tuple of its generators' ranks, and an identity is ().
 
 _rank = attrgetter("rank")
 
@@ -224,8 +227,9 @@ def _d_table(cat) -> dict:
     the d terms are the (coded word, value) pairs of d(generator), and the
     -d terms the same words with negated values.
 
-    Ranks must be distinct, since they code the words.  Every term is
-    checked here to compose and to run along its generator's boundary.
+    Ranks code the words; hom_slice has checked that they are distinct.
+    Every term is checked here to compose and to run along its
+    generator's boundary.
     Put in place of its generator in a composable word, such a term gives
     a composable word with the same boundary, so the spliced words of
     _d_rows need no check of their own.
@@ -233,9 +237,6 @@ def _d_table(cat) -> dict:
     ring = cat.ring
     table = {}
     for g in cat.generators:
-        if g.rank in table:
-            raise ValueError(f"generators {table[g.rank][0].name} and "
-                             f"{g.name} share the ordinal rank {g.rank}")
         dg = cat.differentials.get(g.name)
         if dg is None:
             raise MissingDifferential(f"no differential entry for {g.name}")

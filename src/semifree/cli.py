@@ -152,7 +152,7 @@ def cmd_verify(args):
     for path in files:
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
-            if doc.get("type") == "functor":
+            if isinstance(doc, dict) and doc.get("type") == "functor":
                 source = from_json(doc["source"])
                 target = from_json(doc["target"])
                 validate_functor(functor_from_json(doc, source, target))

@@ -404,7 +404,7 @@ class HomBasisSlice:
     target: str
     window: tuple
     length_bound: int
-    words_by_degree: dict  # degree -> list of word keys, deterministic order
+    words_by_degree: dict  # degree -> rank-coded words, by length, ranks
 
 
 def _reach_table(generators, target: str, length_bound: int) -> list:
@@ -433,8 +433,11 @@ def _reach_table(generators, target: str, length_bound: int) -> list:
 def hom_slice(cat, source: str, target: str, window, length_bound: int) -> HomBasisSlice:
     """All composable words source->target with degree in window, length <= bound.
 
-    With rewrite rules only rule-irreducible words are listed.  A partial
-    word is grown only while some extension of it within the bound can still
+    A word is coded as the tuple of its generators' ranks in written order,
+    and the identity of source as (); ranks must therefore be distinct.
+    Each degree's words are listed by length, then by rank tuple.  With
+    rewrite rules only rule-irreducible words are listed.  A partial word
+    is grown only while some extension of it within the bound can still
     end at target with degree in the window, so the result is the same as
     growing every word and filtering at the end.
     """
@@ -448,36 +451,47 @@ def hom_slice(cat, source: str, target: str, window, length_bound: int) -> HomBa
         raise ValueError(f"hom window {lo}:{hi} is empty (lo > hi)")
     if length_bound < 0:
         raise ValueError(f"hom length bound {length_bound} is negative")
-    reducible = cat.is_reducible if cat.rules else None
+    named = {}  # rank -> generator name
     out_of = {}
     for g in cat.generators:
-        out_of.setdefault(g.source, []).append(g)
+        if g.rank in named:
+            raise ValueError(f"generators {named[g.rank]} and {g.name} "
+                             f"share the ordinal rank {g.rank}")
+        named[g.rank] = g.name
+        out_of.setdefault(g.source, []).append((g.rank, g.target, g.degree))
+    # Every grown word is irreducible, so a rule lhs can occur in (r,)+word
+    # only as a prefix: one set lookup per distinct lhs length.
+    lhs_sets = {}
+    for lhs, _ in cat.rules:
+        lhs_sets.setdefault(len(lhs), set()).add(tuple(g.rank for g in lhs))
+    prefixes = sorted(lhs_sets.items())
     reach = _reach_table(cat.generators, target, length_bound)
     by_degree = {}
     if lo <= 0 <= hi and source == target:
-        by_degree.setdefault(0, []).append(source)
+        by_degree[0] = [()]
     # grow words by extending on the left, starting from the source object
     paths = [((), source, 0)]  # (written-order word so far, left end, degree)
     for length in range(1, length_bound + 1):
         ahead = reach[length_bound - length]
         grown = []
         for word, tip, deg in paths:
-            for g in out_of.get(tip, ()):
-                rest = ahead.get(g.target)
-                new_deg = deg + g.degree
+            for r, tip_out, g_deg in out_of.get(tip, ()):
+                rest = ahead.get(tip_out)
+                new_deg = deg + g_deg
                 if (rest is None or new_deg + rest[0] > hi
                         or new_deg + rest[1] < lo):
                     continue
-                new_word = (g,) + word
-                if reducible is not None and reducible(new_word):
+                new_word = (r,) + word
+                if prefixes and any(new_word[:n] in lhs
+                                    for n, lhs in prefixes):
                     continue
-                grown.append((new_word, g.target, new_deg))
-                if g.target == target and lo <= new_deg <= hi:
+                grown.append((new_word, tip_out, new_deg))
+                if tip_out == target and lo <= new_deg <= hi:
                     by_degree.setdefault(new_deg, []).append(new_word)
         paths = grown
-    for deg in by_degree:
-        by_degree[deg].sort(key=lambda w: (0, ()) if isinstance(w, str)
-                            else (len(w), tuple(g.rank for g in w)))
+    for ws in by_degree.values():
+        ws.sort()
+        ws.sort(key=len)
     return HomBasisSlice(source, target, (lo, hi), length_bound, by_degree)
 
 
@@ -512,14 +526,48 @@ def to_json(cat) -> dict:
     return data
 
 
+_GENERATOR_FIELDS = {"name": str, "src": str, "tgt": str, "deg": int,
+                     "rank": int, "d": str}
+_EXPECTED = {str: "a string", int: "an integer", list: "a list"}
+
+
+def _field(obj: dict, key: str, kind, where: str):
+    """obj[key], where obj sits at the JSON path where ("" for the document).
+
+    A missing key or a value not of kind (a bool is not an integer) is a
+    ValueError that starts with the path.
+    """
+    if key not in obj:
+        raise ValueError(f"{where or 'document'}: missing {key!r}")
+    value = obj[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{where + '.' if where else ''}{key}: expected "
+                         f"{_EXPECTED[kind]}, got {value!r}")
+    return value
+
+
 def from_json(data: dict):
-    ring = Ring.parse(data["coefficients"])
-    objects = tuple(data["objects"])
+    if not isinstance(data, dict):
+        raise ValueError(f"document: expected an object, got "
+                         f"{type(data).__name__}")
+    ring = Ring.parse(_field(data, "coefficients", str, ""))
+    objects = tuple(_field(data, "objects", list, ""))
+    for i, obj in enumerate(objects):
+        if not isinstance(obj, str):
+            raise ValueError(f"objects[{i}]: expected a string, got {obj!r}")
+    specs = _field(data, "generators", list, "")
+    for i, spec in enumerate(specs):
+        if not isinstance(spec, dict):
+            raise ValueError(f"generators[{i}]: expected an object, got "
+                             f"{spec!r}")
+        for key, kind in _GENERATOR_FIELDS.items():
+            if type(spec.get(key)) is not kind:  # JSON gives exact types
+                _field(spec, key, kind, f"generators[{i}]")
     gens = tuple(Generator(g["name"], g["src"], g["tgt"], g["deg"], g["rank"])
-                 for g in data["generators"])
+                 for g in specs)
     gm = {g.name: g for g in gens}
     table = {}
-    for spec, g in zip(data["generators"], gens):
+    for spec, g in zip(specs, gens):
         table[g.name] = parse_poly(spec["d"], ring, g.source, g.target, gm.get)
     cat = unaudited_semifree(ring, objects, gens, table,
                              data.get("provenance", ()))

@@ -20,7 +20,6 @@ from semifree.algebra import (
     word_names,
 )
 from semifree.analysis import (
-    _code,
     _d_rows,
     _d_table,
     change_coefficients,
@@ -40,6 +39,7 @@ from semifree.dgcat import (
 from semifree.fukaya import ModelId, build
 from semifree.rewrite import new_relational
 from semifree.twisted import build_d12, build_e12
+from helpers import decoded
 
 ring = INTEGERS
 Q = RATIONALS
@@ -70,8 +70,8 @@ def test_exact_rank_fractions_and_mod():
 
 
 def dense_rank(rows, ncols, p=None) -> int:
-    """Oracle: dense Gauss-Jordan elimination over Fractions (p None) or
-    over the residues mod the prime p."""
+    """Oracle: dense Gaussian elimination, columns left to right, over
+    Fractions (p None) or over the residues mod the prime p."""
     if p is None:
         matrix = [[Fraction(row.get(c, 0)) for c in range(ncols)]
                   for row in rows]
@@ -85,16 +85,21 @@ def dense_rank(rows, ncols, p=None) -> int:
             continue
         matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
         lead = matrix[rank][col]
-        for i in range(len(matrix)):
-            if i != rank and matrix[i][col] != 0:
+        # the pivot row is zero left of col, and adding a multiple of a
+        # zero entry changes nothing
+        support = [(c, b) for c, b in enumerate(matrix[rank])
+                   if c >= col and b != 0]
+        for i in range(rank + 1, len(matrix)):
+            row = matrix[i]
+            if row[col] != 0:
                 if p is None:
-                    f = matrix[i][col] / lead
-                    matrix[i] = [a - f * b
-                                 for a, b in zip(matrix[i], matrix[rank])]
+                    f = row[col] / lead
+                    for c, b in support:
+                        row[c] -= f * b
                 else:
-                    f = matrix[i][col] * pow(lead, -1, p) % p
-                    matrix[i] = [(a - f * b) % p
-                                 for a, b in zip(matrix[i], matrix[rank])]
+                    f = row[col] * pow(lead, -1, p) % p
+                    for c, b in support:
+                        row[c] = (row[c] - f * b) % p
         rank += 1
     return rank
 
@@ -146,6 +151,27 @@ def test_exact_rank_modular_matches_dense_oracle(p, rows):
     before = [dict(r) for r in rows]
     assert exact_rank(rows, integers_mod(p)) == dense_rank(rows, NCOLS, p)
     assert rows == before
+
+
+@pytest.mark.parametrize("field", ["Q", "Zmod:7"])
+@pytest.mark.parametrize("spec,bound", [("M:1,1", 2), ("S:2,1,1", 3)])
+def test_exact_rank_on_assembled_matrices_matches_dense_oracle(spec, bound,
+                                                               field):
+    # the d-matrices of real hom complexes, up to 385 x 439, whose fill
+    # pattern the small random rows above do not have
+    cat = change_coefficients(build(ModelId.parse(spec), ring),
+                              Ring.parse(field))
+    words = hom_slice(cat, "L", "L", (-8, 2), bound).words_by_degree
+    table = _d_table(cat)
+    p = cat.ring.modulus if cat.ring.kind == "Zmod" else None
+    ranks = []
+    for k in sorted(words)[:-1]:
+        basis = {w: i for i, w in enumerate(words[k])}
+        index = {w: i for i, w in enumerate(words.get(k + 1, []))}
+        rows, _ = _d_rows(cat, table, basis, index, "L", "L")
+        ranks.append(exact_rank(rows, cat.ring))
+        assert ranks[-1] == dense_rank(rows, len(index), p)
+    assert max(ranks) > 20
 
 
 def test_non_field_rejected():
@@ -294,13 +320,14 @@ def test_assembled_rows_match_leibniz_oracle(data):
     target = data.draw(st.sampled_from(cat.objects))
     k = data.draw(st.integers(-4, 1))
     bound = data.draw(st.integers(0, max_bound))
-    words = hom_slice(cat, source, target, (k, k + 1), bound).words_by_degree
-    basis, next_basis = words.get(k, []), words.get(k + 1, [])
-    index = {_code(w): i for i, w in enumerate(next_basis)}
-    got = _d_rows(cat, _d_table(cat), {_code(w): i for i, w in
-                                       enumerate(basis)},
-                  index, source, target)
-    assert got == oracle_rows(cat, basis, next_basis, bound)
+    slice_ = hom_slice(cat, source, target, (k, k + 1), bound)
+    coded, words = slice_.words_by_degree, decoded(cat, slice_)
+    got = _d_rows(cat, _d_table(cat),
+                  {w: i for i, w in enumerate(coded.get(k, []))},
+                  {w: i for i, w in enumerate(coded.get(k + 1, []))},
+                  source, target)
+    assert got == oracle_rows(cat, words.get(k, []), words.get(k + 1, []),
+                              bound)
 
 
 def test_non_composable_d_term_rejected():

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import MALFORMED_DOCUMENTS
 from semifree.cli import main, make_parser
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -145,6 +146,15 @@ def test_verify_rejects_malformed_rules(rules, message, tmp_path, capsys):
     doc = json.loads((DATA / "c3.json").read_text())
     doc["rules"] = rules
     path = tmp_path / "rules.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().out == f"FAIL {path}: {message}\n"
+
+
+@pytest.mark.parametrize("case", MALFORMED_DOCUMENTS)
+def test_verify_rejects_malformed_document(case, tmp_path, capsys):
+    doc, message = MALFORMED_DOCUMENTS[case]
+    path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     assert main(["verify", str(path)]) == 1
     assert capsys.readouterr().out == f"FAIL {path}: {message}\n"

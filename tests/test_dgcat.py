@@ -22,6 +22,7 @@ from semifree.dgcat import (
     DgFunctor,
     DSquaredNonzero,
     OrdinalViolation,
+    SemifreeDgCat,
     audit_d_squared,
     compose_functors,
     from_json,
@@ -36,6 +37,7 @@ from semifree.dgcat import (
 from semifree.fukaya import ModelId, build
 from semifree.rewrite import RuleError, new_relational
 from semifree.twisted import build_d01, build_d12, cone_extend
+from helpers import MALFORMED_DOCUMENTS, decoded
 
 ring = INTEGERS
 DATA = Path(__file__).resolve().parent / "data"
@@ -199,8 +201,8 @@ def brute_force_words(cat, source, target, window, bound):
 def test_hom_slice_d12_matches_brute_force():
     d12 = build_d12(3, ring)
     slice_ = hom_slice(d12, "L1", "L1", (-3, 0), 8)
-    got = sorted(word_names(w) for deg in slice_.words_by_degree
-                 for w in slice_.words_by_degree[deg])
+    got = sorted(word_names(w) for words in decoded(d12, slice_).values()
+                 for w in words)
     assert got == brute_force_words(d12, "L1", "L1", (-3, 0), 8)
     # the classes 1, yx, (yx)^2, (yx)^3 at degrees 0, -1, -2, -3
     sizes = {deg: len(ws) for deg, ws in slice_.words_by_degree.items()}
@@ -216,7 +218,7 @@ def test_hom_slice_empty_when_disconnected():
 def test_hom_slice_s31_degree_minus_one():
     s = build(ModelId.parse("S:3,1,0"), ring)
     slice_ = hom_slice(s, "L", "L", (-1, -1), 3)
-    names = sorted(word_names(w) for w in slice_.words_by_degree[-1])
+    names = sorted(word_names(w) for w in decoded(s, slice_)[-1])
     assert names == brute_force_words(s, "L", "L", (-1, -1), 3)
     assert names == [("a1",)]
 
@@ -225,10 +227,11 @@ def test_hom_slice_s31_degree_minus_one():
 @given(st.integers(1, 4), st.integers(1, 6))
 def test_hom_slice_monotone(extra, bound):
     s = build(ModelId.parse("S:3,2,0"), ring)
-    small = hom_slice(s, "L", "L", (-2, 0), bound)
-    large = hom_slice(s, "L", "L", (-2 - extra, extra), bound + extra)
-    for deg, words in small.words_by_degree.items():
-        got = {word_names(w) for w in large.words_by_degree.get(deg, [])}
+    small = decoded(s, hom_slice(s, "L", "L", (-2, 0), bound))
+    large = decoded(s, hom_slice(s, "L", "L", (-2 - extra, extra),
+                                 bound + extra))
+    for deg, words in small.items():
+        got = {word_names(w) for w in large.get(deg, [])}
         assert {word_names(w) for w in words} <= got
 
 
@@ -256,7 +259,7 @@ def test_hom_slice_pruning_matches_unpruned(problem):
     # degrees of both signs, zero-degree loops and unreachable targets: the
     # pruned growth must list exactly the words, in the order, of the oracle
     cat, source, target, window, bound = problem
-    got = hom_slice(cat, source, target, window, bound).words_by_degree
+    got = decoded(cat, hom_slice(cat, source, target, window, bound))
     assert got == brute_force_slice(cat, source, target, window, bound)
 
 
@@ -267,7 +270,7 @@ def test_hom_slice_relational_matches_unpruned(window, bound):
     t = tensor(a2, build(ModelId.parse("C:3"), ring))
     for source in t.objects:
         for target in t.objects:
-            got = hom_slice(t, source, target, window, bound).words_by_degree
+            got = decoded(t, hom_slice(t, source, target, window, bound))
             assert got == brute_force_slice(t, source, target, window, bound)
 
 
@@ -281,6 +284,33 @@ def test_hom_slice_rejects_bad_arguments(args, named):
     s = build(ModelId.parse("S:3,2,0"), ring)
     with pytest.raises(ValueError, match=named):
         hom_slice(s, *args)
+
+
+@pytest.mark.parametrize("spec,window,bound", [
+    ("S:3,2,1", (-4, 0), 6), ("M:1,1 x S:2,1,1", (-3, 0), 3)])
+def test_hom_slice_lists_words_by_length_then_ranks(spec, window, bound):
+    parts = [build(ModelId.parse(s), ring) for s in spec.split(" x ")]
+    cat = parts[0] if len(parts) == 1 else tensor(*parts)
+    source = cat.objects[0]
+    words = hom_slice(cat, source, source, window, bound).words_by_degree
+    assert words[0][0] == ()  # the identity
+    assert sum(map(len, words.values())) > 100
+    for ws in words.values():
+        assert all(isinstance(r, int) for w in ws for r in w)
+        keys = [(len(w), w) for w in ws]
+        assert keys == sorted(set(keys))
+
+
+def test_hom_slice_rejects_shared_ranks():
+    # ranks code the words, so two generators with one rank would list
+    # distinct words as one
+    a = Generator("a", "X", "X", 0, 0)
+    b = Generator("b", "X", "X", 0, 0)
+    cat = SemifreeDgCat(ring, ("X",), (a, b), {
+        "a": NcPoly.zero(ring, "X", "X"), "b": NcPoly.zero(ring, "X", "X")})
+    with pytest.raises(ValueError,
+                       match="generators a and b share the ordinal rank 0"):
+        hom_slice(cat, "X", "X", (0, 0), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +434,14 @@ def test_from_json_rejects_malformed_rule_shape(rules, message):
     doc["rules"] = rules
     with pytest.raises(ValueError, match=message):
         from_json(doc)
+
+
+@pytest.mark.parametrize("case", MALFORMED_DOCUMENTS)
+def test_from_json_rejects_malformed_document(case):
+    doc, message = MALFORMED_DOCUMENTS[case]
+    with pytest.raises(ValueError) as err:
+        from_json(doc)
+    assert str(err.value) == message
 
 
 def test_restriction_keeps_rewrite_rules():
