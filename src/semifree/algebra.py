@@ -114,7 +114,12 @@ class Ring:
         if text == "Q":
             return Ring("Q")
         if text.startswith("Zmod:"):
-            return Ring("Zmod", int(text.split(":", 1)[1]))
+            try:
+                modulus = int(text.split(":", 1)[1])
+            except ValueError:
+                raise ValueError(f"unknown ring {text!r}: the modulus is not "
+                                 f"an integer") from None
+            return Ring("Zmod", modulus)
         raise ValueError(f"unknown ring {text!r}")
 
     def render_value(self, value) -> str:
@@ -125,16 +130,41 @@ class Ring:
         return self.normalize(Fraction(text) if self.kind == "Q" else int(text))
 
 
+# Strong probable-prime tests to the first twelve prime bases decide
+# primality exactly for n < 3,317,044,064,679,887,385,961,981 (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86
+# (2017)); above that bound _is_prime falls back to trial division, so its
+# answer is never probabilistic.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_LIMIT:
+        f = 41
+        while f * f <= n:
+            if n % f == 0:
+                return False
+            f += 2
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

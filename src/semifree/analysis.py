@@ -40,12 +40,12 @@ def exact_rank(rows, ring: Ring) -> int:
     cleaned = []
     for row in rows:
         if p is not None:
-            row = {c: v % p for c, v in row.items() if v % p}
-        elif ring.kind == "Q":
+            row = {c: r for c, v in row.items() if (r := v % p)}
+        elif all(type(v) is int for v in row.values()):
+            row = {c: v for c, v in row.items() if v}
+        else:  # a rational row: clear its denominators
             denom = lcm(*(v.denominator for v in row.values()))
             row = {c: int(v * denom) for c, v in row.items() if v}
-        else:
-            row = {c: int(v) for c, v in row.items() if v}
         if row:
             cleaned.append(row)
     return _rank_core(cleaned, p)
@@ -193,7 +193,7 @@ def truncated_cohomology(cat, source: str, target: str, window, bound: int,
     dropped = {}
     for k in range(lo - 1, hi + 1):
         rows, dropped[k] = _d_rows(work, table, index[k], index[k + 1],
-                                   source, target)
+                                   source, target, bound)
         ranks_d[k] = exact_rank(rows, work.ring)
     ranks = {}
     exact = {}
@@ -249,22 +249,38 @@ def _d_table(cat) -> dict:
 
 
 def _d_rows(cat, table: dict, basis: dict, index: dict, source: str,
-            target: str):
+            target: str, bound: int):
     """The rows {column in index: value} of d on the coded words of basis,
     by the graded Leibniz rule, and whether a term of some d(word) was lost
     (outside index: longer than the bound or not listed).  With rules, the
     terms outside index are normalized through the category's rules first.
+
+    index lists words of length at most bound.  Once a term is lost and
+    there are no rules, a spliced term longer than bound can change no row
+    and no flag, so it is not built: a word of length L takes only the d
+    terms of length at most bound + 1 - L.  Until then every term is built,
+    so the flag never rests on terms beyond the bound failing to cancel.
+    A rule can shorten a term back into index, so with rules every term is
+    built.
     """
     ring = cat.ring
     p = ring.modulus if ring.kind == "Zmod" else None
     rows = []
     lost = False
+    trim = not cat.rules
+    trimmed = {}  # room -> table with the d terms of length <= room
     for word in basis:
+        use = table
+        if lost and trim:
+            room = bound + 1 - len(word)
+            use = trimmed.get(room)
+            if use is None:
+                use = trimmed[room] = _trim(table, room)
         terms = {}
         get = terms.get
         left_degree = 0
         for j, r in enumerate(word):
-            g, signed = table[r]
+            g, signed = use[r]
             dterms = signed[left_degree % 2]
             if dterms:
                 left, right = word[:j], word[j + 1:]
@@ -287,6 +303,13 @@ def _d_rows(cat, table: dict, basis: dict, index: dict, source: str,
         if row:
             rows.append(row)
     return rows, lost
+
+
+def _trim(table: dict, room: int) -> dict:
+    """table with only the d terms of at most room letters."""
+    return {r: (g, tuple([(t, c) for t, c in terms if len(t) <= room]
+                         for terms in signed))
+            for r, (g, signed) in table.items()}
 
 
 def _normalize_outside(cat, table: dict, terms: dict, index: dict,

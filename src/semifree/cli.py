@@ -19,6 +19,7 @@ from .analysis import functor_rank_compat, truncated_cohomology
 from .constructions import PushoutSpan, hocolim, localize, tensor
 from .dgcat import (
     DgFunctor,
+    _field,
     from_json,
     to_json,
     validate_functor,
@@ -80,14 +81,32 @@ def _load_cat(path: str):
     return from_json(_load_json(path))
 
 
-def functor_from_json(doc: dict, source, target) -> DgFunctor:
+def functor_from_json(doc: dict, source, target, where: str = "") -> DgFunctor:
+    """The functor source -> target that doc (at the JSON path where)
+    gives: an "objects" map and "generators" images (absent ones are 0)."""
+    objects = _field(doc, "objects", dict, where)
+    images = _field(doc, "generators", dict, where)
+    path = f"{where}." if where else ""
+    for obj in source.objects:
+        if not isinstance(objects.get(obj), str):
+            raise ValueError(f"{path}objects.{obj}: expected a target object "
+                             f"name, got {objects.get(obj)!r}")
     gm = {}
     for g in source.generators:
-        text = doc["generators"].get(g.name, "0")
-        src = doc["objects"][g.source]
-        tgt = doc["objects"][g.target]
-        gm[g.name] = target.poly(text, src, tgt)
-    return DgFunctor(source, target, dict(doc["objects"]), gm)
+        text = images.get(g.name, "0")
+        if not isinstance(text, str):
+            raise ValueError(f"{path}generators.{g.name}: expected a "
+                             f"polynomial string, got {text!r}")
+        gm[g.name] = target.poly(text, objects[g.source], objects[g.target])
+    return DgFunctor(source, target, dict(objects), gm)
+
+
+def load_functor(doc: dict) -> DgFunctor:
+    """A functor document: its "source" and "target" presentations and the
+    functor between them."""
+    source = from_json(_field(doc, "source", dict, ""))
+    target = from_json(_field(doc, "target", dict, ""))
+    return functor_from_json(doc, source, target)
 
 
 # ---------------------------------------------------------------------------
@@ -118,11 +137,10 @@ def cmd_tensor(args):
 
 def cmd_hocolim(args):
     doc = _load_json(args.file)
-    a = from_json(doc["a"])
-    c = from_json(doc["c"])
-    b = from_json(doc["b"])
-    alpha = functor_from_json(doc["alpha"], c, a)
-    beta = functor_from_json(doc["beta"], c, b)
+    a, c, b = (from_json(_field(doc, key, dict, ""))
+               for key in ("a", "c", "b"))
+    alpha = functor_from_json(_field(doc, "alpha", dict, ""), c, a, "alpha")
+    beta = functor_from_json(_field(doc, "beta", dict, ""), c, b, "beta")
     cat = hocolim(PushoutSpan(a, c, b, alpha, beta))
     if args.strictify:
         cat = strictify_t(cat)
@@ -153,9 +171,7 @@ def cmd_verify(args):
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
             if isinstance(doc, dict) and doc.get("type") == "functor":
-                source = from_json(doc["source"])
-                target = from_json(doc["target"])
-                validate_functor(functor_from_json(doc, source, target))
+                validate_functor(load_functor(doc))
             else:
                 from_json(doc)  # loading runs the d^2 audit
             sys.stdout.write(f"ok {path}\n")
@@ -244,10 +260,7 @@ def cmd_normalize(args):
 
 
 def cmd_functor_check(args):
-    doc = _load_json(args.file)
-    source = from_json(doc["source"])
-    target = from_json(doc["target"])
-    functor = functor_from_json(doc, source, target)
+    functor = load_functor(_load_json(args.file))
     cert = validate_functor(functor)
     if args.ranks:
         lo, hi = (int(x) for x in args.window.split(":"))

@@ -528,7 +528,8 @@ def to_json(cat) -> dict:
 
 _GENERATOR_FIELDS = {"name": str, "src": str, "tgt": str, "deg": int,
                      "rank": int, "d": str}
-_EXPECTED = {str: "a string", int: "an integer", list: "a list"}
+_EXPECTED = {str: "a string", int: "an integer", list: "a list",
+             dict: "an object"}
 
 
 def _field(obj: dict, key: str, kind, where: str):
@@ -550,7 +551,11 @@ def from_json(data: dict):
     if not isinstance(data, dict):
         raise ValueError(f"document: expected an object, got "
                          f"{type(data).__name__}")
-    ring = Ring.parse(_field(data, "coefficients", str, ""))
+    coefficients = _field(data, "coefficients", str, "")
+    try:
+        ring = Ring.parse(coefficients)
+    except ValueError as err:
+        raise ValueError(f"coefficients: {err}") from None
     objects = tuple(_field(data, "objects", list, ""))
     for i, obj in enumerate(objects):
         if not isinstance(obj, str):
@@ -569,8 +574,19 @@ def from_json(data: dict):
     table = {}
     for spec, g in zip(specs, gens):
         table[g.name] = parse_poly(spec["d"], ring, g.source, g.target, gm.get)
-    cat = unaudited_semifree(ring, objects, gens, table,
-                             data.get("provenance", ()))
+    provenance = data.get("provenance", [])
+    if not isinstance(provenance, list):
+        raise ValueError(f"provenance: expected a list, got {provenance!r}")
+    weights = data.get("weights", {})
+    if not isinstance(weights, dict):
+        raise ValueError(f"weights: expected an object, got {weights!r}")
+    for name, weight in weights.items():
+        if name not in gm:
+            raise ValueError(f"weights: unknown generator {name!r}")
+        if type(weight) is not int or weight < 0:
+            raise ValueError(f"weights.{name}: expected an integer >= 0, "
+                             f"got {weight!r}")
+    cat = unaudited_semifree(ring, objects, gens, table, provenance)
     specs = data.get("rules", [])
     if not isinstance(specs, list):
         raise ValueError(f"rules: expected a list of rules, got {specs!r}")
@@ -599,7 +615,6 @@ def from_json(data: dict):
             rhs = (parse_poly(r["rhs"], ring, lhs[-1].source, lhs[0].target,
                               gm.get) if lhs else None)
             rules.append((lhs, rhs))
-        cat = replace(cat, rules=tuple(rules),
-                      weights=dict(data.get("weights", {})))
+        cat = replace(cat, rules=tuple(rules), weights=dict(weights))
     audit_d_squared(cat)
     return cat

@@ -25,6 +25,7 @@ from .algebra import (
 from .dgcat import (
     DgFunctor,
     SemifreeDgCat,
+    _field,
     new_semifree,
     push_poly,
     validate_functor,
@@ -731,7 +732,9 @@ def plumbing_from_json(doc: dict, ring: Ring | None = None,
     arrows = tuple(Arrow(a["id"], a["src"], a["tgt"],
                          int(a.get("sign", 1)), int(a.get("d", 0)))
                    for a in doc["arrows"])
-    return PlumbingData(n or int(doc["n"]), tuple(vertices), arrows, ring)
+    if n is None:
+        n = _field(doc, "n", int, "")
+    return PlumbingData(n, tuple(vertices), arrows, ring)
 
 
 def plumbing_to_json(data: PlumbingData) -> dict:

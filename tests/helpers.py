@@ -52,4 +52,19 @@ MALFORMED_DOCUMENTS = {
         "coefficients: expected a string, got 7"),
     "document-not-an-object": ([1, 2],
                                "document: expected an object, got list"),
+    "provenance-not-a-list": (_c3_with(lambda d: d.update(provenance=5)),
+                              "provenance: expected a list, got 5"),
+    "modulus-not-an-integer": (
+        _c3_with(lambda d: d.update(coefficients="Zmod:x")),
+        "coefficients: unknown ring 'Zmod:x': the modulus is not an integer"),
+    "weights-not-an-object": (_c3_with(lambda d: d.update(weights=5)),
+                              "weights: expected an object, got 5"),
+    "weights-a-list": (_c3_with(lambda d: d.update(weights=[1])),
+                       "weights: expected an object, got [1]"),
+    "weight-of-unknown-generator": (
+        _c3_with(lambda d: d.update(weights={"x": "y"})),
+        "weights: unknown generator 'x'"),
+    "weight-not-an-integer": (
+        _c3_with(lambda d: d.update(weights={"z": "y"})),
+        "weights.z: expected an integer >= 0, got 'y'"),
 }

@@ -14,6 +14,7 @@ from semifree.algebra import (
     NcPoly,
     RATIONALS,
     Ring,
+    _is_prime,
     compose,
     integers_mod,
     leibniz_d,
@@ -34,6 +35,39 @@ def two_object_setup(ring, n):
 # ---------------------------------------------------------------------------
 # coefficients
 # ---------------------------------------------------------------------------
+
+def trial_division_is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def test_is_prime_agrees_with_trial_division_below_200000():
+    assert [n for n in range(200_000) if _is_prime(n)] == \
+        [n for n in range(200_000) if trial_division_is_prime(n)]
+
+
+@pytest.mark.parametrize("n,prime", [
+    # strong pseudoprimes to the bases 2..11, 2..13, 2..17 and 2..23
+    (3215031751, False), (2152302898747, False), (3474749660383, False),
+    (341550071728321, False),
+    # the benchmark's primes, 10007, 2**61 - 1 and 2**32 + 1 = 641 * 6700417
+    (1000000007, True), (1000000009, True), (998244353, True),
+    (1000000021, True), (1000000033, True), (1000000087, True),
+    (1000000093, True), (1000000097, True), (10007, True),
+    (2**61 - 1, True), (2**32 + 1, False),
+    # above the twelve-base bound, decided by trial division
+    (43 * (10**24 + 7), False),
+])
+def test_is_prime_on_pseudoprimes_and_large_primes(n, prime):
+    assert _is_prime(n) is prime
+    assert integers_mod(n).is_field() is prime
+
 
 def value_roundtrip(ring, value):
     v = ring.normalize(value)

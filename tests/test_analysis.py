@@ -69,6 +69,22 @@ def test_exact_rank_fractions_and_mod():
     assert exact_rank([{0: 10008}], P) == 1
 
 
+def test_exact_rank_on_mixed_int_and_fraction_rows():
+    # int rows are copied with their zeros dropped; a row holding a
+    # Fraction is cleared of denominators, even Fraction(2, 1)
+    rows = [{0: 3, 1: 0, 2: -6},
+            {0: Fraction(2, 1), 1: 4, 3: 0},
+            {0: Fraction(1, 3), 1: 0, 2: Fraction(-2, 3)},
+            {0: 1, 1: Fraction(1, 3), 2: -2, 3: 5},
+            {1: 0, 3: Fraction(0, 1)},
+            {}]
+    before = [dict(r) for r in rows]
+    assert exact_rank(rows, Q) == dense_rank(rows, 4) == 3
+    assert rows == before
+    assert [list(map(type, r.values())) for r in rows] == \
+        [list(map(type, r.values())) for r in before]
+
+
 def dense_rank(rows, ncols, p=None) -> int:
     """Oracle: dense Gaussian elimination, columns left to right, over
     Fractions (p None) or over the residues mod the prime p."""
@@ -168,7 +184,7 @@ def test_exact_rank_on_assembled_matrices_matches_dense_oracle(spec, bound,
     for k in sorted(words)[:-1]:
         basis = {w: i for i, w in enumerate(words[k])}
         index = {w: i for i, w in enumerate(words.get(k + 1, []))}
-        rows, _ = _d_rows(cat, table, basis, index, "L", "L")
+        rows, _ = _d_rows(cat, table, basis, index, "L", "L", bound)
         ranks.append(exact_rank(rows, cat.ring))
         assert ranks[-1] == dense_rank(rows, len(index), p)
     assert max(ranks) > 20
@@ -282,19 +298,22 @@ def oracle_rows(cat, basis, next_basis, bound):
 def spliced_reducible():
     """A relational category in which d of an irreducible word can be
     reducible, which no built model has: d(x*y) = x*x -> z + 2*1_L, and
-    d(t) = z + x*x sums to 2*z + 2*1_L."""
+    d(t) = z + x*x sums to 2*z + 2*1_L.  d(w) = z*z is irreducible, so at
+    bound 1 it is lost before t is assembled."""
     z = Generator("z", "L", "L", 0, 0)
     x = Generator("x", "L", "L", 0, 1)
     y = Generator("y", "L", "L", -1, 2)
     u = Generator("u", "L", "L", -1, 3)
-    t = Generator("t", "L", "L", -1, 4)
+    w = Generator("w", "L", "L", -1, 4)
+    t = Generator("t", "L", "L", -1, 5)
     xx = compose(NcPoly.gen(ring, x), NcPoly.gen(ring, x))
     table = {g.name: NcPoly.zero(ring, "L", "L") for g in (z, x)}
     table["y"] = NcPoly.gen(ring, x)
     table["u"] = NcPoly.gen(ring, z, -1)
+    table["w"] = compose(NcPoly.gen(ring, z), NcPoly.gen(ring, z))
     table["t"] = NcPoly.gen(ring, z) + xx
     rhs = NcPoly.gen(ring, z) + NcPoly.identity(ring, "L").scale(2)
-    return new_relational(ring, ("L",), (z, x, y, u, t), table,
+    return new_relational(ring, ("L",), (z, x, y, u, w, t), table,
                           [((x, x), rhs)])
 
 
@@ -320,14 +339,67 @@ def test_assembled_rows_match_leibniz_oracle(data):
     target = data.draw(st.sampled_from(cat.objects))
     k = data.draw(st.integers(-4, 1))
     bound = data.draw(st.integers(0, max_bound))
-    slice_ = hom_slice(cat, source, target, (k, k + 1), bound)
+    got, want, _ = coded_rows(cat, source, target, (k, k + 1), bound, k)
+    assert got == want
+
+
+def coded_rows(cat, source, target, window, bound, k):
+    """_d_rows and oracle_rows on degree k of the slice."""
+    slice_ = hom_slice(cat, source, target, window, bound)
     coded, words = slice_.words_by_degree, decoded(cat, slice_)
     got = _d_rows(cat, _d_table(cat),
                   {w: i for i, w in enumerate(coded.get(k, []))},
                   {w: i for i, w in enumerate(coded.get(k + 1, []))},
-                  source, target)
-    assert got == oracle_rows(cat, words.get(k, []), words.get(k + 1, []),
-                              bound)
+                  source, target, bound)
+    return got, oracle_rows(cat, words.get(k, []), words.get(k + 1, []),
+                            bound), words
+
+
+@pytest.mark.parametrize("field", ["Q", "Zmod:7"])
+def test_trimmed_assembly_matches_oracle_on_every_degree(field):
+    # once a degree is lost, each word takes only the d terms that fit the
+    # bound; no row may change
+    cat = assembly_model("M:1,1", field)
+    lost = {}
+    for k in range(-7, 1):
+        got, want, words = coded_rows(cat, "L", "L", (-7, 1), 3, k)
+        assert got == want
+        lost[k] = got[1]
+    assert lost == {-7: False, -6: True, -5: True, -4: True, -3: True,
+                    -2: True, -1: True, 0: False}
+    # degree -6 is lost at its first word, so its other 26 words are
+    # assembled from the trimmed tables
+    assert len(words[-6]) == 27
+    assert oracle_rows(cat, words[-6][:1], words[-5], 3)[1]
+
+
+def test_assembly_before_a_loss_builds_every_term():
+    # Outside the rank order (d(u) uses u), terms beyond the bound can
+    # cancel: d(u*v) = u*p*v - u*p*v = 0, so at bound 2 nothing of degree
+    # -2 from X to Z is lost.  Built without new_semifree's checks.
+    u = Generator("u", "Y", "Z", -1, 0)
+    v = Generator("v", "X", "Y", -1, 1)
+    p = Generator("p", "Y", "Y", 1, 2)
+    cat = SemifreeDgCat(Q, ("X", "Y", "Z"), (u, v, p), {
+        "u": NcPoly(Q, "Y", "Z", {(u, p): 1}),
+        "v": NcPoly(Q, "X", "Y", {(p, v): 1}),
+        "p": NcPoly(Q, "Y", "Y", {(p, p): 1})})
+    got, want, words = coded_rows(cat, "X", "Z", (-3, 0), 2, -2)
+    assert words[-2] == [(u, v)]
+    assert got == want == ([], False)
+    got, want, _ = coded_rows(cat, "X", "Z", (-3, 0), 3, -1)
+    assert got == want == ([], True)  # d(u*p*v) = u*p*p*v
+
+
+@pytest.mark.parametrize("field", ["Z", "Zmod:7"])
+def test_assembly_with_rules_builds_every_term_after_a_loss(field):
+    # at bound 1, d(w) = z*z is lost first; the x*x of d(t) is beyond the
+    # bound too, but reduces to z + 2*1_L, so it still reaches t's row
+    cat = assembly_model("spliced-reducible", field)
+    got, want, _ = coded_rows(cat, "L", "L", (-2, 1), 1, -1)
+    # columns: 1_L, z, x; rows: y, u and t (w's only term is lost)
+    assert got == want == ([{2: 1}, {1: cat.ring.neg(1)}, {0: 2, 1: 2}],
+                           True)
 
 
 def test_non_composable_d_term_rejected():

@@ -191,7 +191,7 @@ def test_parser_is_reused_without_leaking_values(capsys):
             assert out.startswith("| degree |")
 
 
-def test_verify_functor_files(tmp_path):
+def test_verify_functor_files(tmp_path, capsys):
     from semifree.algebra import INTEGERS
     from semifree.dgcat import to_json
     from semifree.fukaya import ModelId, build
@@ -211,6 +211,24 @@ def test_verify_functor_files(tmp_path):
     doc["generators"]["z"] = "x*y"  # wrong boundary
     path.write_text(json.dumps(doc))
     assert main(["verify", str(path)]) == 1
+    doc["objects"] = {}  # once a bare KeyError 'L'
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        f"FAIL {path}: objects.L: expected a target object name, got None\n")
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"type": "functor"}, "document: missing 'source'"),
+    ({"type": "functor", "source": 5}, "source: expected an object, got 5"),
+], ids=["missing-source", "source-not-an-object"])
+def test_verify_rejects_malformed_functor(doc, message, tmp_path, capsys):
+    # a missing source was once reported as the bare KeyError "'source'"
+    path = tmp_path / "functor.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().out == f"FAIL {path}: {message}\n"
 
 
 def test_cli_runs_as_module():

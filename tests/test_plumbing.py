@@ -415,3 +415,13 @@ def test_plumbing_json_roundtrip():
         (Arrow("e1", "v", "w", -1, 3), Arrow("e2", "u", "u", 1, 0)), ring)
     doc = plumbing_to_json(data)
     assert plumbing_to_json(plumbing_from_json(doc)) == doc
+
+
+@pytest.mark.parametrize("n", ["3", 3.0, True])
+def test_plumbing_dimension_must_be_an_integer(n):
+    # "3" and 3.0 were once coerced to 3, and True read as n = 1
+    doc = plumbing_to_json(a2_data(3))
+    doc["n"] = n
+    with pytest.raises(ValueError) as err:
+        plumbing_from_json(doc)
+    assert str(err.value) == f"n: expected an integer, got {n!r}"
