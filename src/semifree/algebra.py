@@ -9,6 +9,7 @@ residues mod p.  No floats anywhere.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -97,6 +98,10 @@ class Ring:
         return pow(int(a), -1, self.modulus)
 
     def is_field(self) -> bool:
+        """Whether the ring is a field.  Zmod:m with m >= _MR_LIMIT that no
+        strong probable-prime test shows composite is a ValueError: its
+        primality is not decided here, and no probabilistic answer is
+        given."""
         if self.kind == "Q":
             return True
         if self.kind == "Zmod":
@@ -133,8 +138,8 @@ class Ring:
 # Strong probable-prime tests to the first twelve prime bases decide
 # primality exactly for n < 3,317,044,064,679,887,385,961,981 (Sorenson and
 # Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86
-# (2017)); above that bound _is_prime falls back to trial division, so its
-# answer is never probabilistic.
+# (2017)).  At or above that bound a failed test still proves n composite,
+# but passing every test proves nothing, so _is_prime raises ValueError.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
@@ -145,13 +150,6 @@ def _is_prime(n: int) -> bool:
     for b in _MR_BASES:
         if n % b == 0:
             return n == b
-    if n >= _MR_LIMIT:
-        f = 41
-        while f * f <= n:
-            if n % f == 0:
-                return False
-            f += 2
-        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -165,6 +163,11 @@ def _is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_LIMIT:
+        raise ValueError(
+            f"cannot decide whether {n} is prime: primality is proved only "
+            f"below {_MR_LIMIT:,}, and {n} passes the strong probable-prime "
+            f"test to the first twelve prime bases")
     return True
 
 
@@ -518,63 +521,71 @@ def parse_poly(text: str, ring: Ring, source: str, target: str, lookup) -> NcPol
         return NcPoly.zero(ring, source, target)
     items = []
     for sign, chunk in _split_terms(text):
-        coeff, factors = _parse_term(chunk, ring, lookup)
-        if sign < 0:
-            coeff = ring.neg(coeff)
-        word = None
-        for f in factors:
-            word = f if word is None else _concat(word, f)
-        if word is None:
-            raise ValueError(f"empty term in {text!r}")
-        items.append((word, coeff))
+        coeff, word = _parse_term(chunk, ring, lookup)
+        items.append((word, ring.neg(coeff) if sign < 0 else coeff))
     return NcPoly.from_terms(ring, source, target, items)
 
 
+# a '+' or '-' right after a space, kept by re.split as a separator (re
+# caches the compiled pattern on first use, so importing compiles nothing)
+_SIGN = r"(?<= )([+-])"
+
+
 def _split_terms(text: str):
-    terms = []
-    sign = 1
-    depth = 0
-    buf = []
-    for ch in text:
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-        if depth == 0 and ch in "+-" and buf and buf[-1] == " ":
-            terms.append((sign, "".join(buf).strip()))
-            sign = 1 if ch == "+" else -1
-            buf = []
+    """(sign, term) pairs of a polynomial's text.  A '+' or '-' right after a
+    space starts a new term unless it sits inside braces; a term's own
+    leading '-' flips its sign."""
+    parts = re.split(_SIGN, text)  # term, sign, term, ..., sign, term
+    raw = []
+    sign, term = 1, parts[0]
+    for i in range(1, len(parts), 2):
+        if (("{" in term or "}" in term)
+                and term.count("{") != term.count("}")):
+            term += parts[i] + parts[i + 1]  # the sign sits inside braces
             continue
-        buf.append(ch)
-    terms.append((sign, "".join(buf).strip()))
+        raw.append((sign, term))
+        sign, term = (1 if parts[i] == "+" else -1), parts[i + 1]
+    raw.append((sign, term))
     out = []
-    for s, t in terms:
-        if t.startswith("-"):
-            s, t = -s, t[1:].strip()
-        if t:
-            out.append((s, t))
+    for sign, term in raw:
+        term = term.strip()
+        if term.startswith("-"):
+            sign, term = -sign, term[1:].strip()
+        if term:
+            out.append((sign, term))
     return out
 
 
 def _parse_term(chunk: str, ring: Ring, lookup):
+    """(coefficient, word) of one term: the word is its generators in
+    written order, or its first identity 1_{X} when it has no generator
+    (identities between generators are units)."""
     coeff = ring.one()
-    factors = []
+    letters = []
+    unit = None
     for tok in chunk.split("*"):
         tok = tok.strip()
         if not tok:
             raise ValueError(f"bad term {chunk!r}")
-        if tok.startswith("1_{") and tok.endswith("}"):
-            factors.append(tok[3:-1])
-        elif _is_number(tok):
-            coeff = ring.mul(coeff, ring.parse_value(tok))
-        else:
-            g = lookup(tok)
-            if g is None:
-                raise ValueError(f"unknown generator {tok!r}")
-            factors.append((g,))
-    if not factors:
+        # only a token that starts with a digit or a sign can be a number
+        # or an identity; any other is a generator name
+        if tok[0].isdigit() or tok[0] in "+-":
+            if tok.startswith("1_{") and tok.endswith("}"):
+                if unit is None:
+                    unit = tok[3:-1]
+                continue
+            if _is_number(tok):
+                coeff = ring.mul(coeff, ring.parse_value(tok))
+                continue
+        g = lookup(tok)
+        if g is None:
+            raise ValueError(f"unknown generator {tok!r}")
+        letters.append(g)
+    if letters:
+        return coeff, tuple(letters)
+    if unit is None:
         raise ValueError(f"term {chunk!r} has no word part")
-    return coeff, factors
+    return coeff, unit
 
 
 def _is_number(tok: str) -> bool:

@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring as _quote
 from pathlib import Path
 
 from .algebra import Ring, render_poly
@@ -19,6 +20,7 @@ from .analysis import functor_rank_compat, truncated_cohomology
 from .constructions import PushoutSpan, hocolim, localize, tensor
 from .dgcat import (
     DgFunctor,
+    InputError,
     _field,
     from_json,
     to_json,
@@ -40,7 +42,59 @@ from .reduce import greedy_simplify, replay, strictify_t
 
 
 def _dump(doc) -> str:
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    """json.dumps(doc, indent=2, ensure_ascii=False) + "\n".
+
+    json encodes in C only without indent, so the values the program emits
+    (str keys; str, int, bool, None, list, tuple and dict values) are
+    indented here; anything else (a float, say), or nesting too deep to
+    recurse, goes to json.
+    """
+    try:
+        return _indented(doc, "\n") + "\n"
+    except (_NotPlain, RecursionError):
+        return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+class _NotPlain(Exception):
+    pass
+
+
+def _indented(value, newline: str) -> str:
+    """value as json.dumps(indent=2) writes it after the line break and
+    indent newline.  String and int members are written in place, which
+    saves a call for most of the values the program emits."""
+    cls = value.__class__
+    if cls is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        parts = []
+        for k, v in value.items():
+            if k.__class__ is not str:
+                raise _NotPlain
+            vc = v.__class__
+            parts.append(_quote(k) + ": " + (
+                _quote(v) if vc is str else
+                int.__repr__(v) if vc is int else _indented(v, inner)))
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    if cls is list or cls is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        parts = [_quote(v) if v.__class__ is str else _indented(v, inner)
+                 for v in value]
+        return "[" + inner + ("," + inner).join(parts) + newline + "]"
+    if cls is str:
+        return _quote(value)
+    if cls is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    raise _NotPlain
 
 
 def _emit(text: str, out: str | None):
@@ -101,11 +155,21 @@ def functor_from_json(doc: dict, source, target, where: str = "") -> DgFunctor:
     return DgFunctor(source, target, dict(objects), gm)
 
 
+def _load_part(doc: dict, key: str):
+    """The presentation doc[key]; a schema error in it names its path from
+    doc, such as source.generators[0].deg."""
+    part = _field(doc, key, dict, "")
+    try:
+        return from_json(part)
+    except InputError as err:
+        raise err.within(key) from None
+
+
 def load_functor(doc: dict) -> DgFunctor:
     """A functor document: its "source" and "target" presentations and the
     functor between them."""
-    source = from_json(_field(doc, "source", dict, ""))
-    target = from_json(_field(doc, "target", dict, ""))
+    source = _load_part(doc, "source")
+    target = _load_part(doc, "target")
     return functor_from_json(doc, source, target)
 
 
@@ -137,8 +201,7 @@ def cmd_tensor(args):
 
 def cmd_hocolim(args):
     doc = _load_json(args.file)
-    a, c, b = (from_json(_field(doc, key, dict, ""))
-               for key in ("a", "c", "b"))
+    a, c, b = (_load_part(doc, key) for key in ("a", "c", "b"))
     alpha = functor_from_json(_field(doc, "alpha", dict, ""), c, a, "alpha")
     beta = functor_from_json(_field(doc, "beta", dict, ""), c, b, "beta")
     cat = hocolim(PushoutSpan(a, c, b, alpha, beta))

@@ -17,6 +17,8 @@ from .algebra import (
     Generator,
     NcPoly,
     Ring,
+    _concat,
+    accumulate,
     compose,
     leibniz_d,
     parse_poly,
@@ -193,18 +195,31 @@ def unaudited_semifree(ring: Ring, objects, generators, differentials,
             raise CompositionError(
                 f"d({g.name}) has boundary {dg.source}->{dg.target}, "
                 f"expected {g.source}->{g.target}")
-        deg = dg.degree()
-        if deg is not None and deg != g.degree + 1:
-            raise DegreeError(
-                f"d({g.name}) has degree {deg}, expected {g.degree + 1}")
+        # one pass over the letters: each word's degree, and the first
+        # letter that is not earlier than g
+        degrees = set()
+        late = None
+        rank = g.rank
         for word in dg.terms:
             if isinstance(word, str):
+                degrees.add(0)
                 continue
+            deg = 0
             for letter in word:
-                if letter.rank >= g.rank:
-                    raise OrdinalViolation(
-                        f"d({g.name}) uses {letter.name} of rank {letter.rank} "
-                        f">= rank {g.rank}")
+                deg += letter.degree
+                if letter.rank >= rank and late is None:
+                    late = letter
+            degrees.add(deg)
+        if len(degrees) > 1:
+            raise ValueError(
+                f"inhomogeneous polynomial with degrees {sorted(degrees)}")
+        if degrees and g.degree + 1 not in degrees:
+            raise DegreeError(f"d({g.name}) has degree {degrees.pop()}, "
+                              f"expected {g.degree + 1}")
+        if late is not None:
+            raise OrdinalViolation(
+                f"d({g.name}) uses {late.name} of rank {late.rank} "
+                f">= rank {g.rank}")
     return SemifreeDgCat(ring, objects, generators, table, tuple(provenance))
 
 
@@ -217,17 +232,47 @@ def audit_d_squared(cat) -> None:
 
 
 def push_poly(p: NcPoly, object_map: dict, gen_images: dict, ring: Ring) -> NcPoly:
-    """Substitute objects and generators through maps, multiplying out words."""
+    """Substitute objects and generators through maps, multiplying out words.
+
+    A word's image is the product of its letters' images, with compose's
+    ring and boundary checks between neighbours and add_in_place's against
+    the result.  A single-term image is spliced into every partial word;
+    only a longer one is multiplied out through accumulate, as compose does.
+    """
     out = NcPoly.zero(ring, object_map[p.source], object_map[p.target])
+    mul = ring.mul
     for word, coeff in p.terms.items():
         if isinstance(word, str):
-            piece = NcPoly.identity(ring, object_map[word])
-        else:
-            piece = None
-            for g in word:
-                img = gen_images[g.name]
-                piece = img if piece is None else compose(piece, img)
-        out.add_in_place(piece, coeff)
+            out.add_in_place(NcPoly.identity(ring, object_map[word]), coeff)
+            continue
+        first = left = gen_images[word[0].name]
+        partial = first.terms.items()
+        for g in word[1:]:
+            img = gen_images[g.name]
+            if img.ring is not first.ring and img.ring != first.ring:
+                raise ValueError("mixed coefficient rings")
+            if img.target != left.source:
+                raise CompositionError(
+                    f"cannot compose: left factor starts at {left.source}, "
+                    f"right factor ends at {img.target}")
+            if len(img.terms) == 1:
+                [(w, c)] = img.terms.items()
+                partial = [(_concat(pw, w), mul(pc, c)) for pw, pc in partial]
+            else:
+                partial = accumulate(ring, {}, (
+                    (_concat(pw, w), mul(pc, c)) for pw, pc in partial
+                    for w, c in img.terms.items())).items()
+            left = img
+        if first.ring is not ring and first.ring != ring:
+            raise ValueError("mixed coefficient rings")
+        if left.source != out.source or first.target != out.target:
+            raise CompositionError(
+                f"boundary mismatch: {out.source}->{out.target} vs "
+                f"{left.source}->{first.target}")
+        coeff = ring.normalize(coeff)
+        if not ring.is_zero(coeff):
+            accumulate(ring, out.terms,
+                       ((w, mul(coeff, c)) for w, c in partial))
     return out
 
 
@@ -526,6 +571,22 @@ def to_json(cat) -> dict:
     return data
 
 
+class InputError(ValueError):
+    """A document breaks a rule of its schema: message says which, and path
+    is the JSON path of the part that breaks it ("document" for the whole
+    document).  Its text is "path: message"."""
+
+    def __init__(self, path: str, message: str):
+        self.path = path
+        self.message = message
+        super().__init__(f"{path}: {message}")
+
+    def within(self, where: str) -> "InputError":
+        """The same error in a document that sits at the JSON path where."""
+        path = where if self.path == "document" else f"{where}.{self.path}"
+        return InputError(path, self.message)
+
+
 _GENERATOR_FIELDS = {"name": str, "src": str, "tgt": str, "deg": int,
                      "rank": int, "d": str}
 _EXPECTED = {str: "a string", int: "an integer", list: "a list",
@@ -535,36 +596,37 @@ _EXPECTED = {str: "a string", int: "an integer", list: "a list",
 def _field(obj: dict, key: str, kind, where: str):
     """obj[key], where obj sits at the JSON path where ("" for the document).
 
-    A missing key or a value not of kind (a bool is not an integer) is a
-    ValueError that starts with the path.
+    A missing key or a value not of kind (a bool is not an integer) is an
+    InputError at that path.
     """
     if key not in obj:
-        raise ValueError(f"{where or 'document'}: missing {key!r}")
+        raise InputError(where or "document", f"missing {key!r}")
     value = obj[key]
     if not isinstance(value, kind) or isinstance(value, bool):
-        raise ValueError(f"{where + '.' if where else ''}{key}: expected "
-                         f"{_EXPECTED[kind]}, got {value!r}")
+        raise InputError(f"{where}.{key}" if where else key,
+                         f"expected {_EXPECTED[kind]}, got {value!r}")
     return value
 
 
 def from_json(data: dict):
     if not isinstance(data, dict):
-        raise ValueError(f"document: expected an object, got "
-                         f"{type(data).__name__}")
+        raise InputError("document", f"expected an object, got "
+                                     f"{type(data).__name__}")
     coefficients = _field(data, "coefficients", str, "")
     try:
         ring = Ring.parse(coefficients)
     except ValueError as err:
-        raise ValueError(f"coefficients: {err}") from None
+        raise InputError("coefficients", str(err)) from None
     objects = tuple(_field(data, "objects", list, ""))
     for i, obj in enumerate(objects):
         if not isinstance(obj, str):
-            raise ValueError(f"objects[{i}]: expected a string, got {obj!r}")
+            raise InputError(f"objects[{i}]",
+                             f"expected a string, got {obj!r}")
     specs = _field(data, "generators", list, "")
     for i, spec in enumerate(specs):
         if not isinstance(spec, dict):
-            raise ValueError(f"generators[{i}]: expected an object, got "
-                             f"{spec!r}")
+            raise InputError(f"generators[{i}]",
+                             f"expected an object, got {spec!r}")
         for key, kind in _GENERATOR_FIELDS.items():
             if type(spec.get(key)) is not kind:  # JSON gives exact types
                 _field(spec, key, kind, f"generators[{i}]")
@@ -576,40 +638,40 @@ def from_json(data: dict):
         table[g.name] = parse_poly(spec["d"], ring, g.source, g.target, gm.get)
     provenance = data.get("provenance", [])
     if not isinstance(provenance, list):
-        raise ValueError(f"provenance: expected a list, got {provenance!r}")
+        raise InputError("provenance", f"expected a list, got {provenance!r}")
     weights = data.get("weights", {})
     if not isinstance(weights, dict):
-        raise ValueError(f"weights: expected an object, got {weights!r}")
+        raise InputError("weights", f"expected an object, got {weights!r}")
     for name, weight in weights.items():
         if name not in gm:
-            raise ValueError(f"weights: unknown generator {name!r}")
+            raise InputError("weights", f"unknown generator {name!r}")
         if type(weight) is not int or weight < 0:
-            raise ValueError(f"weights.{name}: expected an integer >= 0, "
-                             f"got {weight!r}")
+            raise InputError(f"weights.{name}",
+                             f"expected an integer >= 0, got {weight!r}")
     cat = unaudited_semifree(ring, objects, gens, table, provenance)
     specs = data.get("rules", [])
     if not isinstance(specs, list):
-        raise ValueError(f"rules: expected a list of rules, got {specs!r}")
+        raise InputError("rules", f"expected a list of rules, got {specs!r}")
     if specs:
         rules = []
         for i, r in enumerate(specs):
             if not isinstance(r, dict):
-                raise ValueError(f"rules[{i}]: expected an object with "
+                raise InputError(f"rules[{i}]", f"expected an object with "
                                  f"\"lhs\" and \"rhs\", got {r!r}")
             for key in ("lhs", "rhs"):
                 if key not in r:
-                    raise ValueError(f"rules[{i}]: missing {key!r}")
+                    raise InputError(f"rules[{i}]", f"missing {key!r}")
             if not isinstance(r["lhs"], list) or not all(
                     isinstance(name, str) for name in r["lhs"]):
-                raise ValueError(f"rules[{i}]: lhs must be a list of generator "
-                                 f"names, got {r['lhs']!r}")
+                raise InputError(f"rules[{i}]", f"lhs must be a list of "
+                                 f"generator names, got {r['lhs']!r}")
             if not isinstance(r["rhs"], str):
-                raise ValueError(f"rules[{i}]: rhs must be a polynomial "
+                raise InputError(f"rules[{i}]", f"rhs must be a polynomial "
                                  f"string, got {r['rhs']!r}")
             for name in r["lhs"]:
                 if name not in gm:
-                    raise ValueError(
-                        f"rules[{i}]: lhs names unknown generator {name!r}")
+                    raise InputError(f"rules[{i}]", f"lhs names unknown "
+                                     f"generator {name!r}")
             lhs = tuple(gm[name] for name in r["lhs"])
             # an empty lhs has no boundary; the class raises RuleError for it
             rhs = (parse_poly(r["rhs"], ring, lhs[-1].source, lhs[0].target,

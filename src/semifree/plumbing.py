@@ -24,6 +24,7 @@ from .algebra import (
 )
 from .dgcat import (
     DgFunctor,
+    InputError,
     SemifreeDgCat,
     _field,
     new_semifree,
@@ -711,30 +712,79 @@ def total_endomorphism_algebra(cat) -> EndomorphismAlgebra:
 
 def plumbing_from_json(doc: dict, ring: Ring | None = None,
                        n: int | None = None) -> PlumbingData:
-    ring = ring or Ring.parse(doc.get("coefficients", "Z"))
+    """Plumbing data from its JSON document; ring and n, when given,
+    override the document's "coefficients" and "n".  A document that breaks
+    the schema is an InputError at the JSON path that breaks it."""
+    if not isinstance(doc, dict):
+        raise InputError("document", f"expected an object, got "
+                                     f"{type(doc).__name__}")
+    if ring is None:
+        coefficients = doc.get("coefficients", "Z")
+        if not isinstance(coefficients, str):
+            raise InputError("coefficients",
+                             f"expected a string, got {coefficients!r}")
+        try:
+            ring = Ring.parse(coefficients)
+        except ValueError as err:
+            raise InputError("coefficients", str(err)) from None
     vertices = []
-    for v in doc["vertices"]:
+    for i, v in enumerate(_field(doc, "vertices", list, "")):
+        where = f"vertices[{i}]"
+        if not isinstance(v, dict):
+            raise InputError(where, f"expected an object, got {v!r}")
+        vid = _field(v, "id", str, where)
         m = v.get("manifold", {"type": "sphere"})
-        kind = m["type"]
+        if not isinstance(m, dict):
+            raise InputError(f"{where}.manifold",
+                             f"expected an object, got {m!r}")
+        where += ".manifold"
+        kind = _field(m, "type", str, where)
         if kind == "sphere":
             spec = SPHERE
         elif kind == "disk":
             spec = DISK
         elif kind == "surface":
-            spec = surface(int(m.get("genus", 0)))
+            spec = surface(_field(m, "genus", int, where)
+                           if "genus" in m else 0)
         elif kind == "custom":
-            spec = custom([(g["name"], g["deg"]) for g in m["generators"]],
-                          list(m.get("differentials", {}).items()),
-                          m.get("eta", "0"))
+            gens = []
+            for j, g in enumerate(_field(m, "generators", list, where)):
+                at = f"{where}.generators[{j}]"
+                if not isinstance(g, dict):
+                    raise InputError(at, f"expected an object, got {g!r}")
+                gens.append((_field(g, "name", str, at),
+                             _field(g, "deg", int, at)))
+            diffs = m.get("differentials", {})
+            if not isinstance(diffs, dict) or not all(
+                    isinstance(x, str) for x in diffs.values()):
+                raise InputError(f"{where}.differentials", f"expected an "
+                                 f"object of polynomial strings, got {diffs!r}")
+            eta = m.get("eta", "0")
+            if not isinstance(eta, str):
+                raise InputError(f"{where}.eta", f"expected a polynomial "
+                                 f"string, got {eta!r}")
+            spec = custom(gens, list(diffs.items()), eta)
         else:
-            raise ValueError(f"unknown manifold type {kind!r}")
-        vertices.append((v["id"], spec))
-    arrows = tuple(Arrow(a["id"], a["src"], a["tgt"],
-                         int(a.get("sign", 1)), int(a.get("d", 0)))
-                   for a in doc["arrows"])
+            raise InputError(f"{where}.type", f"unknown manifold type "
+                                              f"{kind!r}")
+        vertices.append((vid, spec))
+    arrows = []
+    for i, a in enumerate(_field(doc, "arrows", list, "")):
+        where = f"arrows[{i}]"
+        if not isinstance(a, dict):
+            raise InputError(where, f"expected an object, got {a!r}")
+        ends = [_field(a, key, str, where) for key in ("id", "src", "tgt")]
+        sign = a.get("sign", 1)
+        if type(sign) is not int or sign not in (1, -1):
+            raise InputError(f"{where}.sign", f"expected 1 or -1, got {sign!r}")
+        gauge = a.get("d", 0)
+        if type(gauge) is not int:
+            raise InputError(f"{where}.d",
+                             f"expected an integer, got {gauge!r}")
+        arrows.append(Arrow(*ends, sign, gauge))
     if n is None:
         n = _field(doc, "n", int, "")
-    return PlumbingData(n, tuple(vertices), arrows, ring)
+    return PlumbingData(n, tuple(vertices), tuple(arrows), ring)
 
 
 def plumbing_to_json(data: PlumbingData) -> dict:

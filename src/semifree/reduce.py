@@ -36,36 +36,35 @@ def _rebuild(cat, gens, table, rules, entry):
     return new_semifree(cat.ring, cat.objects, gens, table, provenance)
 
 
-def _substitute(cat, removed: dict, entry: dict, renames: dict | None = None):
-    """Remove generators, replacing occurrences by the given polynomials."""
+def _substitute(cat, removed: dict, entry: dict):
+    """Remove generators, replacing occurrences by the given polynomials.
+
+    Only the differentials and rule right-hand sides that use a removed
+    generator are pushed through the substitution; the others are carried
+    over unchanged.
+    """
     ring = cat.ring
-    renames = renames or {}
-    survivors = []
-    for g in cat.generators:
-        if g.name in removed:
-            continue
-        survivors.append(Generator(renames.get(g.name, g.name), g.source,
-                                   g.target, g.degree, g.rank))
-    images = {}
-    for g, ng in zip([g for g in cat.generators if g.name not in removed],
-                     survivors):
-        images[g.name] = NcPoly.gen(ring, ng)
+    gone = {cat.gen(name) for name in removed}
+    survivors = [g for g in cat.generators if g.name not in removed]
+    images = {g.name: NcPoly.gen(ring, g) for g in survivors}
     images.update(removed)
     omap = {o: o for o in cat.objects}
-    table = {}
-    for g, ng in zip([g for g in cat.generators if g.name not in removed],
-                     survivors):
-        table[ng.name] = push_poly(cat.differentials[g.name], omap, images, ring)
+
+    def pushed(poly):
+        # a word is a tuple of Generators: one set test per word
+        if all(gone.isdisjoint(word) for word in poly.terms):
+            return poly
+        return push_poly(poly, omap, images, ring)
+
+    table = {g.name: pushed(cat.differentials[g.name]) for g in survivors}
     rules = []
     if cat.rules:
         dropped = []
-        by_name = {g.name: g for g in survivors}
         for lhs, rhs in cat.rules:
-            if any(letter.name in removed for letter in lhs):
+            if not gone.isdisjoint(lhs):
                 dropped.append([letter.name for letter in lhs])
                 continue
-            new_lhs = tuple(by_name[letter.name] for letter in lhs)
-            rules.append((new_lhs, push_poly(rhs, omap, images, ring)))
+            rules.append((lhs, pushed(rhs)))
         if dropped:
             entry = dict(entry)
             entry["dropped_rules"] = dropped
@@ -344,38 +343,64 @@ def eliminate_generator(cat, name: str):
 # greedy pass and script replay
 # ---------------------------------------------------------------------------
 
+def _partner(da: NcPoly, ring):
+    """The b that makes (a, b) cancellable when da = d(a), or None.
+
+    b must be a single-letter term with a unit coefficient whose rank
+    exceeds every letter of every other term, so only the single-letter
+    term of highest rank can qualify.
+    """
+    terms = da.terms
+    b = None
+    for word in terms:
+        if (not isinstance(word, str) and len(word) == 1
+                and (b is None or word[0].rank > b.rank)):
+            b = word[0]
+    if b is None or not ring.is_unit(terms[(b,)]):
+        return None
+    for word in terms:
+        if isinstance(word, str) or len(word) == 1:
+            continue  # another single letter ranks below b
+        for letter in word:
+            if letter.rank >= b.rank:
+                return None
+    return b
+
+
 def cancellable_pairs(cat):
     """Deterministic list of (a, b) currently eligible for cancel_pair."""
-    ring = cat.ring
     out = []
     used = set()
     for a in cat.generators:
-        da = cat.differentials[a.name]
-        for word, coeff in da.sorted_terms():
-            if isinstance(word, str) or len(word) != 1:
-                continue
-            b = word[0]
-            if not ring.is_unit(coeff) or a.name in used or b.name in used:
-                continue
-            rest_ok = all(
-                isinstance(w, str) or all(letter.rank < b.rank for letter in w)
-                for w in da.terms if w != word)
-            if rest_ok:
-                out.append((a.name, b.name))
-                used.update((a.name, b.name))
-                break
+        b = _partner(cat.differentials[a.name], cat.ring)
+        if b is not None and a.name not in used and b.name not in used:
+            out.append((a.name, b.name))
+            used.update((a.name, b.name))
     return out
 
+
 def greedy_simplify(cat):
-    """Repeatedly cancel eligible (a, b) pairs until none remain."""
+    """Repeatedly cancel eligible (a, b) pairs until none remain.
+
+    Each round cancels the first pair cancellable_pairs would list.  A
+    differential carried over unchanged from an earlier round, which had no
+    partner then, is not examined again.
+    """
     steps = []
+    barren = {}  # name -> the differential found to have no partner
     while True:
-        pairs = cancellable_pairs(cat)
-        if not pairs:
+        for a in cat.generators:
+            da = cat.differentials[a.name]
+            if barren.get(a.name) is da:
+                continue
+            b = _partner(da, cat.ring)
+            if b is not None:
+                break
+            barren[a.name] = da
+        else:
             return cat, steps
-        a, b = pairs[0]
-        cat = cancel_pair(cat, a, b)
-        steps.append({"op": "cancel_pair", "a": a, "b": b})
+        cat = cancel_pair(cat, a.name, b.name)
+        steps.append({"op": "cancel_pair", "a": a.name, "b": b.name})
 
 
 def replay(cat, steps):

@@ -15,10 +15,18 @@ def decoded(cat, slice_) -> dict:
             for deg, words in slice_.words_by_degree.items()}
 
 
-def _c3_with(change):
-    doc = json.loads((DATA / "c3.json").read_text())
+def _with(name, change):
+    doc = json.loads((DATA / name).read_text())
     change(doc)
     return doc
+
+
+def _c3_with(change):
+    return _with("c3.json", change)
+
+
+def _a2_with(change):
+    return _with("a2_n3.json", change)
 
 
 # test id -> (malformed document, the ValueError message from_json gives);
@@ -67,4 +75,47 @@ MALFORMED_DOCUMENTS = {
     "weight-not-an-integer": (
         _c3_with(lambda d: d.update(weights={"z": "y"})),
         "weights.z: expected an integer >= 0, got 'y'"),
+}
+
+
+# test id -> (malformed plumbing document, the ValueError message
+# plumbing_from_json gives); all but one are a2_n3.json with one part changed
+MALFORMED_PLUMBINGS = {
+    "gauge-float": (_a2_with(lambda d: d["arrows"][0].update(d=2.5)),
+                    "arrows[0].d: expected an integer, got 2.5"),
+    "gauge-bool": (_a2_with(lambda d: d["arrows"][0].update(d=True)),
+                   "arrows[0].d: expected an integer, got True"),
+    "sign-string": (_a2_with(lambda d: d["arrows"][0].update(sign="1")),
+                    "arrows[0].sign: expected 1 or -1, got '1'"),
+    "sign-two": (_a2_with(lambda d: d["arrows"][0].update(sign=2)),
+                 "arrows[0].sign: expected 1 or -1, got 2"),
+    "sign-bool": (_a2_with(lambda d: d["arrows"][0].update(sign=True)),
+                  "arrows[0].sign: expected 1 or -1, got True"),
+    "missing-vertices": (_a2_with(lambda d: d.pop("vertices")),
+                         "document: missing 'vertices'"),
+    "missing-arrows": (_a2_with(lambda d: d.pop("arrows")),
+                       "document: missing 'arrows'"),
+    "arrow-not-an-object": (_a2_with(lambda d: d.update(arrows=[5])),
+                            "arrows[0]: expected an object, got 5"),
+    "arrow-without-src": (_a2_with(lambda d: d["arrows"][0].pop("src")),
+                          "arrows[0]: missing 'src'"),
+    "vertex-id-not-a-string": (
+        _a2_with(lambda d: d["vertices"][0].update(id=1)),
+        "vertices[0].id: expected a string, got 1"),
+    "unknown-manifold": (
+        _a2_with(lambda d: d["vertices"][0]["manifold"].update(type="torus")),
+        "vertices[0].manifold.type: unknown manifold type 'torus'"),
+    "genus-float": (
+        _a2_with(lambda d: d["vertices"][0].update(
+            manifold={"type": "surface", "genus": 1.5})),
+        "vertices[0].manifold.genus: expected an integer, got 1.5"),
+    "custom-without-generators": (
+        _a2_with(lambda d: d["vertices"][0].update(
+            manifold={"type": "custom"})),
+        "vertices[0].manifold: missing 'generators'"),
+    "coefficients-not-a-string": (
+        _a2_with(lambda d: d.update(coefficients=7)),
+        "coefficients: expected a string, got 7"),
+    "document-not-an-object": ([1, 2],
+                               "document: expected an object, got list"),
 }

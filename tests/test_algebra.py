@@ -1,6 +1,7 @@
 """Ring arithmetic, word composition, and the graded Leibniz rule."""
 
 import functools
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,11 @@ from semifree.algebra import (
     NcPoly,
     RATIONALS,
     Ring,
+    _MR_LIMIT,
     _is_prime,
+    _concat,
+    _is_number,
+    _split_terms,
     compose,
     integers_mod,
     leibniz_d,
@@ -67,6 +72,18 @@ def test_is_prime_agrees_with_trial_division_below_200000():
 def test_is_prime_on_pseudoprimes_and_large_primes(n, prime):
     assert _is_prime(n) is prime
     assert integers_mod(n).is_field() is prime
+
+
+def test_is_field_refuses_an_undecidable_modulus():
+    # 2**89 - 1 is prime; trial division once ran on it without end
+    p = 2**89 - 1
+    assert p > _MR_LIMIT
+    started = time.perf_counter()
+    with pytest.raises(ValueError) as err:
+        integers_mod(p).is_field()
+    assert time.perf_counter() - started < 1
+    assert str(err.value).startswith(f"cannot decide whether {p} is prime")
+    assert f"{_MR_LIMIT:,}" in str(err.value)
 
 
 def value_roundtrip(ring, value):
@@ -384,6 +401,101 @@ def test_render_parse_roundtrip(ring):
     ])
     text = render_poly(p)
     assert parse_poly(text, ring, "L", "L", lookup) == p
+
+
+def split_terms_by_char(text: str):
+    """The character loop _split_terms replaced, kept as its oracle."""
+    terms = []
+    sign = 1
+    depth = 0
+    buf = []
+    for ch in text:
+        if ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+        if depth == 0 and ch in "+-" and buf and buf[-1] == " ":
+            terms.append((sign, "".join(buf).strip()))
+            sign = 1 if ch == "+" else -1
+            buf = []
+            continue
+        buf.append(ch)
+    terms.append((sign, "".join(buf).strip()))
+    out = []
+    for s, t in terms:
+        if t.startswith("-"):
+            s, t = -s, t[1:].strip()
+        if t:
+            out.append((s, t))
+    return out
+
+
+TERM_PIECES = st.sampled_from(
+    ["x", "y*x", "2*x", "1_{X}", "1_{L_v}", " + ", " - ", "+", "-", " ", "  ",
+     "{", "}", "{a + b}", "{{a} - b}", "1_{X + Y}", "\t", "3/4*"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(TERM_PIECES, max_size=12).map("".join)
+       | st.text(alphabet=" +-{}x*1_\t", max_size=30))
+def test_split_terms_matches_character_loop(text):
+    # identities 1_{X}, unbalanced braces and nested braces included
+    assert _split_terms(text) == split_terms_by_char(text)
+
+
+def parse_poly_by_factors(text, ring, source, target, lookup):
+    """parse_poly as it was before a term's word was built from its letters
+    at once: every token tested as an identity, then as a number, and the
+    factors folded by _concat; kept as its oracle."""
+    text = text.strip()
+    if text in ("", "0"):
+        return NcPoly.zero(ring, source, target)
+    items = []
+    for sign, chunk in split_terms_by_char(text):
+        coeff = ring.one()
+        factors = []
+        for tok in chunk.split("*"):
+            tok = tok.strip()
+            if not tok:
+                raise ValueError(f"bad term {chunk!r}")
+            if tok.startswith("1_{") and tok.endswith("}"):
+                factors.append(tok[3:-1])
+            elif _is_number(tok):
+                coeff = ring.mul(coeff, ring.parse_value(tok))
+            else:
+                g = lookup(tok)
+                if g is None:
+                    raise ValueError(f"unknown generator {tok!r}")
+                factors.append((g,))
+        if not factors:
+            raise ValueError(f"term {chunk!r} has no word part")
+        if sign < 0:
+            coeff = ring.neg(coeff)
+        word = None
+        for f in factors:
+            word = f if word is None else _concat(word, f)
+        items.append((word, coeff))
+    return NcPoly.from_terms(ring, source, target, items)
+
+
+# a, b on L; "2" is a generator name that parses as a number
+PARSE_LETTERS = {name: Generator(name, "L", "L", 0, i)
+                 for i, name in enumerate(["a", "b", "2", "b2"])}
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(
+    ["a", "b", "b2", "2", "-3", "+1", "3/4", "1_{L}", "1_{M}", "q", "", " ",
+     "*", " + ", " - ", "-", "1_{", "}", "0"]), max_size=10).map("".join),
+       st.sampled_from([INTEGERS, RATIONALS, integers_mod(7)]))
+def test_parse_poly_matches_factor_folding(text, ring):
+    # the same polynomial, or the same error, as the factor-by-factor parse
+    def parse(how):
+        try:
+            return how(text, ring, "L", "L", PARSE_LETTERS.get)
+        except (ValueError, ZeroDivisionError, CompositionError) as err:
+            return type(err), str(err)
+    assert parse(parse_poly) == parse(parse_poly_by_factors)
 
 
 def test_render_zero_and_signs():

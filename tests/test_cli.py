@@ -3,12 +3,16 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import MALFORMED_DOCUMENTS
-from semifree.cli import main, make_parser
+from helpers import MALFORMED_DOCUMENTS, MALFORMED_PLUMBINGS
+from semifree.algebra import _MR_LIMIT
+from semifree.cli import _dump, main, make_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data"
@@ -229,6 +233,74 @@ def test_verify_rejects_malformed_functor(doc, message, tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["verify", str(path)]) == 1
     assert capsys.readouterr().out == f"FAIL {path}: {message}\n"
+
+
+@pytest.mark.parametrize("part", ["source", "target"])
+def test_verify_names_the_nested_presentation(part, tmp_path, capsys):
+    # an error inside "source" was once reported as generators[0].deg: ...,
+    # which names the wrong document
+    from semifree.algebra import INTEGERS
+    from semifree.dgcat import to_json
+    from semifree.fukaya import ModelId, build
+    c = to_json(build(ModelId.parse("C:2"), INTEGERS))
+    doc = {"type": "functor", "source": c, "target": json.loads(
+        json.dumps(c)), "objects": {"L": "L"}, "generators": {"z": "z"}}
+    path = tmp_path / "functor.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 0
+    doc[part]["generators"][0]["deg"] = "x"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        f"FAIL {path}: {part}.generators[0].deg: expected an integer, "
+        f"got 'x'\n")
+    doc[part] = {}
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        f"FAIL {path}: {part}: missing 'coefficients'\n")
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PLUMBINGS))
+def test_plumb_rejects_malformed_document(case, tmp_path, capsys):
+    doc, message = MALFORMED_PLUMBINGS[case]
+    path = tmp_path / "plumbing.json"
+    path.write_text(json.dumps(doc))
+    assert main(["plumb", str(path), "--out", str(tmp_path / "w.json")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_hom_over_an_undecidable_modulus_fails_fast(tmp_path, capsys):
+    # 2**89 - 1 is prime and above the bound below which primality is
+    # proved; trial division once ran on it without end
+    started = time.perf_counter()
+    assert main(["hom", str(DATA / "c3.json"), "--src", "L", "--tgt", "L",
+                 "--window=-3:0", "--field", f"Zmod:{2**89 - 1}",
+                 "--out", str(tmp_path / "table.json")]) == 1
+    assert time.perf_counter() - started < 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot decide whether {2**89 - 1} is prime")
+    assert f"{_MR_LIMIT:,}" in err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text(), inner)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES, st.floats() | st.dictionaries(st.integers(), st.text(),
+                                                  min_size=1))
+def test_dump_matches_json_dumps(value, other):
+    # non-ASCII and control characters, empty containers, bools, None,
+    # tuples and nested lists; a float (NaN and infinities too) or an int
+    # key anywhere sends the whole document to json itself
+    for doc in (value, [value, other]):
+        assert _dump(doc) == json.dumps(doc, indent=2,
+                                        ensure_ascii=False) + "\n"
 
 
 def test_cli_runs_as_module():

@@ -9,10 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semifree.algebra import (
+    CompositionError,
     Generator,
     INTEGERS,
     NcPoly,
+    RATIONALS,
     compose,
+    integers_mod,
     render_poly,
     word_names,
 )
@@ -29,6 +32,7 @@ from semifree.dgcat import (
     hom_slice,
     identity_functor,
     new_semifree,
+    push_poly,
     restrict_functor,
     restrict_to_objects,
     to_json,
@@ -233,6 +237,97 @@ def test_hom_slice_monotone(extra, bound):
     for deg, words in small.items():
         got = {word_names(w) for w in large.get(deg, [])}
         assert {word_names(w) for w in words} <= got
+
+
+def push_by_compose(p, object_map, gen_images, ring):
+    """push_poly as it was before single-term images were spliced: every
+    word multiplied out by compose; kept as its oracle."""
+    out = NcPoly.zero(ring, object_map[p.source], object_map[p.target])
+    for word, coeff in p.terms.items():
+        if isinstance(word, str):
+            piece = NcPoly.identity(ring, object_map[word])
+        else:
+            piece = None
+            for g in word:
+                img = gen_images[g.name]
+                piece = img if piece is None else compose(piece, img)
+        out.add_in_place(piece, coeff)
+    return out
+
+
+@st.composite
+def random_poly(draw, ring, gens, source, target):
+    """A sum of up to four words source -> target in gens, some of them
+    identities, with small coefficients (zero products in Zmod:6)."""
+    out_of = {}
+    for g in gens:
+        out_of.setdefault(g.source, []).append(g)
+    items = []
+    for _ in range(draw(st.integers(0, 4))):
+        word, tip = (), source
+        for _ in range(draw(st.integers(0, 3))):
+            if tip not in out_of:
+                break
+            g = draw(st.sampled_from(out_of[tip]))
+            word, tip = (g,) + word, g.target
+        if tip == target:
+            items.append((word or source, draw(st.integers(-3, 3))))
+    return NcPoly.from_terms(ring, source, target, items)
+
+
+@st.composite
+def push_problems(draw):
+    """A polynomial over letters f_i on objects A, B, and images of the
+    letters over letters t_j on X, Y.  An image's boundary follows the
+    object map unless composable is False; then it is random."""
+    ring = draw(st.sampled_from([INTEGERS, RATIONALS, integers_mod(6)]))
+    ends = st.sampled_from(("A", "B"))
+    letters = [Generator(f"f{i}", draw(ends), draw(ends), 0, i)
+               for i in range(draw(st.integers(1, 4)))]
+    ends = st.sampled_from(("X", "Y"))
+    targets = [Generator(f"t{j}", draw(ends), draw(ends), 0, j)
+               for j in range(3)]
+    object_map = {"A": draw(ends), "B": draw(ends)}
+    composable = draw(st.booleans())
+    images = {}
+    for f in letters:
+        source, target = ((object_map[f.source], object_map[f.target])
+                          if composable else (draw(ends), draw(ends)))
+        images[f.name] = draw(random_poly(ring, targets, source, target))
+    ends = st.sampled_from(("A", "B"))
+    p = draw(random_poly(ring, letters, draw(ends), draw(ends)))
+    return p, object_map, images, ring
+
+
+@settings(max_examples=400, deadline=None)
+@given(push_problems())
+def test_push_poly_matches_compose_oracle(problem):
+    # the same polynomial, or the same error, as composing every image
+    try:
+        want = push_by_compose(*problem)
+    except CompositionError as err:
+        with pytest.raises(CompositionError) as got:
+            push_poly(*problem)
+        assert str(got.value) == str(err)
+        return
+    got = push_poly(*problem)
+    assert (got.ring, got.source, got.target) == \
+        (want.ring, want.source, want.target)
+    assert got.terms == want.terms
+
+
+def test_push_poly_drops_zero_products_and_rejects_gaps():
+    z6 = integers_mod(6)
+    f = Generator("f", "A", "A", 0, 0)
+    g = Generator("g", "A", "A", 0, 1)
+    t = Generator("t", "X", "X", 0, 0)
+    p = NcPoly.from_terms(z6, "A", "A", [((g, f), 1), ((f,), 1)])
+    images = {"f": NcPoly.gen(z6, t, 2), "g": NcPoly.gen(z6, t, 3)}
+    assert push_poly(p, {"A": "X"}, images, z6).terms == {(t,): 2}
+    u = Generator("u", "Y", "X", 0, 1)
+    images["f"] = NcPoly.gen(z6, u, 2)  # ends at X but starts at Y
+    with pytest.raises(CompositionError):
+        push_poly(p, {"A": "X"}, images, z6)
 
 
 @st.composite

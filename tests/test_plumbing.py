@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from helpers import MALFORMED_PLUMBINGS
 from semifree.algebra import INTEGERS, render_poly
 from semifree.dgcat import audit_d_squared
 from semifree.plumbing import (
@@ -425,3 +426,13 @@ def test_plumbing_dimension_must_be_an_integer(n):
     with pytest.raises(ValueError) as err:
         plumbing_from_json(doc)
     assert str(err.value) == f"n: expected an integer, got {n!r}"
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PLUMBINGS))
+def test_plumbing_from_json_rejects_malformed_document(case):
+    # a float or bool gauge and a string sign were once coerced, and a
+    # document without "vertices" raised a bare KeyError
+    doc, message = MALFORMED_PLUMBINGS[case]
+    with pytest.raises(ValueError) as err:
+        plumbing_from_json(doc)
+    assert str(err.value) == message

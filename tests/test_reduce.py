@@ -1,9 +1,21 @@
 """Basis change, cancellation, substitution, strictification."""
 
-import pytest
+import random
 
-from semifree.algebra import Generator, INTEGERS, NcPoly, compose, render_poly
-from semifree.dgcat import audit_d_squared, new_semifree
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from semifree.algebra import (
+    Generator,
+    INTEGERS,
+    NcPoly,
+    RATIONALS,
+    compose,
+    integers_mod,
+    render_poly,
+)
+from semifree.dgcat import audit_d_squared, new_semifree, to_json
 from semifree.fukaya import ModelId, build
 from semifree.reduce import (
     cancel_pair,
@@ -15,6 +27,11 @@ from semifree.reduce import (
     set_generator,
     steps_from_provenance,
     strictify_t,
+)
+from semifree.plumbing import (
+    RandomPlumbingConfig,
+    build_wrapped,
+    random_plumbing,
 )
 from semifree.twisted import build_d12, build_e12
 from semifree.analysis import presentation_equal
@@ -173,6 +190,94 @@ def test_greedy_simplify_cancels_acyclic_pair():
     out, steps = greedy_simplify(cat)
     assert [g.name for g in out.generators] == ["a"]
     assert steps == [{"op": "cancel_pair", "a": "c", "b": "b"}]
+
+
+def cancellable_pairs_by_sorting(cat):
+    """cancellable_pairs as it was before a generator's one possible partner
+    was found directly: every differential's terms sorted and each
+    single-letter unit term tested in turn; kept as its oracle."""
+    ring = cat.ring
+    out = []
+    used = set()
+    for a in cat.generators:
+        da = cat.differentials[a.name]
+        for word, coeff in da.sorted_terms():
+            if isinstance(word, str) or len(word) != 1:
+                continue
+            b = word[0]
+            if not ring.is_unit(coeff) or a.name in used or b.name in used:
+                continue
+            rest_ok = all(
+                isinstance(w, str) or all(letter.rank < b.rank for letter in w)
+                for w in da.terms if w != word)
+            if rest_ok:
+                out.append((a.name, b.name))
+                used.update((a.name, b.name))
+                break
+    return out
+
+
+def assert_greedy_takes_the_steps_of_the_sorting_loop(cat):
+    got, steps = greedy_simplify(cat)
+    want = []
+    while True:
+        pairs = cancellable_pairs_by_sorting(cat)
+        assert cancellable_pairs(cat) == pairs
+        if not pairs:
+            break
+        a, b = pairs[0]
+        cat = cancel_pair(cat, a, b)
+        want.append({"op": "cancel_pair", "a": a, "b": b})
+    assert steps == want
+    assert to_json(got) == to_json(cat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32),
+       st.sampled_from([INTEGERS, RATIONALS, integers_mod(6)]))
+def test_greedy_simplify_on_random_plumbings(seed, ring):
+    config = RandomPlumbingConfig(max_vertices=3, max_arrows=4)
+    assert_greedy_takes_the_steps_of_the_sorting_loop(
+        build_wrapped(random_plumbing(random.Random(seed), config, ring)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_greedy_simplify_on_two_layer_categories(data):
+    # closed x_i, then a_j with d(a_j) a combination of the x_i: several
+    # single-letter terms per differential, non-unit coefficients, and
+    # differentials that gain a partner when an earlier cancellation
+    # substitutes into them
+    ring = data.draw(st.sampled_from([INTEGERS, integers_mod(6)]))
+    xs = [Generator(f"x{i}", "L", "L", 0, i)
+          for i in range(data.draw(st.integers(1, 5)))]
+    gens = list(xs)
+    table = {x.name: NcPoly.zero(ring, "L", "L") for x in xs}
+    for j in range(data.draw(st.integers(1, 5))):
+        a = Generator(f"a{j}", "L", "L", -1, len(gens))
+        table[a.name] = NcPoly.from_terms(ring, "L", "L", [
+            ((x,), data.draw(st.sampled_from([-2, -1, 1, 2])))
+            for x in xs if data.draw(st.booleans())])
+        gens.append(a)
+    assert_greedy_takes_the_steps_of_the_sorting_loop(
+        new_semifree(ring, ("L",), gens, table))
+
+
+def test_greedy_simplify_returns_to_a_differential_that_gains_a_partner():
+    # d(a1) = x1 + 2*x2 has no partner until cancelling (a2, x2) sends x2
+    # to -x0; then x1 is its partner
+    x0, x1, x2 = (Generator(f"x{i}", "L", "L", 0, i) for i in range(3))
+    a1 = Generator("a1", "L", "L", -1, 3)
+    a2 = Generator("a2", "L", "L", -1, 4)
+    zero = NcPoly.zero(ring, "L", "L")
+    cat = new_semifree(ring, ("L",), (x0, x1, x2, a1, a2), {
+        "x0": zero, "x1": zero, "x2": zero,
+        "a1": NcPoly.from_terms(ring, "L", "L", [((x1,), 1), ((x2,), 2)]),
+        "a2": NcPoly.from_terms(ring, "L", "L", [((x0,), 1), ((x2,), 1)])})
+    out, steps = greedy_simplify(cat)
+    assert steps == [{"op": "cancel_pair", "a": "a2", "b": "x2"},
+                     {"op": "cancel_pair", "a": "a1", "b": "x1"}]
+    assert [g.name for g in out.generators] == ["x0"]
 
 
 def test_replay_script_roundtrip():
