@@ -46,17 +46,9 @@ def _dump(doc) -> str:
 
     json encodes in C only without indent, so the values the program emits
     (str keys; str, int, bool, None, list, tuple and dict values) are
-    indented here; anything else (a float, say), or nesting too deep to
-    recurse, goes to json.
+    indented here.  Any other value (a float, say) raises TypeError.
     """
-    try:
-        return _indented(doc, "\n") + "\n"
-    except (_NotPlain, RecursionError):
-        return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
-
-
-class _NotPlain(Exception):
-    pass
+    return _indented(doc, "\n") + "\n"
 
 
 def _indented(value, newline: str) -> str:
@@ -71,7 +63,7 @@ def _indented(value, newline: str) -> str:
         parts = []
         for k, v in value.items():
             if k.__class__ is not str:
-                raise _NotPlain
+                raise TypeError(f"key {k!r} is not a string")
             vc = v.__class__
             parts.append(_quote(k) + ": " + (
                 _quote(v) if vc is str else
@@ -94,7 +86,7 @@ def _indented(value, newline: str) -> str:
         return "true"
     if value is False:
         return "false"
-    raise _NotPlain
+    raise TypeError(f"{cls.__name__} is not written by _dump")
 
 
 def _emit(text: str, out: str | None):

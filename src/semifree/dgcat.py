@@ -195,31 +195,18 @@ def unaudited_semifree(ring: Ring, objects, generators, differentials,
             raise CompositionError(
                 f"d({g.name}) has boundary {dg.source}->{dg.target}, "
                 f"expected {g.source}->{g.target}")
-        # one pass over the letters: each word's degree, and the first
-        # letter that is not earlier than g
-        degrees = set()
-        late = None
-        rank = g.rank
+        deg = dg.degree()
+        if deg is not None and deg != g.degree + 1:
+            raise DegreeError(
+                f"d({g.name}) has degree {deg}, expected {g.degree + 1}")
         for word in dg.terms:
             if isinstance(word, str):
-                degrees.add(0)
                 continue
-            deg = 0
             for letter in word:
-                deg += letter.degree
-                if letter.rank >= rank and late is None:
-                    late = letter
-            degrees.add(deg)
-        if len(degrees) > 1:
-            raise ValueError(
-                f"inhomogeneous polynomial with degrees {sorted(degrees)}")
-        if degrees and g.degree + 1 not in degrees:
-            raise DegreeError(f"d({g.name}) has degree {degrees.pop()}, "
-                              f"expected {g.degree + 1}")
-        if late is not None:
-            raise OrdinalViolation(
-                f"d({g.name}) uses {late.name} of rank {late.rank} "
-                f">= rank {g.rank}")
+                if letter.rank >= g.rank:
+                    raise OrdinalViolation(
+                        f"d({g.name}) uses {letter.name} of rank {letter.rank} "
+                        f">= rank {g.rank}")
     return SemifreeDgCat(ring, objects, generators, table, tuple(provenance))
 
 

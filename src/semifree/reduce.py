@@ -382,21 +382,14 @@ def cancellable_pairs(cat):
 def greedy_simplify(cat):
     """Repeatedly cancel eligible (a, b) pairs until none remain.
 
-    Each round cancels the first pair cancellable_pairs would list.  A
-    differential carried over unchanged from an earlier round, which had no
-    partner then, is not examined again.
+    Each round cancels the first pair cancellable_pairs would list.
     """
     steps = []
-    barren = {}  # name -> the differential found to have no partner
     while True:
         for a in cat.generators:
-            da = cat.differentials[a.name]
-            if barren.get(a.name) is da:
-                continue
-            b = _partner(da, cat.ring)
+            b = _partner(cat.differentials[a.name], cat.ring)
             if b is not None:
                 break
-            barren[a.name] = da
         else:
             return cat, steps
         cat = cancel_pair(cat, a.name, b.name)
