@@ -19,12 +19,13 @@ from semifree.cli import main  # noqa: E402
 FIELDS = ("Q", "Zmod:10007")
 TABLES = ("ranks", "exact", "basis")
 
-# name -> (models, tensored in order; hom object; window; bound)
-CASES = {
-    "M:2,2": (["M:2,2"], "L", "-6:0", 3),
-    "M:1,1 x S:2,1,1": (["M:1,1", "S:2,1,1"], "(L,L)", "-2:0", 2),
-    "S:3,2,1": (["S:3,2,1"], "L", "-4:0", 9),
-}
+# (name, models tensored in order, hom object, window, bound)
+CASES = (
+    ("M:2,2", ["M:2,2"], "L", "-6:0", 3),
+    ("M:1,1 x S:2,1,1", ["M:1,1", "S:2,1,1"], "(L,L)", "-2:0", 2),
+    ("M:1,1 x S:2,1,1", ["M:1,1", "S:2,1,1"], "(L,L)", "-2:0", 3),
+    ("S:3,2,1", ["S:3,2,1"], "L", "-4:0", 9),
+)
 
 
 def run(argv):
@@ -53,7 +54,7 @@ def tables(models, obj, window, bound, out: Path) -> dict:
 
 def main_check() -> int:
     failed = 0
-    for name, (models, obj, window, bound) in CASES.items():
+    for name, models, obj, window, bound in CASES:
         with tempfile.TemporaryDirectory() as tmp:
             q, p = tables(models, obj, window, bound, Path(tmp)).values()
         differ = [t for t in TABLES if q[t] != p[t]]

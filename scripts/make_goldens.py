@@ -40,6 +40,11 @@ CASES = {
     "hom_d12.json": ["hom", "-", "--src", "L1", "--tgt", "L1",
                      "--window=-3:0", "--bound", "8"],
     "tensor_a2_c3.txt": ["tensor", "-", "-", "--emit", "text"],
+    # relational hom whose rows leave the basis, so each row's outside
+    # terms are normalized under the tensor's interchange rules
+    "hom_a2_c1.json": ["hom", "-", "--src", "(K0,L)", "--tgt", "(K1,L)",
+                       "--window=-2:0", "--bound", "4",
+                       "--field", "Zmod:10007"],
     "normalize_messy.json": ["normalize", str(DATA / "messy_data.json")],
     "equiv_flip.json": ["equiv", "flip", str(DATA / "messy_data.json"),
                         "--arrow", "e1"],
@@ -56,10 +61,15 @@ def prepare():
     main(["build", "--model", "A2", "--out", str(a2_path)])
     c3_path = DATA / "c3.json"
     main(["build", "--model", "C:3", "--out", str(c3_path)])
+    c1_path = DATA / "c1.json"
+    main(["build", "--model", "C:1", "--out", str(c1_path)])
+    a2_c1_path = DATA / "a2_c1.json"
+    main(["tensor", str(a2_path), str(c1_path), "--out", str(a2_c1_path)])
     CASES["hom_d12.md"][1] = str(d12_path)
     CASES["hom_d12.json"][1] = str(d12_path)
     CASES["tensor_a2_c3.txt"][1] = str(a2_path)
     CASES["tensor_a2_c3.txt"][2] = str(c3_path)
+    CASES["hom_a2_c1.json"][1] = str(a2_c1_path)
 
 
 def run():

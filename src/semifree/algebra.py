@@ -558,11 +558,13 @@ def _split_terms(text: str):
 
 def _parse_term(chunk: str, ring: Ring, lookup):
     """(coefficient, word) of one term: the word is its generators in
-    written order, or its first identity 1_{X} when it has no generator
-    (identities between generators are units)."""
+    written order, or its identity 1_{X} when it has no generator.  An
+    identity among generators is a unit, but it must sit on the object
+    where it stands: the source of the generator on its left, or, left of
+    every generator, the target of the first one."""
     coeff = ring.one()
     letters = []
-    unit = None
+    unit = None  # the object of the identities left of every generator
     for tok in chunk.split("*"):
         tok = tok.strip()
         if not tok:
@@ -571,8 +573,13 @@ def _parse_term(chunk: str, ring: Ring, lookup):
         # or an identity; any other is a generator name
         if tok[0].isdigit() or tok[0] in "+-":
             if tok.startswith("1_{") and tok.endswith("}"):
-                if unit is None:
-                    unit = tok[3:-1]
+                obj = tok[3:-1]
+                at = letters[-1].source if letters else unit
+                if at is None:
+                    unit = obj
+                elif obj != at:
+                    raise ValueError(f"{tok} in term {chunk!r} stands at "
+                                     f"object {at}")
                 continue
             if _is_number(tok):
                 coeff = ring.mul(coeff, ring.parse_value(tok))
@@ -582,6 +589,9 @@ def _parse_term(chunk: str, ring: Ring, lookup):
             raise ValueError(f"unknown generator {tok!r}")
         letters.append(g)
     if letters:
+        if unit is not None and unit != letters[0].target:
+            raise ValueError(f"1_{{{unit}}} in term {chunk!r} stands at "
+                             f"object {letters[0].target}")
         return coeff, tuple(letters)
     if unit is None:
         raise ValueError(f"term {chunk!r} has no word part")

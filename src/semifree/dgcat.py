@@ -68,7 +68,8 @@ class SemifreeDgCat:
                            {g.name: g for g in self.generators})
         if not self.rules:
             return
-        from .rewrite import RuleError, RuleIndex, _strictly_smaller
+        from .rewrite import RuleError, RuleIndex, _below, _word_weight
+        weights = self.weights
         for lhs, rhs in self.rules:
             if not lhs:
                 raise RuleError("empty rule lhs")
@@ -76,13 +77,15 @@ class SemifreeDgCat:
                 raise RuleError(
                     f"rule {render_word(lhs)} -> {render_poly(rhs)} changes boundary")
             lhs_degree = word_degree(lhs)
+            lhs_weight = _word_weight(lhs, weights)
+            lhs_ranks = tuple(g.rank for g in lhs)
             for w in rhs.terms:
                 if word_degree(w) != lhs_degree:
                     raise RuleError(
                         f"rule {render_word(lhs)} -> {render_poly(rhs)} changes "
                         f"degree: lhs has degree {lhs_degree}, rhs term "
                         f"{render_word(w)} has degree {word_degree(w)}")
-                if not _strictly_smaller(w, lhs, self.weights):
+                if not _below(w, lhs_weight, lhs_ranks, weights):
                     raise RuleError(
                         f"rule {render_word(lhs)} -> {render_poly(rhs)} does not "
                         f"decrease the reduction order at {render_word(w)}")
@@ -152,9 +155,12 @@ class SemifreeDgCat:
         return all(x == y for _, x, y in self.critical_pairs(max_len))
 
     def _reduce_at(self, word, i, rule_idx) -> NcPoly:
-        from .rewrite import _replace_at
         lhs, rhs = self.rules[rule_idx]
-        return _replace_at(self.ring, word, i, lhs, rhs)
+        left, right = word[:i], word[i + len(lhs):]
+        return NcPoly(self.ring, word[-1].source, word[0].target,
+                      {(left + right or w) if isinstance(w, str)
+                       else left + w + right: c
+                       for w, c in rhs.terms.items()})
 
 
 def new_semifree(ring: Ring, objects, generators, differentials,
@@ -356,11 +362,6 @@ def validate_functor(f: DgFunctor) -> dict:
     return {"generators_checked": checked, "valid": True}
 
 
-def identity_functor(cat) -> DgFunctor:
-    gm = {g.name: NcPoly.gen(cat.ring, g) for g in cat.generators}
-    return DgFunctor(cat, cat, {o: o for o in cat.objects}, gm)
-
-
 def compose_functors(f: DgFunctor, g: DgFunctor) -> DgFunctor:
     """f o g; generator images expand through g then f."""
     if g.target is not f.source and g.target != f.source:
@@ -416,14 +417,6 @@ def keep_generators(cat: SemifreeDgCat, gens, **changes) -> SemifreeDgCat:
                    differentials={g.name: cat.differentials[g.name]
                                   for g in gens},
                    rules=rules, weights=weights, **changes)
-
-
-def restrict_functor(f: DgFunctor, objects) -> DgFunctor:
-    sub = restrict_to_objects(f.source, objects)
-    return DgFunctor(sub, f.target,
-                     {o: f.object_map[o] for o in sub.objects},
-                     {g.name: f.generator_map[g.name] for g in sub.generators},
-                     {o: s for o, s in f.object_shifts.items() if o in set(objects)})
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +567,10 @@ class InputError(ValueError):
         return InputError(path, self.message)
 
 
+# what parse_poly raises for a polynomial string that does not parse or
+# does not fit its boundary
+_PARSE_ERRORS = (ValueError, CompositionError)
+
 _GENERATOR_FIELDS = {"name": str, "src": str, "tgt": str, "deg": int,
                      "rank": int, "d": str}
 _EXPECTED = {str: "a string", int: "an integer", list: "a list",
@@ -621,8 +618,12 @@ def from_json(data: dict):
                  for g in specs)
     gm = {g.name: g for g in gens}
     table = {}
-    for spec, g in zip(specs, gens):
-        table[g.name] = parse_poly(spec["d"], ring, g.source, g.target, gm.get)
+    try:
+        for i, (spec, g) in enumerate(zip(specs, gens)):
+            table[g.name] = parse_poly(spec["d"], ring, g.source, g.target,
+                                       gm.get)
+    except _PARSE_ERRORS as err:
+        raise InputError(f"generators[{i}].d", str(err)) from None
     provenance = data.get("provenance", [])
     if not isinstance(provenance, list):
         raise InputError("provenance", f"expected a list, got {provenance!r}")
@@ -641,29 +642,34 @@ def from_json(data: dict):
         raise InputError("rules", f"expected a list of rules, got {specs!r}")
     if specs:
         rules = []
-        for i, r in enumerate(specs):
-            if not isinstance(r, dict):
-                raise InputError(f"rules[{i}]", f"expected an object with "
-                                 f"\"lhs\" and \"rhs\", got {r!r}")
-            for key in ("lhs", "rhs"):
-                if key not in r:
-                    raise InputError(f"rules[{i}]", f"missing {key!r}")
-            if not isinstance(r["lhs"], list) or not all(
-                    isinstance(name, str) for name in r["lhs"]):
-                raise InputError(f"rules[{i}]", f"lhs must be a list of "
-                                 f"generator names, got {r['lhs']!r}")
-            if not isinstance(r["rhs"], str):
-                raise InputError(f"rules[{i}]", f"rhs must be a polynomial "
-                                 f"string, got {r['rhs']!r}")
-            for name in r["lhs"]:
-                if name not in gm:
-                    raise InputError(f"rules[{i}]", f"lhs names unknown "
-                                     f"generator {name!r}")
-            lhs = tuple(gm[name] for name in r["lhs"])
-            # an empty lhs has no boundary; the class raises RuleError for it
-            rhs = (parse_poly(r["rhs"], ring, lhs[-1].source, lhs[0].target,
-                              gm.get) if lhs else None)
-            rules.append((lhs, rhs))
+        try:
+            for i, r in enumerate(specs):
+                if not isinstance(r, dict):
+                    raise InputError(f"rules[{i}]", f"expected an object with "
+                                     f"\"lhs\" and \"rhs\", got {r!r}")
+                for key in ("lhs", "rhs"):
+                    if key not in r:
+                        raise InputError(f"rules[{i}]", f"missing {key!r}")
+                if not isinstance(r["lhs"], list) or not all(
+                        isinstance(name, str) for name in r["lhs"]):
+                    raise InputError(f"rules[{i}]", f"lhs must be a list of "
+                                     f"generator names, got {r['lhs']!r}")
+                if not isinstance(r["rhs"], str):
+                    raise InputError(f"rules[{i}]", f"rhs must be a "
+                                     f"polynomial string, got {r['rhs']!r}")
+                for name in r["lhs"]:
+                    if name not in gm:
+                        raise InputError(f"rules[{i}]", f"lhs names unknown "
+                                         f"generator {name!r}")
+                lhs = tuple(gm[name] for name in r["lhs"])
+                # an empty lhs has no boundary; the class raises RuleError
+                rhs = (parse_poly(r["rhs"], ring, lhs[-1].source,
+                                  lhs[0].target, gm.get) if lhs else None)
+                rules.append((lhs, rhs))
+        except InputError:
+            raise
+        except _PARSE_ERRORS as err:
+            raise InputError(f"rules[{i}].rhs", str(err)) from None
         cat = replace(cat, rules=tuple(rules), weights=dict(weights))
     audit_d_squared(cat)
     return cat

@@ -669,44 +669,6 @@ def normalize(data: PlumbingData) -> PlumbingData:
 
 
 # ---------------------------------------------------------------------------
-# total endomorphism algebra
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EndomorphismAlgebra:
-    idempotents: tuple   # (object, idempotent name)
-    generators: tuple    # (name, src idempotent, tgt idempotent, degree, d)
-    relations: tuple     # rendered orthogonality relations
-
-    def to_json(self):
-        return {
-            "idempotents": [list(p) for p in self.idempotents],
-            "generators": [list(g) for g in self.generators],
-            "relations": list(self.relations),
-        }
-
-
-def total_endomorphism_algebra(cat) -> EndomorphismAlgebra:
-    """Endomorphism algebra of the sum of all objects: the generators tagged
-    by source/target idempotents, plus the orthogonality relations."""
-    idempotents = tuple((obj, f"e_{obj}") for obj in cat.objects)
-    gens = tuple(
-        (g.name, f"e_{g.source}", f"e_{g.target}", g.degree,
-         render_poly(cat.differentials[g.name]))
-        for g in cat.generators)
-    relations = []
-    for obj, e in idempotents:
-        for obj2, e2 in idempotents:
-            if obj == obj2:
-                relations.append(f"{e}*{e} = {e}")
-            else:
-                relations.append(f"{e}*{e2} = 0")
-    for name, src, tgt, _, _ in gens:
-        relations.append(f"{tgt}*{name} = {name} = {name}*{src}")
-    return EndomorphismAlgebra(idempotents, gens, tuple(relations))
-
-
-# ---------------------------------------------------------------------------
 # JSON wire formats and random data
 # ---------------------------------------------------------------------------
 
@@ -811,10 +773,39 @@ def plumbing_to_json(data: PlumbingData) -> dict:
 
 
 def quiver_from_json(doc: dict) -> GradedQuiver:
-    return GradedQuiver(
-        tuple(v if isinstance(v, str) else v["id"] for v in doc["vertices"]),
-        tuple(GradedArrow(a["id"], a["src"], a["tgt"], int(a.get("q", 0)))
-              for a in doc["arrows"]))
+    """The graded quiver of a document: "vertices" (ids, or objects with an
+    "id") and "arrows" with "id", "src", "tgt" and an integer "q" (default
+    0).  A document that breaks the schema is an InputError at the JSON
+    path that breaks it."""
+    if type(doc) is not dict:
+        raise InputError("document", f"expected an object, got "
+                                     f"{type(doc).__name__}")
+    vertices = []
+    for i, v in enumerate(_field(doc, "vertices", list, "")):
+        if type(v) is not str:  # JSON gives exact types
+            if type(v) is not dict:
+                raise InputError(f"vertices[{i}]", f"expected a string or "
+                                                   f"an object, got {v!r}")
+            v = _field(v, "id", str, f"vertices[{i}]")
+        vertices.append(v)
+    known = set(vertices)
+    arrows = []
+    for i, a in enumerate(_field(doc, "arrows", list, "")):
+        if type(a) is not dict:
+            raise InputError(f"arrows[{i}]", f"expected an object, got {a!r}")
+        for key in ("id", "src", "tgt"):
+            if type(a.get(key)) is not str:
+                _field(a, key, str, f"arrows[{i}]")
+        for key in ("src", "tgt"):
+            if a[key] not in known:
+                raise InputError(f"arrows[{i}].{key}",
+                                 f"unknown vertex {a[key]!r}")
+        q = a.get("q", 0)
+        if type(q) is not int:
+            raise InputError(f"arrows[{i}].q",
+                             f"expected an integer, got {q!r}")
+        arrows.append(GradedArrow(a["id"], a["src"], a["tgt"], q))
+    return GradedQuiver(tuple(vertices), tuple(arrows))
 
 
 @dataclass

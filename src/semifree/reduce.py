@@ -9,23 +9,11 @@ mentions a removed generator are dropped and recorded).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .algebra import Generator, NcPoly, UnionFind, render_poly
 from .dgcat import new_semifree, push_poly
 from .rewrite import new_relational
-
-
-@dataclass(frozen=True)
-class ReductionStep:
-    kind: str
-    params: dict
-    before: int
-    after: int
-
-    def to_json(self):
-        return {"kind": self.kind, "params": self.params,
-                "before": self.before, "after": self.after}
 
 
 def _rebuild(cat, gens, table, rules, entry):
@@ -424,18 +412,3 @@ def replay(cat, steps):
             raise ValueError(f"unknown reduction step {op!r}")
     return cat
 
-
-def steps_from_provenance(cat):
-    """ReductionStep records for the reduction entries in the provenance."""
-    out = []
-    for e in cat.provenance:
-        if isinstance(e, dict) and e.get("op") in (
-                "change_basis", "cancel_pair", "set_generator", "strictify"):
-            kinds = {"change_basis": "BasisChange", "cancel_pair": "CancelPair",
-                     "set_generator": "SetToConstant",
-                     "strictify": "IdentifyObjects"}
-            params = {k: v for k, v in e.items()
-                      if k not in ("op", "before", "after")}
-            out.append(ReductionStep(kinds[e["op"]], params,
-                                     e.get("before", -1), e.get("after", -1)))
-    return out

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .algebra import NcPoly, accumulate, compose, render_word
+from .algebra import NcPoly, accumulate, render_word
 from .dgcat import (
     DSquaredNonzero,
     SemifreeDgCat,
@@ -42,24 +42,22 @@ def _order_key(word, weights):
     return (_word_weight(word, weights), len(word), tuple(g.rank for g in word))
 
 
-def _strictly_smaller(rhs_word, lhs, weights) -> bool:
-    """rhs_word < lhs in the declared reduction order, multiplication-stably."""
-    wr = _word_weight(rhs_word, weights)
-    wl = _word_weight(lhs, weights)
-    if wr < wl:
-        return True
-    if wr > wl:
-        return False
-    if isinstance(rhs_word, str):
-        return True
-    if len(rhs_word) != len(lhs):
-        # equal weight but different length is not stable under embedding
-        return False
-    return tuple(g.rank for g in rhs_word) < tuple(g.rank for g in lhs)
+def _below(word, lhs_weight: int, lhs_ranks: tuple, weights) -> bool:
+    """word < lhs in the declared reduction order, multiplication-stably,
+    where lhs has weight lhs_weight and rank tuple lhs_ranks."""
+    if isinstance(word, str):
+        return lhs_weight >= 0
+    weight = _word_weight(word, weights)
+    if weight != lhs_weight:
+        return weight < lhs_weight
+    # equal weight but different length is not stable under embedding
+    return (len(word) == len(lhs_ranks)
+            and tuple(g.rank for g in word) < lhs_ranks)
 
 
 class RuleIndex:
-    """Rule left-hand sides keyed by their tuple of generator names.
+    """Rule left-hand sides keyed by their tuple of Generators, which
+    compare by value.
 
     Built once per rule set.  A duplicate lhs keeps its first rule index, so
     a lookup returns the smallest index among the rules with that lhs.
@@ -71,7 +69,7 @@ class RuleIndex:
         self.rules = tuple(rules)
         self.first = {}
         for idx, (lhs, _) in enumerate(self.rules):
-            self.first.setdefault(tuple(g.name for g in lhs), idx)
+            self.first.setdefault(tuple(lhs), idx)
         self.lengths = sorted({len(lhs) for lhs, _ in self.rules})
 
     # SemifreeDgCat matches and normalizes through these: this module
@@ -86,12 +84,12 @@ class RuleIndex:
 def match_rule(index: RuleIndex, word):
     """First (position, rule index) whose lhs occurs in word, or None.
 
-    One dict lookup per distinct lhs length at each position.
+    One dict lookup of a slice of word per distinct lhs length at each
+    position.
     """
     if isinstance(word, str):
         return None
-    names = tuple(g.name for g in word)
-    n = len(names)
+    n = len(word)
     first = index.first
     lengths = index.lengths
     for i in range(n):
@@ -99,7 +97,7 @@ def match_rule(index: RuleIndex, word):
         for k in lengths:
             if i + k > n:
                 break
-            idx = first.get(names[i:i + k])
+            idx = first.get(word[i:i + k])
             if idx is not None and (best is None or idx < best):
                 best = idx
         if best is not None:
@@ -107,22 +105,16 @@ def match_rule(index: RuleIndex, word):
     return None
 
 
-def _replace_at(ring, word, i, lhs, rhs) -> NcPoly:
-    out = rhs
-    if i + len(lhs) < len(word):
-        right = NcPoly(ring, word[-1].source, word[i + len(lhs)].target,
-                       {word[i + len(lhs):]: ring.one()})
-        out = compose(out, right)
-    if i > 0:
-        left = NcPoly(ring, word[i - 1].source, word[0].target,
-                      {word[:i]: ring.one()})
-        out = compose(left, out)
-    return out
-
-
 def normalize_poly(index: RuleIndex, p: NcPoly) -> NcPoly:
-    """Rewrite every word of p to normal form under the indexed rules."""
+    """Rewrite every word of p to normal form under the indexed rules.
+
+    A rewrite splices each rhs term of the matched rule into the word in
+    place of the lhs (an identity term joins the two sides) and drops the
+    zero products.
+    """
     ring = p.ring
+    mul, is_zero = ring.mul, ring.is_zero
+    rules = index.rules
     normal = []  # irreducible terms, in the order they are summed
     pending = list(p.terms.items())
     while pending:
@@ -132,9 +124,16 @@ def normalize_poly(index: RuleIndex, p: NcPoly) -> NcPoly:
             normal.append((word, coeff))
             continue
         i, idx = hit
-        lhs, rhs = index.rules[idx]
-        for w, c in _replace_at(ring, word, i, lhs, rhs).terms.items():
-            pending.append((w, ring.mul(coeff, c)))
+        lhs, rhs = rules[idx]
+        if rhs.ring is not ring and rhs.ring != ring:
+            raise ValueError("mixed coefficient rings")
+        left = word[:i]
+        right = word[i + len(lhs):]
+        for w, c in rhs.terms.items():
+            c = mul(coeff, c)
+            if not is_zero(c):
+                pending.append(((left + right or w) if isinstance(w, str)
+                                else left + w + right, c))
     return NcPoly(ring, p.source, p.target, accumulate(ring, {}, normal))
 
 
@@ -146,10 +145,17 @@ def new_relational(ring, objects, generators, differentials, rules,
                                      provenance),
                   rules=tuple(rules), weights=dict(weights or {}))
     audit_d_squared(cat)
+    one, neg = ring.one(), ring.neg
     for lhs, rhs in cat.rules:
-        word_poly = NcPoly(ring, lhs[-1].source, lhs[0].target,
-                           {lhs: ring.one()})
-        residual = cat.normalize(cat.d(word_poly) - cat.d(rhs))
+        if rhs.ring is not ring and rhs.ring != ring:
+            raise ValueError("mixed coefficient rings")
+        # d(lhs) - d(rhs) as one d(lhs - rhs): every rhs word is smaller
+        # than lhs in the reduction order, so none is lhs itself
+        terms = {lhs: one}
+        for w, c in rhs.terms.items():
+            terms[w] = neg(c)
+        residual = cat.normalize(cat.d(NcPoly(ring, rhs.source, rhs.target,
+                                              terms)))
         if not residual.is_zero():
             raise DSquaredNonzero(
                 render_word(lhs), residual)

@@ -1,9 +1,77 @@
-"""Helpers shared by the test modules."""
+"""Helpers shared by the test modules, including small constructions that
+only tests use."""
 
 import json
+from dataclasses import dataclass
 from pathlib import Path
 
+from semifree.algebra import NcPoly, render_poly
+from semifree.dgcat import DgFunctor, restrict_to_objects
+
 DATA = Path(__file__).resolve().parent / "data"
+
+
+def identity_functor(cat) -> DgFunctor:
+    gm = {g.name: NcPoly.gen(cat.ring, g) for g in cat.generators}
+    return DgFunctor(cat, cat, {o: o for o in cat.objects}, gm)
+
+
+def restrict_functor(f: DgFunctor, objects) -> DgFunctor:
+    sub = restrict_to_objects(f.source, objects)
+    return DgFunctor(sub, f.target,
+                     {o: f.object_map[o] for o in sub.objects},
+                     {g.name: f.generator_map[g.name] for g in sub.generators},
+                     {o: s for o, s in f.object_shifts.items()
+                      if o in set(objects)})
+
+
+@dataclass(frozen=True)
+class ReductionStep:
+    kind: str
+    params: dict
+    before: int
+    after: int
+
+
+def steps_from_provenance(cat):
+    """ReductionStep records for the reduction entries in the provenance."""
+    kinds = {"change_basis": "BasisChange", "cancel_pair": "CancelPair",
+             "set_generator": "SetToConstant", "strictify": "IdentifyObjects"}
+    out = []
+    for e in cat.provenance:
+        if isinstance(e, dict) and e.get("op") in kinds:
+            params = {k: v for k, v in e.items()
+                      if k not in ("op", "before", "after")}
+            out.append(ReductionStep(kinds[e["op"]], params,
+                                     e.get("before", -1), e.get("after", -1)))
+    return out
+
+
+@dataclass(frozen=True)
+class EndomorphismAlgebra:
+    idempotents: tuple   # (object, idempotent name)
+    generators: tuple    # (name, src idempotent, tgt idempotent, degree, d)
+    relations: tuple     # rendered orthogonality relations
+
+
+def total_endomorphism_algebra(cat) -> EndomorphismAlgebra:
+    """Endomorphism algebra of the sum of all objects: the generators tagged
+    by source/target idempotents, plus the orthogonality relations."""
+    idempotents = tuple((obj, f"e_{obj}") for obj in cat.objects)
+    gens = tuple(
+        (g.name, f"e_{g.source}", f"e_{g.target}", g.degree,
+         render_poly(cat.differentials[g.name]))
+        for g in cat.generators)
+    relations = []
+    for obj, e in idempotents:
+        for obj2, e2 in idempotents:
+            if obj == obj2:
+                relations.append(f"{e}*{e} = {e}")
+            else:
+                relations.append(f"{e}*{e2} = 0")
+    for name, src, tgt, _, _ in gens:
+        relations.append(f"{tgt}*{name} = {name} = {name}*{src}")
+    return EndomorphismAlgebra(idempotents, gens, tuple(relations))
 
 
 def decoded(cat, slice_) -> dict:
@@ -75,6 +143,17 @@ MALFORMED_DOCUMENTS = {
     "weight-not-an-integer": (
         _c3_with(lambda d: d.update(weights={"z": "y"})),
         "weights.z: expected an integer >= 0, got 'y'"),
+    # parse errors once carried no path
+    "d-unknown-generator": (
+        _c3_with(lambda d: d["generators"][0].update(d="q")),
+        "generators[0].d: unknown generator 'q'"),
+    "d-identity-off-its-object": (
+        _c3_with(lambda d: d["generators"][0].update(d="1_{M}*z")),
+        "generators[0].d: 1_{M} in term '1_{M}*z' stands at object L"),
+    "rule-rhs-unknown-generator": (
+        _c3_with(lambda d: d.update(rules=[{"lhs": ["z", "z", "z"],
+                                            "rhs": "q"}])),
+        "rules[0].rhs: unknown generator 'q'"),
 }
 
 
@@ -116,6 +195,46 @@ MALFORMED_PLUMBINGS = {
     "coefficients-not-a-string": (
         _a2_with(lambda d: d.update(coefficients=7)),
         "coefficients: expected a string, got 7"),
+    "document-not-an-object": ([1, 2],
+                               "document: expected an object, got list"),
+}
+
+
+def _quiver_with(change):
+    return _with("loop_quiver.json", change)
+
+
+# test id -> (malformed quiver document, the ValueError message
+# quiver_from_json gives); all but one are loop_quiver.json with one part
+# changed
+MALFORMED_QUIVERS = {
+    "missing-vertices": (_quiver_with(lambda d: d.pop("vertices")),
+                         "document: missing 'vertices'"),
+    "missing-arrows": (_quiver_with(lambda d: d.pop("arrows")),
+                       "document: missing 'arrows'"),
+    "q-float": (_quiver_with(lambda d: d["arrows"][0].update(q=1.5)),
+                "arrows[0].q: expected an integer, got 1.5"),
+    "q-bool": (_quiver_with(lambda d: d["arrows"][0].update(q=True)),
+               "arrows[0].q: expected an integer, got True"),
+    "q-string": (_quiver_with(lambda d: d["arrows"][0].update(q="1")),
+                 "arrows[0].q: expected an integer, got '1'"),
+    "arrow-not-an-object": (_quiver_with(lambda d: d.update(arrows=[5])),
+                            "arrows[0]: expected an object, got 5"),
+    "arrow-without-id": (_quiver_with(lambda d: d["arrows"][0].pop("id")),
+                         "arrows[0]: missing 'id'"),
+    "src-not-a-string": (_quiver_with(lambda d: d["arrows"][0].update(src=1)),
+                         "arrows[0].src: expected a string, got 1"),
+    "unknown-tgt-vertex": (
+        _quiver_with(lambda d: d["arrows"][1].update(tgt="x")),
+        "arrows[1].tgt: unknown vertex 'x'"),
+    "vertices-not-a-list": (_quiver_with(lambda d: d.update(vertices="vw")),
+                            "vertices: expected a list, got 'vw'"),
+    "vertex-not-a-string": (
+        _quiver_with(lambda d: d["vertices"].__setitem__(0, 5)),
+        "vertices[0]: expected a string or an object, got 5"),
+    "vertex-object-without-id": (
+        _quiver_with(lambda d: d["vertices"].__setitem__(0, {"name": "v"})),
+        "vertices[0]: missing 'id'"),
     "document-not-an-object": ([1, 2],
                                "document: expected an object, got list"),
 }

@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semifree.algebra import (
@@ -446,7 +446,11 @@ def test_split_terms_matches_character_loop(text):
 def parse_poly_by_factors(text, ring, source, target, lookup):
     """parse_poly as it was before a term's word was built from its letters
     at once: every token tested as an identity, then as a number, and the
-    factors folded by _concat; kept as its oracle."""
+    factors folded by _concat; kept as its oracle.  An identity factor must
+    sit on the object next to it: when it is read, the source of the
+    nearest generator on its left, or else the first identity's object;
+    after the term is read, the first identity left of every generator
+    must sit on the first generator's target."""
     text = text.strip()
     if text in ("", "0"):
         return NcPoly.zero(ring, source, target)
@@ -459,6 +463,13 @@ def parse_poly_by_factors(text, ring, source, target, lookup):
             if not tok:
                 raise ValueError(f"bad term {chunk!r}")
             if tok.startswith("1_{") and tok.endswith("}"):
+                left = [f[0] for f in factors if isinstance(f, tuple)]
+                units = [f for f in factors if isinstance(f, str)]
+                at = (left[-1].source if left else
+                      units[0] if units else tok[3:-1])
+                if tok[3:-1] != at:
+                    raise ValueError(f"{tok} in term {chunk!r} stands at "
+                                     f"object {at}")
                 factors.append(tok[3:-1])
             elif _is_number(tok):
                 coeff = ring.mul(coeff, ring.parse_value(tok))
@@ -467,6 +478,11 @@ def parse_poly_by_factors(text, ring, source, target, lookup):
                 if g is None:
                     raise ValueError(f"unknown generator {tok!r}")
                 factors.append((g,))
+        gens = [f[0] for f in factors if isinstance(f, tuple)]
+        if gens and isinstance(factors[0], str) and \
+                factors[0] != gens[0].target:
+            raise ValueError(f"1_{{{factors[0]}}} in term {chunk!r} stands "
+                             f"at object {gens[0].target}")
         if not factors:
             raise ValueError(f"term {chunk!r} has no word part")
         if sign < 0:
@@ -478,24 +494,66 @@ def parse_poly_by_factors(text, ring, source, target, lookup):
     return NcPoly.from_terms(ring, source, target, items)
 
 
-# a, b on L; "2" is a generator name that parses as a number
+# a, b on L; "2" is a generator name that parses as a number; m: L -> M
+# and n: M -> L place identities on two objects
 PARSE_LETTERS = {name: Generator(name, "L", "L", 0, i)
                  for i, name in enumerate(["a", "b", "2", "b2"])}
+PARSE_LETTERS["m"] = Generator("m", "L", "M", 0, 4)
+PARSE_LETTERS["n"] = Generator("n", "M", "L", 0, 5)
 
 
 @settings(max_examples=500, deadline=None)
 @given(st.lists(st.sampled_from(
     ["a", "b", "b2", "2", "-3", "+1", "3/4", "1_{L}", "1_{M}", "q", "", " ",
-     "*", " + ", " - ", "-", "1_{", "}", "0"]), max_size=10).map("".join),
-       st.sampled_from([INTEGERS, RATIONALS, integers_mod(7)]))
-def test_parse_poly_matches_factor_folding(text, ring):
+     "*", " + ", " - ", "-", "1_{", "}", "0", "m", "n"]), max_size=10)
+       .map("".join),
+       st.sampled_from([INTEGERS, RATIONALS, integers_mod(7)]),
+       st.sampled_from([("L", "L"), ("L", "M"), ("M", "L")]))
+@example("1_{M}*a", INTEGERS, ("L", "L"))
+@example("b*1_{L} - 2*1_{L}*1_{M}", INTEGERS, ("L", "L"))
+@example("1_{L}*1_{L}*a*1_{L}", RATIONALS, ("L", "L"))
+@example("1_{M}*m*1_{L}*a - 1_{L}*m", INTEGERS, ("L", "M"))
+@example("n*1_{L}", INTEGERS, ("M", "L"))
+def test_parse_poly_matches_factor_folding(text, ring, ends):
     # the same polynomial, or the same error, as the factor-by-factor parse
     def parse(how):
         try:
-            return how(text, ring, "L", "L", PARSE_LETTERS.get)
+            return how(text, ring, *ends, PARSE_LETTERS.get)
         except (ValueError, ZeroDivisionError, CompositionError) as err:
             return type(err), str(err)
     assert parse(parse_poly) == parse(parse_poly_by_factors)
+
+
+# a: L -> L and b: L -> M
+ENDS = {"a": Generator("a", "L", "L", 0, 0), "b": Generator("b", "L", "M", 0, 1)}
+
+
+@pytest.mark.parametrize("text,source,target,want", [
+    ("1_{L}*a", "L", "L", "a"),
+    ("a*1_{L}", "L", "L", "a"),
+    ("1_{L}", "L", "L", "1_{L}"),
+    ("1_{M}*b*1_{L}", "L", "M", "b"),
+    ("2*1_{L}*1_{L}", "L", "L", "2*1_{L}"),
+])
+def test_identity_factor_on_its_object_is_a_unit(text, source, target, want):
+    p = parse_poly(text, INTEGERS, source, target, ENDS.get)
+    assert render_poly(p) == want
+
+
+@pytest.mark.parametrize("text,source,target,message", [
+    # the first once loaded silently as a
+    ("1_{M}*a", "L", "L", "1_{M} in term '1_{M}*a' stands at object L"),
+    ("a*1_{M}", "L", "L", "1_{M} in term 'a*1_{M}' stands at object L"),
+    ("1_{L}*b", "L", "M", "1_{L} in term '1_{L}*b' stands at object M"),
+    ("b*1_{M}", "L", "M", "1_{M} in term 'b*1_{M}' stands at object L"),
+    ("1_{L}*1_{M}", "L", "L", "1_{M} in term '1_{L}*1_{M}' stands at "
+                              "object L"),
+])
+def test_identity_factor_off_its_object_is_an_error(text, source, target,
+                                                    message):
+    with pytest.raises(ValueError) as err:
+        parse_poly(text, INTEGERS, source, target, ENDS.get)
+    assert str(err.value) == message
 
 
 def test_render_zero_and_signs():

@@ -479,7 +479,7 @@ def test_presentation_equal_checks_bijection():
 # ---------------------------------------------------------------------------
 
 def test_identity_functor_trivially_compatible():
-    from semifree.dgcat import identity_functor
+    from helpers import identity_functor
     cat = build_d12(3, ring)
     report = functor_rank_compat(identity_functor(cat), (-2, 0), 6, Q)
     assert report["agree"]

@@ -10,7 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import MALFORMED_DOCUMENTS, MALFORMED_PLUMBINGS
+from helpers import (
+    MALFORMED_DOCUMENTS,
+    MALFORMED_PLUMBINGS,
+    MALFORMED_QUIVERS,
+)
 from semifree.algebra import _MR_LIMIT
 from semifree.cli import _dump, main, make_parser
 
@@ -44,6 +48,9 @@ CASES = [
                       "--tgt", "L1", "--window=-3:0", "--bound", "8"]),
     ("tensor_a2_c3.txt", ["tensor", str(DATA / "a2.json"),
                           str(DATA / "c3.json"), "--emit", "text"]),
+    ("hom_a2_c1.json", ["hom", str(DATA / "a2_c1.json"), "--src", "(K0,L)",
+                        "--tgt", "(K1,L)", "--window=-2:0", "--bound", "4",
+                        "--field", "Zmod:10007"]),
     ("normalize_messy.json", ["normalize", str(DATA / "messy_data.json")]),
     ("equiv_flip.json", ["equiv", "flip", str(DATA / "messy_data.json"),
                          "--arrow", "e1"]),
@@ -269,6 +276,34 @@ def test_plumb_rejects_malformed_document(case, tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["plumb", str(path), "--out", str(tmp_path / "w.json")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_QUIVERS))
+def test_ginzburg_rejects_malformed_quiver(case, tmp_path, capsys):
+    doc, message = MALFORMED_QUIVERS[case]
+    path = tmp_path / "quiver.json"
+    path.write_text(json.dumps(doc))
+    for witness in ([], ["--witness"]):
+        assert main(["ginzburg", str(path), "--n", "3", *witness,
+                     "--out", str(tmp_path / "g.json")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("part", ["source", "target"])
+def test_verify_names_the_parse_error_in_a_nested_presentation(
+        part, tmp_path, capsys):
+    from semifree.algebra import INTEGERS
+    from semifree.dgcat import to_json
+    from semifree.fukaya import ModelId, build
+    c = to_json(build(ModelId.parse("C:2"), INTEGERS))
+    doc = {"type": "functor", "source": c, "target": json.loads(
+        json.dumps(c)), "objects": {"L": "L"}, "generators": {"z": "z"}}
+    doc[part]["generators"][0]["d"] = "q"
+    path = tmp_path / "functor.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        f"FAIL {path}: {part}.generators[0].d: unknown generator 'q'\n")
 
 
 def test_hom_over_an_undecidable_modulus_fails_fast(tmp_path, capsys):

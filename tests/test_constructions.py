@@ -12,7 +12,6 @@ from semifree.algebra import (
 from semifree.dgcat import (
     DgFunctor,
     audit_d_squared,
-    identity_functor,
     new_semifree,
     validate_functor,
 )
@@ -33,6 +32,7 @@ from semifree.constructions import (
 from semifree.fukaya import ModelId, build
 from semifree.reduce import strictify_t, strictify_t_with_map
 from semifree.analysis import presentation_equal
+from helpers import identity_functor
 
 ring = INTEGERS
 

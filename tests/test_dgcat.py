@@ -30,10 +30,8 @@ from semifree.dgcat import (
     compose_functors,
     from_json,
     hom_slice,
-    identity_functor,
     new_semifree,
     push_poly,
-    restrict_functor,
     restrict_to_objects,
     to_json,
     validate_functor,
@@ -41,7 +39,12 @@ from semifree.dgcat import (
 from semifree.fukaya import ModelId, build
 from semifree.rewrite import RuleError, new_relational
 from semifree.twisted import build_d01, build_d12, cone_extend
-from helpers import MALFORMED_DOCUMENTS, decoded
+from helpers import (
+    MALFORMED_DOCUMENTS,
+    decoded,
+    identity_functor,
+    restrict_functor,
+)
 
 ring = INTEGERS
 DATA = Path(__file__).resolve().parent / "data"

@@ -4,9 +4,13 @@ import random
 
 import pytest
 
-from helpers import MALFORMED_PLUMBINGS
+from helpers import (
+    MALFORMED_PLUMBINGS,
+    MALFORMED_QUIVERS,
+    total_endomorphism_algebra,
+)
 from semifree.algebra import INTEGERS, render_poly
-from semifree.dgcat import audit_d_squared
+from semifree.dgcat import InputError, audit_d_squared
 from semifree.plumbing import (
     Arrow,
     DISK,
@@ -23,13 +27,13 @@ from semifree.plumbing import (
     normalize,
     plumbing_from_json,
     plumbing_to_json,
+    quiver_from_json,
     random_graded_quiver,
     random_plumbing,
     regauge,
     sigma,
     sign_gauge_witness,
     surface,
-    total_endomorphism_algebra,
 )
 
 ring = INTEGERS
@@ -436,3 +440,20 @@ def test_plumbing_from_json_rejects_malformed_document(case):
     with pytest.raises(ValueError) as err:
         plumbing_from_json(doc)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_QUIVERS))
+def test_quiver_from_json_rejects_malformed_document(case):
+    # a quiver without "vertices" once raised a bare KeyError, and a float,
+    # bool or string "q" was coerced by int()
+    doc, message = MALFORMED_QUIVERS[case]
+    with pytest.raises(InputError) as err:
+        quiver_from_json(doc)
+    assert str(err.value) == message
+
+
+def test_quiver_from_json_reads_vertex_objects():
+    doc = {"vertices": [{"id": "v"}, "w"],
+           "arrows": [{"id": "e", "src": "v", "tgt": "w"}]}
+    assert quiver_from_json(doc) == GradedQuiver(
+        ("v", "w"), (GradedArrow("e", "v", "w", 0),))

@@ -25,7 +25,6 @@ from semifree.reduce import (
     greedy_simplify,
     replay,
     set_generator,
-    steps_from_provenance,
     strictify_t,
 )
 from semifree.plumbing import (
@@ -35,6 +34,7 @@ from semifree.plumbing import (
 )
 from semifree.twisted import build_d12, build_e12
 from semifree.analysis import presentation_equal
+from helpers import steps_from_provenance
 
 ring = INTEGERS
 

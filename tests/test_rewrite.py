@@ -1,22 +1,142 @@
 """Rule matching, normalization and relational construction checks."""
 
+import itertools
+from dataclasses import replace
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from semifree.algebra import INTEGERS, Generator, NcPoly
+from semifree.algebra import (
+    INTEGERS,
+    RATIONALS,
+    Generator,
+    NcPoly,
+    compose,
+    integers_mod,
+    render_poly,
+    render_word,
+    word_degree,
+)
 from semifree.constructions import tensor
-from semifree.dgcat import new_semifree
+from semifree.dgcat import (
+    DSquaredNonzero,
+    audit_d_squared,
+    new_semifree,
+    unaudited_semifree,
+)
 from semifree.fukaya import ModelId, build
 from semifree.rewrite import (
+    RuleError,
     RuleIndex,
-    _replace_at,
+    _below,
+    _word_weight,
     match_rule,
     new_relational,
     normalize_poly,
 )
 
 ring = INTEGERS
+
+
+# ---------------------------------------------------------------------------
+# oracles: the compose-based rewrite step, rule audit and order check that
+# normalize_poly, new_relational and SemifreeDgCat replaced
+# ---------------------------------------------------------------------------
+
+def _replace_at(ring, word, i, lhs, rhs) -> NcPoly:
+    out = rhs
+    if i + len(lhs) < len(word):
+        right = NcPoly(ring, word[-1].source, word[i + len(lhs)].target,
+                       {word[i + len(lhs):]: ring.one()})
+        out = compose(out, right)
+    if i > 0:
+        left = NcPoly(ring, word[i - 1].source, word[0].target,
+                      {word[:i]: ring.one()})
+        out = compose(left, out)
+    return out
+
+
+def compose_normalize(index, p):
+    ring = p.ring
+    normal = []
+    pending = list(p.terms.items())
+    while pending:
+        word, coeff = pending.pop()
+        hit = match_rule(index, word)
+        if hit is None:
+            normal.append((word, coeff))
+            continue
+        i, idx = hit
+        lhs, rhs = index.rules[idx]
+        for w, c in _replace_at(ring, word, i, lhs, rhs).terms.items():
+            pending.append((w, ring.mul(coeff, c)))
+    out = NcPoly.zero(ring, p.source, p.target)
+    for word, coeff in normal:
+        out.add_in_place(NcPoly(ring, p.source, p.target, {word: coeff}))
+    return out
+
+
+def compose_relational(ring, objects, generators, differentials, rules,
+                       weights=None):
+    cat = replace(unaudited_semifree(ring, objects, generators,
+                                     differentials),
+                  rules=tuple(rules), weights=dict(weights or {}))
+    audit_d_squared(cat)
+    for lhs, rhs in cat.rules:
+        word_poly = NcPoly(ring, lhs[-1].source, lhs[0].target,
+                           {lhs: ring.one()})
+        residual = cat.normalize(cat.d(word_poly) - cat.d(rhs))
+        if not residual.is_zero():
+            raise DSquaredNonzero(render_word(lhs), residual)
+    return cat
+
+
+def _strictly_smaller(rhs_word, lhs, weights) -> bool:
+    wr = _word_weight(rhs_word, weights)
+    wl = _word_weight(lhs, weights)
+    if wr < wl:
+        return True
+    if wr > wl:
+        return False
+    if isinstance(rhs_word, str):
+        return True
+    if len(rhs_word) != len(lhs):
+        return False
+    return tuple(g.rank for g in rhs_word) < tuple(g.rank for g in lhs)
+
+
+def check_rules_by_pairs(rules, weights):
+    """The rule checks with _strictly_smaller run once per rhs term."""
+    for lhs, rhs in rules:
+        if not lhs:
+            raise RuleError("empty rule lhs")
+        if rhs.source != lhs[-1].source or rhs.target != lhs[0].target:
+            raise RuleError(f"rule {render_word(lhs)} -> {render_poly(rhs)} "
+                            f"changes boundary")
+        lhs_degree = word_degree(lhs)
+        for w in rhs.terms:
+            if word_degree(w) != lhs_degree:
+                raise RuleError(
+                    f"rule {render_word(lhs)} -> {render_poly(rhs)} changes "
+                    f"degree: lhs has degree {lhs_degree}, rhs term "
+                    f"{render_word(w)} has degree {word_degree(w)}")
+            if not _strictly_smaller(w, lhs, weights):
+                raise RuleError(
+                    f"rule {render_word(lhs)} -> {render_poly(rhs)} does not "
+                    f"decrease the reduction order at {render_word(w)}")
+
+
+def outcome(build_it):
+    """("ok", result) or (exception type, its text), and for a d^2 failure
+    also the generator or rule lhs it names."""
+    try:
+        return "ok", build_it()
+    except DSquaredNonzero as err:
+        # the text renders the residual, sorted
+        return DSquaredNonzero, str(err), err.gen_name
+    except (RuleError, ValueError) as err:
+        return type(err), str(err)
 
 
 # ---------------------------------------------------------------------------
@@ -149,3 +269,186 @@ def test_missing_differential_raises_value_error(construct):
 def test_duplicate_objects_raise_value_error(construct):
     with pytest.raises(ValueError, match="duplicate object ids"):
         construct(ring, ("X", "X"), (), {})
+
+
+# ---------------------------------------------------------------------------
+# spliced rewriting against the compose-based oracles
+# ---------------------------------------------------------------------------
+
+RINGS = {"Z": INTEGERS, "Q": RATIONALS, "Zmod:6": integers_mod(6)}
+COEFFS = {"Z": [-3, -2, -1, 1, 2, 3], "Q": [-2, 1, 3, "1/2", "-2/3"],
+          "Zmod:6": [1, 2, 3, 4, 5]}
+
+
+def _coeff(ring_text, c):
+    return RINGS[ring_text].parse_value(str(c))
+
+
+@st.composite
+def shortening_problems(draw):
+    """A ring, rules over LETTERS whose rhs words are shorter than their lhs
+    (so normalization ends; a rhs term may be the identity 1_X), and a
+    polynomial X -> X to normalize."""
+    ring_text = draw(st.sampled_from(sorted(RINGS)))
+    ring = RINGS[ring_text]
+    coeffs = st.sampled_from(COEFFS[ring_text])
+
+    def terms(max_len, count):
+        out = []
+        for _ in range(count):
+            n = draw(st.integers(0, max_len))
+            word = tuple(draw(st.sampled_from(LETTERS)) for _ in range(n))
+            out.append((word or "X", _coeff(ring_text, draw(coeffs))))
+        return out
+
+    rules = []
+    for _ in range(draw(st.integers(1, 5))):
+        lhs = tuple(draw(st.lists(st.sampled_from(LETTERS), min_size=1,
+                                  max_size=3)))
+        rhs = NcPoly.from_terms(ring, "X", "X",
+                                terms(len(lhs) - 1, draw(st.integers(0, 3))))
+        rules.append((lhs, rhs))
+    p = NcPoly.from_terms(ring, "X", "X", terms(6, draw(st.integers(1, 5))))
+    return rules, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(shortening_problems())
+def test_spliced_normalize_equals_compose_rewrites(problem):
+    rules, p = problem
+    index = RuleIndex(rules)
+    got = normalize_poly(index, p)
+    want = compose_normalize(index, p)
+    # the same terms in the same insertion order
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert (got.ring, got.source, got.target) == \
+        (want.ring, want.source, want.target)
+
+
+@pytest.mark.parametrize("ring_text", sorted(RINGS))
+@pytest.mark.parametrize("word", [(A, A), (A, A, B), (B, A, A, C), (B, A, A)],
+                         ids=["whole", "start", "middle", "end"])
+def test_identity_rhs_term_spliced_at_every_position(ring_text, word):
+    # a*a -> c + 2*1_X, as in the spliced_reducible category; over Zmod:6
+    # the coefficient 3 times 2 is a zero product
+    ring = RINGS[ring_text]
+    rhs = NcPoly.from_terms(ring, "X", "X", [((C,), 1), ("X", 2)])
+    index = RuleIndex([((A, A), rhs)])
+    p = NcPoly.from_terms(ring, "X", "X", [(word, 3), ((C, B), 1)])
+    got = normalize_poly(index, p)
+    assert list(got.terms.items()) == \
+        list(compose_normalize(index, p).terms.items())
+    rest = word[:word.index(A)] + word[word.index(A) + 2:]
+    assert got.terms.get(rest or "X", 0) == \
+        ring.mul(ring.normalize(3), ring.normalize(2))
+
+
+def test_rewrite_with_rhs_over_another_ring_is_an_error():
+    index = RuleIndex([((A, B), NcPoly.gen(RATIONALS, C))])
+    p = NcPoly(ring, "X", "X", {(C, A, B, C): 1})
+    for normalize in (normalize_poly, compose_normalize):
+        with pytest.raises(ValueError, match="mixed coefficient rings"):
+            normalize(index, p)
+
+
+def test_words_over_equal_generator_copies_match():
+    copies = tuple(Generator(*g) for g in (B, A, B, C))
+    assert copies[1] == A and copies[1] is not A
+    index = RuleIndex([((A, B), NcPoly.gen(ring, C))])
+    assert match_rule(index, copies) == (1, 0)
+    p = NcPoly(ring, "X", "X", {copies: 2})
+    assert normalize_poly(index, p).terms == {(B, C, C): 2}
+
+
+# One object, two closed letters of degree 0 and two of degree -1 whose
+# differentials are drawn, so d^2 = 0 always holds and only the rules can
+# break compatibility with d.
+P0 = Generator("p", "X", "X", 0, 0)
+Q0 = Generator("q", "X", "X", 0, 1)
+E1 = Generator("e", "X", "X", -1, 2)
+F1 = Generator("f", "X", "X", -1, 3)
+DG_LETTERS = (P0, Q0, E1, F1)
+DG_WORDS = ["X"] + [w for n in (1, 2, 3)
+                    for w in itertools.product(DG_LETTERS, repeat=n)]
+
+
+@st.composite
+def rule_problems(draw):
+    ring_text = draw(st.sampled_from(sorted(RINGS)))
+    ring = RINGS[ring_text]
+    coeffs = st.sampled_from(COEFFS[ring_text])
+
+    def poly(words):
+        chosen = draw(st.lists(st.sampled_from(words), max_size=3)
+                      if words else st.just([]))
+        return NcPoly.from_terms(ring, "X", "X", [
+            (w, _coeff(ring_text, draw(coeffs))) for w in chosen])
+
+    # words of degree 0 and length at most 2: over p, q and the identity
+    closed = [w for w in DG_WORDS if word_degree(w) == 0 and len(w) <= 2]
+    table = {"p": NcPoly.zero(ring, "X", "X"),
+             "q": NcPoly.zero(ring, "X", "X"),
+             "e": poly(closed), "f": poly(closed)}
+    rules = []
+    for _ in range(draw(st.integers(1, 3))):
+        lhs = tuple(draw(st.lists(st.sampled_from(DG_LETTERS), min_size=2,
+                                  max_size=3)))
+        smaller = [w for w in DG_WORDS if word_degree(w) == word_degree(lhs)
+                   and _strictly_smaller(w, lhs, {})]
+        rules.append((lhs, poly(smaller)))
+    return ring, table, rules
+
+
+def _rhs(ring, *terms):
+    return NcPoly.from_terms(ring, "X", "X", terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rule_problems())
+@example((INTEGERS, {"p": _rhs(ring), "q": _rhs(ring),
+                     "e": _rhs(ring, ((Q0,), 1)), "f": _rhs(ring)},
+          [((E1, P0), _rhs(ring, ((P0, E1), 1)))]))
+def test_fused_rule_audit_equals_normalized_difference(problem):
+    ring, table, rules = problem
+    got = outcome(lambda: new_relational(ring, ("X",), DG_LETTERS, table,
+                                         rules))
+    want = outcome(lambda: compose_relational(ring, ("X",), DG_LETTERS,
+                                              table, rules))
+    assert got == want
+
+
+def test_rule_breaking_compatibility_names_lhs_and_residual():
+    # d(e*p) = q*p but d(p*e) = p*q, and no rule relates them
+    table = {"p": _rhs(ring), "q": _rhs(ring), "e": _rhs(ring, ((Q0,), 1)),
+             "f": _rhs(ring)}
+    rules = [((E1, P0), _rhs(ring, ((P0, E1), 1)))]
+    with pytest.raises(DSquaredNonzero) as err:
+        new_relational(ring, ("X",), DG_LETTERS, table, rules)
+    assert err.value.gen_name == "e*p"
+    assert render_poly(err.value.residual) == "-p*q + q*p"
+
+
+weight_maps = st.one_of(st.just({}), st.dictionaries(
+    st.sampled_from([g.name for g in DG_LETTERS]), st.integers(0, 3)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(
+           st.lists(st.sampled_from(DG_LETTERS), min_size=1,
+                    max_size=3).map(tuple),
+           st.lists(st.sampled_from(DG_WORDS), max_size=3)), min_size=1,
+           max_size=3),
+       weight_maps)
+def test_hoisted_order_checks_equal_pairwise_checks(specs, weights):
+    rules = [(lhs, NcPoly.from_terms(ring, "X", "X", [(w, 1) for w in rhs]))
+             for lhs, rhs in specs]
+    for lhs, rhs in rules:
+        lhs_key = (_word_weight(lhs, weights), tuple(g.rank for g in lhs))
+        for w in rhs.terms:
+            assert _below(w, *lhs_key, weights) == \
+                _strictly_smaller(w, lhs, weights)
+    base = unaudited_semifree(ring, ("X",), DG_LETTERS,
+                              {g.name: _rhs(ring) for g in DG_LETTERS})
+    got = outcome(lambda: replace(base, rules=tuple(rules), weights=weights))
+    want = outcome(lambda: check_rules_by_pairs(rules, weights))
+    assert got[0] == "ok" if want[0] == "ok" else got == want
