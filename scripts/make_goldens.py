@@ -45,6 +45,10 @@ CASES = {
     "hom_a2_c1.json": ["hom", "-", "--src", "(K0,L)", "--tgt", "(K1,L)",
                        "--window=-2:0", "--bound", "4",
                        "--field", "Zmod:10007"],
+    # rule-free hom that loses terms past the bound: rows assembled from
+    # the trimmed d tables, ranks by modular elimination
+    "hom_m11.json": ["hom", "-", "--src", "L", "--tgt", "L",
+                     "--window=-6:0", "--bound", "3", "--field", "Zmod:10007"],
     "normalize_messy.json": ["normalize", str(DATA / "messy_data.json")],
     "equiv_flip.json": ["equiv", "flip", str(DATA / "messy_data.json"),
                         "--arrow", "e1"],
@@ -65,11 +69,14 @@ def prepare():
     main(["build", "--model", "C:1", "--out", str(c1_path)])
     a2_c1_path = DATA / "a2_c1.json"
     main(["tensor", str(a2_path), str(c1_path), "--out", str(a2_c1_path)])
+    m11_path = DATA / "m11.json"
+    main(["build", "--model", "M:1,1", "--out", str(m11_path)])
     CASES["hom_d12.md"][1] = str(d12_path)
     CASES["hom_d12.json"][1] = str(d12_path)
     CASES["tensor_a2_c3.txt"][1] = str(a2_path)
     CASES["tensor_a2_c3.txt"][2] = str(c3_path)
     CASES["hom_a2_c1.json"][1] = str(a2_c1_path)
+    CASES["hom_m11.json"][1] = str(m11_path)
 
 
 def run():

@@ -132,7 +132,11 @@ class Ring:
 
     def parse_value(self, text: str):
         text = text.strip()
-        return self.normalize(Fraction(text) if self.kind == "Q" else int(text))
+        try:
+            return self.normalize(Fraction(text) if self.kind == "Q"
+                                  else int(text))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
 
 
 # Strong probable-prime tests to the first twelve prime bases decide

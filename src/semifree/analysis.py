@@ -32,23 +32,39 @@ from .rewrite import new_relational
 def exact_rank(rows, ring: Ring) -> int:
     """Rank of a sparse integer/rational/modular matrix, exactly.
 
-    rows is a list of {column: value} dicts; they are not modified.
-    Rational rows are cleared to integers first, and Q ranks are always
-    computed over the integers, never modulo a prime.
+    rows is a list of {column: value} dicts; they are not modified, and
+    their values need not be reduced: zeros and, over Zmod, multiples of
+    the modulus are dropped here.  A row with one nonzero entry pivots its
+    column outright.  Every other row is copied once, with its values
+    reduced mod p or its denominators cleared, and without the zeros and
+    the columns of those pivots; the copies are eliminated by _rank_core.
+    Q ranks are thus always computed over the integers, never modulo a
+    prime.
     """
     p = ring.modulus if ring.kind == "Zmod" else None
-    cleaned = []
+    pivoted = set()  # the columns of one-entry rows
+    rest = []
     for row in rows:
+        if len(row) == 1:
+            for c, v in row.items():
+                if v % p if p is not None else v:
+                    pivoted.add(c)
+        elif row:
+            rest.append(row)
+    reduced = []
+    for row in rest:
         if p is not None:
-            row = {c: r for c, v in row.items() if (r := v % p)}
-        elif all(type(v) is int for v in row.values()):
-            row = {c: v for c, v in row.items() if v}
-        else:  # a rational row: clear its denominators
+            row = {c: r for c, v in row.items()
+                   if (r := v % p) and c not in pivoted}
+        elif type(sum(row.values())) is int:  # no Fraction in the row
+            row = {c: v for c, v in row.items() if v and c not in pivoted}
+        else:
             denom = lcm(*(v.denominator for v in row.values()))
-            row = {c: int(v * denom) for c, v in row.items() if v}
+            row = {c: int(v * denom) for c, v in row.items()
+                   if v and c not in pivoted}
         if row:
-            cleaned.append(row)
-    return _rank_core(cleaned, p)
+            reduced.append(row)
+    return len(pivoted) + _rank_core(reduced, p)
 
 
 def _rank_core(rows, p) -> int:
@@ -255,6 +271,11 @@ def _d_rows(cat, table: dict, basis: dict, index: dict, source: str,
     (outside index: longer than the bound or not listed).  With rules, the
     terms outside index are normalized through the category's rules first.
 
+    Each spliced term in index is added straight into its column.  The
+    values are raw sums, not reduced: a row may hold zeros and, over Zmod,
+    values of any size; exact_rank reduces them.  Only the sum of a term
+    outside index is reduced, to decide whether it is lost.
+
     index lists words of length at most bound.  Once a term is lost and
     there are no rules, a spliced term longer than bound can change no row
     and no flag, so it is not built: a word of length L takes only the d
@@ -276,8 +297,8 @@ def _d_rows(cat, table: dict, basis: dict, index: dict, source: str,
             use = trimmed.get(room)
             if use is None:
                 use = trimmed[room] = _trim(table, room)
-        terms = {}
-        get = terms.get
+        row = {}
+        outside = {}
         left_degree = 0
         for j, r in enumerate(word):
             g, signed = use[r]
@@ -286,20 +307,21 @@ def _d_rows(cat, table: dict, basis: dict, index: dict, source: str,
                 left, right = word[:j], word[j + 1:]
                 for t, c in dterms:
                     key = left + t + right
-                    terms[key] = get(key, 0) + c
+                    col = index.get(key)
+                    if col is None:
+                        outside[key] = outside.get(key, 0) + c
+                    else:
+                        row[col] = row.get(col, 0) + c
             left_degree += g.degree
-        if cat.rules:
-            _normalize_outside(cat, table, terms, index, source, target, p)
-        row = {}
-        for key, value in terms.items():
-            if p is not None:
-                value %= p
-            if value:
-                col = index.get(key)
-                if col is None:
-                    lost = True
-                else:
-                    row[col] = value
+        if outside:
+            if cat.rules:
+                outside = _normalize_outside(cat, table, outside, index, row,
+                                             source, target, p)
+            if not lost:
+                for value in outside.values():
+                    if value % p if p is not None else value:
+                        lost = True
+                        break
         if row:
             rows.append(row)
     return rows, lost
@@ -312,24 +334,28 @@ def _trim(table: dict, room: int) -> dict:
             for r, (g, signed) in table.items()}
 
 
-def _normalize_outside(cat, table: dict, terms: dict, index: dict,
-                       source: str, target: str, p) -> None:
-    """Replace, in place, the terms whose coded word is not in index by
-    their normal form under cat's rules.  The words of index are
+def _normalize_outside(cat, table: dict, outside: dict, index: dict,
+                       row: dict, source: str, target: str, p) -> dict:
+    """Normalize the terms outside index under cat's rules, add those that
+    land in index to row, and return the rest.  The words of index are
     irreducible already: hom_slice lists no reducible word."""
-    outside = {}
-    for key in [key for key in terms if key not in index]:
-        value = terms.pop(key)
+    words = {}
+    for key, value in outside.items():
         if p is not None:
             value %= p
         if value:
-            word = tuple(table[r][0] for r in key) if key else source
-            outside[word] = value
-    if outside:
-        normal = cat.normalize(NcPoly(cat.ring, source, target, outside))
+            words[tuple(table[r][0] for r in key) if key else source] = value
+    rest = {}
+    if words:
+        normal = cat.normalize(NcPoly(cat.ring, source, target, words))
         for word, value in normal.terms.items():
             key = _code(word)
-            terms[key] = terms.get(key, 0) + value
+            col = index.get(key)
+            if col is None:
+                rest[key] = value
+            else:
+                row[col] = row.get(col, 0) + value
+    return rest
 
 
 # ---------------------------------------------------------------------------

@@ -498,7 +498,9 @@ def hom_slice(cat, source: str, target: str, window, length_bound: int) -> HomBa
     paths = [((), source, 0)]  # (written-order word so far, left end, degree)
     for length in range(1, length_bound + 1):
         ahead = reach[length_bound - length]
+        grow = length < length_bound  # nothing extends the longest words
         grown = []
+        found = {}  # degree -> this length's words
         for word, tip, deg in paths:
             for r, tip_out, g_deg in out_of.get(tip, ()):
                 rest = ahead.get(tip_out)
@@ -510,13 +512,14 @@ def hom_slice(cat, source: str, target: str, window, length_bound: int) -> HomBa
                 if prefixes and any(new_word[:n] in lhs
                                     for n, lhs in prefixes):
                     continue
-                grown.append((new_word, tip_out, new_deg))
+                if grow:
+                    grown.append((new_word, tip_out, new_deg))
                 if tip_out == target and lo <= new_deg <= hi:
-                    by_degree.setdefault(new_deg, []).append(new_word)
+                    found.setdefault(new_deg, []).append(new_word)
+        for new_deg, ws in found.items():
+            ws.sort()
+            by_degree.setdefault(new_deg, []).extend(ws)
         paths = grown
-    for ws in by_degree.values():
-        ws.sort()
-        ws.sort(key=len)
     return HomBasisSlice(source, target, (lo, hi), length_bound, by_degree)
 
 

@@ -154,6 +154,16 @@ MALFORMED_DOCUMENTS = {
         _c3_with(lambda d: d.update(rules=[{"lhs": ["z", "z", "z"],
                                             "rhs": "q"}])),
         "rules[0].rhs: unknown generator 'q'"),
+    # Fraction("1/0") once escaped as a ZeroDivisionError
+    "d-zero-denominator": (
+        _c3_with(lambda d: (d.update(coefficients="Q"),
+                            d["generators"][0].update(d="1/0*z"))),
+        "generators[0].d: zero denominator in '1/0'"),
+    "rule-rhs-zero-denominator": (
+        _c3_with(lambda d: d.update(coefficients="Q",
+                                    rules=[{"lhs": ["z", "z", "z"],
+                                            "rhs": "2/0*z*z*z"}])),
+        "rules[0].rhs: zero denominator in '2/0'"),
 }
 
 

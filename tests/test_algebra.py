@@ -138,6 +138,12 @@ def test_integral_rationals_are_ints():
     assert RATIONALS.render_value(two) == str(Fraction(2))
 
 
+@pytest.mark.parametrize("text", ["1/0", " -3/0 ", "0/0"])
+def test_zero_denominator_is_a_value_error(text):
+    with pytest.raises(ValueError, match=r"zero denominator in '-?\d/0'"):
+        RATIONALS.parse_value(text)
+
+
 def test_no_floats_accepted():
     for ring in RINGS:
         with pytest.raises(TypeError):

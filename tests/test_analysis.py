@@ -1,6 +1,7 @@
 """Truncated cohomology, presentation equality, rank compatibility."""
 
 import functools
+import random
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,11 @@ from semifree.dgcat import (
     validate_functor,
 )
 from semifree.fukaya import ModelId, build
+from semifree.plumbing import (
+    RandomPlumbingConfig,
+    build_wrapped,
+    random_plumbing,
+)
 from semifree.rewrite import new_relational
 from semifree.twisted import build_d12, build_e12
 from helpers import decoded
@@ -169,6 +175,39 @@ def test_exact_rank_modular_matches_dense_oracle(p, rows):
     assert rows == before
 
 
+@st.composite
+def singleton_heavy_rows(draw, p, rational: bool):
+    """Rows as _d_rows gives them to exact_rank: most have one entry, on
+    few columns, so one-entry rows share columns with each other and with
+    longer rows; values may be zero, multiples of p or Fractions."""
+    small = st.integers(-3, 3)
+    value = st.one_of(small, BIG, small.map(lambda k: k * (p or 7)))
+    if rational:
+        value = st.one_of(value, st.builds(Fraction, small,
+                                           st.integers(1, 6)))
+    rows = []
+    for _ in range(draw(st.integers(0, 14))):
+        size = draw(st.sampled_from([0, 1, 1, 1, 1, 2, 2, 3, NCOLS]))
+        cols = draw(st.lists(st.integers(0, NCOLS - 1), min_size=size,
+                             max_size=size, unique=True))
+        rows.append({c: draw(value) for c in cols})
+    return rows
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_exact_rank_on_singleton_heavy_rows_matches_dense_oracle(data):
+    ring_ = data.draw(st.sampled_from([INTEGERS, Q, integers_mod(2),
+                                       integers_mod(3), integers_mod(7)]))
+    p = ring_.modulus if ring_.kind == "Zmod" else None
+    rows = data.draw(singleton_heavy_rows(p, ring_ is Q))
+    before = [dict(r) for r in rows]
+    assert exact_rank(rows, ring_) == dense_rank(rows, NCOLS, p)
+    assert rows == before  # the caller's rows are not modified
+    assert [list(map(type, r.values())) for r in rows] == \
+        [list(map(type, r.values())) for r in before]
+
+
 @pytest.mark.parametrize("field", ["Q", "Zmod:7"])
 @pytest.mark.parametrize("spec,bound", [("M:1,1", 2), ("S:2,1,1", 3)])
 def test_exact_rank_on_assembled_matrices_matches_dense_oracle(spec, bound,
@@ -242,6 +281,42 @@ def test_rational_and_modular_ranks_agree():
         tq = truncated_cohomology(cat, src, src, (-3, 0), bound, Q)
         tp = truncated_cohomology(cat, src, src, (-3, 0), bound, P)
         assert tq.ranks == tp.ranks
+
+
+def assert_fields_agree(cat, source, target, window, bound):
+    tq = truncated_cohomology(cat, source, target, window, bound, Q)
+    tp = truncated_cohomology(cat, source, target, window, bound, P)
+    assert (tq.ranks, tq.exact, tq.basis_sizes) == \
+        (tp.ranks, tp.exact, tp.basis_sizes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.data())
+def test_rational_and_modular_tables_agree_on_random_plumbings(seed, data):
+    cat = build_wrapped(random_plumbing(
+        random.Random(seed), RandomPlumbingConfig(max_vertices=3,
+                                                  max_arrows=4), ring))
+    source = data.draw(st.sampled_from(cat.objects))
+    target = data.draw(st.sampled_from(cat.objects))
+    lo = data.draw(st.integers(-4, 0))
+    assert_fields_agree(cat, source, target, (lo, lo + 2),
+                        data.draw(st.integers(0, 3)))
+
+
+@pytest.mark.parametrize("window,bound", [((-2, 0), 4), ((-4, -1), 5)])
+def test_rational_and_modular_tables_agree_with_fractional_d(window, bound):
+    # d(h) = 1/2*x*x - 2/3*x and d(t) = 3/5*(x*h - h*x): rows of Fractions,
+    # whose denominators exact_rank clears over Q
+    x = Generator("x", "L", "L", 0, 0)
+    h = Generator("h", "L", "L", -1, 1)
+    t = Generator("t", "L", "L", -2, 2)
+    cat = new_semifree(Q, ("L",), (x, h, t), {
+        "x": NcPoly.zero(Q, "L", "L"),
+        "h": NcPoly(Q, "L", "L", {(x, x): Fraction(1, 2),
+                                  (x,): Fraction(-2, 3)}),
+        "t": NcPoly(Q, "L", "L", {(x, h): Fraction(3, 5),
+                                  (h, x): Fraction(-3, 5)})})
+    assert_fields_agree(cat, "L", "L", window, bound)
 
 
 def test_negative_rank_raises_instead_of_clamping(monkeypatch):
@@ -344,13 +419,19 @@ def test_assembled_rows_match_leibniz_oracle(data):
 
 
 def coded_rows(cat, source, target, window, bound, k):
-    """_d_rows and oracle_rows on degree k of the slice."""
+    """_d_rows and oracle_rows on degree k of the slice.  _d_rows gives raw
+    sums, so its rows are compared as exact_rank reduces them: mod p, and
+    without zeros or empty rows."""
     slice_ = hom_slice(cat, source, target, window, bound)
     coded, words = slice_.words_by_degree, decoded(cat, slice_)
-    got = _d_rows(cat, _d_table(cat),
-                  {w: i for i, w in enumerate(coded.get(k, []))},
-                  {w: i for i, w in enumerate(coded.get(k + 1, []))},
-                  source, target, bound)
+    rows, lost = _d_rows(cat, _d_table(cat),
+                         {w: i for i, w in enumerate(coded.get(k, []))},
+                         {w: i for i, w in enumerate(coded.get(k + 1, []))},
+                         source, target, bound)
+    p = cat.ring.modulus if cat.ring.kind == "Zmod" else None
+    reduced = ({c: r for c, v in row.items() if (r := v % p if p else v)}
+               for row in rows)
+    got = [row for row in reduced if row], lost
     return got, oracle_rows(cat, words.get(k, []), words.get(k + 1, []),
                             bound), words
 
@@ -376,19 +457,21 @@ def test_trimmed_assembly_matches_oracle_on_every_degree(field):
 def test_assembly_before_a_loss_builds_every_term():
     # Outside the rank order (d(u) uses u), terms beyond the bound can
     # cancel: d(u*v) = u*p*v - u*p*v = 0, so at bound 2 nothing of degree
-    # -2 from X to Z is lost.  Built without new_semifree's checks.
+    # -2 from X to Z is lost.  Over Zmod:7 the raw sum is 1 + 6 = 7, which
+    # must read as zero.  Built without new_semifree's checks.
     u = Generator("u", "Y", "Z", -1, 0)
     v = Generator("v", "X", "Y", -1, 1)
     p = Generator("p", "Y", "Y", 1, 2)
-    cat = SemifreeDgCat(Q, ("X", "Y", "Z"), (u, v, p), {
-        "u": NcPoly(Q, "Y", "Z", {(u, p): 1}),
-        "v": NcPoly(Q, "X", "Y", {(p, v): 1}),
-        "p": NcPoly(Q, "Y", "Y", {(p, p): 1})})
-    got, want, words = coded_rows(cat, "X", "Z", (-3, 0), 2, -2)
-    assert words[-2] == [(u, v)]
-    assert got == want == ([], False)
-    got, want, _ = coded_rows(cat, "X", "Z", (-3, 0), 3, -1)
-    assert got == want == ([], True)  # d(u*p*v) = u*p*p*v
+    for field in (Q, integers_mod(7)):
+        cat = SemifreeDgCat(field, ("X", "Y", "Z"), (u, v, p), {
+            "u": NcPoly(field, "Y", "Z", {(u, p): 1}),
+            "v": NcPoly(field, "X", "Y", {(p, v): 1}),
+            "p": NcPoly(field, "Y", "Y", {(p, p): 1})})
+        got, want, words = coded_rows(cat, "X", "Z", (-3, 0), 2, -2)
+        assert words[-2] == [(u, v)]
+        assert got == want == ([], False)
+        got, want, _ = coded_rows(cat, "X", "Z", (-3, 0), 3, -1)
+        assert got == want == ([], True)  # d(u*p*v) = u*p*p*v
 
 
 @pytest.mark.parametrize("field", ["Z", "Zmod:7"])

@@ -51,6 +51,9 @@ CASES = [
     ("hom_a2_c1.json", ["hom", str(DATA / "a2_c1.json"), "--src", "(K0,L)",
                         "--tgt", "(K1,L)", "--window=-2:0", "--bound", "4",
                         "--field", "Zmod:10007"]),
+    ("hom_m11.json", ["hom", str(DATA / "m11.json"), "--src", "L",
+                      "--tgt", "L", "--window=-6:0", "--bound", "3",
+                      "--field", "Zmod:10007"]),
     ("normalize_messy.json", ["normalize", str(DATA / "messy_data.json")]),
     ("equiv_flip.json", ["equiv", "flip", str(DATA / "messy_data.json"),
                          "--arrow", "e1"]),
