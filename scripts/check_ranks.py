@@ -25,6 +25,7 @@ CASES = (
     ("M:1,1", ["M:1,1"], "L", "-6:0", 3),
     ("M:1,1 x S:2,1,1", ["M:1,1", "S:2,1,1"], "(L,L)", "-2:0", 2),
     ("M:1,1 x S:2,1,1", ["M:1,1", "S:2,1,1"], "(L,L)", "-2:0", 3),
+    ("M:2,1 x S:2,1,1", ["M:2,1", "S:2,1,1"], "(L,L)", "-2:0", 2),
     ("S:3,2,1", ["S:3,2,1"], "L", "-4:0", 9),
 )
 

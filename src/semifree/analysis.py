@@ -12,17 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import attrgetter
 
-from .algebra import (
-    MissingDifferential,
-    NcPoly,
-    Ring,
-    _checked,
-    render_poly,
-)
-from .dgcat import hom_slice, new_semifree, push_poly
-from .rewrite import new_relational
+from .algebra import NcPoly, Ring, render_poly
+from .dgcat import _d_table, hom_slice, new_semifree, push_poly
+from .rewrite import new_relational, normal_form
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +202,7 @@ def truncated_cohomology(cat, source: str, target: str, window, bound: int,
     dropped = {}
     for k in range(lo - 1, hi + 1):
         rows, dropped[k] = _d_rows(work, table, index[k], index[k + 1],
-                                   source, target, bound)
+                                   bound)
         ranks_d[k] = exact_rank(rows, work.ring)
     ranks = {}
     exact = {}
@@ -228,44 +221,7 @@ def truncated_cohomology(cat, source: str, target: str, window, bound: int,
                      exact, {k: len(index[k]) for k in range(lo, hi + 1)})
 
 
-# The hom complex is assembled on the coded words of hom_slice: a word is
-# the tuple of its generators' ranks, and an identity is ().
-
-_rank = attrgetter("rank")
-
-
-def _code(word) -> tuple:
-    return () if isinstance(word, str) else tuple(map(_rank, word))
-
-
-def _d_table(cat) -> dict:
-    """rank -> (generator, (+d terms, -d terms)) of each generator, where
-    the d terms are the (coded word, value) pairs of d(generator), and the
-    -d terms the same words with negated values.
-
-    Ranks code the words; hom_slice has checked that they are distinct.
-    Every term is checked here to compose and to run along its
-    generator's boundary.
-    Put in place of its generator in a composable word, such a term gives
-    a composable word with the same boundary, so the spliced words of
-    _d_rows need no check of their own.
-    """
-    ring = cat.ring
-    table = {}
-    for g in cat.generators:
-        dg = cat.differentials.get(g.name)
-        if dg is None:
-            raise MissingDifferential(f"no differential entry for {g.name}")
-        if dg.ring != ring:
-            raise ValueError("mixed coefficient rings")
-        terms = [(_code(_checked(w, g.source, g.target)), c)
-                 for w, c in dg.terms.items()]
-        table[g.rank] = (g, (terms, [(t, ring.neg(c)) for t, c in terms]))
-    return table
-
-
-def _d_rows(cat, table: dict, basis: dict, index: dict, source: str,
-            target: str, bound: int):
+def _d_rows(cat, table: dict, basis: dict, index: dict, bound: int):
     """The rows {column in index: value} of d on the coded words of basis,
     by the graded Leibniz rule, and whether a term of some d(word) was lost
     (outside index: longer than the bound or not listed).  With rules, the
@@ -315,8 +271,18 @@ def _d_rows(cat, table: dict, basis: dict, index: dict, source: str,
             left_degree += g.degree
         if outside:
             if cat.rules:
-                outside = _normalize_outside(cat, table, outside, index, row,
-                                             source, target, p)
+                # the words of index are irreducible already: hom_slice
+                # lists no reducible word
+                normal = normal_form(cat._index, ring, [
+                    (key, r) for key, value in outside.items()
+                    if (r := value % p if p is not None else value)])
+                outside = {}
+                for key, value in normal.items():
+                    col = index.get(key)
+                    if col is None:
+                        outside[key] = value
+                    else:
+                        row[col] = row.get(col, 0) + value
             if not lost:
                 for value in outside.values():
                     if value % p if p is not None else value:
@@ -332,30 +298,6 @@ def _trim(table: dict, room: int) -> dict:
     return {r: (g, tuple([(t, c) for t, c in terms if len(t) <= room]
                          for terms in signed))
             for r, (g, signed) in table.items()}
-
-
-def _normalize_outside(cat, table: dict, outside: dict, index: dict,
-                       row: dict, source: str, target: str, p) -> dict:
-    """Normalize the terms outside index under cat's rules, add those that
-    land in index to row, and return the rest.  The words of index are
-    irreducible already: hom_slice lists no reducible word."""
-    words = {}
-    for key, value in outside.items():
-        if p is not None:
-            value %= p
-        if value:
-            words[tuple(table[r][0] for r in key) if key else source] = value
-    rest = {}
-    if words:
-        normal = cat.normalize(NcPoly(cat.ring, source, target, words))
-        for word, value in normal.terms.items():
-            key = _code(word)
-            col = index.get(key)
-            if col is None:
-                rest[key] = value
-            else:
-                row[col] = row.get(col, 0) + value
-    return rest
 
 
 # ---------------------------------------------------------------------------

@@ -11,20 +11,23 @@ and a semifree category is the case with no rules.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 from .algebra import (
     CompositionError,
     Generator,
+    MissingDifferential,
     NcPoly,
     Ring,
+    _checked,
     _concat,
     accumulate,
+    check_word,
     compose,
     leibniz_d,
     parse_poly,
     render_poly,
     render_word,
-    word_degree,
 )
 
 
@@ -68,28 +71,65 @@ class SemifreeDgCat:
                            {g.name: g for g in self.generators})
         if not self.rules:
             return
-        from .rewrite import RuleError, RuleIndex, _below, _word_weight
+        from .rewrite import RuleError, RuleIndex
+        # the index codes words by rank and decodes them through by_rank,
+        # so every rule letter must be one of the generators
+        by_rank = {g.rank: g for g in self.generators}
+        if len(by_rank) != len(self.generators):
+            raise ValueError("duplicate ordinal ranks")
+        code = {g: g.rank for g in self.generators}
         weights = self.weights
+        index = RuleIndex(letters=by_rank)
         for lhs, rhs in self.rules:
             if not lhs:
                 raise RuleError("empty rule lhs")
             if rhs.source != lhs[-1].source or rhs.target != lhs[0].target:
                 raise RuleError(
                     f"rule {render_word(lhs)} -> {render_poly(rhs)} changes boundary")
-            lhs_degree = word_degree(lhs)
-            lhs_weight = _word_weight(lhs, weights)
-            lhs_ranks = tuple(g.rank for g in lhs)
-            for w in rhs.terms:
-                if word_degree(w) != lhs_degree:
+            # rewriting splices coded rhs words in place of the lhs, and d
+            # terms in place of letters, with no check of the spliced words
+            try:
+                check_word(lhs)
+                for w in rhs.terms:
+                    _checked(w, rhs.source, rhs.target)
+            except CompositionError as err:
+                raise RuleError(str(err)) from None
+            try:
+                ranks = tuple(map(code.__getitem__, lhs))
+                terms = [(() if isinstance(w, str)
+                          else tuple(map(code.__getitem__, w)), c)
+                         for w, c in rhs.terms.items()]
+            except KeyError as err:
+                raise RuleError(
+                    f"rule {render_word(lhs)} -> {render_poly(rhs)} uses "
+                    f"{err.args[0].name}, which is not a generator of the "
+                    f"category") from None
+            degree = sum(map(_degree, lhs))
+            weight = (sum([weights.get(g.name, 1) for g in lhs]) if weights
+                      else len(lhs))
+            for w, (w_ranks, _) in zip(rhs.terms, terms):
+                letters = w if w_ranks else ()  # an identity has none
+                w_degree = sum(map(_degree, letters))
+                w_weight = (sum([weights.get(g.name, 1) for g in letters])
+                            if weights else len(w_ranks))
+                # w < lhs in the reduction order, stably under
+                # multiplication: an identity is below every lhs of weight
+                # >= 0, and equal weight but different length is not stable
+                # under embedding
+                below = (w_weight < weight if w_weight != weight
+                         else not w_ranks or len(w_ranks) == len(ranks)
+                         and w_ranks < ranks)
+                if w_degree != degree:
                     raise RuleError(
                         f"rule {render_word(lhs)} -> {render_poly(rhs)} changes "
-                        f"degree: lhs has degree {lhs_degree}, rhs term "
-                        f"{render_word(w)} has degree {word_degree(w)}")
-                if not _below(w, lhs_weight, lhs_ranks, weights):
+                        f"degree: lhs has degree {degree}, rhs term "
+                        f"{render_word(w)} has degree {w_degree}")
+                if not below:
                     raise RuleError(
                         f"rule {render_word(lhs)} -> {render_poly(rhs)} does not "
                         f"decrease the reduction order at {render_word(w)}")
-        object.__setattr__(self, "_index", RuleIndex(self.rules))
+            index.add(ranks, terms, rhs.ring)
+        object.__setattr__(self, "_index", index)
 
     # -- lookups --
     def gen(self, name: str) -> Generator:
@@ -114,7 +154,7 @@ class SemifreeDgCat:
 
     # -- rewriting --
     def is_reducible(self, word) -> bool:
-        return bool(self.rules) and self._index.match(word) is not None
+        return bool(self.rules) and self._index.match(_code(word)) is not None
 
     def normalize(self, p: NcPoly) -> NcPoly:
         return self._index.normalize(p) if self.rules else p
@@ -485,11 +525,9 @@ def hom_slice(cat, source: str, target: str, window, length_bound: int) -> HomBa
         named[g.rank] = g.name
         out_of.setdefault(g.source, []).append((g.rank, g.target, g.degree))
     # Every grown word is irreducible, so a rule lhs can occur in (r,)+word
-    # only as a prefix: one set lookup per distinct lhs length.
-    lhs_sets = {}
-    for lhs, _ in cat.rules:
-        lhs_sets.setdefault(len(lhs), set()).add(tuple(g.rank for g in lhs))
-    prefixes = sorted(lhs_sets.items())
+    # only as a prefix: one dict lookup per distinct lhs length.
+    lhs_first, lhs_lengths = ((cat._index.first, cat._index.lengths)
+                              if cat.rules else ({}, ()))
     reach = _reach_table(cat.generators, target, length_bound)
     by_degree = {}
     if lo <= 0 <= hi and source == target:
@@ -509,8 +547,8 @@ def hom_slice(cat, source: str, target: str, window, length_bound: int) -> HomBa
                         or new_deg + rest[1] < lo):
                     continue
                 new_word = (r,) + word
-                if prefixes and any(new_word[:n] in lhs
-                                    for n, lhs in prefixes):
+                if lhs_lengths and any(new_word[:n] in lhs_first
+                                       for n in lhs_lengths):
                     continue
                 if grow:
                     grown.append((new_word, tip_out, new_deg))
@@ -521,6 +559,44 @@ def hom_slice(cat, source: str, target: str, window, length_bound: int) -> HomBa
             by_degree.setdefault(new_deg, []).extend(ws)
         paths = grown
     return HomBasisSlice(source, target, (lo, hi), length_bound, by_degree)
+
+
+# The hom complex is assembled, and rules are applied, on the coded words
+# of hom_slice: a word is the tuple of its generators' ranks, and an
+# identity is ().
+
+_rank = attrgetter("rank")
+_degree = attrgetter("degree")
+
+
+def _code(word) -> tuple:
+    return () if isinstance(word, str) else tuple(map(_rank, word))
+
+
+def _d_table(cat) -> dict:
+    """rank -> (generator, (+d terms, -d terms)) of each generator, where
+    the d terms are the (coded word, value) pairs of d(generator), and the
+    -d terms the same words with negated values.
+
+    Ranks code the words; hom_slice and a category's rule index check
+    that they are distinct.  Every term is checked here to compose and to
+    run along its generator's boundary.
+    Put in place of its generator in a composable word, such a term gives
+    a composable word with the same boundary, so the spliced words of
+    analysis._d_rows and rewrite.audit_rules need no check of their own.
+    """
+    ring = cat.ring
+    table = {}
+    for g in cat.generators:
+        dg = cat.differentials.get(g.name)
+        if dg is None:
+            raise MissingDifferential(f"no differential entry for {g.name}")
+        if dg.ring != ring:
+            raise ValueError("mixed coefficient rings")
+        terms = [(_code(_checked(w, g.source, g.target)), c)
+                 for w, c in dg.terms.items()]
+        table[g.rank] = (g, (terms, [(t, ring.neg(c)) for t, c in terms]))
+    return table
 
 
 # ---------------------------------------------------------------------------

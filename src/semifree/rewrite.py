@@ -11,12 +11,15 @@ live on dgcat.SemifreeDgCat, which checks them and indexes them once.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import replace
 
 from .algebra import NcPoly, accumulate, render_word
 from .dgcat import (
     DSquaredNonzero,
     SemifreeDgCat,
+    _code,
+    _d_table,
     audit_d_squared,
     unaudited_semifree,
 )
@@ -30,47 +33,43 @@ class RuleError(Exception):
     pass
 
 
-def _word_weight(word, weights) -> int:
-    if isinstance(word, str):
-        return 0
-    return sum(weights.get(g.name, 1) for g in word)
-
-
 def _order_key(word, weights):
     if isinstance(word, str):
         return (0, 0, ())
-    return (_word_weight(word, weights), len(word), tuple(g.rank for g in word))
-
-
-def _below(word, lhs_weight: int, lhs_ranks: tuple, weights) -> bool:
-    """word < lhs in the declared reduction order, multiplication-stably,
-    where lhs has weight lhs_weight and rank tuple lhs_ranks."""
-    if isinstance(word, str):
-        return lhs_weight >= 0
-    weight = _word_weight(word, weights)
-    if weight != lhs_weight:
-        return weight < lhs_weight
-    # equal weight but different length is not stable under embedding
-    return (len(word) == len(lhs_ranks)
-            and tuple(g.rank for g in word) < lhs_ranks)
+    return (sum(weights.get(g.name, 1) for g in word), len(word),
+            tuple(g.rank for g in word))
 
 
 class RuleIndex:
-    """Rule left-hand sides keyed by their tuple of Generators, which
-    compare by value.
+    """Rules on rank-coded words (the tuple of a word's generator ranks; an
+    identity is ()), which needs distinct ranks.
 
-    Built once per rule set.  A duplicate lhs keeps its first rule index, so
-    a lookup returns the smallest index among the rules with that lhs.
+    rules[i] is (lhs, rhs as (word, value) pairs, rhs ring); first maps an
+    lhs to the smallest index of a rule with it; lengths lists the lhs
+    lengths in increasing order; letters maps rank -> Generator to decode.
+    SemifreeDgCat builds its index as it checks its rules, and
+    RuleIndex(rules) indexes (Generator tuple, NcPoly) rules unchecked.
     """
 
-    __slots__ = ("rules", "first", "lengths")
+    __slots__ = ("rules", "first", "lengths", "letters")
 
-    def __init__(self, rules):
-        self.rules = tuple(rules)
+    def __init__(self, rules=(), letters=None):
+        self.rules = []
         self.first = {}
-        for idx, (lhs, _) in enumerate(self.rules):
-            self.first.setdefault(tuple(lhs), idx)
-        self.lengths = sorted({len(lhs) for lhs, _ in self.rules})
+        self.lengths = []
+        self.letters = {} if letters is None else letters
+        for lhs, rhs in rules:
+            for w in rhs.terms:
+                if not isinstance(w, str):
+                    self.letters.update((g.rank, g) for g in w)
+            self.add(_code(lhs), [(_code(w), c) for w, c in rhs.terms.items()],
+                     rhs.ring)
+
+    def add(self, lhs: tuple, terms: list, ring) -> None:
+        self.first.setdefault(lhs, len(self.rules))
+        self.rules.append((lhs, terms, ring))
+        if len(lhs) not in self.lengths:
+            insort(self.lengths, len(lhs))
 
     # SemifreeDgCat matches and normalizes through these: this module
     # imports dgcat, so dgcat cannot import these functions at load time.
@@ -81,14 +80,13 @@ class RuleIndex:
         return normalize_poly(self, p)
 
 
-def match_rule(index: RuleIndex, word):
-    """First (position, rule index) whose lhs occurs in word, or None.
+def match_rule(index: RuleIndex, word: tuple):
+    """First (position, rule index) whose lhs occurs in the coded word, or
+    None.
 
     One dict lookup of a slice of word per distinct lhs length at each
     position.
     """
-    if isinstance(word, str):
-        return None
     n = len(word)
     first = index.first
     lengths = index.lengths
@@ -105,18 +103,15 @@ def match_rule(index: RuleIndex, word):
     return None
 
 
-def normalize_poly(index: RuleIndex, p: NcPoly) -> NcPoly:
-    """Rewrite every word of p to normal form under the indexed rules.
-
-    A rewrite splices each rhs term of the matched rule into the word in
-    place of the lhs (an identity term joins the two sides) and drops the
-    zero products.
-    """
-    ring = p.ring
+def normal_form(index: RuleIndex, ring, pending: list) -> dict:
+    """The normal form {word: value} of pending, a list of (coded word,
+    reduced value) pairs that it uses up from the end.  A word is rewritten
+    at its leftmost match by the smallest rule index there: each rhs term
+    is spliced in place of the lhs, dropping zero products.  Irreducible
+    terms are summed in the order they are found."""
     mul, is_zero = ring.mul, ring.is_zero
     rules = index.rules
-    normal = []  # irreducible terms, in the order they are summed
-    pending = list(p.terms.items())
+    normal = []
     while pending:
         word, coeff = pending.pop()
         hit = match_rule(index, word)
@@ -124,17 +119,36 @@ def normalize_poly(index: RuleIndex, p: NcPoly) -> NcPoly:
             normal.append((word, coeff))
             continue
         i, idx = hit
-        lhs, rhs = rules[idx]
-        if rhs.ring is not ring and rhs.ring != ring:
+        lhs, terms, rhs_ring = rules[idx]
+        if rhs_ring is not ring and rhs_ring != ring:
             raise ValueError("mixed coefficient rings")
         left = word[:i]
         right = word[i + len(lhs):]
-        for w, c in rhs.terms.items():
+        for w, c in terms:
             c = mul(coeff, c)
             if not is_zero(c):
-                pending.append(((left + right or w) if isinstance(w, str)
-                                else left + w + right, c))
-    return NcPoly(ring, p.source, p.target, accumulate(ring, {}, normal))
+                pending.append((left + w + right, c))
+    return accumulate(ring, {}, normal)
+
+
+def _decode(letters: dict, ring, source: str, target: str,
+            terms: dict) -> NcPoly:
+    return NcPoly(ring, source, target,
+                  {tuple([letters[r] for r in w]) if w else source: c
+                   for w, c in terms.items()})
+
+
+def normalize_poly(index: RuleIndex, p: NcPoly) -> NcPoly:
+    """p with every word rewritten to normal form under the indexed rules,
+    by normal_form on its coded words."""
+    letters = dict(index.letters)
+    pending = []
+    for word, coeff in p.terms.items():
+        ranks = _code(word)
+        letters.update(zip(ranks, word))
+        pending.append((ranks, coeff))
+    return _decode(letters, p.ring, p.source, p.target,
+                   normal_form(index, p.ring, pending))
 
 
 def new_relational(ring, objects, generators, differentials, rules,
@@ -145,18 +159,36 @@ def new_relational(ring, objects, generators, differentials, rules,
                                      provenance),
                   rules=tuple(rules), weights=dict(weights or {}))
     audit_d_squared(cat)
-    one, neg = ring.one(), ring.neg
-    for lhs, rhs in cat.rules:
-        if rhs.ring is not ring and rhs.ring != ring:
+    if cat.rules:
+        audit_rules(cat)
+    return cat
+
+
+def audit_rules(cat) -> None:
+    """Rule/d compatibility: d(lhs - rhs) of each rule, taken by the graded
+    Leibniz rule on coded words, normalizes to zero."""
+    ring = cat.ring
+    table = _d_table(cat)
+    index = cat._index
+    one, neg, mul = ring.one(), ring.neg, ring.mul
+    for (lhs, rhs), (ranks, terms, rhs_ring) in zip(cat.rules, index.rules):
+        if rhs_ring is not ring and rhs_ring != ring:
             raise ValueError("mixed coefficient rings")
         # d(lhs) - d(rhs) as one d(lhs - rhs): every rhs word is smaller
         # than lhs in the reduction order, so none is lhs itself
-        terms = {lhs: one}
-        for w, c in rhs.terms.items():
-            terms[w] = neg(c)
-        residual = cat.normalize(cat.d(NcPoly(ring, rhs.source, rhs.target,
-                                              terms)))
-        if not residual.is_zero():
-            raise DSquaredNonzero(
-                render_word(lhs), residual)
-    return cat
+        spliced = []
+        for word, coeff in [(ranks, one)] + [(w, neg(c)) for w, c in terms]:
+            left_degree = 0
+            for j, r in enumerate(word):
+                g, signed = table[r]
+                dterms = signed[left_degree % 2]
+                if dterms:
+                    left, right = word[:j], word[j + 1:]
+                    spliced += [(left + t + right, mul(coeff, c))
+                                for t, c in dterms]
+                left_degree += g.degree
+        residual = normal_form(index, ring,
+                               list(accumulate(ring, {}, spliced).items()))
+        if residual:
+            raise DSquaredNonzero(render_word(lhs), _decode(
+                index.letters, ring, rhs.source, rhs.target, residual))

@@ -5,7 +5,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from semifree.algebra import NcPoly, render_poly
+from semifree.algebra import NcPoly, accumulate, render_poly
 from semifree.dgcat import DgFunctor, restrict_to_objects
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -72,6 +72,68 @@ def total_endomorphism_algebra(cat) -> EndomorphismAlgebra:
     for name, src, tgt, _, _ in gens:
         relations.append(f"{tgt}*{name} = {name} = {name}*{src}")
     return EndomorphismAlgebra(idempotents, gens, tuple(relations))
+
+
+# ---------------------------------------------------------------------------
+# oracle: rewriting on words of Generators, as semifree.rewrite did before
+# it worked on rank-coded words
+# ---------------------------------------------------------------------------
+
+class GeneratorRuleIndex:
+    """Rule left-hand sides keyed by their tuple of Generators, which
+    compare by value.  A duplicate lhs keeps its first rule index."""
+
+    def __init__(self, rules):
+        self.rules = tuple(rules)
+        self.first = {}
+        for idx, (lhs, _) in enumerate(self.rules):
+            self.first.setdefault(tuple(lhs), idx)
+        self.lengths = sorted({len(lhs) for lhs, _ in self.rules})
+
+
+def generator_match(index: GeneratorRuleIndex, word):
+    """First (position, rule index) whose lhs occurs in word, or None."""
+    if isinstance(word, str):
+        return None
+    n = len(word)
+    for i in range(n):
+        best = None
+        for k in index.lengths:
+            if i + k > n:
+                break
+            idx = index.first.get(word[i:i + k])
+            if idx is not None and (best is None or idx < best):
+                best = idx
+        if best is not None:
+            return i, best
+    return None
+
+
+def generator_normalize(index: GeneratorRuleIndex, p: NcPoly) -> NcPoly:
+    """Every word of p rewritten to normal form: each rhs term of the
+    matched rule is spliced into the word in place of the lhs (an identity
+    term joins the two sides), and the zero products are dropped."""
+    ring = p.ring
+    normal = []
+    pending = list(p.terms.items())
+    while pending:
+        word, coeff = pending.pop()
+        hit = generator_match(index, word)
+        if hit is None:
+            normal.append((word, coeff))
+            continue
+        i, idx = hit
+        lhs, rhs = index.rules[idx]
+        if rhs.ring is not ring and rhs.ring != ring:
+            raise ValueError("mixed coefficient rings")
+        left = word[:i]
+        right = word[i + len(lhs):]
+        for w, c in rhs.terms.items():
+            c = ring.mul(coeff, c)
+            if not ring.is_zero(c):
+                pending.append(((left + right or w) if isinstance(w, str)
+                                else left + w + right, c))
+    return NcPoly(ring, p.source, p.target, accumulate(ring, {}, normal))
 
 
 def decoded(cat, slice_) -> dict:
@@ -165,6 +227,16 @@ MALFORMED_DOCUMENTS = {
                                             "rhs": "2/0*z*z*z"}])),
         "rules[0].rhs: zero denominator in '2/0'"),
 }
+
+
+# a rule whose lhs b*a does not compose: a, b and c all run X -> Y
+NON_COMPOSABLE_RULE = (
+    {"coefficients": "Z", "objects": ["X", "Y"],
+     "generators": [{"name": name, "src": "X", "tgt": "Y", "deg": 0,
+                     "rank": rank, "d": "0"}
+                    for rank, name in enumerate("abc")],
+     "rules": [{"lhs": ["b", "a"], "rhs": "0"}]},
+    "non-composable factors b o a: b starts at X but a ends at Y")
 
 
 # test id -> (malformed plumbing document, the ValueError message

@@ -20,9 +20,9 @@ from semifree.algebra import (
     leibniz_d,
     word_names,
 )
+from semifree import analysis
 from semifree.analysis import (
     _d_rows,
-    _d_table,
     change_coefficients,
     exact_rank,
     functor_rank_compat,
@@ -33,6 +33,7 @@ from semifree.constructions import tensor
 from semifree.dgcat import (
     DgFunctor,
     SemifreeDgCat,
+    _d_table,
     hom_slice,
     new_semifree,
     validate_functor,
@@ -45,7 +46,7 @@ from semifree.plumbing import (
 )
 from semifree.rewrite import new_relational
 from semifree.twisted import build_d12, build_e12
-from helpers import decoded
+from helpers import GeneratorRuleIndex, decoded, generator_normalize
 
 ring = INTEGERS
 Q = RATIONALS
@@ -223,7 +224,7 @@ def test_exact_rank_on_assembled_matrices_matches_dense_oracle(spec, bound,
     for k in sorted(words)[:-1]:
         basis = {w: i for i, w in enumerate(words[k])}
         index = {w: i for i, w in enumerate(words.get(k + 1, []))}
-        rows, _ = _d_rows(cat, table, basis, index, "L", "L", bound)
+        rows, _ = _d_rows(cat, table, basis, index, bound)
         ranks.append(exact_rank(rows, cat.ring))
         assert ranks[-1] == dense_rank(rows, len(index), p)
     assert max(ranks) > 20
@@ -349,13 +350,15 @@ def test_truncation_caveat_flagged():
 
 def oracle_rows(cat, basis, next_basis, bound):
     """The former assembly: d of each basis word by leibniz_d, normalized
-    by the category's rules, columns found by word_names."""
+    by the category's rules on Generator words, columns found by
+    word_names."""
     index = {word_names(w): i for i, w in enumerate(next_basis)}
+    rules = GeneratorRuleIndex(cat.rules)
     rows, lost = [], False
     for w in basis:
         if isinstance(w, str):
             continue  # d(1_X) = 0
-        dw = cat.normalize(leibniz_d(
+        dw = generator_normalize(rules, leibniz_d(
             NcPoly(cat.ring, w[-1].source, w[0].target, {w: cat.ring.one()}),
             cat.differentials))
         row = {}
@@ -427,7 +430,7 @@ def coded_rows(cat, source, target, window, bound, k):
     rows, lost = _d_rows(cat, _d_table(cat),
                          {w: i for i, w in enumerate(coded.get(k, []))},
                          {w: i for i, w in enumerate(coded.get(k + 1, []))},
-                         source, target, bound)
+                         bound)
     p = cat.ring.modulus if cat.ring.kind == "Zmod" else None
     reduced = ({c: r for c, v in row.items() if (r := v % p if p else v)}
                for row in rows)
@@ -483,6 +486,48 @@ def test_assembly_with_rules_builds_every_term_after_a_loss(field):
     # columns: 1_L, z, x; rows: y, u and t (w's only term is lost)
     assert got == want == ([{2: 1}, {1: cat.ring.neg(1)}, {0: 2, 1: 2}],
                            True)
+
+
+@pytest.mark.parametrize("field", ["Z", "Q", "Zmod:7"])
+@pytest.mark.parametrize("spec,source,target,window,bound", [
+    ("M:1,1 x S:2,1,1", "(L,L)", "(L,L)", (-3, 1), 2),
+    ("M:1,1 x S:2,1,1", "(L,L)", "(L,L)", (-2, 0), 3),
+    ("spliced-reducible", "L", "L", (-3, 1), 2),
+])
+def test_rows_with_rules_equal_those_of_the_oracle_normalizer(
+        spec, source, target, window, bound, field, monkeypatch):
+    # _d_rows on every degree, once with the coded core and once with
+    # normal_form replaced by the Generator-word normalizer of helpers.py;
+    # the rows, their entries' order and the flags must agree
+    cat = assembly_model(spec, field)
+    words = hom_slice(cat, source, target, window, bound).words_by_degree
+    table = _d_table(cat)
+    index = GeneratorRuleIndex(cat.rules)
+    by_rank = {g.rank: g for g in cat.generators}
+
+    calls = []
+
+    def oracle_normal_form(_, ring_, pending):
+        calls.append(len(pending))
+        p = NcPoly(ring_, source, target, {
+            tuple(by_rank[r] for r in w) if w else source: c
+            for w, c in pending})
+        return {() if isinstance(w, str) else tuple(g.rank for g in w): c
+                for w, c in generator_normalize(index, p).terms.items()}
+
+    def all_rows():
+        out = []
+        for k in range(window[0], window[1]):
+            rows, lost = _d_rows(
+                cat, table, {w: i for i, w in enumerate(words.get(k, []))},
+                {w: i for i, w in enumerate(words.get(k + 1, []))}, bound)
+            out.append(([list(row.items()) for row in rows], lost))
+        return out
+
+    got = all_rows()
+    monkeypatch.setattr(analysis, "normal_form", oracle_normal_form)
+    assert got == all_rows()
+    assert calls and any(lost for _, lost in got)
 
 
 def test_non_composable_d_term_rejected():

@@ -14,6 +14,7 @@ from helpers import (
     MALFORMED_DOCUMENTS,
     MALFORMED_PLUMBINGS,
     MALFORMED_QUIVERS,
+    NON_COMPOSABLE_RULE,
 )
 from semifree.algebra import _MR_LIMIT
 from semifree.cli import _dump, main, make_parser
@@ -159,6 +160,14 @@ def test_verify_rejects_malformed_document_with_rules_key(tmp_path, capsys):
 def test_verify_rejects_malformed_rules(rules, message, tmp_path, capsys):
     doc = json.loads((DATA / "c3.json").read_text())
     doc["rules"] = rules
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().out == f"FAIL {path}: {message}\n"
+
+
+def test_verify_rejects_a_rule_lhs_that_does_not_compose(tmp_path, capsys):
+    doc, message = NON_COMPOSABLE_RULE
     path = tmp_path / "rules.json"
     path.write_text(json.dumps(doc))
     assert main(["verify", str(path)]) == 1

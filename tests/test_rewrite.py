@@ -14,6 +14,7 @@ from semifree.algebra import (
     NcPoly,
     compose,
     integers_mod,
+    leibniz_d,
     render_poly,
     render_word,
     word_degree,
@@ -21,7 +22,7 @@ from semifree.algebra import (
 from semifree.constructions import tensor
 from semifree.dgcat import (
     DSquaredNonzero,
-    audit_d_squared,
+    from_json,
     new_semifree,
     unaudited_semifree,
 )
@@ -29,11 +30,15 @@ from semifree.fukaya import ModelId, build
 from semifree.rewrite import (
     RuleError,
     RuleIndex,
-    _below,
-    _word_weight,
     match_rule,
     new_relational,
     normalize_poly,
+)
+from helpers import (
+    NON_COMPOSABLE_RULE,
+    GeneratorRuleIndex,
+    generator_match,
+    generator_normalize,
 )
 
 ring = INTEGERS
@@ -41,8 +46,14 @@ ring = INTEGERS
 
 # ---------------------------------------------------------------------------
 # oracles: the compose-based rewrite step, rule audit and order check that
-# normalize_poly, new_relational and SemifreeDgCat replaced
+# normalize_poly, new_relational and SemifreeDgCat replaced.  They match and
+# normalize on words of Generators, through the copies in helpers.py of the
+# rewriting that preceded rank-coded words.
 # ---------------------------------------------------------------------------
+
+def coded(word) -> tuple:
+    return () if isinstance(word, str) else tuple(g.rank for g in word)
+
 
 def _replace_at(ring, word, i, lhs, rhs) -> NcPoly:
     out = rhs
@@ -57,13 +68,14 @@ def _replace_at(ring, word, i, lhs, rhs) -> NcPoly:
     return out
 
 
-def compose_normalize(index, p):
+def compose_normalize(rules, p):
+    index = GeneratorRuleIndex(rules)
     ring = p.ring
     normal = []
     pending = list(p.terms.items())
     while pending:
         word, coeff = pending.pop()
-        hit = match_rule(index, word)
+        hit = generator_match(index, word)
         if hit is None:
             normal.append((word, coeff))
             continue
@@ -82,14 +94,25 @@ def compose_relational(ring, objects, generators, differentials, rules,
     cat = replace(unaudited_semifree(ring, objects, generators,
                                      differentials),
                   rules=tuple(rules), weights=dict(weights or {}))
-    audit_d_squared(cat)
+    index = GeneratorRuleIndex(cat.rules)
+    for g in cat.generators:
+        residual = generator_normalize(
+            index, leibniz_d(cat.differentials[g.name], cat.differentials))
+        if not residual.is_zero():
+            raise DSquaredNonzero(g.name, residual)
     for lhs, rhs in cat.rules:
         word_poly = NcPoly(ring, lhs[-1].source, lhs[0].target,
                            {lhs: ring.one()})
-        residual = cat.normalize(cat.d(word_poly) - cat.d(rhs))
+        residual = generator_normalize(index, cat.d(word_poly) - cat.d(rhs))
         if not residual.is_zero():
             raise DSquaredNonzero(render_word(lhs), residual)
     return cat
+
+
+def _word_weight(word, weights) -> int:
+    if isinstance(word, str):
+        return 0
+    return sum(weights.get(g.name, 1) for g in word)
 
 
 def _strictly_smaller(rhs_word, lhs, weights) -> bool:
@@ -178,16 +201,17 @@ def scan_normalize(rules, p):
 LETTERS = tuple(Generator(name, "X", "X", 0, rank)
                 for rank, name in enumerate("abc"))
 letter_words = st.lists(st.sampled_from(LETTERS), max_size=8).map(tuple)
+ZERO = NcPoly.zero(ring, "X", "X")
 rule_lists = st.lists(
     st.lists(st.sampled_from(LETTERS), min_size=1, max_size=3)
-    .map(lambda lhs: (tuple(lhs), None)),
+    .map(lambda lhs: (tuple(lhs), ZERO)),
     max_size=8)
 
 
 A, B, C = LETTERS
 # at position 0 the length-2 rule 0 and the length-1 rule 1 both match;
 # rule 2 repeats rule 0's lhs
-OVERLAPPING = [((A, B), None), ((A,), None), ((A, B), None), ((C,), None)]
+OVERLAPPING = [((A, B), ZERO), ((A,), ZERO), ((A, B), ZERO), ((C,), ZERO)]
 
 
 @settings(max_examples=300)
@@ -197,7 +221,8 @@ OVERLAPPING = [((A, B), None), ((A,), None), ((A, B), None), ((C,), None)]
 @example(OVERLAPPING, (B, B))
 @example(OVERLAPPING, ())
 def test_match_rule_equals_nested_scan(rules, word):
-    assert match_rule(RuleIndex(rules), word) == scan_match(rules, word)
+    assert match_rule(RuleIndex(rules), coded(word)) == \
+        scan_match(rules, word)
 
 
 @st.composite
@@ -316,9 +341,8 @@ def shortening_problems(draw):
 @given(shortening_problems())
 def test_spliced_normalize_equals_compose_rewrites(problem):
     rules, p = problem
-    index = RuleIndex(rules)
-    got = normalize_poly(index, p)
-    want = compose_normalize(index, p)
+    got = normalize_poly(RuleIndex(rules), p)
+    want = compose_normalize(rules, p)
     # the same terms in the same insertion order
     assert list(got.terms.items()) == list(want.terms.items())
     assert (got.ring, got.source, got.target) == \
@@ -333,29 +357,30 @@ def test_identity_rhs_term_spliced_at_every_position(ring_text, word):
     # the coefficient 3 times 2 is a zero product
     ring = RINGS[ring_text]
     rhs = NcPoly.from_terms(ring, "X", "X", [((C,), 1), ("X", 2)])
-    index = RuleIndex([((A, A), rhs)])
+    rules = [((A, A), rhs)]
     p = NcPoly.from_terms(ring, "X", "X", [(word, 3), ((C, B), 1)])
-    got = normalize_poly(index, p)
+    got = normalize_poly(RuleIndex(rules), p)
     assert list(got.terms.items()) == \
-        list(compose_normalize(index, p).terms.items())
+        list(compose_normalize(rules, p).terms.items())
     rest = word[:word.index(A)] + word[word.index(A) + 2:]
     assert got.terms.get(rest or "X", 0) == \
         ring.mul(ring.normalize(3), ring.normalize(2))
 
 
 def test_rewrite_with_rhs_over_another_ring_is_an_error():
-    index = RuleIndex([((A, B), NcPoly.gen(RATIONALS, C))])
+    rules = [((A, B), NcPoly.gen(RATIONALS, C))]
     p = NcPoly(ring, "X", "X", {(C, A, B, C): 1})
-    for normalize in (normalize_poly, compose_normalize):
-        with pytest.raises(ValueError, match="mixed coefficient rings"):
-            normalize(index, p)
+    with pytest.raises(ValueError, match="mixed coefficient rings"):
+        normalize_poly(RuleIndex(rules), p)
+    with pytest.raises(ValueError, match="mixed coefficient rings"):
+        compose_normalize(rules, p)
 
 
 def test_words_over_equal_generator_copies_match():
     copies = tuple(Generator(*g) for g in (B, A, B, C))
     assert copies[1] == A and copies[1] is not A
     index = RuleIndex([((A, B), NcPoly.gen(ring, C))])
-    assert match_rule(index, copies) == (1, 0)
+    assert match_rule(index, coded(copies)) == (1, 0)
     p = NcPoly(ring, "X", "X", {copies: 2})
     assert normalize_poly(index, p).terms == {(B, C, C): 2}
 
@@ -439,16 +464,115 @@ weight_maps = st.one_of(st.just({}), st.dictionaries(
            st.lists(st.sampled_from(DG_WORDS), max_size=3)), min_size=1,
            max_size=3),
        weight_maps)
+# an identity rhs term is below an lhs whose letters all weigh 0
+@example([((P0, Q0), ["X"])], {"p": 0, "q": 0})
+@example([((P0,), ["X"]), ((E1,), [(P0, E1)])], {"p": 0})
 def test_hoisted_order_checks_equal_pairwise_checks(specs, weights):
     rules = [(lhs, NcPoly.from_terms(ring, "X", "X", [(w, 1) for w in rhs]))
              for lhs, rhs in specs]
-    for lhs, rhs in rules:
-        lhs_key = (_word_weight(lhs, weights), tuple(g.rank for g in lhs))
-        for w in rhs.terms:
-            assert _below(w, *lhs_key, weights) == \
-                _strictly_smaller(w, lhs, weights)
     base = unaudited_semifree(ring, ("X",), DG_LETTERS,
                               {g.name: _rhs(ring) for g in DG_LETTERS})
     got = outcome(lambda: replace(base, rules=tuple(rules), weights=weights))
     want = outcome(lambda: check_rules_by_pairs(rules, weights))
     assert got[0] == "ok" if want[0] == "ok" else got == want
+
+
+# ---------------------------------------------------------------------------
+# rule words must compose: the rewriting and the rule/d check splice coded
+# words without checking them
+# ---------------------------------------------------------------------------
+
+def test_non_composable_rule_lhs_is_rejected():
+    doc, message = NON_COMPOSABLE_RULE
+    with pytest.raises(RuleError) as err:
+        from_json(doc)
+    assert str(err.value) == message
+    a, b, c = (Generator(name, "X", "Y", 0, rank)
+               for rank, name in enumerate("abc"))
+    table = {g.name: NcPoly.zero(ring, "X", "Y") for g in (a, b, c)}
+    with pytest.raises(RuleError) as err:
+        new_relational(ring, ("X", "Y"), (a, b, c), table,
+                       [((b, a), NcPoly.zero(ring, "X", "Y"))])
+    assert str(err.value) == message
+    # the same words as an rhs term: c, of weight 3, -> b*a, of weight 2
+    with pytest.raises(RuleError) as err:
+        new_relational(ring, ("X", "Y"), (a, b, c), table,
+                       [((c,), NcPoly(ring, "X", "Y", {(b, a): 1}))],
+                       weights={"c": 3})
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("rank", [7, 1], ids=["new-rank", "shared-rank"])
+def test_rule_letter_outside_the_category_is_rejected(rank):
+    # rules are coded by rank, so f (a letter no generator is, with a rank
+    # of its own or b's) must not be matched, decoded or differentiated
+    # as a generator
+    a = Generator("a", "X", "X", 0, 0)
+    b = Generator("b", "X", "X", 0, 1)
+    f = Generator("f", "X", "X", 0, rank)
+    table = {g.name: NcPoly.zero(ring, "X", "X") for g in (a, b)}
+    for rule in [((f, a), ZERO), ((a, b), NcPoly.gen(ring, f))]:
+        with pytest.raises(RuleError) as err:
+            new_relational(ring, ("X",), (a, b), table, [rule])
+        assert str(err.value).endswith(
+            "uses f, which is not a generator of the category")
+
+
+# Two objects: closed letters of degree 0 (p on X, q on Y, s: X -> Y,
+# t: Y -> X) and letters of degree -1 whose differentials are drawn among
+# the closed words (e: X -> Y, f: Y -> X, h: X -> X), so d^2 = 0 always
+# holds and only the rules can break compatibility with d.
+TWO_LETTERS = tuple(Generator(*spec, rank) for rank, spec in enumerate([
+    ("p", "X", "X", 0), ("q", "Y", "Y", 0), ("s", "X", "Y", 0),
+    ("t", "Y", "X", 0), ("e", "X", "Y", -1), ("f", "Y", "X", -1),
+    ("h", "X", "X", -1)]))
+TWO_WORDS = ["X", "Y"] + [
+    w for n in (1, 2, 3) for w in itertools.product(TWO_LETTERS, repeat=n)
+    if all(w[i + 1].target == w[i].source for i in range(n - 1))]
+
+
+def _ends(word):
+    return (word, word) if isinstance(word, str) else \
+        (word[-1].source, word[0].target)
+
+
+@st.composite
+def two_object_rule_problems(draw):
+    ring_text = draw(st.sampled_from(sorted(RINGS)))
+    ring = RINGS[ring_text]
+    coeffs = st.sampled_from(COEFFS[ring_text])
+
+    def poly(words, source, target):
+        chosen = draw(st.lists(st.sampled_from(words), max_size=3)
+                      if words else st.just([]))
+        return NcPoly.from_terms(ring, source, target, [
+            (w, _coeff(ring_text, draw(coeffs))) for w in chosen])
+
+    def closed(source, target):
+        return [w for w in TWO_WORDS if word_degree(w) == 0 and len(w) <= 2
+                and _ends(w) == (source, target)]
+
+    table = {g.name: (poly(closed(g.source, g.target), g.source, g.target)
+                      if g.degree else NcPoly.zero(ring, g.source, g.target))
+             for g in TWO_LETTERS}
+    rules = []
+    for _ in range(draw(st.integers(1, 3))):
+        lhs = draw(st.sampled_from([w for w in TWO_WORDS
+                                    if not isinstance(w, str) and len(w) > 1]))
+        smaller = [w for w in TWO_WORDS if _ends(w) == _ends(lhs)
+                   and word_degree(w) == word_degree(lhs)
+                   and _strictly_smaller(w, lhs, {})]
+        rules.append((lhs, poly(smaller, *_ends(lhs))))
+    return ring, table, rules
+
+
+@settings(max_examples=300, deadline=None)
+@given(two_object_rule_problems())
+def test_two_object_rule_audit_equals_normalized_difference(problem):
+    # the outcome, with the residual's text on a failure, is the oracle's
+    ring, table, rules = problem
+    got = outcome(lambda: new_relational(ring, ("X", "Y"), TWO_LETTERS,
+                                         table, rules))
+    want = outcome(lambda: compose_relational(ring, ("X", "Y"), TWO_LETTERS,
+                                              table, rules))
+    assert got == want
