@@ -45,6 +45,10 @@ CASES = {
     "hom_a2_c1.json": ["hom", "-", "--src", "(K0,L)", "--tgt", "(K1,L)",
                        "--window=-2:0", "--bound", "4",
                        "--field", "Zmod:10007"],
+    # the same over Q: every degree loses terms, so the rows past the first
+    # loss come from the trimmed d tables
+    "hom_a2_c1_q.json": ["hom", "-", "--src", "(K0,L)", "--tgt", "(K1,L)",
+                         "--window=-2:0", "--bound", "4", "--field", "Q"],
     # rule-free hom that loses terms past the bound: rows assembled from
     # the trimmed d tables, ranks by modular elimination
     "hom_m11.json": ["hom", "-", "--src", "L", "--tgt", "L",
@@ -76,6 +80,7 @@ def prepare():
     CASES["tensor_a2_c3.txt"][1] = str(a2_path)
     CASES["tensor_a2_c3.txt"][2] = str(c3_path)
     CASES["hom_a2_c1.json"][1] = str(a2_c1_path)
+    CASES["hom_a2_c1_q.json"][1] = str(a2_c1_path)
     CASES["hom_m11.json"][1] = str(m11_path)
 
 

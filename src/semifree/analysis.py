@@ -15,7 +15,7 @@ from math import gcd, lcm
 
 from .algebra import NcPoly, Ring, render_poly
 from .dgcat import _d_table, hom_slice, new_semifree, push_poly
-from .rewrite import new_relational, normal_form
+from .rewrite import audit_rules, new_relational, normal_form
 
 
 # ---------------------------------------------------------------------------
@@ -115,11 +115,8 @@ def _rank_core(rows, p) -> int:
 # coefficient change
 # ---------------------------------------------------------------------------
 
-def change_coefficients(cat, ring: Ring):
-    """Rebuild a presentation over another exact ring (values mapped through)."""
-    if cat.ring == ring:
-        return cat
-
+def _converter(ring: Ring):
+    """The map of int and Fraction values into ring."""
     def convert(value):
         if ring.kind == "Zmod" and isinstance(value, Fraction):
             num, den = value.numerator, value.denominator
@@ -128,7 +125,14 @@ def change_coefficients(cat, ring: Ring):
                                  f"{ring.modulus}")
             return num * pow(den, -1, ring.modulus) % ring.modulus
         return ring.normalize(value)
+    return convert
 
+
+def change_coefficients(cat, ring: Ring):
+    """Rebuild a presentation over another exact ring (values mapped through)."""
+    if cat.ring == ring:
+        return cat
+    convert = _converter(ring)
     table = {name: NcPoly(ring, p.source, p.target,
                           {w: convert(c) for w, c in p.terms.items()
                            if not ring.is_zero(convert(c))})
@@ -143,6 +147,23 @@ def change_coefficients(cat, ring: Ring):
                               cat.weights, cat.provenance + (entry,))
     return new_semifree(ring, cat.objects, cat.generators, table,
                         cat.provenance + (entry,))
+
+
+def _over_field(cat, field: Ring):
+    """cat's coded d table (dgcat._d_table) and rule index (None without
+    rules) with their values mapped into field, d terms first: those of
+    change_coefficients(cat, field), without building the category."""
+    table = _d_table(cat)
+    rules = cat._index if cat.rules else None
+    if field == cat.ring:
+        return table, rules
+    convert, neg = _converter(field), field.neg
+    for r, (g, (terms, _)) in table.items():
+        terms = [(t, v) for t, c in terms if (v := convert(c))]
+        table[r] = (g, (terms, [(t, neg(v)) for t, v in terms]))
+    if rules is not None:
+        rules = rules.mapped(convert, field)
+    return table, rules
 
 
 # ---------------------------------------------------------------------------
@@ -190,20 +211,25 @@ def truncated_cohomology(cat, source: str, target: str, window, bound: int,
     lo, hi = window
     if lo > hi:
         raise ValueError(f"hom window {lo}:{hi} is empty (lo > hi)")
-    work = change_coefficients(cat, field)
-    words = hom_slice(work, source, target, (lo - 1, hi + 1),
+    words = hom_slice(cat, source, target, (lo - 1, hi + 1),
                       bound).words_by_degree
     # degree -> {coded word: column}, in the slice's order
     index = {k: {w: i for i, w in enumerate(words.get(k, ()))}
              for k in range(lo - 1, hi + 2)}
     del words  # the index holds every word the rows need
-    table = _d_table(work)
+    table, rules = _over_field(cat, field)
+    if rules is not None:
+        # The rows normalize through the rules, so they must commute with
+        # d.  One audit over cat's ring covers field: a ring map keeps
+        # rule/d compatibility, and normal forms commute with it.  Every
+        # constructor and from_json audited d^2 = 0 over cat's ring.
+        audit_rules(cat)
     ranks_d = {}
     dropped = {}
     for k in range(lo - 1, hi + 1):
-        rows, dropped[k] = _d_rows(work, table, index[k], index[k + 1],
-                                   bound)
-        ranks_d[k] = exact_rank(rows, work.ring)
+        rows, dropped[k] = _d_rows(field, table, rules, index[k],
+                                   index[k + 1], bound)
+        ranks_d[k] = exact_rank(rows, field)
     ranks = {}
     exact = {}
     for k in range(lo, hi + 1):
@@ -221,30 +247,35 @@ def truncated_cohomology(cat, source: str, target: str, window, bound: int,
                      exact, {k: len(index[k]) for k in range(lo, hi + 1)})
 
 
-def _d_rows(cat, table: dict, basis: dict, index: dict, bound: int):
+def _d_rows(ring: Ring, table: dict, rules, basis: dict, index: dict,
+            bound: int):
     """The rows {column in index: value} of d on the coded words of basis,
     by the graded Leibniz rule, and whether a term of some d(word) was lost
-    (outside index: longer than the bound or not listed).  With rules, the
-    terms outside index are normalized through the category's rules first.
+    (outside index: longer than the bound or not listed).  table is a coded
+    d table (dgcat._d_table) and rules a rule index or None, both with
+    values in ring; the terms outside index are normalized through rules
+    first.
 
     Each spliced term in index is added straight into its column.  The
     values are raw sums, not reduced: a row may hold zeros and, over Zmod,
     values of any size; exact_rank reduces them.  Only the sum of a term
     outside index is reduced, to decide whether it is lost.
 
-    index lists words of length at most bound.  Once a term is lost and
-    there are no rules, a spliced term longer than bound can change no row
-    and no flag, so it is not built: a word of length L takes only the d
-    terms of length at most bound + 1 - L.  Until then every term is built,
-    so the flag never rests on terms beyond the bound failing to cancel.
-    A rule can shorten a term back into index, so with rules every term is
-    built.
+    index lists words of length at most bound.  Once a term is lost, a
+    spliced term longer than bound can change no row and no flag unless a
+    rule shortens it back into index, so, when no rule has an rhs word
+    shorter than its lhs, it is not built: a word of length L takes only
+    the d terms of length at most bound + 1 - L.  Until then every term is
+    built, so the flag never rests on terms beyond the bound failing to
+    cancel.
     """
-    ring = cat.ring
     p = ring.modulus if ring.kind == "Zmod" else None
     rows = []
     lost = False
-    trim = not cat.rules
+    # an identity rhs word is (), of length 0
+    trim = rules is None or all(len(w) >= len(lhs)
+                                for lhs, terms, _ in rules.rules
+                                for w, _ in terms)
     trimmed = {}  # room -> table with the d terms of length <= room
     for word in basis:
         use = table
@@ -270,10 +301,10 @@ def _d_rows(cat, table: dict, basis: dict, index: dict, bound: int):
                         row[col] = row.get(col, 0) + c
             left_degree += g.degree
         if outside:
-            if cat.rules:
+            if rules is not None:
                 # the words of index are irreducible already: hom_slice
                 # lists no reducible word
-                normal = normal_form(cat._index, ring, [
+                normal = normal_form(rules, ring, [
                     (key, r) for key, value in outside.items()
                     if (r := value % p if p is not None else value)])
                 outside = {}

@@ -558,20 +558,20 @@ def tensor(cat_a, cat_b) -> SemifreeDgCat:
              for x in cat_a.objects]
 
     table = {}
+    a_images = {y: {h.name: NcPoly.gen(ring, a_letters[(h.name, y)])
+                    for h in cat_a.generators} for y in cat_b.objects}
     for f in cat_a.generators:
         for y in cat_b.objects:
-            images = {h.name: NcPoly.gen(ring, a_letters[(h.name, y)])
-                      for h in cat_a.generators}
             omap = {x: pair_object(x, y) for x in cat_a.objects}
             table[a_letters[(f.name, y)].name] = push_poly(
-                cat_a.differentials[f.name], omap, images, ring)
+                cat_a.differentials[f.name], omap, a_images[y], ring)
+    b_images = {x: {h.name: NcPoly.gen(ring, b_letters[(x, h.name)])
+                    for h in cat_b.generators} for x in cat_a.objects}
     for gg in cat_b.generators:
         for x in cat_a.objects:
-            images = {h.name: NcPoly.gen(ring, b_letters[(x, h.name)])
-                      for h in cat_b.generators}
             omap = {y: pair_object(x, y) for y in cat_b.objects}
             table[b_letters[(x, gg.name)].name] = push_poly(
-                cat_b.differentials[gg.name], omap, images, ring)
+                cat_b.differentials[gg.name], omap, b_images[x], ring)
 
     rules = []
     for f in cat_a.generators:

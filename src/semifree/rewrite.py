@@ -71,6 +71,15 @@ class RuleIndex:
         if len(lhs) not in self.lengths:
             insort(self.lengths, len(lhs))
 
+    def mapped(self, convert, ring) -> "RuleIndex":
+        """This index with each rhs value mapped by convert into ring and
+        the zeros dropped; it shares first, lengths and letters."""
+        out = RuleIndex(letters=self.letters)
+        out.first, out.lengths = self.first, self.lengths
+        out.rules = [(lhs, [(w, v) for w, c in terms if (v := convert(c))],
+                      ring) for lhs, terms, _ in self.rules]
+        return out
+
     # SemifreeDgCat matches and normalizes through these: this module
     # imports dgcat, so dgcat cannot import these functions at load time.
     def match(self, word):

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from semifree.algebra import NcPoly, accumulate, render_poly
+from semifree.analysis import change_coefficients, truncated_cohomology
 from semifree.dgcat import DgFunctor, restrict_to_objects
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -134,6 +135,14 @@ def generator_normalize(index: GeneratorRuleIndex, p: NcPoly) -> NcPoly:
                 pending.append(((left + right or w) if isinstance(w, str)
                                 else left + w + right, c))
     return NcPoly(ring, p.source, p.target, accumulate(ring, {}, normal))
+
+
+def copy_based_cohomology(cat, source, target, window, bound, field):
+    """The rank table of cat's hom over field, computed on the copy of cat
+    that change_coefficients builds over field (which audits d^2 = 0 and
+    the rules over field), as hom did before it mapped the coded tables."""
+    return truncated_cohomology(change_coefficients(cat, field), source,
+                                target, window, bound, field)
 
 
 def decoded(cat, slice_) -> dict:

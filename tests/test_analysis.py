@@ -23,6 +23,7 @@ from semifree.algebra import (
 from semifree import analysis
 from semifree.analysis import (
     _d_rows,
+    _over_field,
     change_coefficients,
     exact_rank,
     functor_rank_compat,
@@ -34,8 +35,10 @@ from semifree.dgcat import (
     DgFunctor,
     SemifreeDgCat,
     _d_table,
+    from_json,
     hom_slice,
     new_semifree,
+    to_json,
     validate_functor,
 )
 from semifree.fukaya import ModelId, build
@@ -46,7 +49,12 @@ from semifree.plumbing import (
 )
 from semifree.rewrite import new_relational
 from semifree.twisted import build_d12, build_e12
-from helpers import GeneratorRuleIndex, decoded, generator_normalize
+from helpers import (
+    GeneratorRuleIndex,
+    copy_based_cohomology,
+    decoded,
+    generator_normalize,
+)
 
 ring = INTEGERS
 Q = RATIONALS
@@ -218,13 +226,13 @@ def test_exact_rank_on_assembled_matrices_matches_dense_oracle(spec, bound,
     cat = change_coefficients(build(ModelId.parse(spec), ring),
                               Ring.parse(field))
     words = hom_slice(cat, "L", "L", (-8, 2), bound).words_by_degree
-    table = _d_table(cat)
+    table, rules = _over_field(cat, cat.ring)
     p = cat.ring.modulus if cat.ring.kind == "Zmod" else None
     ranks = []
     for k in sorted(words)[:-1]:
         basis = {w: i for i, w in enumerate(words[k])}
         index = {w: i for i, w in enumerate(words.get(k + 1, []))}
-        rows, _ = _d_rows(cat, table, basis, index, bound)
+        rows, _ = _d_rows(cat.ring, table, rules, basis, index, bound)
         ranks.append(exact_rank(rows, cat.ring))
         assert ranks[-1] == dense_rank(rows, len(index), p)
     assert max(ranks) > 20
@@ -427,7 +435,7 @@ def coded_rows(cat, source, target, window, bound, k):
     without zeros or empty rows."""
     slice_ = hom_slice(cat, source, target, window, bound)
     coded, words = slice_.words_by_degree, decoded(cat, slice_)
-    rows, lost = _d_rows(cat, _d_table(cat),
+    rows, lost = _d_rows(cat.ring, *_over_field(cat, cat.ring),
                          {w: i for i, w in enumerate(coded.get(k, []))},
                          {w: i for i, w in enumerate(coded.get(k + 1, []))},
                          bound)
@@ -501,7 +509,7 @@ def test_rows_with_rules_equal_those_of_the_oracle_normalizer(
     # the rows, their entries' order and the flags must agree
     cat = assembly_model(spec, field)
     words = hom_slice(cat, source, target, window, bound).words_by_degree
-    table = _d_table(cat)
+    table, rules = _over_field(cat, cat.ring)
     index = GeneratorRuleIndex(cat.rules)
     by_rank = {g.rank: g for g in cat.generators}
 
@@ -519,7 +527,8 @@ def test_rows_with_rules_equal_those_of_the_oracle_normalizer(
         out = []
         for k in range(window[0], window[1]):
             rows, lost = _d_rows(
-                cat, table, {w: i for i, w in enumerate(words.get(k, []))},
+                cat.ring, table, rules,
+                {w: i for i, w in enumerate(words.get(k, []))},
                 {w: i for i, w in enumerate(words.get(k + 1, []))}, bound)
             out.append(([list(row.items()) for row in rows], lost))
         return out
@@ -560,6 +569,124 @@ def test_change_coefficients_roundtrip():
     assert over_q.ring == Q
     over_p = change_coefficients(cat, P)
     assert over_p.ring == P
+
+
+@st.composite
+def small_documents(draw):
+    """(document, field, bound): a one-object category over Z or Q, with or
+    without rules, loaded from its JSON, and a field Q or Zmod:p.
+
+    Generators a_i (deg 0, d 0) and h_j (deg -1, d a sum of words of length
+    at most 2 in the a_i).  Rules a_i*a_j -> c*a_k + c'*1_L, and h_j -> c*h_i
+    (i < j) with d(h_j) = c*d(h_i), so d^2 = 0 and every rule commutes with
+    d.  Values are multiples of p or not, and over Q fractions, a few with
+    the denominator p; d(h_0) holds a multiple of p."""
+    p = draw(st.sampled_from([5, 7]))
+    ring_ = draw(st.sampled_from([ring, Q]))
+    field = draw(st.sampled_from([Q, integers_mod(p)]))
+    value = st.integers(-3, 3) | st.integers(-2, 2).map(lambda k: k * p)
+    if ring_ is Q:
+        value |= st.builds(Fraction, st.integers(-2 * p, 2 * p),
+                           st.sampled_from([2, 3, 4, 6, 2, 3, 4, 6, p]))
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    a = [Generator(f"a{i}", "L", "L", 0, i) for i in range(m)]
+    h = [Generator(f"h{j}", "L", "L", -1, m + j) for j in range(n)]
+    words = ["L"] + [(x,) for x in a] + [(x, y) for x in a for y in a]
+
+    def poly(terms):
+        return NcPoly.from_terms(ring_, "L", "L", terms)
+
+    table = {x.name: NcPoly.zero(ring_, "L", "L") for x in a}
+    rules = []
+    with_rules = draw(st.booleans())
+    if with_rules:
+        for i, j in draw(st.lists(st.tuples(st.integers(0, m - 1),
+                                            st.integers(0, m - 1)),
+                                  max_size=3, unique=True)):
+            k = draw(st.integers(0, m - 1))
+            rules.append(((a[i], a[j]), poly([((a[k],), draw(value)),
+                                              ("L", draw(value))])))
+    for j, x in enumerate(h):
+        if with_rules and j and draw(st.booleans()):
+            i, c = draw(st.integers(0, j - 1)), draw(value)
+            table[x.name] = table[h[i].name].scale(c)
+            rules.append(((x,), poly([((h[i],), c)])))
+        else:
+            terms = draw(st.lists(st.tuples(st.sampled_from(words), value),
+                                  max_size=4))
+            if j == 0:
+                terms.append(((a[0],), p * draw(st.sampled_from([1, -2]))))
+            table[x.name] = poly(terms)
+    cat = new_relational(ring_, ("L",), tuple(a + h), table, rules)
+    return from_json(to_json(cat)), field, draw(st.integers(1, 3))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as err:
+        return ("ValueError", str(err))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_documents())
+def test_mapped_tables_equal_those_of_the_field_copy(drawn):
+    # hom maps the document's coded tables into the field; they, and the
+    # ranks, must be those of change_coefficients' copy, and so must the
+    # first error (a denominator not invertible mod p)
+    cat, field, bound = drawn
+    copy = _outcome(change_coefficients, cat, field)
+    mapped = _outcome(_over_field, cat, field)
+    got = _outcome(truncated_cohomology, cat, "L", "L", (-1, 0), bound,
+                   field)
+    if isinstance(copy, tuple):
+        assert mapped == got == copy
+        return
+    table, rules = mapped
+    assert table == _d_table(copy)
+    assert (None if rules is None else rules.rules) == \
+        (copy._index.rules if copy.rules else None)
+    # a d term or rule that shortens a word can make the truncated
+    # differential square to nonzero: then both paths fail alike
+    assert got == _outcome(copy_based_cohomology, cat, "L", "L", (-1, 0),
+                           bound, field)
+
+
+@pytest.mark.parametrize("field", ["Q", "Zmod:7"])
+@pytest.mark.parametrize("spec,source,target,bound", [
+    ("M:1,1 x S:2,1,1", "(L,L)", "(L,L)", 2),
+    ("M:1,1 x S:2,1,1", "(L,L)", "(L,L)", 3),
+    ("A2 x C:1", "(K0,L)", "(K1,L)", 4),
+])
+def test_trimmed_assembly_with_rules_equals_the_untrimmed_one(
+        spec, source, target, bound, field, monkeypatch):
+    # no interchange rule shortens a word, so once a degree is lost each
+    # word takes only the d terms that fit the bound; on every degree the
+    # rows and the flag must be those of the untrimmed assembly
+    cat = assembly_model(spec, field)
+    table, rules = _over_field(cat, cat.ring)
+    assert all(len(w) >= len(lhs) for lhs, terms, _ in rules.rules
+               for w, _ in terms)
+    words = hom_slice(cat, source, target, (-20, 20), bound).words_by_degree
+
+    def all_rows():
+        columns = {k: {w: i for i, w in enumerate(ws)}
+                   for k, ws in words.items()}
+        return [_d_rows(cat.ring, table, rules, columns[k],
+                        columns.get(k + 1, {}), bound) for k in sorted(words)]
+
+    trims = []
+    trim = analysis._trim
+
+    def counted_trim(table_, room):
+        trims.append(room)
+        return trim(table_, room)
+
+    monkeypatch.setattr(analysis, "_trim", counted_trim)
+    got = all_rows()
+    monkeypatch.setattr(analysis, "_trim", lambda table_, room: table_)
+    assert got == all_rows()
+    assert trims and any(lost for _, lost in got)
 
 
 # ---------------------------------------------------------------------------

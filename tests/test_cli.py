@@ -52,6 +52,9 @@ CASES = [
     ("hom_a2_c1.json", ["hom", str(DATA / "a2_c1.json"), "--src", "(K0,L)",
                         "--tgt", "(K1,L)", "--window=-2:0", "--bound", "4",
                         "--field", "Zmod:10007"]),
+    ("hom_a2_c1_q.json", ["hom", str(DATA / "a2_c1.json"), "--src", "(K0,L)",
+                          "--tgt", "(K1,L)", "--window=-2:0", "--bound", "4",
+                          "--field", "Q"]),
     ("hom_m11.json", ["hom", str(DATA / "m11.json"), "--src", "L",
                       "--tgt", "L", "--window=-6:0", "--bound", "3",
                       "--field", "Zmod:10007"]),
@@ -329,6 +332,57 @@ def test_hom_over_an_undecidable_modulus_fails_fast(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot decide whether {2**89 - 1} is prime")
     assert f"{_MR_LIMIT:,}" in err
+
+
+def _relational_doc(ring, generators, rules):
+    """A one-object document: generators are (name, deg, d) in rank order,
+    rules are (lhs names, rhs text)."""
+    return {"coefficients": ring, "objects": ["L"],
+            "generators": [{"name": name, "src": "L", "tgt": "L", "deg": deg,
+                            "rank": rank, "d": d}
+                           for rank, (name, deg, d) in enumerate(generators)],
+            "rules": [{"lhs": lhs, "rhs": rhs} for lhs, rhs in rules]}
+
+
+@pytest.mark.parametrize("ring,field,d_h", [
+    ("Q", "Q", "a"),
+    ("Z", "Zmod:7", "a"),
+    ("Z", "Zmod:7", "7*a"),  # the residual -7*a vanishes mod 7, not over Z
+])
+def test_hom_rejects_a_rule_that_contradicts_d(ring, field, d_h, tmp_path,
+                                               capsys):
+    # d(k) = 0 but d(h) != 0, so the rule k -> h does not commute with d.
+    # verify loads the document, which audits d^2 = 0 but not the rules;
+    # hom audits the rules it normalizes with, over the document's ring
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_relational_doc(
+        ring, [("a", 0, "0"), ("h", -1, d_h), ("k", -1, "0")],
+        [(["k"], "h")])))
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out == f"ok {path}\n"
+    out = tmp_path / "table.json"
+    assert main(["hom", str(path), "--src", "L", "--tgt", "L",
+                 "--window=-1:0", "--bound", "2", "--field", field,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: d^2 != 0 at k")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("d_h,rules,den", [
+    ("1/7*a", [], 7),
+    ("a", [(["a", "a"], "1/14*a")], 14),
+    ("1/7*a", [(["a", "a"], "1/14*a")], 7),  # the d terms are mapped first
+], ids=["d-term", "rule-rhs", "both"])
+def test_hom_names_a_denominator_not_invertible_mod_p(d_h, rules, den,
+                                                     tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(
+        _relational_doc("Q", [("a", 0, "0"), ("h", -1, d_h)], rules)))
+    assert main(["hom", str(path), "--src", "L", "--tgt", "L",
+                 "--window=-1:0", "--bound", "2", "--field", "Zmod:7",
+                 "--out", str(tmp_path / "table.json")]) == 1
+    assert capsys.readouterr().err == \
+        f"error: denominator {den} not invertible mod 7\n"
 
 
 JSON_VALUES = st.recursive(
