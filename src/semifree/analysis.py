@@ -149,11 +149,13 @@ def change_coefficients(cat, ring: Ring):
                         cat.provenance + (entry,))
 
 
-def _over_field(cat, field: Ring):
-    """cat's coded d table (dgcat._d_table) and rule index (None without
-    rules) with their values mapped into field, d terms first: those of
-    change_coefficients(cat, field), without building the category."""
-    table = _d_table(cat)
+def _over_field(cat, field: Ring, table=None):
+    """cat's coded d table (dgcat._d_table, or table, which is mapped in
+    place) and rule index (None without rules) with their values mapped
+    into field, d terms first: those of change_coefficients(cat, field),
+    without building the category."""
+    if table is None:
+        table = _d_table(cat)
     rules = cat._index if cat.rules else None
     if field == cat.ring:
         return table, rules
@@ -211,19 +213,27 @@ def truncated_cohomology(cat, source: str, target: str, window, bound: int,
     lo, hi = window
     if lo > hi:
         raise ValueError(f"hom window {lo}:{hi} is empty (lo > hi)")
+    copied = cat.ring.kind == "Zmod" and field != cat.ring
+    if copied:
+        # Residues mod m read as values of another field make no ring map,
+        # so d^2 = 0 and the rules' compatibility with d over Zmod:m need
+        # not hold there: rebuild cat over field, which audits both
+        cat = change_coefficients(cat, field)
     words = hom_slice(cat, source, target, (lo - 1, hi + 1),
                       bound).words_by_degree
     # degree -> {coded word: column}, in the slice's order
     index = {k: {w: i for i, w in enumerate(words.get(k, ()))}
              for k in range(lo - 1, hi + 2)}
     del words  # the index holds every word the rows need
-    table, rules = _over_field(cat, field)
-    if rules is not None:
+    table = _d_table(cat)
+    if cat.rules and not copied:
         # The rows normalize through the rules, so they must commute with
-        # d.  One audit over cat's ring covers field: a ring map keeps
-        # rule/d compatibility, and normal forms commute with it.  Every
+        # d.  One audit over cat's ring (Z, Q or field itself) covers
+        # field: the map into field is then a ring map, which keeps rule/d
+        # compatibility, and normal forms commute with it.  Every
         # constructor and from_json audited d^2 = 0 over cat's ring.
-        audit_rules(cat)
+        audit_rules(cat, table)
+    table, rules = _over_field(cat, field, table)
     ranks_d = {}
     dropped = {}
     for k in range(lo - 1, hi + 1):

@@ -173,11 +173,13 @@ def new_relational(ring, objects, generators, differentials, rules,
     return cat
 
 
-def audit_rules(cat) -> None:
+def audit_rules(cat, table=None) -> None:
     """Rule/d compatibility: d(lhs - rhs) of each rule, taken by the graded
-    Leibniz rule on coded words, normalizes to zero."""
+    Leibniz rule on coded words, normalizes to zero.  table is cat's coded
+    d table (dgcat._d_table), built here if None."""
     ring = cat.ring
-    table = _d_table(cat)
+    if table is None:
+        table = _d_table(cat)
     index = cat._index
     one, neg, mul = ring.one(), ring.neg, ring.mul
     for (lhs, rhs), (ranks, terms, rhs_ring) in zip(cat.rules, index.rules):

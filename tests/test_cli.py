@@ -368,6 +368,31 @@ def test_hom_rejects_a_rule_that_contradicts_d(ring, field, d_h, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field", ["Q", "Zmod:5"])
+@pytest.mark.parametrize("ring,generators,rules,at", [
+    # d(d g) = 2*a*a vanishes mod 2, not over Q or mod 5
+    ("Zmod:2", [("a", 0, "0"), ("f", -1, "a"), ("g", -2, "f*a + a*f")], [],
+     "g"),
+    # d(k) - 2*d(h) = -3*a vanishes mod 3, not over Q or mod 5
+    ("Zmod:3", [("a", 0, "0"), ("h", -1, "2*a"), ("k", -1, "a")],
+     [(["k"], "2*h")], "k"),
+], ids=["d-squared", "rule"])
+def test_hom_audits_a_zmod_document_over_the_field(ring, generators, rules,
+                                                   at, field, tmp_path,
+                                                   capsys):
+    # residues mod m read in another field make no ring map, so what holds
+    # over Zmod:m is audited again over the field
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_relational_doc(ring, generators, rules)))
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out == f"ok {path}\n"
+    args = ["hom", str(path), "--src", "L", "--tgt", "L", "--window=-2:0",
+            "--bound", "2", "--field"]
+    assert main(args + [field]) == 1
+    assert capsys.readouterr().err.startswith(f"error: d^2 != 0 at {at}")
+    assert main(args + [ring]) == 0
+
+
 @pytest.mark.parametrize("d_h,rules,den", [
     ("1/7*a", [], 7),
     ("a", [(["a", "a"], "1/14*a")], 14),
