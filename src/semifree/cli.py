@@ -33,6 +33,7 @@ from .plumbing import (
     edge_flip_witness,
     ginzburg_witness,
     normalize as normalize_data,
+    placement_from_json,
     plumbing_from_json,
     plumbing_to_json,
     quiver_from_json,
@@ -236,11 +237,20 @@ def cmd_verify(args):
     return 1 if failures else 0
 
 
+def _window(text: str) -> tuple:
+    """The --window option LO:HI of hom and functor --ranks."""
+    lo, _, hi = text.partition(":")
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise InputError("--window", f"expected LO:HI with integers, got "
+                                     f"{text!r}") from None
+
+
 def cmd_hom(args):
     cat = _load_cat(args.file)
-    lo, hi = (int(x) for x in args.window.split(":"))
     field = Ring.parse(args.field)
-    table = truncated_cohomology(cat, args.src, args.tgt, (lo, hi),
+    table = truncated_cohomology(cat, args.src, args.tgt, _window(args.window),
                                  args.bound, field)
     if args.emit == "md":
         _emit(table.markdown() + "\n", args.out)
@@ -252,12 +262,8 @@ def cmd_hom(args):
 def cmd_plumb(args):
     ring = Ring.parse(args.coeff) if args.coeff else None
     data = plumbing_from_json(_load_json(args.file), ring, args.n)
-    placement = None
-    if args.reorder:
-        raw = _load_json(args.reorder)
-        placement = {vid: {"left": [tuple(t) for t in v["left"]],
-                           "right": [tuple(t) for t in v["right"]]}
-                     for vid, v in raw.items()}
+    placement = (placement_from_json(_load_json(args.reorder))
+                 if args.reorder else None)
     cat = build_wrapped(data, placement)
     _emit_cat(cat, args)
     return 0
@@ -318,9 +324,9 @@ def cmd_functor_check(args):
     functor = load_functor(_load_json(args.file))
     cert = validate_functor(functor)
     if args.ranks:
-        lo, hi = (int(x) for x in args.window.split(":"))
         cert = {"functor": cert,
-                "ranks": functor_rank_compat(functor, (lo, hi), args.bound,
+                "ranks": functor_rank_compat(functor, _window(args.window),
+                                             args.bound,
                                              Ring.parse(args.field))}
     _emit(_dump(cert), args.out)
     return 0

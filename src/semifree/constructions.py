@@ -57,6 +57,25 @@ class PushoutSpan:
 # dg localization
 # ---------------------------------------------------------------------------
 
+def localization_cluster(ring, g: Generator, rank: int, names) -> list:
+    """(generator, d) of g', g_hat, g_check, g_bar, named names and ranked
+    from rank, which invert the closed degree-0 g: d g' = 0,
+    d g_hat = 1 - g'g, d g_check = 1 - gg', d g_bar = g g_hat - g_check g."""
+    prime = Generator(names[0], g.target, g.source, 0, rank)
+    hat = Generator(names[1], g.source, g.source, -1, rank + 1)
+    check = Generator(names[2], g.target, g.target, -1, rank + 2)
+    bar = Generator(names[3], g.source, g.target, -2, rank + 3)
+    g_poly = NcPoly.gen(ring, g)
+    prime_poly = NcPoly.gen(ring, prime)
+    return [
+        (prime, NcPoly.zero(ring, g.target, g.source)),
+        (hat, NcPoly.identity(ring, g.source) - compose(prime_poly, g_poly)),
+        (check, NcPoly.identity(ring, g.target) - compose(g_poly, prime_poly)),
+        (bar, compose(g_poly, NcPoly.gen(ring, hat))
+         - compose(NcPoly.gen(ring, check), g_poly)),
+    ]
+
+
 def localize(cat: SemifreeDgCat, names) -> SemifreeDgCat:
     """Invert closed degree-0 generators; adds g', g_hat, g_check, g_bar each."""
     names = list(names)
@@ -72,21 +91,11 @@ def localize(cat: SemifreeDgCat, names) -> SemifreeDgCat:
             raise ValueError(f"{name} has degree {g.degree}, cannot invert")
         if not cat.differentials[name].is_zero():
             raise ValueError(f"{name} is not closed, cannot invert")
-        a_obj, b_obj = g.source, g.target
         quad = [_fresh(name + suffix, taken) for suffix in QUAD_SUFFIXES]
-        prime = Generator(quad[0], b_obj, a_obj, 0, rank)
-        hat = Generator(quad[1], a_obj, a_obj, -1, rank + 1)
-        check = Generator(quad[2], b_obj, b_obj, -1, rank + 2)
-        bar = Generator(quad[3], a_obj, b_obj, -2, rank + 3)
+        for ng, dg in localization_cluster(ring, g, rank, quad):
+            gens.append(ng)
+            table[ng.name] = dg
         rank += 4
-        g_poly = NcPoly.gen(ring, g)
-        prime_poly = NcPoly.gen(ring, prime)
-        gens.extend([prime, hat, check, bar])
-        table[prime.name] = NcPoly.zero(ring, b_obj, a_obj)
-        table[hat.name] = NcPoly.identity(ring, a_obj) - compose(prime_poly, g_poly)
-        table[check.name] = NcPoly.identity(ring, b_obj) - compose(g_poly, prime_poly)
-        table[bar.name] = (compose(g_poly, NcPoly.gen(ring, hat))
-                           - compose(NcPoly.gen(ring, check), g_poly))
         records.append(LocalizationRecord(name, *quad))
     entry = {
         "op": "localize",
@@ -312,19 +321,10 @@ def _hocolim_full(span: PushoutSpan):
     for x in c.objects:
         t = t_obj[x]
         quad = [_fresh(t.name + suffix, taken) for suffix in QUAD_SUFFIXES]
-        prime = Generator(quad[0], t.target, t.source, 0, rank)
-        hat = Generator(quad[1], t.source, t.source, -1, rank + 1)
-        check = Generator(quad[2], t.target, t.target, -1, rank + 2)
-        bar = Generator(quad[3], t.source, t.target, -2, rank + 3)
+        for ng, dg in localization_cluster(ring, t, rank, quad):
+            gens.append(ng)
+            table[ng.name] = dg
         rank += 4
-        t_poly = NcPoly.gen(ring, t)
-        prime_poly = NcPoly.gen(ring, prime)
-        gens.extend([prime, hat, check, bar])
-        table[prime.name] = NcPoly.zero(ring, t.target, t.source)
-        table[hat.name] = NcPoly.identity(ring, t.source) - compose(prime_poly, t_poly)
-        table[check.name] = NcPoly.identity(ring, t.target) - compose(t_poly, prime_poly)
-        table[bar.name] = (compose(t_poly, NcPoly.gen(ring, hat))
-                           - compose(NcPoly.gen(ring, check), t_poly))
         clusters.append([t.name, *quad])
 
     # homotopy generators t_f

@@ -1,11 +1,13 @@
 """Semifree dg categories, dg functors with validation, and hom enumeration.
 
-A category is immutable after construction; new_semifree enforces the degree
-check d(g) of degree |g|+1, the ordinal condition (differentials only use
-earlier generators), and d^2 = 0, reporting the offending generator and the
-residual polynomial on failure.  A category may also carry a terminating
-rewrite system (see rewrite.py); morphisms are then taken modulo its rules,
-and a semifree category is the case with no rules.
+A category is immutable and checks its own structure however it is built
+(new_semifree, from_json, dataclasses.replace or the class itself): among
+others the degree check d(g) of degree |g|+1 and the ordinal condition
+(differentials only use earlier generators).  new_semifree adds d^2 = 0,
+reporting the offending generator and the residual polynomial on failure.
+A category may also carry a terminating rewrite system (see rewrite.py);
+morphisms are then taken modulo its rules, and a semifree category is the
+case with no rules.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from operator import attrgetter
 from .algebra import (
     CompositionError,
     Generator,
-    MissingDifferential,
     NcPoly,
     Ring,
     _checked,
@@ -66,23 +67,67 @@ class SemifreeDgCat:
     weights: dict = field(default_factory=dict)  # name -> reduction weight
 
     def __post_init__(self):
+        """Distinct objects, names and ranks, ranks in order; for each
+        generator, declared objects and a d over the category's ring, along
+        its boundary, of its degree + 1, in earlier generators; the rules."""
+        ring, generators = self.ring, self.generators
+        obj_set = set(self.objects)
+        if len(obj_set) != len(self.objects):
+            raise ValueError("duplicate object ids")
+        gen_map = {g.name: g for g in generators}
+        if len(gen_map) != len(generators):
+            raise ValueError("duplicate generator names")
+        # ranks code words (hom_slice, _d_table, the rule index)
+        by_rank = {g.rank: g for g in generators}
+        if len(by_rank) != len(generators):
+            raise ValueError("duplicate ordinal ranks")
+        if list(by_rank) != sorted(by_rank):
+            raise ValueError("generators must be listed in rank order")
+        for g in generators:
+            if g.source not in obj_set or g.target not in obj_set:
+                raise ValueError(
+                    f"generator {g.name} references undeclared objects")
+        for g in generators:
+            dg = self.differentials.get(g.name)
+            if dg is None:
+                raise ValueError(f"missing differential for {g.name}")
+            if dg.ring is not ring and dg.ring != ring:
+                raise ValueError("mixed coefficient rings")
+            if dg.source != g.source or dg.target != g.target:
+                raise CompositionError(
+                    f"d({g.name}) has boundary {dg.source}->{dg.target}, "
+                    f"expected {g.source}->{g.target}")
+            deg = dg.degree()
+            if deg is not None and deg != g.degree + 1:
+                raise DegreeError(
+                    f"d({g.name}) has degree {deg}, expected {g.degree + 1}")
+            for word in dg.terms:
+                if isinstance(word, str):
+                    continue
+                for letter in word:
+                    if gen_map.get(letter.name) != letter:
+                        raise ValueError(
+                            f"d({g.name}) uses {letter.name}, which is not "
+                            f"a generator of the category")
+                    if letter.rank >= g.rank:
+                        raise OrdinalViolation(
+                            f"d({g.name}) uses {letter.name} of rank "
+                            f"{letter.rank} >= rank {g.rank}")
         # not fields: equality and repr stay those of the fields
-        object.__setattr__(self, "_gen_map",
-                           {g.name: g for g in self.generators})
+        object.__setattr__(self, "_gen_map", gen_map)
         if not self.rules:
             return
         from .rewrite import RuleError, RuleIndex
         # the index codes words by rank and decodes them through by_rank,
         # so every rule letter must be one of the generators
-        by_rank = {g.rank: g for g in self.generators}
-        if len(by_rank) != len(self.generators):
-            raise ValueError("duplicate ordinal ranks")
-        code = {g: g.rank for g in self.generators}
+        code = {g: g.rank for g in generators}
         weights = self.weights
         index = RuleIndex(letters=by_rank)
         for lhs, rhs in self.rules:
             if not lhs:
                 raise RuleError("empty rule lhs")
+            if rhs.ring is not ring and rhs.ring != ring:
+                raise ValueError("mixed coefficient rings")
             if rhs.source != lhs[-1].source or rhs.target != lhs[0].target:
                 raise RuleError(
                     f"rule {render_word(lhs)} -> {render_poly(rhs)} changes boundary")
@@ -205,55 +250,11 @@ class SemifreeDgCat:
 
 def new_semifree(ring: Ring, objects, generators, differentials,
                  provenance=()) -> SemifreeDgCat:
-    """Validated construction: degree, ordinal condition, d^2 = 0."""
-    cat = unaudited_semifree(ring, objects, generators, differentials,
-                             provenance)
+    """Validated construction: the class's structural checks, then d^2 = 0."""
+    cat = SemifreeDgCat(ring, tuple(objects), tuple(generators),
+                        dict(differentials), tuple(provenance))
     audit_d_squared(cat)
     return cat
-
-
-def unaudited_semifree(ring: Ring, objects, generators, differentials,
-                       provenance=()) -> SemifreeDgCat:
-    """Every structural check of new_semifree except the d^2 audit, which a
-    category with relations must run modulo its rules."""
-    objects = tuple(objects)
-    generators = tuple(generators)
-    obj_set = set(objects)
-    if len(obj_set) != len(objects):
-        raise ValueError("duplicate object ids")
-    names = [g.name for g in generators]
-    if len(set(names)) != len(names):
-        raise ValueError("duplicate generator names")
-    ranks = [g.rank for g in generators]
-    if len(set(ranks)) != len(ranks):
-        raise ValueError("duplicate ordinal ranks")
-    if sorted(ranks) != ranks:
-        raise ValueError("generators must be listed in rank order")
-    for g in generators:
-        if g.source not in obj_set or g.target not in obj_set:
-            raise ValueError(f"generator {g.name} references undeclared objects")
-    table = dict(differentials)
-    for g in generators:
-        if g.name not in table:
-            raise ValueError(f"missing differential for {g.name}")
-        dg = table[g.name]
-        if dg.source != g.source or dg.target != g.target:
-            raise CompositionError(
-                f"d({g.name}) has boundary {dg.source}->{dg.target}, "
-                f"expected {g.source}->{g.target}")
-        deg = dg.degree()
-        if deg is not None and deg != g.degree + 1:
-            raise DegreeError(
-                f"d({g.name}) has degree {deg}, expected {g.degree + 1}")
-        for word in dg.terms:
-            if isinstance(word, str):
-                continue
-            for letter in word:
-                if letter.rank >= g.rank:
-                    raise OrdinalViolation(
-                        f"d({g.name}) uses {letter.name} of rank {letter.rank} "
-                        f">= rank {g.rank}")
-    return SemifreeDgCat(ring, objects, generators, table, tuple(provenance))
 
 
 def audit_d_squared(cat) -> None:
@@ -430,27 +431,12 @@ def keep_generators(cat: SemifreeDgCat, gens, **changes) -> SemifreeDgCat:
     """cat cut down to gens: their differentials, and the rules (with their
     weights) whose lhs letters all survive.
 
-    A kept differential or rule rhs that uses a dropped generator is a
-    ValueError.  The result is built by dataclasses.replace with changes,
-    so the class checks the kept rules.
+    The result is built by dataclasses.replace with changes, so the class
+    rejects a kept differential or rule rhs that uses a dropped generator.
     """
     names = {g.name for g in gens}
-
-    def check(what: str, poly: NcPoly):
-        for word in poly.terms:
-            if isinstance(word, str):
-                continue
-            for letter in word:
-                if letter.name not in names:
-                    raise ValueError(
-                        f"{what} uses the dropped generator {letter.name}")
-
-    for g in gens:
-        check(f"d({g.name})", cat.differentials[g.name])
     rules = tuple((lhs, rhs) for lhs, rhs in cat.rules
                   if all(g.name in names for g in lhs))
-    for lhs, rhs in rules:
-        check(f"rule {render_word(lhs)} -> {render_poly(rhs)}", rhs)
     weights = ({n: w for n, w in cat.weights.items() if n in names}
                if rules else {})
     return replace(cat, generators=tuple(gens),
@@ -498,8 +484,8 @@ def _reach_table(generators, target: str, length_bound: int) -> list:
 def hom_slice(cat, source: str, target: str, window, length_bound: int) -> HomBasisSlice:
     """All composable words source->target with degree in window, length <= bound.
 
-    A word is coded as the tuple of its generators' ranks in written order,
-    and the identity of source as (); ranks must therefore be distinct.
+    A word is coded as the tuple of its generators' ranks in written order
+    (the class keeps ranks distinct), and the identity of source as ().
     Each degree's words are listed by length, then by rank tuple.  With
     rewrite rules only rule-irreducible words are listed.  A partial word
     is grown only while some extension of it within the bound can still
@@ -516,13 +502,8 @@ def hom_slice(cat, source: str, target: str, window, length_bound: int) -> HomBa
         raise ValueError(f"hom window {lo}:{hi} is empty (lo > hi)")
     if length_bound < 0:
         raise ValueError(f"hom length bound {length_bound} is negative")
-    named = {}  # rank -> generator name
     out_of = {}
     for g in cat.generators:
-        if g.rank in named:
-            raise ValueError(f"generators {named[g.rank]} and {g.name} "
-                             f"share the ordinal rank {g.rank}")
-        named[g.rank] = g.name
         out_of.setdefault(g.source, []).append((g.rank, g.target, g.degree))
     # Every grown word is irreducible, so a rule lhs can occur in (r,)+word
     # only as a prefix: one dict lookup per distinct lhs length.
@@ -578,9 +559,8 @@ def _d_table(cat) -> dict:
     the d terms are the (coded word, value) pairs of d(generator), and the
     -d terms the same words with negated values.
 
-    Ranks code the words; hom_slice and a category's rule index check
-    that they are distinct.  Every term is checked here to compose and to
-    run along its generator's boundary.
+    The class checks each differential's structure; every term is checked
+    here to compose and to run along its generator's boundary.
     Put in place of its generator in a composable word, such a term gives
     a composable word with the same boundary, so the spliced words of
     analysis._d_rows and rewrite.audit_rules need no check of their own.
@@ -588,13 +568,8 @@ def _d_table(cat) -> dict:
     ring = cat.ring
     table = {}
     for g in cat.generators:
-        dg = cat.differentials.get(g.name)
-        if dg is None:
-            raise MissingDifferential(f"no differential entry for {g.name}")
-        if dg.ring != ring:
-            raise ValueError("mixed coefficient rings")
         terms = [(_code(_checked(w, g.source, g.target)), c)
-                 for w, c in dg.terms.items()]
+                 for w, c in cat.differentials[g.name].terms.items()]
         table[g.rank] = (g, (terms, [(t, ring.neg(c)) for t, c in terms]))
     return table
 
@@ -715,40 +690,37 @@ def from_json(data: dict):
         if type(weight) is not int or weight < 0:
             raise InputError(f"weights.{name}",
                              f"expected an integer >= 0, got {weight!r}")
-    cat = unaudited_semifree(ring, objects, gens, table, provenance)
     specs = data.get("rules", [])
     if not isinstance(specs, list):
         raise InputError("rules", f"expected a list of rules, got {specs!r}")
-    if specs:
-        rules = []
+    rules = []
+    for i, r in enumerate(specs):
+        if not isinstance(r, dict):
+            raise InputError(f"rules[{i}]", f"expected an object with "
+                             f"\"lhs\" and \"rhs\", got {r!r}")
+        for key in ("lhs", "rhs"):
+            if key not in r:
+                raise InputError(f"rules[{i}]", f"missing {key!r}")
+        if not isinstance(r["lhs"], list) or not all(
+                isinstance(name, str) for name in r["lhs"]):
+            raise InputError(f"rules[{i}]", f"lhs must be a list of "
+                             f"generator names, got {r['lhs']!r}")
+        if not isinstance(r["rhs"], str):
+            raise InputError(f"rules[{i}]", f"rhs must be a "
+                             f"polynomial string, got {r['rhs']!r}")
+        for name in r["lhs"]:
+            if name not in gm:
+                raise InputError(f"rules[{i}]", f"lhs names unknown "
+                                 f"generator {name!r}")
+        lhs = tuple(gm[name] for name in r["lhs"])
+        # an empty lhs has no boundary; the class raises RuleError
         try:
-            for i, r in enumerate(specs):
-                if not isinstance(r, dict):
-                    raise InputError(f"rules[{i}]", f"expected an object with "
-                                     f"\"lhs\" and \"rhs\", got {r!r}")
-                for key in ("lhs", "rhs"):
-                    if key not in r:
-                        raise InputError(f"rules[{i}]", f"missing {key!r}")
-                if not isinstance(r["lhs"], list) or not all(
-                        isinstance(name, str) for name in r["lhs"]):
-                    raise InputError(f"rules[{i}]", f"lhs must be a list of "
-                                     f"generator names, got {r['lhs']!r}")
-                if not isinstance(r["rhs"], str):
-                    raise InputError(f"rules[{i}]", f"rhs must be a "
-                                     f"polynomial string, got {r['rhs']!r}")
-                for name in r["lhs"]:
-                    if name not in gm:
-                        raise InputError(f"rules[{i}]", f"lhs names unknown "
-                                         f"generator {name!r}")
-                lhs = tuple(gm[name] for name in r["lhs"])
-                # an empty lhs has no boundary; the class raises RuleError
-                rhs = (parse_poly(r["rhs"], ring, lhs[-1].source,
-                                  lhs[0].target, gm.get) if lhs else None)
-                rules.append((lhs, rhs))
-        except InputError:
-            raise
+            rhs = (parse_poly(r["rhs"], ring, lhs[-1].source, lhs[0].target,
+                              gm.get) if lhs else None)
         except _PARSE_ERRORS as err:
             raise InputError(f"rules[{i}].rhs", str(err)) from None
-        cat = replace(cat, rules=tuple(rules), weights=dict(weights))
+        rules.append((lhs, rhs))
+    cat = SemifreeDgCat(ring, objects, gens, table, tuple(provenance),
+                        tuple(rules), dict(weights) if rules else {})
     audit_d_squared(cat)
     return cat

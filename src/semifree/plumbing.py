@@ -31,7 +31,11 @@ from .dgcat import (
     push_poly,
     validate_functor,
 )
-from .constructions import QUAD_SUFFIXES, localization_records
+from .constructions import (
+    QUAD_SUFFIXES,
+    localization_cluster,
+    localization_records,
+)
 from .fukaya import one_plus_xy_inverse
 
 
@@ -357,18 +361,10 @@ def build_wrapped(data: PlumbingData, placement: dict | None = None):
         for name in to_invert:
             g = next(gg for gg in gens if gg.name == name)
             quad = [name + suffix for suffix in QUAD_SUFFIXES]
-            prime = add(quad[0], g.target, g.source, 0)
-            hat = add(quad[1], g.source, g.source, -1)
-            check = add(quad[2], g.target, g.target, -1)
-            g_poly = NcPoly.gen(ring, g)
-            prime_poly = NcPoly.gen(ring, prime)
-            table[hat.name] = (NcPoly.identity(ring, g.source)
-                               - compose(prime_poly, g_poly))
-            table[check.name] = (NcPoly.identity(ring, g.target)
-                                 - compose(g_poly, prime_poly))
-            add(quad[3], g.source, g.target, -2,
-                compose(g_poly, NcPoly.gen(ring, hat))
-                - compose(NcPoly.gen(ring, check), g_poly))
+            for ng, dg in localization_cluster(ring, g, rank, quad):
+                gens.append(ng)
+                table[ng.name] = dg
+            rank += 4
             clusters.append([name, *quad])
         provenance.append({"op": "localize", "inverted": to_invert,
                            "clusters": clusters})
@@ -770,6 +766,25 @@ def plumbing_to_json(data: PlumbingData) -> dict:
         "arrows": [{"id": a.id, "src": a.src, "tgt": a.tgt,
                     "sign": a.sign, "d": a.d} for a in data.arrows],
     }
+
+
+def placement_from_json(doc) -> dict:
+    """The placement document of build_wrapped, vertex id -> {"left":
+    tokens, "right": tokens} with each token a list of strings such as
+    ["in", "e1"], checked: a fault is an InputError at its JSON path."""
+    if not isinstance(doc, dict):
+        raise InputError("document", f"expected an object of vertex ids, "
+                                     f"got {type(doc).__name__}")
+    for vid, v in doc.items():
+        if not isinstance(v, dict):
+            raise InputError(vid, f"expected an object, got {v!r}")
+        for side in ("left", "right"):
+            for i, t in enumerate(_field(v, side, list, vid)):
+                if not isinstance(t, list) or not all(
+                        isinstance(x, str) for x in t):
+                    raise InputError(f"{vid}.{side}[{i}]", f"expected a list "
+                                     f"of strings, got {t!r}")
+    return doc
 
 
 def quiver_from_json(doc: dict) -> GradedQuiver:

@@ -10,9 +10,10 @@ mentions a removed generator are dropped and recorded).
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 
 from .algebra import Generator, NcPoly, UnionFind, render_poly
-from .dgcat import new_semifree, push_poly
+from .dgcat import InputError, _field, new_semifree, push_poly
 from .rewrite import new_relational
 
 
@@ -385,30 +386,37 @@ def greedy_simplify(cat):
 
 
 def replay(cat, steps):
-    """Replay a serialized reduction script."""
+    """Replay a serialized reduction script, a list of steps; a malformed
+    step is an InputError at its JSON path."""
     from .constructions import localize, name_as_generator
-    for step in steps:
-        op = step["op"]
+    if not isinstance(steps, list):
+        raise InputError("document", f"expected a list of steps, got "
+                                     f"{type(steps).__name__}")
+    for i, step in enumerate(steps):
+        where = f"[{i}]"
+        if not isinstance(step, dict):
+            raise InputError(where, f"expected an object, got {step!r}")
+        arg = partial(_field, step, kind=str, where=where)
+        op = arg("op")
         if op == "change_basis":
-            g = cat.gen(step["gen"])
+            g = cat.gen(arg("gen"))
             lower = cat.poly(step.get("lower", "0"), g.source, g.target)
-            cat = change_basis(cat, step["gen"],
+            cat = change_basis(cat, g.name,
                                cat.ring.parse_value(step.get("unit", "1")),
                                lower, step.get("renamed"))
         elif op == "cancel_pair":
-            cat = cancel_pair(cat, step["a"], step["b"])
+            cat = cancel_pair(cat, arg("a"), arg("b"))
         elif op == "set_generator":
-            cat = set_generator(cat, step["gen"], step["value"])
+            cat = set_generator(cat, arg("gen"), arg("value"))
         elif op == "strictify":
             cat = strictify_t(cat)
         elif op == "localize":
-            cat = localize(cat, step["gens"])
+            cat = localize(cat, arg("gens", kind=list))
         elif op == "name_generator":
-            expr = cat.poly(step["expr"], step["src"], step["tgt"])
-            cat = name_as_generator(cat, expr, step["name"])
+            expr = cat.poly(arg("expr"), arg("src"), arg("tgt"))
+            cat = name_as_generator(cat, expr, arg("name"))
         elif op == "greedy":
             cat, _ = greedy_simplify(cat)
         else:
-            raise ValueError(f"unknown reduction step {op!r}")
+            raise InputError(f"{where}.op", f"unknown reduction step {op!r}")
     return cat
-

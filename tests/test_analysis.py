@@ -467,23 +467,23 @@ def test_trimmed_assembly_matches_oracle_on_every_degree(field):
 
 
 def test_assembly_before_a_loss_builds_every_term():
-    # Outside the rank order (d(u) uses u), terms beyond the bound can
-    # cancel: d(u*v) = u*p*v - u*p*v = 0, so at bound 2 nothing of degree
-    # -2 from X to Z is lost.  Over Zmod:7 the raw sum is 1 + 6 = 7, which
-    # must read as zero.  Built without new_semifree's checks.
+    # Terms beyond the bound can cancel, which the ordinal condition rules
+    # out in a category without rules, so the coded table is written by
+    # hand: u: Y -> Z and v: X -> Y of degree -1, p on Y of degree 1, with
+    # d(u) = u*p, d(v) = p*v and d(p) = p*p.  d(u*v) = u*p*v - u*p*v = 0,
+    # so at bound 2 the word u*v loses nothing.  Over Zmod:7 the raw sum is
+    # 1 + 6 = 7, which must read as zero.
     u = Generator("u", "Y", "Z", -1, 0)
     v = Generator("v", "X", "Y", -1, 1)
     p = Generator("p", "Y", "Y", 1, 2)
     for field in (Q, integers_mod(7)):
-        cat = SemifreeDgCat(field, ("X", "Y", "Z"), (u, v, p), {
-            "u": NcPoly(field, "Y", "Z", {(u, p): 1}),
-            "v": NcPoly(field, "X", "Y", {(p, v): 1}),
-            "p": NcPoly(field, "Y", "Y", {(p, p): 1})})
-        got, want, words = coded_rows(cat, "X", "Z", (-3, 0), 2, -2)
-        assert words[-2] == [(u, v)]
-        assert got == want == ([], False)
-        got, want, _ = coded_rows(cat, "X", "Z", (-3, 0), 3, -1)
-        assert got == want == ([], True)  # d(u*p*v) = u*p*p*v
+        one = field.one()
+        table = {g.rank: (g, ([(t, one)], [(t, field.neg(one))]))
+                 for g, t in ((u, (0, 2)), (v, (2, 1)), (p, (2, 2)))}
+        assert _d_rows(field, table, None, {(0, 1): 0}, {}, 2) == ([], False)
+        # d(u*p*v) = u*p*p*v
+        assert _d_rows(field, table, None, {(0, 2, 1): 0}, {}, 3) == \
+            ([], True)
 
 
 @pytest.mark.parametrize("field", ["Z", "Zmod:7"])
@@ -541,8 +541,8 @@ def test_rows_with_rules_equal_those_of_the_oracle_normalizer(
 
 
 def test_non_composable_d_term_rejected():
-    # built without new_semifree's checks: d(g) holds a*e, which does not
-    # compose (e ends at Y, a starts at X)
+    # built without new_semifree's d^2 audit: d(g) holds a*e, which does
+    # not compose (e ends at Y, a starts at X); _d_table checks the words
     a = Generator("a", "X", "X", 0, 0)
     e = Generator("e", "X", "Y", 0, 1)
     g = Generator("g", "X", "X", -1, 2)
@@ -555,12 +555,13 @@ def test_non_composable_d_term_rejected():
 
 def test_assembly_rejects_shared_ranks():
     # ranks code the words, so two generators with one rank would merge
-    # distinct words into one column
+    # distinct words into one column; such a category is refused before
+    # truncated_cohomology can see it
     a = Generator("a", "X", "X", 0, 0)
     b = Generator("b", "X", "X", 0, 0)
-    cat = SemifreeDgCat(Q, ("X",), (a, b), {
-        "a": NcPoly.zero(Q, "X", "X"), "b": NcPoly.zero(Q, "X", "X")})
-    with pytest.raises(ValueError, match="a and b share the ordinal rank 0"):
+    with pytest.raises(ValueError, match="^duplicate ordinal ranks$"):
+        cat = SemifreeDgCat(Q, ("X",), (a, b), {
+            "a": NcPoly.zero(Q, "X", "X"), "b": NcPoly.zero(Q, "X", "X")})
         truncated_cohomology(cat, "X", "X", (0, 0), 1, Q)
 
 

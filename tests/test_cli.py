@@ -459,7 +459,12 @@ def test_ginzburg_witness_exit_code():
     (["--src", "L", "--tgt", "L", "--window=0:-3"], "window 0:-3"),
     (["--src", "L", "--tgt", "L", "--window=-3:0", "--bound", "-2"],
      "bound -2"),
-], ids=["unknown-object", "empty-window", "negative-bound"])
+    (["--src", "L", "--tgt", "L", "--window=1"],
+     "--window: expected LO:HI with integers, got '1'"),
+    (["--src", "L", "--tgt", "L", "--window=a:b"],
+     "--window: expected LO:HI with integers, got 'a:b'"),
+], ids=["unknown-object", "empty-window", "negative-bound", "window-no-colon",
+        "window-not-integers"])
 def test_hom_rejects_bad_arguments(flags, named, capsys, tmp_path):
     # each of these used to print a table marked exact and exit 0
     out = tmp_path / "table.json"
@@ -467,3 +472,62 @@ def test_hom_rejects_bad_arguments(flags, named, capsys, tmp_path):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("window", ["1", "a:b", "-3:1:2"])
+def test_functor_ranks_names_a_malformed_window(window, tmp_path, capsys):
+    from semifree.algebra import INTEGERS
+    from semifree.dgcat import to_json
+    from semifree.fukaya import ModelId, build
+    c = to_json(build(ModelId.parse("C:2"), INTEGERS))
+    path = tmp_path / "id.json"
+    path.write_text(json.dumps({
+        "type": "functor", "source": c, "target": c,
+        "objects": {"L": "L"}, "generators": {"z": "z"}}))
+    out = tmp_path / "cert.json"
+    assert main(["functor", str(path), "--out", str(out)]) == 0
+    assert main(["functor", str(path), "--ranks", f"--window={window}",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --window: expected LO:HI with integers, got {window!r}\n")
+
+
+@pytest.mark.parametrize("script,message", [
+    ([{"a": "a", "b": "b"}], "[0]: missing 'op'"),
+    ({"op": "greedy"}, "document: expected a list of steps, got dict"),
+    ([{"op": "greedy"}, {"op": "cancel_pair", "b": "b"}], "[1]: missing 'a'"),
+    (["greedy"], "[0]: expected an object, got 'greedy'"),
+    ([{"op": "localize", "gens": "a"}],
+     "[0].gens: expected a list, got 'a'"),
+    ([{"op": "rename"}], "[0].op: unknown reduction step 'rename'"),
+], ids=["no-op", "object", "no-argument", "step-not-object",
+        "argument-type", "unknown-op"])
+def test_simplify_names_a_malformed_script(script, message, tmp_path,
+                                           capsys):
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(script))
+    assert main(["simplify", str(DATA / "e12_n3.json"), "--script", str(path),
+                 "--out", str(tmp_path / "s.json")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("placement,message", [
+    ({"v": {"right": []}}, "v: missing 'left'"),
+    ({"v": {"left": [["eta"]]}}, "v: missing 'right'"),
+    ([], "document: expected an object of vertex ids, got list"),
+    ({"v": []}, "v: expected an object, got []"),
+    ({"v": {"left": "eta", "right": []}}, "v.left: expected a list, got 'eta'"),
+    ({"v": {"left": [["eta"]], "right": ["in"]}},
+     "v.right[0]: expected a list of strings, got 'in'"),
+    ({"v": {"left": [["eta", 1]], "right": []}},
+     "v.left[0]: expected a list of strings, got ['eta', 1]"),
+], ids=["no-left", "no-right", "list", "vertex-not-object", "side-not-list",
+        "token-not-list", "token-not-strings"])
+def test_plumb_names_a_malformed_placement(placement, message, tmp_path,
+                                           capsys):
+    path = tmp_path / "placement.json"
+    path.write_text(json.dumps(placement))
+    assert main(["plumb", str(DATA / "surface_plumbing_n2.json"),
+                 "--reorder", str(path),
+                 "--out", str(tmp_path / "w.json")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

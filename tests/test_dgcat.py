@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -401,14 +402,66 @@ def test_hom_slice_lists_words_by_length_then_ranks(spec, window, bound):
 
 def test_hom_slice_rejects_shared_ranks():
     # ranks code the words, so two generators with one rank would list
+    # distinct words as one; such a category is refused before hom_slice
+    # can see it
+    a = Generator("a", "X", "X", 0, 0)
+    b = Generator("b", "X", "X", 0, 0)
+    with pytest.raises(ValueError, match="^duplicate ordinal ranks$"):
+        cat = SemifreeDgCat(ring, ("X",), (a, b), {
+            "a": NcPoly.zero(ring, "X", "X"),
+            "b": NcPoly.zero(ring, "X", "X")})
+        hom_slice(cat, "X", "X", (0, 0), 1)
+
+
+def test_shared_ranks_are_rejected_however_a_category_is_built():
+    # ranks code the words, so two generators with one rank would list
     # distinct words as one
     a = Generator("a", "X", "X", 0, 0)
     b = Generator("b", "X", "X", 0, 0)
-    cat = SemifreeDgCat(ring, ("X",), (a, b), {
-        "a": NcPoly.zero(ring, "X", "X"), "b": NcPoly.zero(ring, "X", "X")})
-    with pytest.raises(ValueError,
-                       match="generators a and b share the ordinal rank 0"):
-        hom_slice(cat, "X", "X", (0, 0), 1)
+    table = {g.name: NcPoly.zero(ring, "X", "X") for g in (a, b)}
+    one = new_semifree(ring, ("X",), (a,), table)
+    for construct in (lambda: SemifreeDgCat(ring, ("X",), (a, b), table),
+                      lambda: replace(one, generators=(a, b)),
+                      lambda: new_semifree(ring, ("X",), (a, b), table)):
+        with pytest.raises(ValueError, match="^duplicate ordinal ranks$"):
+            construct()
+
+
+def test_replace_reruns_the_structural_checks():
+    # a on X, b: X -> Y with d(b) = e*a, e: X -> Y
+    a = Generator("a", "X", "X", 0, 0)
+    e = Generator("e", "X", "Y", 1, 1)
+    b = Generator("b", "X", "Y", 0, 2)
+    db = compose(NcPoly.gen(ring, e), NcPoly.gen(ring, a))
+    cat = new_semifree(ring, ("X", "Y"), (a, e, b), {
+        "a": NcPoly.zero(ring, "X", "X"), "e": NcPoly.zero(ring, "X", "Y"),
+        "b": db})
+    for changes, error, message in [
+        ({"generators": (e, b)}, ValueError,
+         "d(b) uses a, which is not a generator of the category"),
+        ({"generators": (a, b, e)}, ValueError,
+         "generators must be listed in rank order"),
+        ({"objects": ("X",)}, ValueError,
+         "generator e references undeclared objects"),
+        ({"differentials": {"a": NcPoly.zero(ring, "X", "X"),
+                            "b": db}}, ValueError,
+         "missing differential for e"),
+        ({"ring": RATIONALS}, ValueError, "mixed coefficient rings"),
+        ({"generators": (a, e, b._replace(degree=1))}, DegreeError,
+         "d(b) has degree 1, expected 2"),
+    ]:
+        with pytest.raises(error) as err:
+            replace(cat, **changes)
+        assert str(err.value) == message
+
+
+def test_rule_rhs_over_another_ring_is_rejected_when_built():
+    a = Generator("a", "X", "X", 0, 0)
+    b = Generator("b", "X", "X", 0, 1)
+    table = {g.name: NcPoly.zero(ring, "X", "X") for g in (a, b)}
+    rule = ((b,), NcPoly.gen(RATIONALS, a))
+    with pytest.raises(ValueError, match="^mixed coefficient rings$"):
+        SemifreeDgCat(ring, ("X",), (a, b), table, rules=(rule,))
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +622,24 @@ def test_restriction_rejects_rule_through_dropped_generator():
     rhs = compose(NcPoly.gen(ring, c), NcPoly.gen(ring, b))
     cat = new_relational(ring, ("X", "Y"), (a, b, c), zero, [((a, a), rhs)],
                          {"a": 3})
-    with pytest.raises(ValueError, match="dropped generator"):
+    with pytest.raises(RuleError) as err:
         restrict_to_objects(cat, ["X"])
+    assert str(err.value) == ("rule a*a -> c*b uses c, which is not a "
+                              "generator of the category")
+
+
+def test_restriction_rejects_d_through_dropped_generator():
+    # d(h) = c*b on X, where b and c pass through Y
+    b = Generator("b", "X", "Y", 0, 0)
+    c = Generator("c", "Y", "X", 0, 1)
+    h = Generator("h", "X", "X", -1, 2)
+    table = {g.name: NcPoly.zero(ring, g.source, g.target) for g in (b, c)}
+    table["h"] = compose(NcPoly.gen(ring, c), NcPoly.gen(ring, b))
+    cat = new_semifree(ring, ("X", "Y"), (b, c, h), table)
+    with pytest.raises(ValueError) as err:
+        restrict_to_objects(cat, ["X"])
+    assert str(err.value) == ("d(h) uses c, which is not a generator of the "
+                              "category")
 
 
 def test_audit_runs_over_collection():

@@ -22,9 +22,9 @@ from semifree.algebra import (
 from semifree.constructions import tensor
 from semifree.dgcat import (
     DSquaredNonzero,
+    SemifreeDgCat,
     from_json,
     new_semifree,
-    unaudited_semifree,
 )
 from semifree.fukaya import ModelId, build
 from semifree.rewrite import (
@@ -91,9 +91,9 @@ def compose_normalize(rules, p):
 
 def compose_relational(ring, objects, generators, differentials, rules,
                        weights=None):
-    cat = replace(unaudited_semifree(ring, objects, generators,
-                                     differentials),
-                  rules=tuple(rules), weights=dict(weights or {}))
+    cat = SemifreeDgCat(ring, tuple(objects), tuple(generators),
+                        dict(differentials), (), tuple(rules),
+                        dict(weights or {}))
     index = GeneratorRuleIndex(cat.rules)
     for g in cat.generators:
         residual = generator_normalize(
@@ -470,8 +470,8 @@ weight_maps = st.one_of(st.just({}), st.dictionaries(
 def test_hoisted_order_checks_equal_pairwise_checks(specs, weights):
     rules = [(lhs, NcPoly.from_terms(ring, "X", "X", [(w, 1) for w in rhs]))
              for lhs, rhs in specs]
-    base = unaudited_semifree(ring, ("X",), DG_LETTERS,
-                              {g.name: _rhs(ring) for g in DG_LETTERS})
+    base = SemifreeDgCat(ring, ("X",), DG_LETTERS,
+                         {g.name: _rhs(ring) for g in DG_LETTERS})
     got = outcome(lambda: replace(base, rules=tuple(rules), weights=weights))
     want = outcome(lambda: check_rules_by_pairs(rules, weights))
     assert got[0] == "ok" if want[0] == "ok" else got == want
