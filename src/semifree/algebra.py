@@ -297,10 +297,6 @@ class NcPoly:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: _word_sort_key(item[0]))
 
-    def key_view(self):
-        """Mapping by generator-name sequences, for cross-category equality."""
-        return {word_names(w): c for w, c in self.terms.items()}
-
     # -- arithmetic --
     def _check_boundary(self, other: "NcPoly"):
         if self.ring != other.ring:

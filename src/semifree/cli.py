@@ -22,24 +22,15 @@ from .dgcat import (
     DgFunctor,
     InputError,
     _field,
+    _known,
     from_json,
     to_json,
     validate_functor,
 )
 from .fukaya import ModelId, build
-from .plumbing import (
-    build_ginzburg,
-    build_wrapped,
-    edge_flip_witness,
-    ginzburg_witness,
-    normalize as normalize_data,
-    placement_from_json,
-    plumbing_from_json,
-    plumbing_to_json,
-    quiver_from_json,
-    sign_gauge_witness,
-)
-from .reduce import greedy_simplify, replay, strictify_t
+
+# plumbing and reduce are imported by the subcommands that use them, so
+# build, verify, hom and tensor do not compile them at start-up.
 
 
 def _dump(doc) -> str:
@@ -180,7 +171,8 @@ def cmd_build(args):
 
 def cmd_localize(args):
     cat = _load_cat(args.file)
-    cat = localize(cat, args.gens.split(","))
+    cat = localize(cat, _known(args.gens.split(","), cat.gen_map(),
+                               "generator named", "--gens"))
     _emit_cat(cat, args)
     return 0
 
@@ -199,12 +191,14 @@ def cmd_hocolim(args):
     beta = functor_from_json(_field(doc, "beta", dict, ""), c, b, "beta")
     cat = hocolim(PushoutSpan(a, c, b, alpha, beta))
     if args.strictify:
+        from .reduce import strictify_t
         cat = strictify_t(cat)
     _emit_cat(cat, args)
     return 0
 
 
 def cmd_simplify(args):
+    from .reduce import greedy_simplify, replay
     cat = _load_cat(args.file)
     if args.script:
         cat = replay(cat, _load_json(args.script))
@@ -260,9 +254,11 @@ def cmd_hom(args):
 
 
 def cmd_plumb(args):
+    from .plumbing import (build_wrapped, placement_from_json,
+                           plumbing_from_json)
     ring = Ring.parse(args.coeff) if args.coeff else None
     data = plumbing_from_json(_load_json(args.file), ring, args.n)
-    placement = (placement_from_json(_load_json(args.reorder))
+    placement = (placement_from_json(_load_json(args.reorder), data)
                  if args.reorder else None)
     cat = build_wrapped(data, placement)
     _emit_cat(cat, args)
@@ -270,6 +266,8 @@ def cmd_plumb(args):
 
 
 def cmd_ginzburg(args):
+    from .plumbing import (build_ginzburg, ginzburg_witness, plumbing_to_json,
+                           quiver_from_json)
     gq = quiver_from_json(_load_json(args.file))
     ring = Ring.parse(args.coeff)
     if args.witness:
@@ -289,9 +287,14 @@ def cmd_ginzburg(args):
 
 
 def cmd_equiv(args):
+    from .plumbing import (edge_flip_witness, plumbing_from_json,
+                           plumbing_to_json, sign_gauge_witness)
     ring = Ring.parse(args.coeff) if args.coeff else None
     data = plumbing_from_json(_load_json(args.file), ring)
     if args.mode == "flip":
+        if args.arrow is None:
+            raise InputError("--arrow", "required by equiv flip")
+        _known((args.arrow,), {a.id for a in data.arrows}, "arrow", "--arrow")
         witness = edge_flip_witness(data, args.arrow)
         doc = {
             "mode": "flip",
@@ -301,10 +304,14 @@ def cmd_equiv(args):
             "backward_valid": witness.certificates[1]["valid"],
         }
     else:
-        witness = sign_gauge_witness(data, args.flip_set.split(","))
+        if args.flip_set is None:
+            raise InputError("--flip-set", "required by equiv gauge")
+        flip_set = _known(args.flip_set.split(","), dict(data.vertices),
+                          "vertex", "--flip-set")
+        witness = sign_gauge_witness(data, flip_set)
         doc = {
             "mode": "gauge",
-            "flip_set": sorted(args.flip_set.split(",")),
+            "flip_set": sorted(flip_set),
             "regauged": plumbing_to_json(witness.regauged),
             "valid": witness.certificate["valid"],
             "vertex_signs": {k: v for k, v in sorted(
@@ -315,8 +322,9 @@ def cmd_equiv(args):
 
 
 def cmd_normalize(args):
+    from .plumbing import normalize, plumbing_from_json, plumbing_to_json
     data = plumbing_from_json(_load_json(args.file))
-    _emit(_dump(plumbing_to_json(normalize_data(data))), args.out)
+    _emit(_dump(plumbing_to_json(normalize(data))), args.out)
     return 0
 
 

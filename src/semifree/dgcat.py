@@ -56,6 +56,10 @@ class FunctorError(Exception):
         super().__init__(message)
 
 
+class UnknownName(ValueError):
+    """A generator or arrow name that the category or plumbing lacks."""
+
+
 @dataclass(frozen=True)
 class SemifreeDgCat:
     ring: Ring
@@ -180,7 +184,7 @@ class SemifreeDgCat:
     def gen(self, name: str) -> Generator:
         g = self.gen_map().get(name)
         if g is None:
-            raise KeyError(f"no generator named {name!r}")
+            raise UnknownName(f"no generator named {name!r}")
         return g
 
     def gen_map(self) -> dict:
@@ -417,16 +421,6 @@ def compose_functors(f: DgFunctor, g: DgFunctor) -> DgFunctor:
     return DgFunctor(g.source, f.target, object_map, gen_map, shifts)
 
 
-def restrict_to_objects(cat: SemifreeDgCat, objects) -> SemifreeDgCat:
-    """Subcategory on the generators whose boundaries stay in `objects`."""
-    keep = set(objects)
-    gens = tuple(g for g in cat.generators
-                 if g.source in keep and g.target in keep)
-    return keep_generators(cat, gens, objects=tuple(sorted(keep)),
-                           provenance=cat.provenance + (
-                               {"op": "restrict", "objects": sorted(keep)},))
-
-
 def keep_generators(cat: SemifreeDgCat, gens, **changes) -> SemifreeDgCat:
     """cat cut down to gens: their differentials, and the rules (with their
     weights) whose lhs letters all survive.
@@ -629,6 +623,16 @@ _GENERATOR_FIELDS = {"name": str, "src": str, "tgt": str, "deg": int,
                      "rank": int, "d": str}
 _EXPECTED = {str: "a string", int: "an integer", list: "a list",
              dict: "an object"}
+
+
+def _known(names, known, what: str, where: str):
+    """names, when each is in known; otherwise an InputError at where, the
+    JSON path or option that gave them, such as "no arrow 'e9'" for what
+    "arrow"."""
+    for name in names:
+        if name not in known:
+            raise InputError(where, f"no {what} {name!r}")
+    return names
 
 
 def _field(obj: dict, key: str, kind, where: str):

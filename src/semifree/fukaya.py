@@ -14,14 +14,9 @@ from .algebra import Generator, NcPoly, Ring, compose, compose_all
 from .dgcat import DgFunctor, SemifreeDgCat, new_semifree, validate_functor
 from .constructions import localization_records, localize, name_as_generator
 from .rewrite import new_relational
-from .twisted import (
-    build_b01,
-    build_d01,
-    build_d12,
-    cone_extend,
-    cone_object,
-    shift_presentation,
-)
+
+# twisted is imported where a D12, B01 or D01 model, a shift or a cone is
+# built, so the other models do not compile it.
 
 
 @dataclass(frozen=True)
@@ -88,10 +83,13 @@ def build(model: ModelId, ring: Ring, options: dict | None = None):
     if tag == "M":
         return build_punctured_surface(params[0], params[1], ring, options)
     if tag == "D12":
+        from .twisted import build_d12
         return build_d12(params[0], ring)
     if tag == "B01":
+        from .twisted import build_b01
         return build_b01(params[0], ring)
     if tag == "D01":
+        from .twisted import build_d01
         return build_d01(params[0], ring)
     raise ValueError(f"unknown model {tag!r}")
 
@@ -288,6 +286,7 @@ def inclusion_functor(kind: str, ring: Ring, **params) -> DgFunctor:
         n = params["n"]
         if n == 2:
             return _sector_inclusion_2(kind, ring)
+        from .twisted import build_d12
         source = build(ModelId("C", (n - 1,)), ring)
         target = build_d12(n, ring)
         x = NcPoly.gen(ring, target.gen("x"))
@@ -302,6 +301,7 @@ def inclusion_functor(kind: str, ring: Ring, **params) -> DgFunctor:
         return functor
     if kind in ("Phi_shifted", "Psi_shifted"):
         n, m1, m2 = params["n"], params.get("m1", 0), params.get("m2", 0)
+        from .twisted import shift_presentation
         plain = inclusion_functor(kind.split("_")[0], ring, n=n)
         shifted, comparison = shift_presentation(
             plain.target, {"L1": m1, "L2": m2})
@@ -313,6 +313,7 @@ def inclusion_functor(kind: str, ring: Ring, **params) -> DgFunctor:
             return _name_functor(source, a2, {"K": "K0"}, {})
         if kind == "j1":
             return _name_functor(source, a2, {"K": "K1"}, {})
+        from .twisted import cone_extend, cone_object
         coned = cone_extend(a2, "f")
         functor = DgFunctor(source, coned, {"K": cone_object("f")}, {})
         validate_functor(functor)
@@ -353,6 +354,7 @@ def _sector_inclusion_2(kind: str, ring: Ring) -> DgFunctor:
 def sector_category_2(ring: Ring) -> SemifreeDgCat:
     """The localized n = 2 plumbing-sector presentation: x, y free of degree
     zero, with 1 + yx named as the generator w and inverted."""
+    from .twisted import build_d12
     d12 = build_d12(2, ring)
     x = NcPoly.gen(ring, d12.gen("x"))
     y = NcPoly.gen(ring, d12.gen("y"))

@@ -26,7 +26,9 @@ from .dgcat import (
     DgFunctor,
     InputError,
     SemifreeDgCat,
+    UnknownName,
     _field,
+    _known,
     new_semifree,
     push_poly,
     validate_functor,
@@ -114,7 +116,7 @@ class PlumbingData:
         for a in self.arrows:
             if a.id == aid:
                 return a
-        raise KeyError(f"no arrow {aid!r}")
+        raise UnknownName(f"no arrow {aid!r}")
 
 
 def _custom_category(spec: VertexSpec, ring: Ring, n: int):
@@ -768,14 +770,17 @@ def plumbing_to_json(data: PlumbingData) -> dict:
     }
 
 
-def placement_from_json(doc) -> dict:
-    """The placement document of build_wrapped, vertex id -> {"left":
-    tokens, "right": tokens} with each token a list of strings such as
-    ["in", "e1"], checked: a fault is an InputError at its JSON path."""
+def placement_from_json(doc, data: PlumbingData) -> dict:
+    """The placement document of build_wrapped for data, vertex id ->
+    {"left": tokens, "right": tokens} with each token a list of strings such
+    as ["in", "e1"], checked: a fault, or a vertex that data lacks, is an
+    InputError at its JSON path."""
     if not isinstance(doc, dict):
         raise InputError("document", f"expected an object of vertex ids, "
                                      f"got {type(doc).__name__}")
+    vertices = dict(data.vertices)
     for vid, v in doc.items():
+        _known((vid,), vertices, "vertex", vid)
         if not isinstance(v, dict):
             raise InputError(vid, f"expected an object, got {v!r}")
         for side in ("left", "right"):

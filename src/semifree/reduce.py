@@ -13,7 +13,14 @@ from dataclasses import replace
 from functools import partial
 
 from .algebra import Generator, NcPoly, UnionFind, render_poly
-from .dgcat import InputError, _field, new_semifree, push_poly
+from .dgcat import (
+    _PARSE_ERRORS,
+    InputError,
+    _field,
+    _known,
+    new_semifree,
+    push_poly,
+)
 from .rewrite import new_relational
 
 
@@ -385,9 +392,31 @@ def greedy_simplify(cat):
         steps.append({"op": "cancel_pair", "a": a.name, "b": b.name})
 
 
+def _gen_arg(cat, step: dict, key: str, where: str) -> str:
+    """step[key], the name of a generator of cat."""
+    name = _field(step, key, str, where)
+    _known((name,), cat.gen_map(), "generator named", f"{where}.{key}")
+    return name
+
+
+def _text_arg(step: dict, key: str, default, where: str):
+    """step[key], a string, or default when the step does not give it."""
+    return _field(step, key, str, where) if key in step else default
+
+
+def _parsed(where: str, parse, *args):
+    """parse(*args), whose first argument is a text; a text that does not
+    parse is an InputError at where."""
+    try:
+        return parse(*args)
+    except _PARSE_ERRORS as err:
+        raise InputError(where, str(err)) from None
+
+
 def replay(cat, steps):
     """Replay a serialized reduction script, a list of steps; a malformed
-    step is an InputError at its JSON path."""
+    step, or one naming a generator the category lacks, is an InputError at
+    its JSON path."""
     from .constructions import localize, name_as_generator
     if not isinstance(steps, list):
         raise InputError("document", f"expected a list of steps, got "
@@ -399,21 +428,28 @@ def replay(cat, steps):
         arg = partial(_field, step, kind=str, where=where)
         op = arg("op")
         if op == "change_basis":
-            g = cat.gen(arg("gen"))
-            lower = cat.poly(step.get("lower", "0"), g.source, g.target)
-            cat = change_basis(cat, g.name,
-                               cat.ring.parse_value(step.get("unit", "1")),
-                               lower, step.get("renamed"))
+            g = cat.gen(_gen_arg(cat, step, "gen", where))
+            unit = _parsed(f"{where}.unit", cat.ring.parse_value,
+                           _text_arg(step, "unit", "1", where))
+            lower = _parsed(f"{where}.lower", cat.poly,
+                            _text_arg(step, "lower", "0", where),
+                            g.source, g.target)
+            cat = change_basis(cat, g.name, unit, lower,
+                               _text_arg(step, "renamed", None, where))
         elif op == "cancel_pair":
-            cat = cancel_pair(cat, arg("a"), arg("b"))
+            cat = cancel_pair(cat, _gen_arg(cat, step, "a", where),
+                              _gen_arg(cat, step, "b", where))
         elif op == "set_generator":
-            cat = set_generator(cat, arg("gen"), arg("value"))
+            cat = set_generator(cat, _gen_arg(cat, step, "gen", where),
+                                arg("value"))
         elif op == "strictify":
             cat = strictify_t(cat)
         elif op == "localize":
-            cat = localize(cat, arg("gens", kind=list))
+            cat = localize(cat, _known(arg("gens", kind=list), cat.gen_map(),
+                                       "generator named", f"{where}.gens"))
         elif op == "name_generator":
-            expr = cat.poly(arg("expr"), arg("src"), arg("tgt"))
+            expr = _parsed(f"{where}.expr", cat.poly, arg("expr"),
+                           arg("src"), arg("tgt"))
             cat = name_as_generator(cat, expr, arg("name"))
         elif op == "greedy":
             cat, _ = greedy_simplify(cat)

@@ -5,9 +5,21 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from semifree.algebra import NcPoly, accumulate, render_poly
+from semifree.algebra import NcPoly, accumulate, render_poly, word_names
 from semifree.analysis import change_coefficients, truncated_cohomology
-from semifree.dgcat import DgFunctor, restrict_to_objects
+from semifree.constructions import (
+    PushoutSpan,
+    _hocolim_full,
+    localization_records,
+)
+from semifree.dgcat import (
+    DgFunctor,
+    SemifreeDgCat,
+    compose_functors,
+    keep_generators,
+    push_poly,
+    validate_functor,
+)
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -17,6 +29,22 @@ def identity_functor(cat) -> DgFunctor:
     return DgFunctor(cat, cat, {o: o for o in cat.objects}, gm)
 
 
+def key_view(p: NcPoly) -> dict:
+    """p's terms keyed by generator-name sequences, for equality across
+    categories."""
+    return {word_names(w): c for w, c in p.terms.items()}
+
+
+def restrict_to_objects(cat: SemifreeDgCat, objects) -> SemifreeDgCat:
+    """Subcategory on the generators whose boundaries stay in `objects`."""
+    keep = set(objects)
+    gens = tuple(g for g in cat.generators
+                 if g.source in keep and g.target in keep)
+    return keep_generators(cat, gens, objects=tuple(sorted(keep)),
+                           provenance=cat.provenance + (
+                               {"op": "restrict", "objects": sorted(keep)},))
+
+
 def restrict_functor(f: DgFunctor, objects) -> DgFunctor:
     sub = restrict_to_objects(f.source, objects)
     return DgFunctor(sub, f.target,
@@ -24,6 +52,88 @@ def restrict_functor(f: DgFunctor, objects) -> DgFunctor:
                      {g.name: f.generator_map[g.name] for g in sub.generators},
                      {o: s for o, s in f.object_shifts.items()
                       if o in set(objects)})
+
+
+# ---------------------------------------------------------------------------
+# induced functor between the homotopy colimits of a commuting ladder
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SpanLadder:
+    top: PushoutSpan
+    bottom: PushoutSpan
+    f_a: DgFunctor
+    f_c: DgFunctor
+    f_b: DgFunctor
+
+
+def _functors_agree(f: DgFunctor, g: DgFunctor) -> bool:
+    if f.source.objects != g.source.objects:
+        return False
+    for obj in f.source.objects:
+        if f.object_map[obj] != g.object_map[obj]:
+            return False
+    for gen in f.source.generators:
+        lhs = f.target.normalize(f.generator_map[gen.name])
+        rhs = g.target.normalize(g.generator_map[gen.name])
+        if (key_view(lhs) != key_view(rhs) or lhs.source != rhs.source
+                or lhs.target != rhs.target):
+            return False
+    return True
+
+
+def hocolim_functor(ladder: SpanLadder):
+    """Induced functor between homotopy colimits of a commuting ladder.
+
+    Restriction to the outer categories is the given vertical pair; t_X goes
+    to t_{F(X)} and t_f to the twisted derivation applied to F(f).
+    """
+    top, bottom = ladder.top, ladder.bottom
+    if not _functors_agree(compose_functors(ladder.f_a, top.alpha),
+                           compose_functors(bottom.alpha, ladder.f_c)):
+        raise ValueError("ladder does not commute on the alpha legs")
+    if not _functors_agree(compose_functors(ladder.f_b, top.beta),
+                           compose_functors(bottom.beta, ladder.f_c)):
+        raise ValueError("ladder does not commute on the beta legs")
+    h1, ports1 = _hocolim_full(top)
+    h2, ports2 = _hocolim_full(bottom)
+    if ports1 is None or ports2 is None:
+        raise ValueError("hocolim_functor needs both spans in general position "
+                         "(no semifree-extension leg)")
+    ring = h2.ring
+
+    object_map = {}
+    for obj in top.a.objects:
+        object_map[ports1["object_map_a"][obj]] = \
+            ports2["object_map_a"][ladder.f_a.object_map[obj]]
+    for obj in top.b.objects:
+        object_map[ports1["object_map_b"][obj]] = \
+            ports2["object_map_b"][ladder.f_b.object_map[obj]]
+
+    gen_map = {}
+    for g in top.a.generators:
+        gen_map[g.name] = ladder.f_a.generator_map[g.name]
+    for g in top.b.generators:
+        renamed = ports1["b_renamed"][g.name]
+        gen_map[renamed.name] = push_poly(ladder.f_b.generator_map[g.name],
+                                          ports2["object_map_b"],
+                                          ports2["b_images"], ring)
+    records2 = {r.inverted: r for r in localization_records(h2)}
+    records1 = {r.inverted: r for r in localization_records(h1)}
+    for x in ports1["core_c"].objects:
+        t1 = ports1["t_obj"][x]
+        t2 = ports2["t_obj"][ladder.f_c.object_map[x]]
+        gen_map[t1.name] = NcPoly.gen(ring, t2)
+        rec1, rec2 = records1[t1.name], records2[t2.name]
+        for n1, n2 in zip(rec1.names(), rec2.names()):
+            gen_map[n1] = NcPoly.gen(ring, h2.gen(n2))
+    for g in ports1["core_c"].generators:
+        t1 = ports1["t_gen"][g.name]
+        gen_map[t1.name] = ports2["twisted"](ladder.f_c.generator_map[g.name])
+
+    functor = DgFunctor(h1, h2, object_map, gen_map)
+    validate_functor(functor)
+    return functor
 
 
 @dataclass(frozen=True)

@@ -500,8 +500,27 @@ def test_functor_ranks_names_a_malformed_window(window, tmp_path, capsys):
     ([{"op": "localize", "gens": "a"}],
      "[0].gens: expected a list, got 'a'"),
     ([{"op": "rename"}], "[0].op: unknown reduction step 'rename'"),
+    ([{"op": "cancel_pair", "a": "zz", "b": "b"}],
+     "[0].a: no generator named 'zz'"),
+    ([{"op": "set_generator", "gen": "zz", "value": "zero"}],
+     "[0].gen: no generator named 'zz'"),
+    ([{"op": "localize", "gens": ["x", "qq"]}],
+     "[0].gens: no generator named 'qq'"),
+    ([{"op": "change_basis", "gen": "a", "unit": 1}],
+     "[0].unit: expected a string, got 1"),
+    ([{"op": "change_basis", "gen": "a", "lower": 0}],
+     "[0].lower: expected a string, got 0"),
+    ([{"op": "change_basis", "gen": "a", "renamed": 5}],
+     "[0].renamed: expected a string, got 5"),
+    ([{"op": "change_basis", "gen": "a", "lower": "q"}],
+     "[0].lower: unknown generator 'q'"),
+    ([{"op": "name_generator", "expr": "q", "src": "L2", "tgt": "L1",
+       "name": "w"}], "[0].expr: unknown generator 'q'"),
 ], ids=["no-op", "object", "no-argument", "step-not-object",
-        "argument-type", "unknown-op"])
+        "argument-type", "unknown-op", "unknown-generator",
+        "unknown-set-generator", "unknown-localize-generator",
+        "unit-not-a-string", "lower-not-a-string", "renamed-not-a-string",
+        "lower-does-not-parse", "expr-does-not-parse"])
 def test_simplify_names_a_malformed_script(script, message, tmp_path,
                                            capsys):
     path = tmp_path / "script.json"
@@ -521,8 +540,9 @@ def test_simplify_names_a_malformed_script(script, message, tmp_path,
      "v.right[0]: expected a list of strings, got 'in'"),
     ({"v": {"left": [["eta", 1]], "right": []}},
      "v.left[0]: expected a list of strings, got ['eta', 1]"),
+    ({"zz": {"left": [["eta"]], "right": []}}, "zz: no vertex 'zz'"),
 ], ids=["no-left", "no-right", "list", "vertex-not-object", "side-not-list",
-        "token-not-list", "token-not-strings"])
+        "token-not-list", "token-not-strings", "unknown-vertex"])
 def test_plumb_names_a_malformed_placement(placement, message, tmp_path,
                                            capsys):
     path = tmp_path / "placement.json"
@@ -531,3 +551,91 @@ def test_plumb_names_a_malformed_placement(placement, message, tmp_path,
                  "--reorder", str(path),
                  "--out", str(tmp_path / "w.json")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["localize", str(DATA / "c1.json"), "--gens", "qq"],
+     "--gens: no generator named 'qq'"),
+    (["equiv", "flip", str(DATA / "surface_plumbing_n2.json"),
+      "--arrow", "zz"], "--arrow: no arrow 'zz'"),
+    (["equiv", "flip", str(DATA / "surface_plumbing_n2.json")],
+     "--arrow: required by equiv flip"),
+    (["equiv", "gauge", str(DATA / "a2_n3.json"), "--flip-set", "v,qq"],
+     "--flip-set: no vertex 'qq'"),
+    (["equiv", "gauge", str(DATA / "a2_n3.json")],
+     "--flip-set: required by equiv gauge"),
+], ids=["localize-unknown-generator", "flip-unknown-arrow", "flip-no-arrow",
+        "gauge-unknown-vertex", "gauge-no-flip-set"])
+def test_options_name_an_unknown_name(argv, message, tmp_path, capsys):
+    # the unknown names once reached the user as a quoted KeyError, and an
+    # unknown --flip-set vertex was accepted and recorded in the output
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+
+# A fresh interpreter runs main on each argv of the JSON list sys.argv[2]
+# in the directory sys.argv[1], and prints the exit codes and the semifree
+# modules it loaded.  PYTHONDONTWRITEBYTECODE keeps it from writing
+# bytecode, as in a cold start of the benchmark.
+COLD_RUN = """
+import json, os, sys
+from semifree.cli import main
+os.chdir(sys.argv[1])
+codes = [main(argv) for argv in json.loads(sys.argv[2])]
+print()
+print(json.dumps([codes, [m for m in sys.modules
+                          if m.startswith("semifree.")]]))
+"""
+LAZY_MODULES = {"semifree.plumbing", "semifree.reduce", "semifree.twisted"}
+
+
+def cold_run(tmp_path, argvs):
+    """The exit codes of main on each argv, run one after another in a
+    fresh interpreter, and the semifree modules loaded by then."""
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_RUN, str(tmp_path), json.dumps(argvs)],
+        capture_output=True, text=True, cwd=ROOT, timeout=300,
+        env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin",
+             "PYTHONDONTWRITEBYTECODE": "1"})
+    assert proc.returncode == 0, proc.stderr
+    codes, modules = json.loads(proc.stdout.splitlines()[-1])
+    return codes, set(modules)
+
+
+def test_model_verify_hom_and_tensor_load_no_pipeline_module(tmp_path):
+    # plumbing, reduce and twisted are imported by the subcommands that use
+    # them; these never do
+    builds = [["build", "--model", model, "--out", f"{name}.json"]
+              for model, name in (("M:1,1", "m"), ("S:2,1,1", "s"),
+                                  ("C:1", "c"), ("A1", "a1"), ("A2", "a2"))]
+    codes, modules = cold_run(tmp_path, builds + [
+        ["verify", "m.json", "s.json"],
+        ["hom", "m.json", "--src", "L", "--tgt", "L", "--window=-2:0",
+         "--bound", "2", "--out", "h.json"],
+        ["tensor", "a2.json", "s.json", "--out", "t.json"],
+    ])
+    assert codes == [0] * 8
+    assert "semifree.cli" in modules and not modules & LAZY_MODULES
+
+
+@pytest.mark.parametrize("argv,loads", [
+    (["plumb", str(DATA / "a2_n3.json")], "plumbing"),
+    (["simplify", str(DATA / "e12_n3.json"), "--greedy"], "reduce"),
+    (["ginzburg", str(DATA / "loop_quiver.json"), "--n", "3", "--witness"],
+     "plumbing"),
+    (["equiv", "flip", str(DATA / "a2_n3.json"), "--arrow", "e"], "plumbing"),
+    (["normalize", str(DATA / "messy_data.json")], "plumbing"),
+    (["hocolim", str(DATA / "sphere_span_m2.json"), "--strictify"], "reduce"),
+    (["build", "--model", "D12:3"], "twisted"),
+], ids=["plumb", "simplify", "ginzburg", "equiv", "normalize", "hocolim",
+        "build-d12"])
+def test_subcommand_imports_what_it_uses_in_a_fresh_interpreter(
+        argv, loads, tmp_path):
+    # a broken import inside a subcommand, or an import cycle, fails here
+    # even when other tests have loaded the module already
+    codes, modules = cold_run(tmp_path, [argv + ["--out", "out"]])
+    assert codes == [0]
+    assert f"semifree.{loads}" in modules

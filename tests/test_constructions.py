@@ -17,10 +17,8 @@ from semifree.dgcat import (
 )
 from semifree.constructions import (
     PushoutSpan,
-    SpanLadder,
     colimit,
     hocolim,
-    hocolim_functor,
     is_semifree_extension,
     localization_records,
     localize,
@@ -32,7 +30,7 @@ from semifree.constructions import (
 from semifree.fukaya import ModelId, build
 from semifree.reduce import strictify_t, strictify_t_with_map
 from semifree.analysis import presentation_equal
-from helpers import identity_functor
+from helpers import SpanLadder, hocolim_functor, identity_functor
 
 ring = INTEGERS
 

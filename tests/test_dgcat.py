@@ -33,7 +33,6 @@ from semifree.dgcat import (
     hom_slice,
     new_semifree,
     push_poly,
-    restrict_to_objects,
     to_json,
     validate_functor,
 )
@@ -45,6 +44,7 @@ from helpers import (
     decoded,
     identity_functor,
     restrict_functor,
+    restrict_to_objects,
 )
 
 ring = INTEGERS

@@ -10,7 +10,7 @@ from helpers import (
     total_endomorphism_algebra,
 )
 from semifree.algebra import INTEGERS, render_poly
-from semifree.dgcat import InputError, audit_d_squared
+from semifree.dgcat import InputError, UnknownName, audit_d_squared
 from semifree.plumbing import (
     Arrow,
     DISK,
@@ -420,6 +420,17 @@ def test_plumbing_json_roundtrip():
         (Arrow("e1", "v", "w", -1, 3), Arrow("e2", "u", "u", 1, 0)), ring)
     doc = plumbing_to_json(data)
     assert plumbing_to_json(plumbing_from_json(doc)) == doc
+
+
+def test_unknown_names_are_value_errors():
+    # both lookups once raised KeyError, which the CLI printed quoted
+    data = a2_data(3)
+    with pytest.raises(UnknownName, match="^no arrow 'zz'$"):
+        data.arrow("zz")
+    with pytest.raises(UnknownName, match="^no generator named 'zz'$"):
+        build_wrapped(data).gen("zz")
+    assert issubclass(UnknownName, ValueError)
+    assert not issubclass(UnknownName, KeyError)
 
 
 @pytest.mark.parametrize("n", ["3", 3.0, True])

@@ -13,6 +13,7 @@ from semifree.twisted import (
     generator_change_d12,
     shift_presentation,
 )
+from helpers import key_view
 
 ring = INTEGERS
 
@@ -77,8 +78,8 @@ def test_shift_composes_additively():
                       NcPoly.gen(ring, d01.gen("g")))
     via_two = c2.tilde(c1.tilde(yx_like))
     via_one = c3.tilde(yx_like)
-    assert {w: abs(c) for w, c in via_two.key_view().items()} == \
-        {w: abs(c) for w, c in via_one.key_view().items()}
+    assert {w: abs(c) for w, c in key_view(via_two).items()} == \
+        {w: abs(c) for w, c in key_view(via_one).items()}
 
 
 # ---------------------------------------------------------------------------
