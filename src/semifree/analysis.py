@@ -15,7 +15,7 @@ from math import gcd, lcm
 
 from .algebra import NcPoly, Ring, render_poly
 from .dgcat import _d_table, hom_slice, new_semifree, push_poly
-from .rewrite import audit_rules, new_relational, normal_form
+from .rewrite import audit_rules, normal_form
 
 
 # ---------------------------------------------------------------------------
@@ -133,20 +133,17 @@ def change_coefficients(cat, ring: Ring):
     if cat.ring == ring:
         return cat
     convert = _converter(ring)
-    table = {name: NcPoly(ring, p.source, p.target,
-                          {w: convert(c) for w, c in p.terms.items()
-                           if not ring.is_zero(convert(c))})
-             for name, p in cat.differentials.items()}
+
+    def mapped(p):
+        return NcPoly(ring, p.source, p.target,
+                      {w: v for w, c in p.terms.items() if (v := convert(c))})
+
+    table = {name: mapped(p) for name, p in cat.differentials.items()}
     entry = {"op": "change_coefficients", "ring": ring.render()}
-    if cat.rules:
-        rules = [(lhs, NcPoly(ring, r.source, r.target,
-                              {w: convert(c) for w, c in r.terms.items()
-                               if not ring.is_zero(convert(c))}))
-                 for lhs, r in cat.rules]
-        return new_relational(ring, cat.objects, cat.generators, table, rules,
-                              cat.weights, cat.provenance + (entry,))
     return new_semifree(ring, cat.objects, cat.generators, table,
-                        cat.provenance + (entry,))
+                        cat.provenance + (entry,),
+                        [(lhs, mapped(r)) for lhs, r in cat.rules],
+                        cat.weights)
 
 
 def _over_field(cat, field: Ring, table=None):

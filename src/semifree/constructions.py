@@ -20,7 +20,6 @@ from .dgcat import (
     push_poly,
     validate_functor,
 )
-from .rewrite import new_relational
 
 QUAD_SUFFIXES = ("'", "_hat", "_check", "_bar")
 
@@ -102,7 +101,7 @@ def localize(cat: SemifreeDgCat, names) -> SemifreeDgCat:
         "clusters": [[r.inverted, *r.names()] for r in records],
     }
     return new_semifree(ring, cat.objects, gens, table,
-                        cat.provenance + (entry,))
+                        cat.provenance + (entry,), cat.rules, cat.weights)
 
 
 def localization_records(cat) -> list:
@@ -123,7 +122,7 @@ def name_as_generator(cat: SemifreeDgCat, expr: NcPoly, name: str) -> SemifreeDg
     """
     if expr.degree() not in (0, None):
         raise ValueError("only degree-0 expressions can be named for inversion")
-    if not cat.d(expr).is_zero():
+    if not cat.normalize(cat.d(expr)).is_zero():
         raise ValueError("expression is not closed")
     taken = {g.name for g in cat.generators}
     if name in taken or name + "_htpy" in taken:
@@ -137,7 +136,8 @@ def name_as_generator(cat: SemifreeDgCat, expr: NcPoly, name: str) -> SemifreeDg
     table[k.name] = NcPoly.gen(ring, u) - expr
     entry = {"op": "name_generator", "name": name, "expr": render_poly(expr)}
     return new_semifree(ring, cat.objects, list(cat.generators) + [u, k],
-                        table, cat.provenance + (entry,))
+                        table, cat.provenance + (entry,), cat.rules,
+                        cat.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +178,9 @@ def colimit(span: PushoutSpan) -> SemifreeDgCat:
     """Pushout: the base extended by beta's new objects and generators, with
     every occurrence of the image of c rewritten through alpha."""
     a, c, b = span.a, span.c, span.b
+    for part in ("a", "c", "b"):
+        if getattr(span, part).rules:
+            raise ValueError(f"colimit cannot keep the rules of part {part}")
     if not is_semifree_extension(span.beta):
         raise ValueError("beta leg is not a semifree extension")
     validate_functor(span.alpha)
@@ -263,6 +266,9 @@ def hocolim(span: PushoutSpan):
 def _hocolim_full(span: PushoutSpan):
     a, c, b = span.a, span.c, span.b
     alpha, beta = span.alpha, span.beta
+    for part in ("a", "c", "b"):
+        if getattr(span, part).rules:
+            raise ValueError(f"hocolim cannot keep the rules of part {part}")
     core, dropped = strip_localization(c)
     if dropped:
         alpha = _restrict_leg(alpha, core)
@@ -454,6 +460,9 @@ def tensor(cat_a, cat_b) -> SemifreeDgCat:
     """
     if cat_a.ring != cat_b.ring:
         raise ValueError("mixed coefficient rings")
+    for part, cat in (("a", cat_a), ("b", cat_b)):
+        if cat.rules:
+            raise ValueError(f"tensor cannot keep the rules of factor {part}")
     ring = cat_a.ring
     objects = [pair_object(x, y) for x in cat_a.objects for y in cat_b.objects]
 
@@ -506,5 +515,4 @@ def tensor(cat_a, cat_b) -> SemifreeDgCat:
             rules.append((lhs, rhs.scale(sign)))
 
     entry = {"op": "tensor", "factors": [len(cat_a.objects), len(cat_b.objects)]}
-    return new_relational(ring, objects, gens, table, rules,
-                          provenance=(entry,))
+    return new_semifree(ring, objects, gens, table, (entry,), rules)

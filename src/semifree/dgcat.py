@@ -2,12 +2,14 @@
 
 A category is immutable and checks its own structure however it is built
 (new_semifree, from_json, dataclasses.replace or the class itself): among
-others the degree check d(g) of degree |g|+1 and the ordinal condition
-(differentials only use earlier generators).  new_semifree adds d^2 = 0,
-reporting the offending generator and the residual polynomial on failure.
-A category may also carry a terminating rewrite system (see rewrite.py);
-morphisms are then taken modulo its rules, and a semifree category is the
-case with no rules.
+others the degree check d(g) of degree |g|+1, that each term of d(g)
+composes along g's boundary, and the ordinal condition (differentials only
+use earlier generators).  A category may also carry a terminating rewrite
+system (see rewrite.py); morphisms are then taken modulo its rules, and a
+semifree category is the case with no rules.  new_semifree, the one audited
+constructor, adds d^2 = 0 modulo the rules, reporting the offending
+generator and the residual polynomial on failure, and then, with rules,
+their compatibility with d (rewrite.audit_rules).
 """
 
 from __future__ import annotations
@@ -106,10 +108,16 @@ class SemifreeDgCat:
                 raise DegreeError(
                     f"d({g.name}) has degree {deg}, expected {g.degree + 1}")
             for word in dg.terms:
-                if isinstance(word, str):
+                if isinstance(word, str):  # the identity of word
+                    if not word == g.source == g.target:
+                        raise CompositionError(
+                            f"d({g.name}) has the term {render_word(word)}, "
+                            f"but {g.name} runs {g.source}->{g.target}")
                     continue
+                end = g.target  # where the next letter must end, or None
                 for letter in word:
-                    if gen_map.get(letter.name) != letter:
+                    known = gen_map.get(letter.name)
+                    if known is not letter and known != letter:
                         raise ValueError(
                             f"d({g.name}) uses {letter.name}, which is not "
                             f"a generator of the category")
@@ -117,6 +125,11 @@ class SemifreeDgCat:
                         raise OrdinalViolation(
                             f"d({g.name}) uses {letter.name} of rank "
                             f"{letter.rank} >= rank {g.rank}")
+                    end = letter.source if letter.target == end else None
+                if end != g.source or not word:
+                    raise CompositionError(
+                        f"d({g.name}) has the term {render_word(word)}, which "
+                        f"does not compose along {g.source}->{g.target}")
         # not fields: equality and repr stay those of the fields
         object.__setattr__(self, "_gen_map", gen_map)
         if not self.rules:
@@ -253,11 +266,16 @@ class SemifreeDgCat:
 
 
 def new_semifree(ring: Ring, objects, generators, differentials,
-                 provenance=()) -> SemifreeDgCat:
-    """Validated construction: the class's structural checks, then d^2 = 0."""
+                 provenance=(), rules=(), weights=None) -> SemifreeDgCat:
+    """The class's structural checks, then d^2 = 0 modulo the rules, then
+    the rules' compatibility with d; weights are kept only with rules."""
     cat = SemifreeDgCat(ring, tuple(objects), tuple(generators),
-                        dict(differentials), tuple(provenance))
+                        dict(differentials), tuple(provenance), tuple(rules),
+                        dict(weights or {}) if rules else {})
     audit_d_squared(cat)
+    if cat.rules:
+        from .rewrite import audit_rules
+        audit_rules(cat)
     return cat
 
 
@@ -553,16 +571,16 @@ def _d_table(cat) -> dict:
     the d terms are the (coded word, value) pairs of d(generator), and the
     -d terms the same words with negated values.
 
-    The class checks each differential's structure; every term is checked
-    here to compose and to run along its generator's boundary.
-    Put in place of its generator in a composable word, such a term gives
-    a composable word with the same boundary, so the spliced words of
-    analysis._d_rows and rewrite.audit_rules need no check of their own.
+    The class checks that every d term composes along its generator's
+    boundary.  Put in place of its generator in a composable word, such a
+    term gives a composable word with the same boundary, so the spliced
+    words of analysis._d_rows and rewrite.audit_rules need no check of
+    their own.
     """
     ring = cat.ring
     table = {}
     for g in cat.generators:
-        terms = [(_code(_checked(w, g.source, g.target)), c)
+        terms = [(_code(w), c)
                  for w, c in cat.differentials[g.name].terms.items()]
         table[g.rank] = (g, (terms, [(t, ring.neg(c)) for t, c in terms]))
     return table

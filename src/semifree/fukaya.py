@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from .algebra import Generator, NcPoly, Ring, compose, compose_all
 from .dgcat import DgFunctor, SemifreeDgCat, new_semifree, validate_functor
 from .constructions import localization_records, localize, name_as_generator
-from .rewrite import new_relational
 
 # twisted is imported where a D12, B01 or D01 model, a shift or a cone is
 # built, so the other models do not compile it.
@@ -490,7 +489,7 @@ def surface_relation_form(g: int, m: int, ring: Ring):
     weights = {a.name: 4 * g + 1 for a in a_gens}
     rules.append((lhs, rhs))
     entry = {"op": "surface_relation_form", "g": g, "m": m}
-    cat = new_relational(ring, ("L",), gens, table, rules, weights, (entry,))
+    cat = new_semifree(ring, ("L",), gens, table, (entry,), rules, weights)
 
     core = build(ModelId("M", (g, m)), ring, {"localize": False})
     gm = {}

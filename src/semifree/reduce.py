@@ -21,15 +21,6 @@ from .dgcat import (
     new_semifree,
     push_poly,
 )
-from .rewrite import new_relational
-
-
-def _rebuild(cat, gens, table, rules, entry):
-    provenance = cat.provenance + (entry,)
-    if rules:
-        return new_relational(cat.ring, cat.objects, gens, table, rules,
-                              cat.weights, provenance)
-    return new_semifree(cat.ring, cat.objects, gens, table, provenance)
 
 
 def _substitute(cat, removed: dict, entry: dict):
@@ -53,18 +44,17 @@ def _substitute(cat, removed: dict, entry: dict):
         return push_poly(poly, omap, images, ring)
 
     table = {g.name: pushed(cat.differentials[g.name]) for g in survivors}
-    rules = []
-    if cat.rules:
-        dropped = []
-        for lhs, rhs in cat.rules:
-            if not gone.isdisjoint(lhs):
-                dropped.append([letter.name for letter in lhs])
-                continue
+    rules, dropped = [], []
+    for lhs, rhs in cat.rules:
+        if gone.isdisjoint(lhs):
             rules.append((lhs, pushed(rhs)))
-        if dropped:
-            entry = dict(entry)
-            entry["dropped_rules"] = dropped
-    return _rebuild(cat, survivors, table, rules, entry)
+        else:
+            dropped.append([letter.name for letter in lhs])
+    if dropped:
+        entry = dict(entry)
+        entry["dropped_rules"] = dropped
+    return new_semifree(ring, cat.objects, survivors, table,
+                        cat.provenance + (entry,), rules, cat.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +135,8 @@ def change_basis(cat, name: str, unit, lower: NcPoly | None = None,
     entry = {"op": "change_basis", "gen": name, "unit": ring.render_value(unit),
              "lower": render_poly(lower), "renamed": fresh,
              "before": len(cat.generators), "after": len(survivors)}
-    return _rebuild(cat, survivors, table, rules, entry)
+    return new_semifree(ring, cat.objects, survivors, table,
+                        cat.provenance + (entry,), rules, cat.weights)
 
 
 def _orient(eq: NcPoly, weights) -> tuple:
@@ -229,6 +220,8 @@ def strictify_t(cat):
 
 def strictify_t_with_map(cat):
     """strictify_t plus the substitution data (object map, name images)."""
+    if cat.rules:
+        raise ValueError("strictify_t cannot keep a category's rules")
     entries = [e for e in cat.provenance
                if isinstance(e, dict) and e.get("op") == "hocolim"]
     if not entries:
@@ -434,23 +427,34 @@ def replay(cat, steps):
             lower = _parsed(f"{where}.lower", cat.poly,
                             _text_arg(step, "lower", "0", where),
                             g.source, g.target)
-            cat = change_basis(cat, g.name, unit, lower,
-                               _text_arg(step, "renamed", None, where))
+            renamed = _text_arg(step, "renamed", None, where)
+            if renamed != g.name and renamed in cat.gen_map():
+                raise InputError(f"{where}.renamed",
+                                 f"name {renamed!r} already used")
+            cat = change_basis(cat, g.name, unit, lower, renamed)
         elif op == "cancel_pair":
             cat = cancel_pair(cat, _gen_arg(cat, step, "a", where),
                               _gen_arg(cat, step, "b", where))
         elif op == "set_generator":
-            cat = set_generator(cat, _gen_arg(cat, step, "gen", where),
-                                arg("value"))
+            name, value = _gen_arg(cat, step, "gen", where), arg("value")
+            if value not in ("zero", "identity"):
+                raise InputError(f"{where}.value",
+                                 "value must be 'zero' or 'identity'")
+            cat = set_generator(cat, name, value)
         elif op == "strictify":
             cat = strictify_t(cat)
         elif op == "localize":
             cat = localize(cat, _known(arg("gens", kind=list), cat.gen_map(),
                                        "generator named", f"{where}.gens"))
         elif op == "name_generator":
-            expr = _parsed(f"{where}.expr", cat.poly, arg("expr"),
-                           arg("src"), arg("tgt"))
-            cat = name_as_generator(cat, expr, arg("name"))
+            ends = [_known((arg(key),), cat.objects, "object",
+                           f"{where}.{key}")[0] for key in ("src", "tgt")]
+            expr = _parsed(f"{where}.expr", cat.poly, arg("expr"), *ends)
+            name = arg("name")
+            if {name, name + "_htpy"} & cat.gen_map().keys():
+                raise InputError(f"{where}.name",
+                                 f"name {name!r} already used")
+            cat = name_as_generator(cat, expr, name)
         elif op == "greedy":
             cat, _ = greedy_simplify(cat)
         else:

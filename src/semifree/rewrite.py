@@ -1,12 +1,12 @@
-"""Terminating rewrite systems on words, and the constructor of dg
-categories with relations.
+"""Terminating rewrite systems on words, and the audit of rules against d.
 
 A rule rewrites a contiguous word segment (the lhs) to a polynomial.  Every
 rule must strictly decrease the reduction order: weighted word length first,
 then, at equal weight and equal length, the lexicographic order on ordinal
 ranks.  Weights default to 1 per letter and may be raised per generator so
 that relation-style rules (long rhs, short lhs) still terminate.  The rules
-live on dgcat.SemifreeDgCat, which checks them and indexes them once.
+live on dgcat.SemifreeDgCat, which checks them and indexes them once;
+dgcat.new_semifree builds a category with rules and runs audit_rules.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .dgcat import (
     SemifreeDgCat,
     _code,
     _d_table,
-    audit_d_squared,
+    new_semifree,
 )
 
 # perfbench/tracing.py wraps rewrite.RelationalDgCat.is_reducible by that
@@ -158,17 +158,12 @@ def normalize_poly(index: RuleIndex, p: NcPoly) -> NcPoly:
                    normal_form(index, p.ring, pending))
 
 
+# perfbench/tracing.py wraps rewrite.new_relational by that path, so the
+# former constructor stays as a forward to dgcat.new_semifree.
 def new_relational(ring, objects, generators, differentials, rules,
                    weights=None, provenance=()) -> SemifreeDgCat:
-    """Validated category with relations: the class's structural checks,
-    then d^2 = 0 and rule/d compatibility modulo the rewrite system."""
-    cat = SemifreeDgCat(ring, tuple(objects), tuple(generators),
-                        dict(differentials), tuple(provenance), tuple(rules),
-                        dict(weights or {}))
-    audit_d_squared(cat)
-    if cat.rules:
-        audit_rules(cat)
-    return cat
+    return new_semifree(ring, objects, generators, differentials, provenance,
+                        rules, weights)
 
 
 def audit_rules(cat, table=None) -> None:

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 from .algebra import Generator, NcPoly, compose, render_poly
 from .dgcat import DgFunctor, SemifreeDgCat, new_semifree, validate_functor
-from .rewrite import new_relational
 
 
 def _shifted_object(obj: str, m: int) -> str:
@@ -80,6 +79,8 @@ def shift_presentation(cat: SemifreeDgCat, shifts: dict):
     comparison tracks the signs picked up by composites, and its annotated
     functor certificate is checked via the shift-aware validation.
     """
+    if cat.rules:
+        raise ValueError("shift_presentation cannot keep a category's rules")
     shifts = {o: int(shifts.get(o, 0)) for o in cat.objects}
     ring = cat.ring
     object_map = {o: _shifted_object(o, shifts[o]) for o in cat.objects}
@@ -167,9 +168,8 @@ def cone_extend(cat, g, cone_name: str | None = None) -> SemifreeDgCat:
     ]
     entry = {"op": "cone", "of": label, "object": cone,
              "structural": [i0.name, i1.name, p0.name, p1.name]}
-    return new_relational(ring, list(cat.objects) + [cone], gens, table,
-                          rules, cat.weights,
-                          cat.provenance + (entry,))
+    return new_semifree(ring, list(cat.objects) + [cone], gens, table,
+                        cat.provenance + (entry,), rules, cat.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -292,5 +292,4 @@ def build_e12(n: int, ring, first_form: bool = False) -> SemifreeDgCat:
             ((b, x), NcPoly.zero(ring, "L1", "L1")),
         ]
         entry = {"op": "build", "model": f"E12:{n}"}
-    return new_relational(ring, ("L1", "L2"), gens, table, rules,
-                          provenance=(entry,))
+    return new_semifree(ring, ("L1", "L2"), gens, table, (entry,), rules)

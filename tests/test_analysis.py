@@ -48,7 +48,6 @@ from semifree.plumbing import (
     build_wrapped,
     random_plumbing,
 )
-from semifree.rewrite import new_relational
 from semifree.twisted import build_d12, build_e12
 from helpers import (
     GeneratorRuleIndex,
@@ -400,8 +399,8 @@ def spliced_reducible():
     table["w"] = compose(NcPoly.gen(ring, z), NcPoly.gen(ring, z))
     table["t"] = NcPoly.gen(ring, z) + xx
     rhs = NcPoly.gen(ring, z) + NcPoly.identity(ring, "L").scale(2)
-    return new_relational(ring, ("L",), (z, x, y, u, w, t), table,
-                          [((x, x), rhs)])
+    return new_semifree(ring, ("L",), (z, x, y, u, w, t), table,
+                        rules=[((x, x), rhs)])
 
 
 @functools.cache
@@ -541,15 +540,17 @@ def test_rows_with_rules_equal_those_of_the_oracle_normalizer(
 
 
 def test_non_composable_d_term_rejected():
-    # built without new_semifree's d^2 audit: d(g) holds a*e, which does
-    # not compose (e ends at Y, a starts at X); _d_table checks the words
+    # d(g) holds a*e, which does not compose (e ends at Y, a starts at X);
+    # the class refuses it even without new_semifree's d^2 audit, before
+    # truncated_cohomology can see it
     a = Generator("a", "X", "X", 0, 0)
     e = Generator("e", "X", "Y", 0, 1)
     g = Generator("g", "X", "X", -1, 2)
-    cat = SemifreeDgCat(Q, ("X", "Y"), (a, e, g), {
-        "a": NcPoly.zero(Q, "X", "X"), "e": NcPoly.zero(Q, "X", "Y"),
-        "g": NcPoly(Q, "X", "X", {(a, e): 1})})
-    with pytest.raises(CompositionError, match="non-composable"):
+    with pytest.raises(CompositionError, match=r"^d\(g\) has the term a\*e, "
+                       "which does not compose along X->X$"):
+        cat = SemifreeDgCat(Q, ("X", "Y"), (a, e, g), {
+            "a": NcPoly.zero(Q, "X", "X"), "e": NcPoly.zero(Q, "X", "Y"),
+            "g": NcPoly(Q, "X", "X", {(a, e): 1})})
         truncated_cohomology(cat, "X", "X", (-1, 0), 1, Q)
 
 
@@ -623,7 +624,7 @@ def small_documents(draw):
             if j == 0:
                 terms.append(((a[0],), p * draw(st.sampled_from([1, -2]))))
             table[x.name] = poly(terms)
-    cat = new_relational(ring_, ("L",), tuple(a + h), table, rules)
+    cat = new_semifree(ring_, ("L",), tuple(a + h), table, rules=rules)
     return from_json(to_json(cat)), field, draw(st.integers(1, 3))
 
 

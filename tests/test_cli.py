@@ -1,6 +1,9 @@
 """Golden-file coverage for every subcommand, plus determinism and verify."""
 
+import importlib
+import inspect
 import json
+import runpy
 import subprocess
 import sys
 import time
@@ -115,6 +118,41 @@ def test_verify_corpus_ok(tmp_path):
     assert main(["plumb", str(DATA / "a2_n3.json"),
                  "--out", str(corpus / "plumb.json")]) == 0
     assert main(["verify", str(corpus)]) == 0
+
+
+def test_localize_keeps_the_rules_of_a_tensor(tmp_path, capsys):
+    # M:1,1 x S:2,1,1 has 29 generators and 198 interchange rules
+    for model, name in (("M:1,1", "m"), ("S:2,1,1", "s")):
+        assert main(["build", "--model", model,
+                     "--out", str(tmp_path / f"{name}.json")]) == 0
+    t, local = tmp_path / "t.json", tmp_path / "local.json"
+    assert main(["tensor", str(tmp_path / "m.json"), str(tmp_path / "s.json"),
+                 "--out", str(t)]) == 0
+    assert main(["localize", str(t), "--gens", "a1⊗1_L",
+                 "--out", str(local)]) == 0
+    doc = json.loads(local.read_text(encoding="utf-8"))
+    assert len(doc["generators"]) == 33
+    assert doc["rules"] == json.loads(t.read_text(encoding="utf-8"))["rules"]
+    assert len(doc["rules"]) == 198
+    assert main(["verify", str(local)]) == 0
+    assert capsys.readouterr().out == f"ok {local}\n"
+
+
+def test_hocolim_refuses_a_part_with_rules(tmp_path, capsys):
+    # E12:3 <- A1 -> A2: the colimit would drop E12's two rules
+    for model, name in (("A1", "c"), ("A2", "b")):
+        assert main(["build", "--model", model,
+                     "--out", str(tmp_path / f"{name}.json")]) == 0
+    span = {key: json.loads((tmp_path / f"{key}.json").read_text())
+            for key in ("c", "b")}
+    span["a"] = json.loads((DATA / "e12_n3.json").read_text())
+    span["alpha"] = {"objects": {"K": "L1"}, "generators": {}}
+    span["beta"] = {"objects": {"K": "K0"}, "generators": {}}
+    path = tmp_path / "span.json"
+    path.write_text(json.dumps(span))
+    assert main(["hocolim", str(path), "--out", str(tmp_path / "h.json")]) == 1
+    assert capsys.readouterr().err == (
+        "error: hocolim cannot keep the rules of part a\n")
 
 
 def test_verify_fails_on_broken_presentation(tmp_path, capsys):
@@ -516,11 +554,23 @@ def test_functor_ranks_names_a_malformed_window(window, tmp_path, capsys):
      "[0].lower: unknown generator 'q'"),
     ([{"op": "name_generator", "expr": "q", "src": "L2", "tgt": "L1",
        "name": "w"}], "[0].expr: unknown generator 'q'"),
+    ([{"op": "set_generator", "gen": "y", "value": "one"}],
+     "[0].value: value must be 'zero' or 'identity'"),
+    ([{"op": "change_basis", "gen": "a", "renamed": "b"}],
+     "[0].renamed: name 'b' already used"),
+    ([{"op": "name_generator", "expr": "0", "src": "L1", "tgt": "L1",
+       "name": "b"}], "[0].name: name 'b' already used"),
+    ([{"op": "name_generator", "expr": "0", "src": "Q", "tgt": "L1",
+       "name": "w"}], "[0].src: no object 'Q'"),
+    ([{"op": "name_generator", "expr": "0", "src": "L1", "tgt": "Q",
+       "name": "w"}], "[0].tgt: no object 'Q'"),
 ], ids=["no-op", "object", "no-argument", "step-not-object",
         "argument-type", "unknown-op", "unknown-generator",
         "unknown-set-generator", "unknown-localize-generator",
         "unit-not-a-string", "lower-not-a-string", "renamed-not-a-string",
-        "lower-does-not-parse", "expr-does-not-parse"])
+        "lower-does-not-parse", "expr-does-not-parse", "set-to-unknown-value",
+        "renamed-to-a-used-name", "named-a-used-name",
+        "named-from-unknown-object", "named-to-unknown-object"])
 def test_simplify_names_a_malformed_script(script, message, tmp_path,
                                            capsys):
     path = tmp_path / "script.json"
@@ -639,3 +689,17 @@ def test_subcommand_imports_what_it_uses_in_a_fresh_interpreter(
     codes, modules = cold_run(tmp_path, [argv + ["--out", "out"]])
     assert codes == [0]
     assert f"semifree.{loads}" in modules
+
+
+def test_every_name_the_tracer_wraps_exists():
+    # perfbench/tracing.py wraps functions by name (LISTED); a deleted or
+    # renamed one would only fail a traced benchmark run
+    listed = runpy.run_path(str(ROOT / "perfbench" / "tracing.py"))["LISTED"]
+    for layer, names in listed.items():
+        if names == "public":
+            continue
+        module = importlib.import_module(f"semifree.{layer}")
+        for qual in names:
+            owner = module
+            for part in qual.split("."):
+                owner = inspect.getattr_static(owner, part)  # AttributeError

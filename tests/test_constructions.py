@@ -29,6 +29,7 @@ from semifree.constructions import (
 )
 from semifree.fukaya import ModelId, build
 from semifree.reduce import strictify_t, strictify_t_with_map
+from semifree.twisted import build_e12, cone_extend, shift_presentation
 from semifree.analysis import presentation_equal
 from helpers import SpanLadder, hocolim_functor, identity_functor
 
@@ -105,6 +106,19 @@ def test_name_composite_then_localize():
     assert render_poly(loc.differentials["w_htpy"]) == "-1_{L1} + w - y*x"
     recs = localization_records(loc)
     assert [r.inverted for r in recs] == ["w"]
+
+
+def test_name_as_generator_keeps_the_rules():
+    # d(a*x) = -b*x is zero only modulo the rule b*x -> 0 of E12:3, and the
+    # category named from it keeps both rules
+    e12 = build_e12(3, ring)
+    expr = compose(NcPoly.gen(ring, e12.gen("a")),
+                   NcPoly.gen(ring, e12.gen("x")))
+    named = name_as_generator(e12, expr, "u")
+    assert named.rules == e12.rules
+    assert render_poly(named.differentials["u_htpy"]) == "u - a*x"
+    loc = localize(named, ["u"])
+    assert loc.rules == e12.rules and len(loc.generators) == 10
 
 
 # ---------------------------------------------------------------------------
@@ -447,3 +461,41 @@ def test_product_inverse_chain():
     one = NcPoly.identity(ring, "L")
     assert s.d(hat) == one - compose(inv, prod)
     assert s.d(check) == one - compose(prod, inv)
+
+
+# ---------------------------------------------------------------------------
+# constructions that cannot carry rules refuse them
+# ---------------------------------------------------------------------------
+
+def test_colimit_and_hocolim_refuse_a_part_with_rules():
+    # E12:3 <- A1 -> A2, beta a semifree extension: the colimit would keep
+    # E12's generators and differentials but not its two rules
+    e12 = build_e12(3, ring)
+    a1 = build(ModelId("A1"), ring)
+    a2 = build(ModelId("A2"), ring)
+    alpha = DgFunctor(a1, e12, {"K": "L1"}, {})
+    beta = DgFunctor(a1, a2, {"K": "K0"}, {})
+    for construct, name in ((colimit, "colimit"), (hocolim, "hocolim")):
+        with pytest.raises(ValueError, match=f"^{name} cannot keep the "
+                                             "rules of part a$"):
+            construct(PushoutSpan(e12, a1, a2, alpha, beta))
+    back = DgFunctor(a1, e12, {"K": "L2"}, {})
+    with pytest.raises(ValueError, match="^hocolim cannot keep the rules of "
+                                         "part b$"):
+        hocolim(PushoutSpan(a2, a1, e12, beta, back))
+
+
+def test_shift_tensor_and_strictify_refuse_rules():
+    e12 = build_e12(3, ring)
+    with pytest.raises(ValueError, match="^shift_presentation cannot keep a "
+                                         "category's rules$"):
+        shift_presentation(e12, {"L1": 1})
+    with pytest.raises(ValueError, match="^tensor cannot keep the rules of "
+                                         "factor b$"):
+        tensor(build(ModelId("A2"), ring), e12)
+    # a cone adds rules after a hocolim
+    h = hocolim(sphere_span(2))
+    coned = cone_extend(h, NcPoly.gen(ring, h.gen("t_L")))
+    with pytest.raises(ValueError, match="^strictify_t cannot keep a "
+                                         "category's rules$"):
+        strictify_t(coned)

@@ -37,7 +37,7 @@ from semifree.dgcat import (
     validate_functor,
 )
 from semifree.fukaya import ModelId, build
-from semifree.rewrite import RuleError, new_relational
+from semifree.rewrite import RuleError
 from semifree.twisted import build_d01, build_d12, cone_extend
 from helpers import (
     MALFORMED_DOCUMENTS,
@@ -103,6 +103,46 @@ def test_degree_check():
             "a": NcPoly.zero(ring, "L", "L"),
             "b": NcPoly.gen(ring, a),
         })
+
+
+def test_new_semifree_audits_rules_against_d():
+    # d^2 = 0 holds, but the rule k -> h does not commute with d:
+    # d(k) - d(h) = -a
+    a = Generator("a", "L", "L", 0, 0)
+    h = Generator("h", "L", "L", -1, 1)
+    k = Generator("k", "L", "L", -1, 2)
+    table = {"a": NcPoly.zero(ring, "L", "L"), "h": NcPoly.gen(ring, a),
+             "k": NcPoly.zero(ring, "L", "L")}
+    new_semifree(ring, ("L",), (a, h, k), table)
+    with pytest.raises(DSquaredNonzero) as err:
+        new_semifree(ring, ("L",), (a, h, k), table,
+                     rules=[((k,), NcPoly.gen(ring, h))])
+    assert err.value.gen_name == "k"
+    assert render_poly(err.value.residual) == "-a"
+
+
+def test_d_term_must_compose_along_the_boundary():
+    # d(h) = x*y with x, y: A -> B does not compose; an identity term fits
+    # only an endomorphism of its object
+    x = Generator("x", "A", "B", 0, 0)
+    y = Generator("y", "A", "B", 0, 1)
+    h = Generator("h", "A", "B", -1, 2)
+    e = Generator("e", "A", "A", -1, 2)
+    zero = {g.name: NcPoly.zero(ring, "A", "B") for g in (x, y)}
+    cases = [
+        (h, NcPoly(ring, "A", "B", {(x, y): 1}),
+         "d(h) has the term x*y, which does not compose along A->B"),
+        (h, NcPoly(ring, "A", "B", {(x,): 1, "A": 1}),
+         "d(h) has the term 1_{A}, but h runs A->B"),
+        (e, NcPoly(ring, "A", "A", {"B": 1}),
+         "d(e) has the term 1_{B}, but e runs A->A"),
+        (e, NcPoly(ring, "A", "A", {(x,): 1}),
+         "d(e) has the term x, which does not compose along A->A"),
+    ]
+    for g, dg, message in cases:
+        with pytest.raises(CompositionError) as err:
+            new_semifree(ring, ("A", "B"), (x, y, g), zero | {g.name: dg})
+        assert str(err.value) == message
 
 
 def test_s2m_category_valid():
@@ -620,8 +660,8 @@ def test_restriction_rejects_rule_through_dropped_generator():
     c = Generator("c", "Y", "X", 0, 2)
     zero = {g.name: NcPoly.zero(ring, g.source, g.target) for g in (a, b, c)}
     rhs = compose(NcPoly.gen(ring, c), NcPoly.gen(ring, b))
-    cat = new_relational(ring, ("X", "Y"), (a, b, c), zero, [((a, a), rhs)],
-                         {"a": 3})
+    cat = new_semifree(ring, ("X", "Y"), (a, b, c), zero,
+                       rules=[((a, a), rhs)], weights={"a": 3})
     with pytest.raises(RuleError) as err:
         restrict_to_objects(cat, ["X"])
     assert str(err.value) == ("rule a*a -> c*b uses c, which is not a "

@@ -46,7 +46,7 @@ ring = INTEGERS
 
 # ---------------------------------------------------------------------------
 # oracles: the compose-based rewrite step, rule audit and order check that
-# normalize_poly, new_relational and SemifreeDgCat replaced.  They match and
+# normalize_poly, new_semifree and SemifreeDgCat replaced.  They match and
 # normalize on words of Generators, through the copies in helpers.py of the
 # rewriting that preceded rank-coded words.
 # ---------------------------------------------------------------------------
@@ -276,7 +276,8 @@ def test_normalize_poly_equals_scan_normalization_m11_s211(p):
 
 
 # ---------------------------------------------------------------------------
-# new_relational runs new_semifree's structural checks
+# new_relational, kept as a forward to new_semifree for the per-layer
+# tracer, runs the same structural checks
 # ---------------------------------------------------------------------------
 
 def relational(ring, objects, generators, differentials):
@@ -435,8 +436,8 @@ def _rhs(ring, *terms):
           [((E1, P0), _rhs(ring, ((P0, E1), 1)))]))
 def test_fused_rule_audit_equals_normalized_difference(problem):
     ring, table, rules = problem
-    got = outcome(lambda: new_relational(ring, ("X",), DG_LETTERS, table,
-                                         rules))
+    got = outcome(lambda: new_semifree(ring, ("X",), DG_LETTERS, table,
+                                       rules=rules))
     want = outcome(lambda: compose_relational(ring, ("X",), DG_LETTERS,
                                               table, rules))
     assert got == want
@@ -448,7 +449,7 @@ def test_rule_breaking_compatibility_names_lhs_and_residual():
              "f": _rhs(ring)}
     rules = [((E1, P0), _rhs(ring, ((P0, E1), 1)))]
     with pytest.raises(DSquaredNonzero) as err:
-        new_relational(ring, ("X",), DG_LETTERS, table, rules)
+        new_semifree(ring, ("X",), DG_LETTERS, table, rules=rules)
     assert err.value.gen_name == "e*p"
     assert render_poly(err.value.residual) == "-p*q + q*p"
 
@@ -491,14 +492,14 @@ def test_non_composable_rule_lhs_is_rejected():
                for rank, name in enumerate("abc"))
     table = {g.name: NcPoly.zero(ring, "X", "Y") for g in (a, b, c)}
     with pytest.raises(RuleError) as err:
-        new_relational(ring, ("X", "Y"), (a, b, c), table,
-                       [((b, a), NcPoly.zero(ring, "X", "Y"))])
+        new_semifree(ring, ("X", "Y"), (a, b, c), table,
+                     rules=[((b, a), NcPoly.zero(ring, "X", "Y"))])
     assert str(err.value) == message
     # the same words as an rhs term: c, of weight 3, -> b*a, of weight 2
     with pytest.raises(RuleError) as err:
-        new_relational(ring, ("X", "Y"), (a, b, c), table,
-                       [((c,), NcPoly(ring, "X", "Y", {(b, a): 1}))],
-                       weights={"c": 3})
+        new_semifree(ring, ("X", "Y"), (a, b, c), table,
+                     rules=[((c,), NcPoly(ring, "X", "Y", {(b, a): 1}))],
+                     weights={"c": 3})
     assert str(err.value) == message
 
 
@@ -513,7 +514,7 @@ def test_rule_letter_outside_the_category_is_rejected(rank):
     table = {g.name: NcPoly.zero(ring, "X", "X") for g in (a, b)}
     for rule in [((f, a), ZERO), ((a, b), NcPoly.gen(ring, f))]:
         with pytest.raises(RuleError) as err:
-            new_relational(ring, ("X",), (a, b), table, [rule])
+            new_semifree(ring, ("X",), (a, b), table, rules=[rule])
         assert str(err.value).endswith(
             "uses f, which is not a generator of the category")
 
@@ -571,8 +572,8 @@ def two_object_rule_problems(draw):
 def test_two_object_rule_audit_equals_normalized_difference(problem):
     # the outcome, with the residual's text on a failure, is the oracle's
     ring, table, rules = problem
-    got = outcome(lambda: new_relational(ring, ("X", "Y"), TWO_LETTERS,
-                                         table, rules))
+    got = outcome(lambda: new_semifree(ring, ("X", "Y"), TWO_LETTERS,
+                                       table, rules=rules))
     want = outcome(lambda: compose_relational(ring, ("X", "Y"), TWO_LETTERS,
                                               table, rules))
     assert got == want
