@@ -202,14 +202,6 @@ class Generator(NamedTuple):
 WordKey = Union[tuple, str]
 
 
-def word_source(word: WordKey) -> str:
-    return word if isinstance(word, str) else word[-1].source
-
-
-def word_target(word: WordKey) -> str:
-    return word if isinstance(word, str) else word[0].target
-
-
 def word_degree(word: WordKey) -> int:
     return 0 if isinstance(word, str) else sum(g.degree for g in word)
 
@@ -225,19 +217,6 @@ def _word_sort_key(word: WordKey):
     if isinstance(word, str):
         return (0, ())
     return (len(word), tuple(g.rank for g in word))
-
-
-def check_word(word: WordKey):
-    if isinstance(word, str):
-        return
-    if not word:
-        raise CompositionError("empty tuple word; use the object id for identities")
-    for left, right in zip(word, word[1:]):
-        if right.target != left.source:
-            raise CompositionError(
-                f"non-composable factors {left.name} o {right.name}: "
-                f"{left.name} starts at {left.source} but {right.name} ends at {right.target}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +255,19 @@ class NcPoly:
 
     @staticmethod
     def from_terms(ring: Ring, source: str, target: str, items: Iterable) -> "NcPoly":
-        terms = accumulate(ring, {}, ((_checked(word, source, target),
-                                       ring.normalize(value))
-                                      for word, value in items))
-        return NcPoly(ring, source, target, terms)
+        """The sum of the (word, value) items; each word is checked to
+        compose along source -> target in the loop that reads it."""
+        checked, normalize = [], ring.normalize
+        for word, value in items:
+            letters = () if isinstance(word, str) else word
+            # where the next letter must end, or None once one does not
+            end = target if letters else word if word == target else None
+            for g in letters:
+                end = g.source if g.target == end else None
+            if end != source:
+                _checked(word, source, target)  # raises its error
+            checked.append((word, normalize(value)))
+        return NcPoly(ring, source, target, accumulate(ring, {}, checked))
 
     # -- basic queries --
     def is_zero(self) -> bool:
@@ -363,9 +351,10 @@ class NcPoly:
 def accumulate(ring: Ring, terms: dict, items) -> dict:
     """Add (word, value) pairs into terms in place and return terms.
 
-    The one summation loop of the package.  Values must be reduced elements
-    of ring, as ring.normalize leaves them.  A word whose sum is zero is
-    removed; any other word keeps its place in the dict's order.
+    The one summation loop of the package, but for rewrite.audit_rules,
+    which inlines it.  Values must be reduced elements of ring, as
+    ring.normalize leaves them.  A word whose sum is zero is removed; any
+    other word keeps its place in the dict's order.
     """
     add, is_zero = ring.add, ring.is_zero
     for word, value in items:
@@ -380,11 +369,22 @@ def accumulate(ring: Ring, terms: dict, items) -> dict:
 
 def _checked(word: WordKey, source: str, target: str) -> WordKey:
     """word, after checking that it composes and runs source -> target."""
-    check_word(word)
-    if word_source(word) != source or word_target(word) != target:
+    if isinstance(word, str):
+        ends = (word, word)
+    elif not word:
+        raise CompositionError("empty tuple word; use the object id for identities")
+    else:
+        for left, right in zip(word, word[1:]):
+            if right.target != left.source:
+                raise CompositionError(
+                    f"non-composable factors {left.name} o {right.name}: "
+                    f"{left.name} starts at {left.source} but {right.name} ends at {right.target}"
+                )
+        ends = (word[-1].source, word[0].target)
+    if ends != (source, target):
         raise CompositionError(
             f"word {word_names(word)} has boundary "
-            f"{word_source(word)}->{word_target(word)}, expected {source}->{target}"
+            f"{ends[0]}->{ends[1]}, expected {source}->{target}"
         )
     return word
 
@@ -535,7 +535,8 @@ def _split_terms(text: str):
     """(sign, term) pairs of a polynomial's text.  A '+' or '-' right after a
     space starts a new term unless it sits inside braces; a term's own
     leading '-' flips its sign."""
-    parts = re.split(_SIGN, text)  # term, sign, term, ..., sign, term
+    # term, sign, term, ..., sign, term; a text with no space is one term
+    parts = re.split(_SIGN, text) if " " in text else [text]
     raw = []
     sign, term = 1, parts[0]
     for i in range(1, len(parts), 2):

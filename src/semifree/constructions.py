@@ -87,7 +87,7 @@ def localize(cat: SemifreeDgCat, names) -> SemifreeDgCat:
         g = cat.gen(name)
         if g.degree != 0:
             raise ValueError(f"{name} has degree {g.degree}, cannot invert")
-        if not cat.differentials[name].is_zero():
+        if not cat.normalize(cat.differentials[name]).is_zero():
             raise ValueError(f"{name} is not closed, cannot invert")
         quad = [_fresh(name + suffix, taken) for suffix in QUAD_SUFFIXES]
         for ng, dg in localization_cluster(ring, g, rank, quad):

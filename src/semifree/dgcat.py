@@ -25,7 +25,6 @@ from .algebra import (
     _checked,
     _concat,
     accumulate,
-    check_word,
     compose,
     leibniz_d,
     parse_poly,
@@ -137,43 +136,51 @@ class SemifreeDgCat:
         from .rewrite import RuleError, RuleIndex
         # the index codes words by rank and decodes them through by_rank,
         # so every rule letter must be one of the generators
-        code = {g: g.rank for g in generators}
-        weights = self.weights
+        weight_of = self.weights.get
         index = RuleIndex(letters=by_rank)
         for lhs, rhs in self.rules:
             if not lhs:
                 raise RuleError("empty rule lhs")
             if rhs.ring is not ring and rhs.ring != ring:
                 raise ValueError("mixed coefficient rings")
-            if rhs.source != lhs[-1].source or rhs.target != lhs[0].target:
+            source, target = rhs.source, rhs.target
+            if source != lhs[-1].source or target != lhs[0].target:
                 raise RuleError(
                     f"rule {render_word(lhs)} -> {render_poly(rhs)} changes boundary")
+            # one walk per word, lhs first, gives its rank code, degree and
+            # weight, whether it composes along source->target, and the
+            # first letter that is not a generator of the category
+            walks, composes, foreign = [], True, None
+            for w in (lhs, *rhs.terms):
+                word = () if isinstance(w, str) else w  # an identity's is ()
+                end = target if word else w if w == target else None
+                degree = weight = 0
+                for letter in word:
+                    known = gen_map.get(letter.name)
+                    if known is not letter and known != letter:
+                        foreign = foreign or letter
+                    end = letter.source if letter.target == end else None
+                    degree += letter.degree
+                    weight += weight_of(letter.name, 1)
+                composes &= end == source
+                walks.append((tuple(map(_rank, word)), degree, weight))
             # rewriting splices coded rhs words in place of the lhs, and d
             # terms in place of letters, with no check of the spliced words
-            try:
-                check_word(lhs)
-                for w in rhs.terms:
-                    _checked(w, rhs.source, rhs.target)
-            except CompositionError as err:
-                raise RuleError(str(err)) from None
-            try:
-                ranks = tuple(map(code.__getitem__, lhs))
-                terms = [(() if isinstance(w, str)
-                          else tuple(map(code.__getitem__, w)), c)
-                         for w, c in rhs.terms.items()]
-            except KeyError as err:
+            if not composes:
+                try:
+                    for w in (lhs, *rhs.terms):
+                        _checked(w, source, target)  # raises its error
+                except CompositionError as err:
+                    raise RuleError(str(err)) from None
+            if foreign is not None:
                 raise RuleError(
                     f"rule {render_word(lhs)} -> {render_poly(rhs)} uses "
-                    f"{err.args[0].name}, which is not a generator of the "
-                    f"category") from None
-            degree = sum(map(_degree, lhs))
-            weight = (sum([weights.get(g.name, 1) for g in lhs]) if weights
-                      else len(lhs))
-            for w, (w_ranks, _) in zip(rhs.terms, terms):
-                letters = w if w_ranks else ()  # an identity has none
-                w_degree = sum(map(_degree, letters))
-                w_weight = (sum([weights.get(g.name, 1) for g in letters])
-                            if weights else len(w_ranks))
+                    f"{foreign.name}, which is not a generator of the "
+                    f"category")
+            ranks, degree, weight = walks[0]
+            terms = []
+            for (w, c), (w_ranks, w_degree, w_weight) in zip(rhs.terms.items(),
+                                                             walks[1:]):
                 # w < lhs in the reduction order, stably under
                 # multiplication: an identity is below every lhs of weight
                 # >= 0, and equal weight but different length is not stable
@@ -190,6 +197,7 @@ class SemifreeDgCat:
                     raise RuleError(
                         f"rule {render_word(lhs)} -> {render_poly(rhs)} does not "
                         f"decrease the reduction order at {render_word(w)}")
+                terms.append((w_ranks, c))
             index.add(ranks, terms, rhs.ring)
         object.__setattr__(self, "_index", index)
 
@@ -425,20 +433,6 @@ def validate_functor(f: DgFunctor) -> dict:
     return {"generators_checked": checked, "valid": True}
 
 
-def compose_functors(f: DgFunctor, g: DgFunctor) -> DgFunctor:
-    """f o g; generator images expand through g then f."""
-    if g.target is not f.source and g.target != f.source:
-        raise FunctorError("compose_functors: middle categories differ")
-    object_map = {o: f.object_map[g.object_map[o]] for o in g.source.objects}
-    gen_map = {name: f.apply(img) for name, img in g.generator_map.items()}
-    shifts = {}
-    for o in g.source.objects:
-        s = g.shift(o) + f.shift(g.object_map[o])
-        if s:
-            shifts[o] = s
-    return DgFunctor(g.source, f.target, object_map, gen_map, shifts)
-
-
 def keep_generators(cat: SemifreeDgCat, gens, **changes) -> SemifreeDgCat:
     """cat cut down to gens: their differentials, and the rules (with their
     weights) whose lhs letters all survive.
@@ -559,7 +553,6 @@ def hom_slice(cat, source: str, target: str, window, length_bound: int) -> HomBa
 # identity is ().
 
 _rank = attrgetter("rank")
-_degree = attrgetter("degree")
 
 
 def _code(word) -> tuple:
@@ -730,11 +723,10 @@ def from_json(data: dict):
         if not isinstance(r["rhs"], str):
             raise InputError(f"rules[{i}]", f"rhs must be a "
                              f"polynomial string, got {r['rhs']!r}")
-        for name in r["lhs"]:
-            if name not in gm:
-                raise InputError(f"rules[{i}]", f"lhs names unknown "
-                                 f"generator {name!r}")
-        lhs = tuple(gm[name] for name in r["lhs"])
+        lhs = tuple(map(gm.get, r["lhs"]))
+        if None in lhs:
+            raise InputError(f"rules[{i}]", f"lhs names unknown generator "
+                             f"{r['lhs'][lhs.index(None)]!r}")
         # an empty lhs has no boundary; the class raises RuleError
         try:
             rhs = (parse_poly(r["rhs"], ring, lhs[-1].source, lhs[0].target,

@@ -175,22 +175,29 @@ def audit_rules(cat, table=None) -> None:
         table = _d_table(cat)
     index = cat._index
     one, neg, mul = ring.one(), ring.neg, ring.mul
+    add, is_zero = ring.add, ring.is_zero
     for (lhs, rhs), (ranks, terms, _) in zip(cat.rules, index.rules):
-        # d(lhs) - d(rhs) as one d(lhs - rhs): every rhs word is smaller
-        # than lhs in the reduction order, so none is lhs itself
-        spliced = []
+        # d(lhs) - d(rhs) as one d(lhs - rhs), summed as it is spliced
+        # (accumulate's loop, inlined): every rhs word is smaller than lhs
+        # in the reduction order, so none is lhs itself
+        spliced = {}
         for word, coeff in [(ranks, one)] + [(w, neg(c)) for w, c in terms]:
             left_degree = 0
             for j, r in enumerate(word):
                 g, signed = table[r]
-                dterms = signed[left_degree % 2]
-                if dterms:
-                    left, right = word[:j], word[j + 1:]
-                    spliced += [(left + t + right, mul(coeff, c))
-                                for t, c in dterms]
+                left, right = word[:j], word[j + 1:]
+                for t, c in signed[left_degree % 2]:
+                    # the d terms are reduced, so one * c is c
+                    t, c = (left + t + right,
+                            c if coeff == one else mul(coeff, c))
+                    if t in spliced:
+                        c = add(spliced[t], c)
+                    if is_zero(c):
+                        spliced.pop(t, None)
+                    else:
+                        spliced[t] = c
                 left_degree += g.degree
-        residual = normal_form(index, ring,
-                               list(accumulate(ring, {}, spliced).items()))
+        residual = normal_form(index, ring, list(spliced.items()))
         if residual:
             raise DSquaredNonzero(render_word(lhs), _decode(
                 index.letters, ring, rhs.source, rhs.target, residual))

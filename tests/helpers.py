@@ -5,7 +5,15 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from semifree.algebra import NcPoly, accumulate, render_poly, word_names
+from semifree.algebra import (
+    CompositionError,
+    NcPoly,
+    _checked,
+    accumulate,
+    render_poly,
+    render_word,
+    word_names,
+)
 from semifree.analysis import change_coefficients, truncated_cohomology
 from semifree.constructions import (
     PushoutSpan,
@@ -14,12 +22,13 @@ from semifree.constructions import (
 )
 from semifree.dgcat import (
     DgFunctor,
+    FunctorError,
     SemifreeDgCat,
-    compose_functors,
     keep_generators,
     push_poly,
     validate_functor,
 )
+from semifree.rewrite import RuleError, RuleIndex
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -27,6 +36,20 @@ DATA = Path(__file__).resolve().parent / "data"
 def identity_functor(cat) -> DgFunctor:
     gm = {g.name: NcPoly.gen(cat.ring, g) for g in cat.generators}
     return DgFunctor(cat, cat, {o: o for o in cat.objects}, gm)
+
+
+def compose_functors(f: DgFunctor, g: DgFunctor) -> DgFunctor:
+    """f o g; generator images expand through g then f."""
+    if g.target is not f.source and g.target != f.source:
+        raise FunctorError("compose_functors: middle categories differ")
+    object_map = {o: f.object_map[g.object_map[o]] for o in g.source.objects}
+    gen_map = {name: f.apply(img) for name, img in g.generator_map.items()}
+    shifts = {}
+    for o in g.source.objects:
+        s = g.shift(o) + f.shift(g.object_map[o])
+        if s:
+            shifts[o] = s
+    return DgFunctor(g.source, f.target, object_map, gen_map, shifts)
 
 
 def key_view(p: NcPoly) -> dict:
@@ -245,6 +268,61 @@ def generator_normalize(index: GeneratorRuleIndex, p: NcPoly) -> NcPoly:
                 pending.append(((left + right or w) if isinstance(w, str)
                                 else left + w + right, c))
     return NcPoly(ring, p.source, p.target, accumulate(ring, {}, normal))
+
+
+def rule_index_by_passes(ring, generators, rules, weights) -> RuleIndex:
+    """The RuleIndex of rules, or the first error, by the class's rule
+    check as it ran before it walked each word once: every word composes,
+    then every letter is a generator (by value), then each rhs term keeps
+    the degree and lies below the lhs in the reduction order."""
+    code = {g: g.rank for g in generators}
+    index = RuleIndex(letters={g.rank: g for g in generators})
+    for lhs, rhs in rules:
+        if not lhs:
+            raise RuleError("empty rule lhs")
+        if rhs.ring is not ring and rhs.ring != ring:
+            raise ValueError("mixed coefficient rings")
+        if rhs.source != lhs[-1].source or rhs.target != lhs[0].target:
+            raise RuleError(
+                f"rule {render_word(lhs)} -> {render_poly(rhs)} changes boundary")
+        try:
+            _checked(lhs, lhs[-1].source, lhs[0].target)
+            for w in rhs.terms:
+                _checked(w, rhs.source, rhs.target)
+        except CompositionError as err:
+            raise RuleError(str(err)) from None
+        try:
+            ranks = tuple(map(code.__getitem__, lhs))
+            terms = [(() if isinstance(w, str)
+                      else tuple(map(code.__getitem__, w)), c)
+                     for w, c in rhs.terms.items()]
+        except KeyError as err:
+            raise RuleError(
+                f"rule {render_word(lhs)} -> {render_poly(rhs)} uses "
+                f"{err.args[0].name}, which is not a generator of the "
+                f"category") from None
+        degree = sum(g.degree for g in lhs)
+        weight = (sum(weights.get(g.name, 1) for g in lhs) if weights
+                  else len(lhs))
+        for w, (w_ranks, _) in zip(rhs.terms, terms):
+            letters = w if w_ranks else ()  # an identity has none
+            w_degree = sum(g.degree for g in letters)
+            w_weight = (sum(weights.get(g.name, 1) for g in letters)
+                        if weights else len(w_ranks))
+            below = (w_weight < weight if w_weight != weight
+                     else not w_ranks or len(w_ranks) == len(ranks)
+                     and w_ranks < ranks)
+            if w_degree != degree:
+                raise RuleError(
+                    f"rule {render_word(lhs)} -> {render_poly(rhs)} changes "
+                    f"degree: lhs has degree {degree}, rhs term "
+                    f"{render_word(w)} has degree {w_degree}")
+            if not below:
+                raise RuleError(
+                    f"rule {render_word(lhs)} -> {render_poly(rhs)} does not "
+                    f"decrease the reduction order at {render_word(w)}")
+        index.add(ranks, terms, rhs.ring)
+    return index
 
 
 def copy_based_cohomology(cat, source, target, window, bound, field):

@@ -16,10 +16,12 @@ from semifree.algebra import (
     RATIONALS,
     Ring,
     _MR_LIMIT,
+    _checked,
     _is_prime,
     _concat,
     _is_number,
     _split_terms,
+    accumulate,
     compose,
     integers_mod,
     leibniz_d,
@@ -396,6 +398,37 @@ def test_canonical_order_and_idempotence():
     assert p == q
 
 
+def from_terms_by_pipeline(ring, source, target, items) -> NcPoly:
+    """NcPoly.from_terms as it was before its one loop: each word through
+    _checked and each value through ring.normalize, summed by accumulate;
+    kept as its oracle."""
+    return NcPoly(ring, source, target, accumulate(ring, {}, (
+        (_checked(w, source, target), ring.normalize(v)) for w, v in items)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from(["x", "y", "yx", "xy", "xx", "yxy", "", "L1", "L2"]),
+    st.sampled_from([0, 1, -1, 3, 7, Fraction(1, 2), 1.5])), max_size=5),
+       st.sampled_from([INTEGERS, RATIONALS, integers_mod(7)]),
+       st.sampled_from([("L1", "L1"), ("L1", "L2"), ("L2", "L1")]))
+def test_from_terms_matches_the_pipeline_it_replaced(items, ring, ends):
+    # the same terms in the same order, or the same first error; x: L1 ->
+    # L2 and y: L2 -> L1, so "xx" does not compose and "" is the empty word
+    x, y = two_object_setup(ring, 3)
+    letters = {"x": x, "y": y}
+    items = [(w if w.startswith("L") else tuple(letters[c] for c in w), v)
+             for w, v in items]
+
+    def outcome(how):
+        try:
+            p = how(ring, *ends, items)
+        except (ValueError, TypeError, CompositionError) as err:
+            return type(err), str(err)
+        return list(p.terms.items())
+    assert outcome(NcPoly.from_terms) == outcome(from_terms_by_pipeline)
+
+
 @pytest.mark.parametrize("ring", RINGS)
 def test_render_parse_roundtrip(ring):
     a = Generator("a", "L", "L", 0, 0)
@@ -520,6 +553,11 @@ PARSE_LETTERS["n"] = Generator("n", "M", "L", 0, 5)
 @example("1_{L}*1_{L}*a*1_{L}", RATIONALS, ("L", "L"))
 @example("1_{M}*m*1_{L}*a - 1_{L}*m", INTEGERS, ("L", "M"))
 @example("n*1_{L}", INTEGERS, ("M", "L"))
+@example("-a", INTEGERS, ("L", "L"))
+@example("- a", INTEGERS, ("L", "L"))
+@example("-2*1_{L}", integers_mod(7), ("L", "L"))
+@example("a\t+ b", INTEGERS, ("L", "L"))
+@example("1_{L}", RATIONALS, ("L", "L"))
 def test_parse_poly_matches_factor_folding(text, ring, ends):
     # the same polynomial, or the same error, as the factor-by-factor parse
     def parse(how):

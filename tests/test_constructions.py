@@ -31,6 +31,7 @@ from semifree.fukaya import ModelId, build
 from semifree.reduce import strictify_t, strictify_t_with_map
 from semifree.twisted import build_e12, cone_extend, shift_presentation
 from semifree.analysis import presentation_equal
+from semifree.rewrite import audit_rules
 from helpers import SpanLadder, hocolim_functor, identity_functor
 
 ring = INTEGERS
@@ -94,6 +95,25 @@ def test_localize_rejects_wrong_degree_or_nonclosed():
                         "g": NcPoly.gen(ring, c)})
     with pytest.raises(ValueError):
         localize(cat, ["g"])
+
+
+def test_localize_tests_closedness_modulo_the_rules():
+    # d(g) = y*x is zero modulo the rule y*x -> 0, but not modulo x*y -> 0
+    x = Generator("x", "L", "L", 0, 0)
+    y = Generator("y", "L", "L", 1, 1)
+    g = Generator("g", "L", "L", 0, 2)
+    zero = NcPoly.zero(ring, "L", "L")
+    table = {"x": zero, "y": zero,
+             "g": compose(NcPoly.gen(ring, y), NcPoly.gen(ring, x))}
+    cat = new_semifree(ring, ("L",), (x, y, g), table, rules=[((y, x), zero)])
+    loc = localize(cat, ["g"])
+    audit_d_squared(loc)
+    audit_rules(loc)
+    assert loc.rules == cat.rules and len(loc.generators) == 7
+    other = new_semifree(ring, ("L",), (x, y, g), table,
+                         rules=[((x, y), zero)])
+    with pytest.raises(ValueError, match="^g is not closed, cannot invert$"):
+        localize(other, ["g"])
 
 
 def test_name_composite_then_localize():

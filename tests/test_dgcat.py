@@ -6,7 +6,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semifree.algebra import (
@@ -15,11 +15,13 @@ from semifree.algebra import (
     INTEGERS,
     NcPoly,
     RATIONALS,
+    Ring,
     compose,
     integers_mod,
     render_poly,
     word_names,
 )
+from semifree.cli import _dump
 from semifree.constructions import tensor
 from semifree.dgcat import (
     DegreeError,
@@ -28,7 +30,6 @@ from semifree.dgcat import (
     OrdinalViolation,
     SemifreeDgCat,
     audit_d_squared,
-    compose_functors,
     from_json,
     hom_slice,
     new_semifree,
@@ -41,10 +42,12 @@ from semifree.rewrite import RuleError
 from semifree.twisted import build_d01, build_d12, cone_extend
 from helpers import (
     MALFORMED_DOCUMENTS,
+    compose_functors,
     decoded,
     identity_functor,
     restrict_functor,
     restrict_to_objects,
+    rule_index_by_passes,
 )
 
 ring = INTEGERS
@@ -508,27 +511,38 @@ def test_rule_rhs_over_another_ring_is_rejected_when_built():
 # JSON round trip
 # ---------------------------------------------------------------------------
 
-# categories with rewrite rules, by test id
+# categories with rewrite rules over a ring, by test id; the last is the
+# relations workload's tensor (29 generators, 198 rules)
 RELATIONAL = {
-    "tensor(A2,C:3)": lambda: tensor(build(ModelId("A2"), ring),
-                                     build(ModelId.parse("C:3"), ring)),
-    "cone(D01:3,g)": lambda: cone_extend(build_d01(3, ring), "g"),
-    "e12_n3.json": lambda: from_json(
+    "tensor(A2,C:3)": lambda r: tensor(build(ModelId("A2"), r),
+                                       build(ModelId.parse("C:3"), r)),
+    "cone(D01:3,g)": lambda r: cone_extend(build_d01(3, r), "g"),
+    "e12_n3.json": lambda r: from_json(
         json.loads((DATA / "e12_n3.json").read_text())),
+    "tensor(M:1,1,S:2,1,1)": lambda r: tensor(
+        build(ModelId.parse("M:1,1"), r), build(ModelId.parse("S:2,1,1"), r)),
 }
 
 
-@pytest.mark.parametrize("spec", ["C:1", "S:3,2,1", "S:2,2,0", "M:1,1",
-                                  "D12:4", "B01:3", "A1", "A2", "D01:3",
-                                  *RELATIONAL])
+@pytest.mark.parametrize("spec", [
+    "C:1", "S:3,2,1", "S:2,2,0", "M:1,1", "D12:4", "B01:3", "A1", "A2",
+    "D01:3", *RELATIONAL,
+    *(f"{spec} over {coefficients}"
+      for spec in ["M:1,1", "D12:4", "cone(D01:3,g)", "tensor(M:1,1,S:2,1,1)"]
+      for coefficients in ["Q", "Zmod:1000000007"])])
 def test_presentation_roundtrip(spec):
+    spec, _, coefficients = spec.partition(" over ")
+    r = Ring.parse(coefficients or "Z")
     if spec in RELATIONAL:
-        cat = RELATIONAL[spec]()
+        cat = RELATIONAL[spec](r)
         assert cat.rules
     else:
-        cat = build(ModelId.parse(spec), ring)
+        cat = build(ModelId.parse(spec), r)
     doc = to_json(cat)
-    back = from_json(doc)
+    # the bytes the CLI writes come back byte-identical
+    text = _dump(doc)
+    back = from_json(json.loads(text))
+    assert _dump(to_json(back)) == text
     assert to_json(back) == doc
     assert back == cat
     # "rules" (and "weights") are written only when there are rules
@@ -609,6 +623,69 @@ def test_rule_must_preserve_degree():
         from_json(doc)
     doc["rules"] = [{"lhs": ["z", "z", "z"], "rhs": "0"}]
     assert from_json(doc).rules  # a zero rhs has no degree to disagree
+
+
+# letters of random rule sets: a, b and f on X, c: X -> Y and e: Y -> X;
+# z is not a generator, and a' has a's name and rank but another degree
+RULE_LETTERS = {
+    "a": Generator("a", "X", "X", 0, 0),
+    "b": Generator("b", "X", "X", 1, 1),
+    "c": Generator("c", "X", "Y", 0, 2),
+    "e": Generator("e", "Y", "X", 0, 3),
+    "f": Generator("f", "X", "X", 1, 4),
+    "z": Generator("z", "X", "X", 0, 5),
+    "a'": Generator("a", "X", "X", 1, 0),
+}
+RULE_GENS = tuple(RULE_LETTERS[name] for name in "abcef")
+_RULE_LETTER = st.sampled_from([*"abcef" * 3, "z", "a'"])
+# (lhs, rhs terms with [] for the identity, rhs boundary or None for the
+# lhs's, a flaw put in on purpose: an empty lhs or a rhs over Q)
+_RULE = st.tuples(st.lists(_RULE_LETTER, min_size=1, max_size=3),
+                  st.lists(st.tuples(st.lists(_RULE_LETTER, max_size=3),
+                                     st.integers(-2, 2)), max_size=2),
+                  st.sampled_from([None] * 4 + [("X", "X"), ("X", "Y")]),
+                  st.sampled_from([None] * 10 + ["empty lhs", "Q"]))
+
+
+def _rule_from(lhs_names, rhs_terms, ends, flaw):
+    lhs = () if flaw == "empty lhs" else tuple(RULE_LETTERS[name]
+                                               for name in lhs_names)
+    source, target = ends or ((lhs[-1].source, lhs[0].target) if lhs
+                              else ("X", "X"))
+    terms = {tuple(RULE_LETTERS[name] for name in names) or source: c
+             for names, c in rhs_terms if c}
+    return lhs, NcPoly(RATIONALS if flaw == "Q" else ring, source, target,
+                       terms)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_RULE, min_size=1, max_size=4),
+       st.one_of(st.just({}), st.dictionaries(st.sampled_from("abcef"),
+                                              st.integers(0, 3))))
+@example([(["b", "a"], [(["a", "b"], 1)], None, None),
+          (["a", "a"], [([], 2)], None, None),
+          (["c", "e"], [([], 1), (["f"], -1)], None, None)], {})
+@example([(["b", "a"], [(["a", "b"], 1)], None, None),
+          (["a", "a"], [([], 2)], None, None)], {"a": 0})
+@example([(["f"], [(["a", "b"], 1)], None, None)], {"f": 3})
+@example([(["a", "a"], [(["a"], 1)], None, None)], {"a": 0})
+@example([(["z", "a'"], [(["b"], 1)], None, None)], {})
+def test_rule_check_matches_the_passes_it_replaced(specs, weights):
+    # the same RuleIndex, or the same first error, as the check that ran
+    # composability, membership and order as separate passes
+    rules = [_rule_from(*spec) for spec in specs]
+    table = {g.name: NcPoly.zero(ring, g.source, g.target) for g in RULE_GENS}
+
+    def outcome(check):
+        try:
+            index = check()
+        except Exception as err:
+            return type(err), str(err)
+        return index.rules, index.first, index.lengths
+    assert outcome(lambda: SemifreeDgCat(
+        ring, ("X", "Y"), RULE_GENS, table, rules=tuple(rules),
+        weights=weights)._index) == \
+        outcome(lambda: rule_index_by_passes(ring, RULE_GENS, rules, weights))
 
 
 @pytest.mark.parametrize("rules,message", [

@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     MALFORMED_PLUMBINGS,
     MALFORMED_QUIVERS,
+    compose_functors,
     total_endomorphism_algebra,
 )
 from semifree.algebra import INTEGERS, render_poly
@@ -282,7 +283,6 @@ def test_edge_flip_example_signs():
 
 
 def test_edge_flip_composes_to_renaming_n3():
-    from semifree.dgcat import compose_functors
     witness = edge_flip_witness(a2_data(3, -1, 1), "e")
     around = compose_functors(witness.backward, witness.forward)
     for g in around.source.generators:
