@@ -15,12 +15,15 @@ import sys
 from json.encoder import encode_basestring as _quote
 from pathlib import Path
 
-from .algebra import Ring, render_poly
+from .algebra import CompositionError, Ring, render_poly
 from .analysis import functor_rank_compat, truncated_cohomology
 from .constructions import PushoutSpan, hocolim, localize, tensor
 from .dgcat import (
+    DegreeError,
     DgFunctor,
+    DSquaredNonzero,
     InputError,
+    OrdinalViolation,
     _field,
     _known,
     from_json,
@@ -28,6 +31,7 @@ from .dgcat import (
     validate_functor,
 )
 from .fukaya import ModelId, build
+from .rewrite import RuleError
 
 # plumbing and reduce are imported by the subcommands that use them, so
 # build, verify, hom and tensor do not compile them at start-up.
@@ -140,13 +144,17 @@ def functor_from_json(doc: dict, source, target, where: str = "") -> DgFunctor:
 
 
 def _load_part(doc: dict, key: str):
-    """The presentation doc[key]; a schema error in it names its path from
-    doc, such as source.generators[0].deg."""
+    """The presentation doc[key]; an error in it is an InputError that names
+    key, and a schema error its path from doc, such as
+    source.generators[0].deg."""
     part = _field(doc, key, dict, "")
     try:
         return from_json(part)
     except InputError as err:
         raise err.within(key) from None
+    except (ValueError, CompositionError, DegreeError, OrdinalViolation,
+            DSquaredNonzero, RuleError) as err:  # structure, d^2 or rules
+        raise InputError(key, str(err)) from err
 
 
 def load_functor(doc: dict) -> DgFunctor:

@@ -510,9 +510,10 @@ def tensor(cat_a, cat_b) -> SemifreeDgCat:
             right = a_letters[(f.name, gg.source)]
             lhs = (left, right)
             sign = -1 if (f.degree % 2) and (gg.degree % 2) else 1
-            rhs = compose(NcPoly.gen(ring, a_letters[(f.name, gg.target)]),
-                          NcPoly.gen(ring, b_letters[(f.source, gg.name)]))
-            rules.append((lhs, rhs.scale(sign)))
+            a = a_letters[(f.name, gg.target)]
+            b = b_letters[(f.source, gg.name)]
+            rules.append((lhs, NcPoly(ring, b.source, a.target,
+                                      {(a, b): ring.normalize(sign)})))
 
     entry = {"op": "tensor", "factors": [len(cat_a.objects), len(cat_b.objects)]}
     return new_semifree(ring, objects, gens, table, (entry,), rules)

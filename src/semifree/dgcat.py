@@ -4,12 +4,12 @@ A category is immutable and checks its own structure however it is built
 (new_semifree, from_json, dataclasses.replace or the class itself): among
 others the degree check d(g) of degree |g|+1, that each term of d(g)
 composes along g's boundary, and the ordinal condition (differentials only
-use earlier generators).  A category may also carry a terminating rewrite
-system (see rewrite.py); morphisms are then taken modulo its rules, and a
-semifree category is the case with no rules.  new_semifree, the one audited
-constructor, adds d^2 = 0 modulo the rules, reporting the offending
-generator and the residual polynomial on failure, and then, with rules,
-their compatibility with d (rewrite.audit_rules).
+use earlier generators).  A category may also carry a terminating,
+confluent rewrite system (see rewrite.py); morphisms are then taken modulo
+its rules, and a semifree category is the case with no rules.  new_semifree,
+the one audited constructor, adds d^2 = 0 modulo the rules, reporting the
+offending generator and the residual polynomial on failure, and then, with
+rules, their compatibility with d (rewrite.audit_rules).
 """
 
 from __future__ import annotations
@@ -199,6 +199,7 @@ class SemifreeDgCat:
                         f"decrease the reduction order at {render_word(w)}")
                 terms.append((w_ranks, c))
             index.add(ranks, terms, rhs.ring)
+        index.check_confluent(ring)
         object.__setattr__(self, "_index", index)
 
     # -- lookups --
@@ -228,49 +229,6 @@ class SemifreeDgCat:
 
     def normalize(self, p: NcPoly) -> NcPoly:
         return self._index.normalize(p) if self.rules else p
-
-    # -- confluence/diagnostics --
-    def critical_pairs(self, max_len: int = 3):
-        """Overlap words of bounded length with both one-step reducts normalized."""
-        pairs = []
-        rules = list(self.rules)
-        for a, (l1, r1) in enumerate(rules):
-            for b, (l2, r2) in enumerate(rules):
-                # overlap: proper suffix of l1 equals prefix of l2
-                for k in range(1, min(len(l1), len(l2)) + (1 if a != b else 0)):
-                    if l1[-k:] != l2[:k]:
-                        continue
-                    word = l2[:0] + l1 + l2[k:]
-                    if len(word) > max_len:
-                        continue
-                    if any(word[i].source != word[i + 1].target
-                           for i in range(len(word) - 1)):
-                        continue
-                    left = self._reduce_at(word, 0, a)
-                    right = self._reduce_at(word, len(l1) - k, b)
-                    pairs.append((word, self.normalize(left),
-                                  self.normalize(right)))
-                # containment: l2 inside l1 (strict)
-                if a != b and len(l2) < len(l1):
-                    for i in range(len(l1) - len(l2) + 1):
-                        if l1[i:i + len(l2)] == l2:
-                            word = l1
-                            left = self._reduce_at(word, 0, a)
-                            right = self._reduce_at(word, i, b)
-                            pairs.append((word, self.normalize(left),
-                                          self.normalize(right)))
-        return pairs
-
-    def joinable(self, max_len: int = 3) -> bool:
-        return all(x == y for _, x, y in self.critical_pairs(max_len))
-
-    def _reduce_at(self, word, i, rule_idx) -> NcPoly:
-        lhs, rhs = self.rules[rule_idx]
-        left, right = word[:i], word[i + len(lhs):]
-        return NcPoly(self.ring, word[-1].source, word[0].target,
-                      {(left + right or w) if isinstance(w, str)
-                       else left + w + right: c
-                       for w, c in rhs.terms.items()})
 
 
 def new_semifree(ring: Ring, objects, generators, differentials,

@@ -9,7 +9,6 @@ mentions a removed generator are dropped and recorded).
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import partial
 
 from .algebra import Generator, NcPoly, UnionFind, render_poly
@@ -23,8 +22,9 @@ from .dgcat import (
 )
 
 
-def _substitute(cat, removed: dict, entry: dict):
-    """Remove generators, replacing occurrences by the given polynomials.
+def _substitute(cat, rules, removed: dict, entry: dict):
+    """Remove generators from cat with the given rules, replacing
+    occurrences by the given polynomials.
 
     Only the differentials and rule right-hand sides that use a removed
     generator are pushed through the substitution; the others are carried
@@ -44,17 +44,17 @@ def _substitute(cat, removed: dict, entry: dict):
         return push_poly(poly, omap, images, ring)
 
     table = {g.name: pushed(cat.differentials[g.name]) for g in survivors}
-    rules, dropped = [], []
-    for lhs, rhs in cat.rules:
+    kept, dropped = [], []
+    for lhs, rhs in rules:
         if gone.isdisjoint(lhs):
-            rules.append((lhs, pushed(rhs)))
+            kept.append((lhs, pushed(rhs)))
         else:
             dropped.append([letter.name for letter in lhs])
     if dropped:
         entry = dict(entry)
         entry["dropped_rules"] = dropped
     return new_semifree(ring, cat.objects, survivors, table,
-                        cat.provenance + (entry,), rules, cat.weights)
+                        cat.provenance + (entry,), kept, cat.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +183,7 @@ def cancel_pair(cat, a_name: str, b_name: str):
              "before": len(cat.generators), "after": len(cat.generators) - 2}
     removed = {a_name: NcPoly.zero(ring, a.source, a.target),
                b_name: replacement}
-    return _substitute(cat, removed, entry)
+    return _substitute(cat, cat.rules, removed, entry)
 
 
 def set_generator(cat, name: str, value: str):
@@ -208,7 +208,7 @@ def set_generator(cat, name: str, value: str):
             f"d({name}) maps to {render_poly(push)}")
     entry = {"op": "set_generator", "gen": name, "value": value,
              "before": len(cat.generators), "after": len(cat.generators) - 1}
-    return _substitute(cat, {name: image}, entry)
+    return _substitute(cat, cat.rules, {name: image}, entry)
 
 
 def strictify_t(cat):
@@ -300,7 +300,8 @@ def eliminate_generator(cat, name: str):
     """Remove a generator that a rewrite rule identifies with a word.
 
     Requires a rule w -> u*name with u a unit; the generator is replaced by
-    u^{-1} w everywhere and the defining rule is dropped.  The rebuild
+    u^{-1} w everywhere and the defining rule is dropped.  The one rebuild
+    (the other rules need not be confluent without the defining one)
     re-checks ordinal and d^2 conditions, so an unsound elimination raises.
     """
     if not cat.rules:
@@ -321,11 +322,11 @@ def eliminate_generator(cat, name: str):
     idx, lhs, coeff = defining
     replacement = NcPoly(ring, lhs[-1].source, lhs[0].target,
                          {lhs: ring.inv(coeff)})
-    trimmed = replace(cat, rules=cat.rules[:idx] + cat.rules[idx + 1:])
     entry = {"op": "eliminate", "gen": name,
              "word": [g.name for g in lhs],
              "before": len(cat.generators), "after": len(cat.generators) - 1}
-    return _substitute(trimmed, {name: replacement}, entry)
+    return _substitute(cat, cat.rules[:idx] + cat.rules[idx + 1:],
+                       {name: replacement}, entry)
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,16 @@ rule must strictly decrease the reduction order: weighted word length first,
 then, at equal weight and equal length, the lexicographic order on ordinal
 ranks.  Weights default to 1 per letter and may be raised per generator so
 that relation-style rules (long rhs, short lhs) still terminate.  The rules
-live on dgcat.SemifreeDgCat, which checks them and indexes them once;
-dgcat.new_semifree builds a category with rules and runs audit_rules.
+live on dgcat.SemifreeDgCat, which checks them, confluence last, and
+indexes them once; dgcat.new_semifree builds a category with rules and runs
+audit_rules.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 
-from .algebra import NcPoly, accumulate, render_word
+from .algebra import NcPoly, accumulate, render_poly, render_word
 from .dgcat import (
     DSquaredNonzero,
     SemifreeDgCat,
@@ -85,6 +86,41 @@ class RuleIndex:
 
     def normalize(self, p: NcPoly) -> NcPoly:
         return normalize_poly(self, p)
+
+    def check_confluent(self, ring) -> None:
+        """Raise RuleError at a word on which two rules apply where their
+        lhs overlap and whose two one-step reducts have different normal
+        forms; the rules terminate, so they are confluent otherwise
+        (Bergman's diamond lemma)."""
+        first, rules, letters = self.first, self.rules, self.letters
+        starts = {}  # proper prefix of an lhs -> the lhs that start with it
+        for lhs in first:
+            for k in range(1, len(lhs)):
+                starts.setdefault(lhs[:k], []).append(lhs)
+        # (word, rule at 0, place i, rule at i): an lhs with another (or an
+        # equal) lhs inside it, or with the rest of an lhs that starts with
+        # one of its proper suffixes, found by one prefix walk per place
+        found = []
+        for a, (lhs, _, _) in enumerate(rules):
+            for i in range(len(lhs)):
+                for j in range(i + 1, len(lhs) + 1):
+                    if first.get(lhs[i:j], a) != a:
+                        found.append((lhs, a, i, first[lhs[i:j]]))
+                    if lhs[i:j] not in starts:
+                        break
+                else:
+                    found += [(lhs + other[len(lhs) - i:], a, i, first[other])
+                              for other in starts[lhs[i:]] if i]
+        for word, a, i, b in found:
+            ends = letters[word[-1]].source, letters[word[0]].target
+            left, right = (_decode(letters, ring, *ends, normal_form(
+                self, ring, [(word[:at] + w + word[at + len(rules[r][0]):], c)
+                             for w, c in rules[r][1]]))
+                for at, r in ((0, a), (i, b)))
+            if left != right:
+                raise RuleError(f"rules are not confluent at "
+                                f"{render_word([letters[r] for r in word])}: "
+                                f"{render_poly(left)} vs {render_poly(right)}")
 
 
 def match_rule(index: RuleIndex, word: tuple):

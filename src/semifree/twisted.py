@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Generator, NcPoly, compose, render_poly
+from .constructions import _fresh
 from .dgcat import DgFunctor, SemifreeDgCat, new_semifree, validate_functor
 
 
@@ -138,17 +139,10 @@ def cone_extend(cat, g, cone_name: str | None = None) -> SemifreeDgCat:
         raise ValueError(f"object {cone!r} already present")
     taken = {gen.name for gen in cat.generators}
     rank = cat.next_rank()
-
-    def fresh(name):
-        while name in taken:
-            name += "~"
-        taken.add(name)
-        return name
-
-    i1 = Generator(fresh("i1"), l1, cone, 0, rank)
-    i0 = Generator(fresh("i0"), l0, cone, -1, rank + 1)
-    p0 = Generator(fresh("p0"), cone, l0, 1, rank + 2)
-    p1 = Generator(fresh("p1"), cone, l1, 0, rank + 3)
+    i1 = Generator(_fresh("i1", taken), l1, cone, 0, rank)
+    i0 = Generator(_fresh("i0", taken), l0, cone, -1, rank + 1)
+    p0 = Generator(_fresh("p0", taken), cone, l0, 1, rank + 2)
+    p1 = Generator(_fresh("p1", taken), cone, l1, 0, rank + 3)
 
     gens = list(cat.generators) + [i1, i0, p0, p1]
     table = dict(cat.differentials)

@@ -43,6 +43,7 @@ from semifree.reduce import change_basis, strictify_t
 from semifree.twisted import build_d12, build_e12, cone_extend, \
     generator_change_d12
 from semifree.cli import main as cli_main
+from helpers import assert_confluent_by_search
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 RINGS = (INTEGERS, RATIONALS, integers_mod(10007))
@@ -308,7 +309,7 @@ def test_criterion_9_cone_calculus():
             coned = cone_extend(d01, "g")
             assert render_poly(coned.differentials["i0"]) == "i1*g"
             assert render_poly(coned.differentials["p1"]) == "-g*p0"
-            assert coned.joinable(3)
+            assert_confluent_by_search(coned, 3)
             i1 = NcPoly.gen(ring, coned.gen("i1"))
             p0 = NcPoly.gen(ring, coned.gen("p0"))
             p1 = NcPoly.gen(ring, coned.gen("p1"))

@@ -48,6 +48,7 @@ from semifree.plumbing import (
     build_wrapped,
     random_plumbing,
 )
+from semifree.rewrite import RuleError
 from semifree.twisted import build_d12, build_e12
 from helpers import (
     GeneratorRuleIndex,
@@ -385,7 +386,8 @@ def spliced_reducible():
     """A relational category in which d of an irreducible word can be
     reducible, which no built model has: d(x*y) = x*x -> z + 2*1_L, and
     d(t) = z + x*x sums to 2*z + 2*1_L.  d(w) = z*z is irreducible, so at
-    bound 1 it is lost before t is assembled."""
+    bound 1 it is lost before t is assembled.  The rule x*z -> z*x makes
+    the rules confluent: x*x*x reduces to z*x + 2*x either way."""
     z = Generator("z", "L", "L", 0, 0)
     x = Generator("x", "L", "L", 0, 1)
     y = Generator("y", "L", "L", -1, 2)
@@ -399,8 +401,9 @@ def spliced_reducible():
     table["w"] = compose(NcPoly.gen(ring, z), NcPoly.gen(ring, z))
     table["t"] = NcPoly.gen(ring, z) + xx
     rhs = NcPoly.gen(ring, z) + NcPoly.identity(ring, "L").scale(2)
+    zx = compose(NcPoly.gen(ring, z), NcPoly.gen(ring, x))
     return new_semifree(ring, ("L",), (z, x, y, u, w, t), table,
-                        rules=[((x, x), rhs)])
+                        rules=[((x, x), rhs), ((x, z), zx)])
 
 
 @functools.cache
@@ -581,12 +584,13 @@ def small_documents(draw):
     field Q or Zmod:p.
 
     Generators a_i (deg 0, d 0) and h_j (deg -1, d a sum of words of length
-    at most 2 in the a_i).  Rules a_i*a_j -> c*a_k + c'*1_L, and h_j -> c*h_i
-    (i < j) with d(h_j) = c*d(h_i), so d^2 = 0 and every rule commutes with
-    d.  Values are multiples of p or not, and over Q fractions, a few with
+    at most 2 in the a_i).  Rules a_i*a_j -> c*a_k + c'*1_L, each kept only
+    if the rules stay confluent, and h_j -> c*h_i (i < j) with d(h_j) =
+    c*d(h_i), so d^2 = 0 and every rule commutes with d.  Values are multiples of p or not, and over Q fractions, a few with
     the denominator p; d(h_0) holds a multiple of p.  Read in a field
     other than Zmod:m, the residues of scaled values need not be the scaled
-    residues, so such a rule h_j -> c*h_i can fail to commute with d there."""
+    residues, so such a rule h_j -> c*h_i can fail to commute with d there,
+    and the rules a_i*a_j -> ... can fail to be confluent there."""
     p = draw(st.sampled_from([5, 7]))
     ring_ = draw(st.sampled_from([ring, Q, integers_mod(p),
                                   integers_mod(2 * p), integers_mod(4)]))
@@ -611,8 +615,14 @@ def small_documents(draw):
                                             st.integers(0, m - 1)),
                                   max_size=3, unique=True)):
             k = draw(st.integers(0, m - 1))
-            rules.append(((a[i], a[j]), poly([((a[k],), draw(value)),
-                                              ("L", draw(value))])))
+            rule = ((a[i], a[j]), poly([((a[k],), draw(value)),
+                                        ("L", draw(value))]))
+            try:  # only the h_j have d != 0, and no rule lhs holds one
+                SemifreeDgCat(ring_, ("L",), tuple(a), table,
+                              rules=tuple(rules) + (rule,))
+            except RuleError:
+                continue
+            rules.append(rule)
     for j, x in enumerate(h):
         if with_rules and j and draw(st.booleans()):
             i, c = draw(st.integers(0, j - 1)), draw(value)
@@ -631,7 +641,7 @@ def small_documents(draw):
 def _outcome(f, *args):
     try:
         return f(*args)
-    except (ValueError, DSquaredNonzero) as err:
+    except (ValueError, DSquaredNonzero, RuleError) as err:
         return (type(err).__name__, str(err))
 
 
@@ -641,8 +651,8 @@ def test_mapped_tables_equal_those_of_the_field_copy(drawn):
     # hom maps the document's coded tables into the field (or, from Zmod:m
     # to another field, rebuilds the category there); they, and the ranks,
     # must be those of change_coefficients' copy, and so must the first
-    # error (a denominator not invertible mod p, or a rule that commutes
-    # with d over Zmod:m but not over the field)
+    # error (a denominator not invertible mod p, or rules that commute with
+    # d or are confluent over Zmod:m but not over the field)
     cat, field, bound = drawn
     copy = _outcome(change_coefficients, cat, field)
     mapped = _outcome(_over_field, cat, field)
@@ -650,9 +660,10 @@ def test_mapped_tables_equal_those_of_the_field_copy(drawn):
                    field)
     if isinstance(copy, tuple):
         # a denominator not invertible mod p fails the mapping alike; a
-        # rule/d failure over the field is found by the copy hom builds
+        # rule/d or confluence failure over the field is found by the copy
+        # hom builds
         assert got == copy
-        assert mapped == copy or copy[0] == "DSquaredNonzero"
+        assert mapped == copy or copy[0] in ("DSquaredNonzero", "RuleError")
         return
     table, rules = mapped
     assert table == _d_table(copy)

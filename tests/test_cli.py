@@ -18,6 +18,7 @@ from helpers import (
     MALFORMED_PLUMBINGS,
     MALFORMED_QUIVERS,
     NON_COMPOSABLE_RULE,
+    NOT_CONFLUENT,
 )
 from semifree.algebra import _MR_LIMIT
 from semifree.cli import _dump, main, make_parser
@@ -213,6 +214,60 @@ def test_verify_rejects_a_rule_lhs_that_does_not_compose(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["verify", str(path)]) == 1
     assert capsys.readouterr().out == f"FAIL {path}: {message}\n"
+
+
+def test_verify_and_hom_reject_rules_that_are_not_confluent(tmp_path,
+                                                            capsys):
+    # unchecked, verify printed ok and hom rank 11 with exact: true, where
+    # the quotient has 10 words of at most 3 letters in degree 0
+    doc, message = NOT_CONFLUENT
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().out == f"FAIL {path}: {message}\n"
+    assert main(["hom", str(path), "--src", "L", "--tgt", "L",
+                 "--window=0:0", "--bound", "3"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _part(generators, objects=("L",), rules=()):
+    """A presentation on objects with (name, deg, d) generators of rank
+    order, all on the first object."""
+    return {"coefficients": "Z", "objects": list(objects),
+            "generators": [{"name": name, "src": objects[0],
+                            "tgt": objects[0], "deg": deg, "rank": rank,
+                            "d": d}
+                           for rank, (name, deg, d) in enumerate(generators)],
+            "rules": list(rules)}
+
+
+def _functor_with_source(source):
+    return {"type": "functor", "source": source, "target": _part([]),
+            "objects": {"L": "L"}, "generators": {}}
+
+
+_SPAN = json.loads((DATA / "sphere_span_m2.json").read_text())
+
+
+@pytest.mark.parametrize("command,doc,out,err", [
+    ("verify", _functor_with_source(_part([("x", 0, "0"), ("h", -1, "x"),
+                                           ("k", -2, "h")])),
+     "source: d^2 != 0 at k: residual x", None),
+    ("hocolim", {**_SPAN, "a": _part([], objects=("L", "L"))}, None,
+     "a: duplicate object ids"),
+    ("verify", _functor_with_source(NOT_CONFLUENT[0]),
+     f"source: {NOT_CONFLUENT[1]}", None),
+], ids=["functor-source-d-squared", "hocolim-part-duplicate-object",
+        "functor-source-not-confluent"])
+def test_an_error_in_a_part_names_the_part(command, doc, out, err, tmp_path,
+                                           capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path), *(["--out", str(tmp_path / "o.json")]
+                                       if command == "hocolim" else [])]) == 1
+    got = capsys.readouterr()
+    assert (got.out, got.err) == ((f"FAIL {path}: {out}\n", "") if out
+                                  else ("", f"error: {err}\n"))
 
 
 @pytest.mark.parametrize("case", MALFORMED_DOCUMENTS)

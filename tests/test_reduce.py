@@ -71,6 +71,24 @@ def test_change_basis_generator_change_proof():
         assert rep["equal"], rep["mismatches"]
 
 
+def test_eliminate_generator_drops_a_rule_the_others_join_through():
+    # x*y -> n, a -> x*y and a -> n are confluent, but without the first
+    # rule a has the normal forms x*y and n; eliminating n = x*y gives
+    # a -> x*y twice
+    x, y, n, a = (Generator(name, "L", "L", 0, rank)
+                  for rank, name in enumerate(["x", "y", "n", "a"]))
+    xy = compose(NcPoly.gen(ring, x), NcPoly.gen(ring, y))
+    cat = new_semifree(ring, ("L",), (x, y, n, a),
+                       {g.name: NcPoly.zero(ring, "L", "L")
+                        for g in (x, y, n, a)},
+                       rules=[((x, y), NcPoly.gen(ring, n)), ((a,), xy),
+                              ((a,), NcPoly.gen(ring, n))],
+                       weights={"a": 3})
+    out = eliminate_generator(cat, "n")
+    assert [g.name for g in out.generators] == ["x", "y", "a"]
+    assert out.rules == (((a,), xy), ((a,), xy))
+
+
 def test_change_basis_rejects_higher_rank_summand():
     cat = new_semifree(ring, ("L",),
                        (Generator("p", "L", "L", -2, 0),

@@ -36,7 +36,10 @@ from semifree.rewrite import (
 )
 from helpers import (
     NON_COMPOSABLE_RULE,
+    NOT_CONFLUENT,
     GeneratorRuleIndex,
+    assert_confluent_by_search,
+    assert_rejection_by_search,
     generator_match,
     generator_normalize,
 )
@@ -223,6 +226,77 @@ OVERLAPPING = [((A, B), ZERO), ((A,), ZERO), ((A, B), ZERO), ((C,), ZERO)]
 def test_match_rule_equals_nested_scan(rules, word):
     assert match_rule(RuleIndex(rules), coded(word)) == \
         scan_match(rules, word)
+
+
+# ---------------------------------------------------------------------------
+# the class's confluence check against every reduction path
+# ---------------------------------------------------------------------------
+
+LETTER_WORDS = ["X"] + [w for n in (1, 2, 3)
+                        for w in itertools.product(LETTERS, repeat=n)]
+
+
+@st.composite
+def terminating_rule_sets(draw):
+    """A ring, one to three rules over LETTERS whose rhs words lie below
+    their lhs in the reduction order, and the weights of that order."""
+    ring_text = draw(st.sampled_from(sorted(RINGS)))
+    weights = draw(st.one_of(st.just({}), st.dictionaries(
+        st.sampled_from("abc"), st.integers(0, 3))))
+    rules = []
+    for _ in range(draw(st.integers(1, 3))):
+        lhs = tuple(draw(st.lists(st.sampled_from(LETTERS), min_size=1,
+                                  max_size=3)))
+        below = [w for w in LETTER_WORDS
+                 if _strictly_smaller(w, lhs, weights)]
+        terms = draw(st.lists(st.tuples(
+            st.sampled_from(below),
+            st.sampled_from(COEFFS[ring_text]).map(
+                lambda c: _coeff(ring_text, c))), max_size=2)
+            if below else st.just([]))
+        rules.append((lhs, NcPoly.from_terms(RINGS[ring_text], "X", "X",
+                                             terms)))
+    return RINGS[ring_text], rules, weights
+
+
+def _rule(lhs, *terms):
+    return lhs, NcPoly.from_terms(ring, "X", "X", terms)
+
+
+@settings(max_examples=250, deadline=None)
+@given(terminating_rule_sets())
+# a rule that overlaps itself, joinable and not
+@example((ring, [_rule((B, B), ((A, B), 1))], {}))
+@example((ring, [_rule((B, B), ((B,), 1))], {}))
+# two rules with one lhs, joinable and not
+@example((ring, [_rule((B, A), ((A, B), 1)), _rule((B, A), ((A, B), 1))], {}))
+@example((ring, [_rule((B, A), ((A, B), 1)), _rule((B, A))], {}))
+# an lhs inside another, joinable and not
+@example((ring, [_rule((C, B, A)), _rule((B,))], {}))
+@example((ring, [_rule((C, B, A)), _rule((B,), ((A,), 1))], {}))
+# two rules with lhs c, joinable only through a third rule
+@example((ring, [_rule((C,), ((A, B), 1)), _rule((C,), ((B, A), 1)),
+                 _rule((B, A), ((A, B), 1))], {"c": 3}))
+def test_confluence_check_agrees_with_every_reduction_path(problem):
+    # the rules terminate, so the class accepts them iff every word has one
+    # normal form along every reduction path; ambiguities have at most 5
+    # letters, and a rejection names one with two normal forms
+    ring_, rules, weights = problem
+    table = {g.name: NcPoly.zero(ring_, "X", "X") for g in LETTERS}
+    try:
+        cat = SemifreeDgCat(ring_, ("X",), LETTERS, table, rules=tuple(rules),
+                            weights=weights)
+    except RuleError as err:
+        assert_rejection_by_search(ring_, LETTERS, rules, str(err))
+        return
+    assert_confluent_by_search(cat, 5)
+
+
+def test_confluence_failure_names_the_word_and_both_normal_forms():
+    doc, message = NOT_CONFLUENT
+    with pytest.raises(RuleError) as err:
+        from_json(doc)
+    assert str(err.value) == message
 
 
 @st.composite
@@ -475,7 +549,11 @@ def test_hoisted_order_checks_equal_pairwise_checks(specs, weights):
                          {g.name: _rhs(ring) for g in DG_LETTERS})
     got = outcome(lambda: replace(base, rules=tuple(rules), weights=weights))
     want = outcome(lambda: check_rules_by_pairs(rules, weights))
-    assert got[0] == "ok" if want[0] == "ok" else got == want
+    if want[0] == "ok" and got[0] != "ok":
+        # past the order checks, the class checks confluence
+        assert_rejection_by_search(ring, DG_LETTERS, rules, got[1])
+    else:
+        assert got[0] == "ok" if want[0] == "ok" else got == want
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from semifree.twisted import (
     generator_change_d12,
     shift_presentation,
 )
-from helpers import key_view
+from helpers import assert_confluent_by_search, key_view
 
 ring = INTEGERS
 
@@ -97,7 +97,7 @@ def test_cone_differentials_and_rules(n):
     degrees = {name: coned.gen(name).degree
                for name in ("i0", "i1", "p0", "p1")}
     assert degrees == {"i0": -1, "i1": 0, "p0": 1, "p1": 0}
-    assert coned.joinable(3)
+    assert_confluent_by_search(coned, 3)
 
 
 def test_cone_identity_rewrites_to_zero_differential():
@@ -117,7 +117,16 @@ def test_cone_of_zero_morphism():
     coned = cone_extend(a2, NcPoly.zero(ring, "K0", "K1"), "Z")
     assert coned.differentials["i0"].is_zero()
     assert coned.differentials["p1"].is_zero()
-    assert coned.joinable(3)
+    assert_confluent_by_search(coned, 3)
+
+
+def test_second_cone_takes_fresh_names():
+    # a name already taken gets "~" appended until it is free
+    a2 = build(ModelId("A2"), ring)
+    twice = cone_extend(cone_extend(a2, "f"), "f", "C2")
+    assert [g.name for g in twice.generators[-4:]] == \
+        ["i1~", "i0~", "p0~", "p1~"]
+    assert_confluent_by_search(twice, 3)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
