@@ -19,14 +19,16 @@ from semifree.cli import main  # noqa: E402
 FIELDS = ("Q", "Zmod:10007")
 TABLES = ("ranks", "exact", "basis")
 
-# (name, models tensored in order, hom object, window, bound)
+# (name, models tensored in order, hom source and target, window, bound)
 CASES = (
-    ("M:2,2", ["M:2,2"], "L", "-6:0", 3),
-    ("M:1,1", ["M:1,1"], "L", "-6:0", 3),
-    ("M:1,1 x S:2,1,1", ["M:1,1", "S:2,1,1"], "(L,L)", "-2:0", 2),
-    ("M:1,1 x S:2,1,1", ["M:1,1", "S:2,1,1"], "(L,L)", "-2:0", 3),
-    ("M:2,1 x S:2,1,1", ["M:2,1", "S:2,1,1"], "(L,L)", "-2:0", 2),
-    ("S:3,2,1", ["S:3,2,1"], "L", "-4:0", 9),
+    ("M:2,2", ["M:2,2"], "L", "L", "-6:0", 3),
+    ("M:1,1", ["M:1,1"], "L", "L", "-6:0", 3),
+    ("M:1,1 x S:2,1,1", ["M:1,1", "S:2,1,1"], "(L,L)", "(L,L)", "-2:0", 2),
+    ("M:1,1 x S:2,1,1", ["M:1,1", "S:2,1,1"], "(L,L)", "(L,L)", "-2:0", 3),
+    ("M:2,1 x S:2,1,1", ["M:2,1", "S:2,1,1"], "(L,L)", "(L,L)", "-2:0", 2),
+    ("S:3,2,1", ["S:3,2,1"], "L", "L", "-4:0", 9),
+    ("D12:3 x S:2,1,1", ["D12:3", "S:2,1,1"], "(L1,L)", "(L2,L)", "-3:0", 3),
+    ("A2 x M:1,1", ["A2", "M:1,1"], "(K0,L)", "(K1,L)", "-3:0", 3),
 )
 
 
@@ -35,7 +37,7 @@ def run(argv):
         raise SystemExit(f"failed: semifree {' '.join(argv)}")
 
 
-def tables(models, obj, window, bound, out: Path) -> dict:
+def tables(models, source, target, window, bound, out: Path) -> dict:
     """field -> the hom JSON of the (tensored) models over that field."""
     paths = []
     for i, model in enumerate(models):
@@ -47,7 +49,7 @@ def tables(models, obj, window, bound, out: Path) -> dict:
     result = {}
     for field in FIELDS:
         path = out / "hom.json"
-        run(["hom", str(paths[-1]), "--src", obj, "--tgt", obj,
+        run(["hom", str(paths[-1]), "--src", source, "--tgt", target,
              f"--window={window}", "--bound", str(bound), "--field", field,
              "--out", str(path)])
         result[field] = json.loads(path.read_text(encoding="utf-8"))
@@ -56,17 +58,19 @@ def tables(models, obj, window, bound, out: Path) -> dict:
 
 def main_check() -> int:
     failed = 0
-    for name, models, obj, window, bound in CASES:
+    for name, models, source, target, window, bound in CASES:
         with tempfile.TemporaryDirectory() as tmp:
-            q, p = tables(models, obj, window, bound, Path(tmp)).values()
+            q, p = tables(models, source, target, window, bound,
+                          Path(tmp)).values()
         differ = [t for t in TABLES if q[t] != p[t]]
+        label = f"{name} {source}->{target} bound {bound}"
         if differ:
             failed += 1
             for t in differ:
-                print(f"{name} bound {bound}: {t} differ: "
+                print(f"{label}: {t} differ: "
                       f"{FIELDS[0]} {q[t]}, {FIELDS[1]} {p[t]}")
         else:
-            print(f"{name} bound {bound}: {', '.join(TABLES)} agree")
+            print(f"{label}: {', '.join(TABLES)} agree")
     return 1 if failed else 0
 
 

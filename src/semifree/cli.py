@@ -15,15 +15,13 @@ import sys
 from json.encoder import encode_basestring as _quote
 from pathlib import Path
 
-from .algebra import CompositionError, Ring, render_poly
+from .algebra import Ring, render_poly
 from .analysis import functor_rank_compat, truncated_cohomology
 from .constructions import PushoutSpan, hocolim, localize, tensor
 from .dgcat import (
-    DegreeError,
     DgFunctor,
     DSquaredNonzero,
     InputError,
-    OrdinalViolation,
     _field,
     _known,
     from_json,
@@ -152,8 +150,7 @@ def _load_part(doc: dict, key: str):
         return from_json(part)
     except InputError as err:
         raise err.within(key) from None
-    except (ValueError, CompositionError, DegreeError, OrdinalViolation,
-            DSquaredNonzero, RuleError) as err:  # structure, d^2 or rules
+    except (DSquaredNonzero, RuleError) as err:  # d^2 or rules
         raise InputError(key, str(err)) from err
 
 

@@ -61,6 +61,24 @@ class UnknownName(ValueError):
     """A generator or arrow name that the category or plumbing lacks."""
 
 
+def _at(err: Exception, generator: int | None = None,
+        in_d: bool = False) -> Exception:
+    """err, tagged with the part of a presentation whose check it breaks:
+    the objects (generator None), or the generator at that index, in its d
+    or not.  from_json reports the part as a JSON path."""
+    err.part = (generator, in_d)
+    return err
+
+
+def _first_repeat(values) -> int:
+    """The first index whose value came before; values repeat one."""
+    seen = set()
+    for i, value in enumerate(values):
+        if value in seen:
+            return i
+        seen.add(value)
+
+
 @dataclass(frozen=True)
 class SemifreeDgCat:
     ring: Ring
@@ -74,61 +92,75 @@ class SemifreeDgCat:
     def __post_init__(self):
         """Distinct objects, names and ranks, ranks in order; for each
         generator, declared objects and a d over the category's ring, along
-        its boundary, of its degree + 1, in earlier generators; the rules."""
+        its boundary, of its degree + 1, in earlier generators; the rules.
+
+        A structural error carries part, the part of the presentation that
+        breaks the check (see _at)."""
         ring, generators = self.ring, self.generators
         obj_set = set(self.objects)
         if len(obj_set) != len(self.objects):
-            raise ValueError("duplicate object ids")
+            raise _at(ValueError("duplicate object ids"))
         gen_map = {g.name: g for g in generators}
         if len(gen_map) != len(generators):
-            raise ValueError("duplicate generator names")
+            i = _first_repeat(g.name for g in generators)
+            raise _at(ValueError("duplicate generator names"), i)
         # ranks code words (hom_slice, _d_table, the rule index)
         by_rank = {g.rank: g for g in generators}
         if len(by_rank) != len(generators):
-            raise ValueError("duplicate ordinal ranks")
+            i = _first_repeat(g.rank for g in generators)
+            raise _at(ValueError("duplicate ordinal ranks"), i)
         if list(by_rank) != sorted(by_rank):
-            raise ValueError("generators must be listed in rank order")
-        for g in generators:
+            i = next(i for i in range(1, len(generators))
+                     if generators[i].rank < generators[i - 1].rank)
+            raise _at(ValueError("generators must be listed in rank order"),
+                      i)
+        for i, g in enumerate(generators):
             if g.source not in obj_set or g.target not in obj_set:
-                raise ValueError(
-                    f"generator {g.name} references undeclared objects")
-        for g in generators:
-            dg = self.differentials.get(g.name)
-            if dg is None:
-                raise ValueError(f"missing differential for {g.name}")
-            if dg.ring is not ring and dg.ring != ring:
-                raise ValueError("mixed coefficient rings")
-            if dg.source != g.source or dg.target != g.target:
-                raise CompositionError(
-                    f"d({g.name}) has boundary {dg.source}->{dg.target}, "
-                    f"expected {g.source}->{g.target}")
-            deg = dg.degree()
-            if deg is not None and deg != g.degree + 1:
-                raise DegreeError(
-                    f"d({g.name}) has degree {deg}, expected {g.degree + 1}")
-            for word in dg.terms:
-                if isinstance(word, str):  # the identity of word
-                    if not word == g.source == g.target:
+                raise _at(ValueError(f"generator {g.name} references "
+                                     f"undeclared objects"), i)
+        try:
+            for i, g in enumerate(generators):
+                dg = self.differentials.get(g.name)
+                if dg is None:
+                    raise ValueError(f"missing differential for {g.name}")
+                if dg.ring is not ring and dg.ring != ring:
+                    raise ValueError("mixed coefficient rings")
+                if dg.source != g.source or dg.target != g.target:
+                    raise CompositionError(
+                        f"d({g.name}) has boundary {dg.source}->{dg.target}, "
+                        f"expected {g.source}->{g.target}")
+                deg = dg.degree()
+                if deg is not None and deg != g.degree + 1:
+                    raise DegreeError(f"d({g.name}) has degree {deg}, "
+                                      f"expected {g.degree + 1}")
+                for word in dg.terms:
+                    if isinstance(word, str):  # the identity of word
+                        if not word == g.source == g.target:
+                            raise CompositionError(
+                                f"d({g.name}) has the term "
+                                f"{render_word(word)}, but {g.name} runs "
+                                f"{g.source}->{g.target}")
+                        continue
+                    end = g.target  # where the next letter must end, or None
+                    for letter in word:
+                        known = gen_map.get(letter.name)
+                        if known is not letter and known != letter:
+                            raise ValueError(
+                                f"d({g.name}) uses {letter.name}, which is "
+                                f"not a generator of the category")
+                        if letter.rank >= g.rank:
+                            raise OrdinalViolation(
+                                f"d({g.name}) uses {letter.name} of rank "
+                                f"{letter.rank} >= rank {g.rank}")
+                        end = letter.source if letter.target == end else None
+                    if end != g.source or not word:
                         raise CompositionError(
                             f"d({g.name}) has the term {render_word(word)}, "
-                            f"but {g.name} runs {g.source}->{g.target}")
-                    continue
-                end = g.target  # where the next letter must end, or None
-                for letter in word:
-                    known = gen_map.get(letter.name)
-                    if known is not letter and known != letter:
-                        raise ValueError(
-                            f"d({g.name}) uses {letter.name}, which is not "
-                            f"a generator of the category")
-                    if letter.rank >= g.rank:
-                        raise OrdinalViolation(
-                            f"d({g.name}) uses {letter.name} of rank "
-                            f"{letter.rank} >= rank {g.rank}")
-                    end = letter.source if letter.target == end else None
-                if end != g.source or not word:
-                    raise CompositionError(
-                        f"d({g.name}) has the term {render_word(word)}, which "
-                        f"does not compose along {g.source}->{g.target}")
+                            f"which does not compose along "
+                            f"{g.source}->{g.target}")
+        except (ValueError, CompositionError, DegreeError,
+                OrdinalViolation) as err:
+            raise _at(err, i, in_d=True)
         # not fields: equality and repr stay those of the fields
         object.__setattr__(self, "_gen_map", gen_map)
         if not self.rules:
@@ -455,6 +487,11 @@ def hom_slice(cat, source: str, target: str, window, length_bound: int) -> HomBa
     is grown only while some extension of it within the bound can still
     end at target with degree in the window, so the result is the same as
     growing every word and filtering at the end.
+
+    Words grow on the left, one length at a time, generator by generator
+    in rank order.  Each length's words are kept in one list per left end
+    object and degree, in rank-tuple order, so (g.rank,) + word comes out
+    in order without a sort, and the window test runs once per list.
     """
     lo, hi = window
     for role, obj in (("source", source), ("target", target)):
@@ -466,42 +503,50 @@ def hom_slice(cat, source: str, target: str, window, length_bound: int) -> HomBa
         raise ValueError(f"hom window {lo}:{hi} is empty (lo > hi)")
     if length_bound < 0:
         raise ValueError(f"hom length bound {length_bound} is negative")
-    out_of = {}
-    for g in cat.generators:
-        out_of.setdefault(g.source, []).append((g.rank, g.target, g.degree))
     # Every grown word is irreducible, so a rule lhs can occur in (r,)+word
-    # only as a prefix: one dict lookup per distinct lhs length.
-    lhs_first, lhs_lengths = ((cat._index.first, cat._index.lengths)
-                              if cat.rules else ({}, ()))
+    # only as a prefix: r starts the lhs and word[:k] is the rest of it.
+    # tails[r] lists (k, the rests of length k of the lhs that start at r).
+    tails = {}
+    for lhs in cat._index.first if cat.rules else ():
+        tails.setdefault(lhs[0], {}).setdefault(len(lhs) - 1,
+                                                set()).add(lhs[1:])
+    tails = {r: sorted(rests.items()) for r, rests in tails.items()}
     reach = _reach_table(cat.generators, target, length_bound)
     by_degree = {}
     if lo <= 0 <= hi and source == target:
         by_degree[0] = [()]
-    # grow words by extending on the left, starting from the source object
-    paths = [((), source, 0)]  # (written-order word so far, left end, degree)
+    # left end object -> degree -> written-order words, in rank-tuple order
+    paths = {source: {0: [()]}}
     for length in range(1, length_bound + 1):
         ahead = reach[length_bound - length]
         grow = length < length_bound  # nothing extends the longest words
-        grown = []
-        found = {}  # degree -> this length's words
-        for word, tip, deg in paths:
-            for r, tip_out, g_deg in out_of.get(tip, ()):
-                rest = ahead.get(tip_out)
-                new_deg = deg + g_deg
-                if (rest is None or new_deg + rest[0] > hi
-                        or new_deg + rest[1] < lo):
+        grown = {}
+        for g in cat.generators:
+            live = paths.get(g.source)
+            rest = ahead.get(g.target)
+            if not live or rest is None:
+                continue
+            r, g_deg = g.rank, g.degree
+            # deg + g_deg + rest[0] <= hi and deg + g_deg + rest[1] >= lo:
+            # some extension can still land in the window
+            top, bottom = hi - rest[0] - g_deg, lo - rest[1] - g_deg
+            rests = tails.get(r, ())
+            for deg, words in live.items():
+                if not bottom <= deg <= top:
                     continue
-                new_word = (r,) + word
-                if lhs_lengths and any(new_word[:n] in lhs_first
-                                       for n in lhs_lengths):
+                for k, ws in rests:  # one pass per lhs length
+                    words = [w for w in words if w[:k] not in ws]
+                if not words:  # the rules rewrite them all
                     continue
+                words = [(r,) + w for w in words]
+                deg += g_deg
                 if grow:
-                    grown.append((new_word, tip_out, new_deg))
-                if tip_out == target and lo <= new_deg <= hi:
-                    found.setdefault(new_deg, []).append(new_word)
-        for new_deg, ws in found.items():
-            ws.sort()
-            by_degree.setdefault(new_deg, []).extend(ws)
+                    grown.setdefault(g.target, {}).setdefault(
+                        deg, []).extend(words)
+                if g.target == target and lo <= deg <= hi:
+                    # lengths come in order, so each degree's list stays
+                    # ordered by length, then ranks
+                    by_degree.setdefault(deg, []).extend(words)
         paths = grown
     return HomBasisSlice(source, target, (lo, hi), length_bound, by_degree)
 
@@ -692,7 +737,16 @@ def from_json(data: dict):
         except _PARSE_ERRORS as err:
             raise InputError(f"rules[{i}].rhs", str(err)) from None
         rules.append((lhs, rhs))
-    cat = SemifreeDgCat(ring, objects, gens, table, tuple(provenance),
-                        tuple(rules), dict(weights) if rules else {})
+    try:
+        cat = SemifreeDgCat(ring, objects, gens, table, tuple(provenance),
+                            tuple(rules), dict(weights) if rules else {})
+    except (ValueError, CompositionError, DegreeError,
+            OrdinalViolation) as err:  # a structural check, at its part
+        path = "document"
+        if hasattr(err, "part"):
+            i, in_d = err.part
+            path = ("objects" if i is None else
+                    f"generators[{i}]" + (".d" if in_d else ""))
+        raise InputError(path, str(err)) from err
     audit_d_squared(cat)
     return cat

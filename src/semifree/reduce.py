@@ -3,8 +3,9 @@ passes, and post-hocolim strictification.
 
 Every step re-validates the category (degree, ordinal, d^2 = 0), records a
 replayable provenance entry, and works on relational categories where that
-makes sense (rule right-hand sides are rewritten; rules whose left side
-mentions a removed generator are dropped and recorded).
+makes sense (rules are rewritten; a rule whose left side mentions a removed
+generator is substituted and oriented again, and dropped and recorded only
+where the substituted relation vanishes or has no unit lead).
 """
 
 from __future__ import annotations
@@ -26,9 +27,11 @@ def _substitute(cat, rules, removed: dict, entry: dict):
     """Remove generators from cat with the given rules, replacing
     occurrences by the given polynomials.
 
-    Only the differentials and rule right-hand sides that use a removed
-    generator are pushed through the substitution; the others are carried
-    over unchanged.
+    Only the differentials and rules that use a removed generator are
+    pushed through the substitution; the others are carried over unchanged.
+    A rule whose lhs uses one becomes the relation lhs = rhs, substituted,
+    oriented again by _orient; it is dropped, and recorded under
+    dropped_rules, where that relation vanishes or has no unit lead.
     """
     ring = cat.ring
     gone = {cat.gen(name) for name in removed}
@@ -44,17 +47,26 @@ def _substitute(cat, rules, removed: dict, entry: dict):
         return push_poly(poly, omap, images, ring)
 
     table = {g.name: pushed(cat.differentials[g.name]) for g in survivors}
-    kept, dropped = [], []
-    for lhs, rhs in rules:
+    one = ring.one()
+    kept, dropped = {}, []  # kept: an ordered set, as a substitution can
+    for lhs, rhs in rules:  # make two rules one
         if gone.isdisjoint(lhs):
-            kept.append((lhs, pushed(rhs)))
+            rule = (lhs, pushed(rhs))
         else:
-            dropped.append([letter.name for letter in lhs])
+            # the relation lhs = rhs, substituted and oriented again: a
+            # substitution may lower lhs's image below a word of rhs's
+            lhs_poly = NcPoly(ring, rhs.source, rhs.target, {lhs: one})
+            try:
+                rule = _orient(pushed(lhs_poly) - pushed(rhs), cat.weights)
+            except ValueError:  # nothing is left, or no unit leads
+                dropped.append([letter.name for letter in lhs])
+                continue
+        kept[rule] = None
     if dropped:
         entry = dict(entry)
         entry["dropped_rules"] = dropped
     return new_semifree(ring, cat.objects, survivors, table,
-                        cat.provenance + (entry,), kept, cat.weights)
+                        cat.provenance + (entry,), list(kept), cat.weights)
 
 
 # ---------------------------------------------------------------------------

@@ -437,7 +437,7 @@ def _a2_with(change):
 
 
 # test id -> (malformed document, the ValueError message from_json gives);
-# all but two are c3.json with one part changed
+# most are c3.json with one part changed
 MALFORMED_DOCUMENTS = {
     "deg-string": (_c3_with(lambda d: d["generators"][0].update(deg="x")),
                    "generators[0].deg: expected an integer, got 'x'"),
@@ -503,6 +503,29 @@ MALFORMED_DOCUMENTS = {
                                     rules=[{"lhs": ["z", "z", "z"],
                                             "rhs": "2/0*z*z*z"}])),
         "rules[0].rhs: zero denominator in '2/0'"),
+    # the category's structural checks once carried no path
+    "duplicate-object": (
+        _with("d12_n3.json", lambda d: d["objects"].append("L1")),
+        "objects: duplicate object ids"),
+    "duplicate-generator-name": (
+        _with("d12_n3.json", lambda d: d["generators"][1].update(name="x")),
+        "generators[1]: duplicate generator names"),
+    "duplicate-rank": (
+        _with("d12_n3.json", lambda d: d["generators"][1].update(rank=0)),
+        "generators[1]: duplicate ordinal ranks"),
+    "ranks-out-of-order": (
+        _with("d12_n3.json", lambda d: d["generators"][0].update(rank=5)),
+        "generators[1]: generators must be listed in rank order"),
+    "undeclared-object": (
+        _with("d12_n3.json", lambda d: d["generators"][1].update(tgt="M")),
+        "generators[1]: generator y references undeclared objects"),
+    "d-of-the-wrong-degree": (
+        _with("m11.json", lambda d: d["generators"][4].update(deg=5)),
+        "generators[4].d: d(gamma1) has degree 0, expected 6"),
+    "d-inhomogeneous": (
+        _with("m11.json", lambda d: d["generators"][2].update(deg=2 ** 70)),
+        "generators[4].d: inhomogeneous polynomial with degrees "
+        "[0, 1180591620717411303424]"),
 }
 
 

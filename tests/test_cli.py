@@ -182,7 +182,7 @@ def test_verify_rejects_malformed_document_with_rules_key(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["verify", str(path)]) == 1
     assert capsys.readouterr().out == \
-        f"FAIL {path}: duplicate object ids\n"
+        f"FAIL {path}: objects: duplicate object ids\n"
 
 
 @pytest.mark.parametrize("rules,message", [
@@ -254,7 +254,7 @@ _SPAN = json.loads((DATA / "sphere_span_m2.json").read_text())
                                            ("k", -2, "h")])),
      "source: d^2 != 0 at k: residual x", None),
     ("hocolim", {**_SPAN, "a": _part([], objects=("L", "L"))}, None,
-     "a: duplicate object ids"),
+     "a.objects: duplicate object ids"),
     ("verify", _functor_with_source(NOT_CONFLUENT[0]),
      f"source: {NOT_CONFLUENT[1]}", None),
 ], ids=["functor-source-d-squared", "hocolim-part-duplicate-object",

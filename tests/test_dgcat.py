@@ -27,6 +27,8 @@ from semifree.dgcat import (
     DegreeError,
     DgFunctor,
     DSquaredNonzero,
+    FunctorError,
+    InputError,
     OrdinalViolation,
     SemifreeDgCat,
     audit_d_squared,
@@ -417,6 +419,51 @@ def test_hom_slice_relational_matches_unpruned(window, bound):
             assert got == brute_force_slice(t, source, target, window, bound)
 
 
+@st.composite
+def small_relational_hom_problems(draw):
+    """small_hom_problems with up to three rules w -> 0, each w a
+    composable word of 1-3 generators.  With d = 0 both audits pass, and
+    rules to zero are always confluent."""
+    cat, source, target, window, bound = draw(small_hom_problems())
+    rules = []
+    for _ in range(draw(st.integers(0, 3)) if cat.generators else 0):
+        word = (draw(st.sampled_from(cat.generators)),)
+        for _ in range(draw(st.integers(0, 2))):
+            after = [g for g in cat.generators if g.source == word[0].target]
+            if not after:
+                break
+            word = (draw(st.sampled_from(after)),) + word
+        rules.append((word, NcPoly.zero(ring, word[-1].source,
+                                        word[0].target)))
+    cat = new_semifree(ring, cat.objects, cat.generators, cat.differentials,
+                       rules=rules)
+    return cat, window, bound
+
+
+def _two_lhs_lengths_at_one_letter():
+    """a*b -> 0 and a*c*c -> 0 on closed loops a, b, c of degree 0."""
+    a, b, c = gens = [Generator(name, "L", "L", 0, rank)
+                      for rank, name in enumerate("abc")]
+    zero = NcPoly.zero(ring, "L", "L")
+    cat = new_semifree(ring, ("L",), gens, {g.name: zero for g in gens},
+                       rules=[((a, b), zero), ((a, c, c), zero)])
+    return cat, (0, 0), 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_relational_hom_problems())
+@example(_two_lhs_lengths_at_one_letter())
+def test_hom_slice_with_rules_matches_unpruned(problem):
+    # rule tails of length 0, 1 and 2, and paths that end at several
+    # objects: the words that no rule rewrites, in the oracle's order
+    cat, window, bound = problem
+    for source in cat.objects:
+        for target in cat.objects:
+            got = decoded(cat, hom_slice(cat, source, target, window, bound))
+            assert got == brute_force_slice(cat, source, target, window,
+                                            bound)
+
+
 @pytest.mark.parametrize("args,named", [
     (("Q", "L", (-3, 0), 4), "source 'Q'"),
     (("L", "Q", (-3, 0), 4), "target 'Q'"),
@@ -729,6 +776,60 @@ def test_from_json_rejects_malformed_document(case):
     with pytest.raises(ValueError) as err:
         from_json(doc)
     assert str(err.value) == message
+
+
+PRESENTATIONS = [doc for doc in (json.loads(path.read_text(encoding="utf-8"))
+                                 for path in sorted(DATA.glob("**/*.json")))
+                 if isinstance(doc, dict) and "generators" in doc
+                 and "coefficients" in doc]
+_DROP = object()  # a mutation that deletes the part
+
+
+def _parts(node, path=()):
+    """The JSON path of every part below node."""
+    items = (node.items() if isinstance(node, dict) else
+             enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _parts(value, path + (key,))
+
+
+@st.composite
+def mutated_presentations(draw):
+    """A presentation of tests/data with one or two parts replaced, by a
+    value of another type, a huge integer, a name of the document or a
+    polynomial text, or deleted."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(PRESENTATIONS))))
+    names = [g["name"] for g in doc["generators"]] + doc["objects"]
+    values = st.one_of(
+        st.integers(-3, 6),
+        st.sampled_from([2 ** 70, -2 ** 70, True, None, 1.5, "", [], {},
+                         "0", "1_{L}", "1/0*z", "Q", "Zmod:4", _DROP]),
+        st.sampled_from(names),
+        st.lists(st.sampled_from(names), min_size=1, max_size=3).map(
+            "*".join),
+        st.lists(st.sampled_from(names), max_size=3))
+    for _ in range(draw(st.integers(1, 2))):
+        *path, key = draw(st.sampled_from(list(_parts(doc))))
+        parent = doc
+        for step in path:
+            parent = parent[step]
+        value = draw(values)
+        if value is _DROP:
+            del parent[key]
+        else:
+            parent[key] = value
+    return doc
+
+
+@settings(max_examples=500, deadline=None)
+@given(mutated_presentations())
+def test_from_json_raises_only_documented_errors(doc):
+    # structural errors once escaped as bare ValueError or DegreeError
+    try:
+        from_json(doc)
+    except (InputError, DSquaredNonzero, FunctorError, RuleError):
+        pass
 
 
 def test_restriction_keeps_rewrite_rules():

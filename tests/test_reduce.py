@@ -15,6 +15,7 @@ from semifree.algebra import (
     integers_mod,
     render_poly,
 )
+from semifree.constructions import tensor
 from semifree.dgcat import audit_d_squared, new_semifree, to_json
 from semifree.fukaya import ModelId, build
 from semifree.reduce import (
@@ -73,8 +74,8 @@ def test_change_basis_generator_change_proof():
 
 def test_eliminate_generator_drops_a_rule_the_others_join_through():
     # x*y -> n, a -> x*y and a -> n are confluent, but without the first
-    # rule a has the normal forms x*y and n; eliminating n = x*y gives
-    # a -> x*y twice
+    # rule a has the normal forms x*y and n; eliminating n = x*y makes
+    # both rules on a the one rule a -> x*y
     x, y, n, a = (Generator(name, "L", "L", 0, rank)
                   for rank, name in enumerate(["x", "y", "n", "a"]))
     xy = compose(NcPoly.gen(ring, x), NcPoly.gen(ring, y))
@@ -86,7 +87,88 @@ def test_eliminate_generator_drops_a_rule_the_others_join_through():
                        weights={"a": 3})
     out = eliminate_generator(cat, "n")
     assert [g.name for g in out.generators] == ["x", "y", "a"]
-    assert out.rules == (((a,), xy), ((a,), xy))
+    assert out.rules == (((a,), xy),)
+
+
+def _closed_loops(names):
+    """Degree-0 generators on one object L, ranked in the order given."""
+    return [Generator(name, "L", "L", 0, rank)
+            for rank, name in enumerate(names)]
+
+
+def _word(*gens):
+    out = NcPoly.gen(ring, gens[0])
+    for g in gens[1:]:
+        out = compose(out, NcPoly.gen(ring, g))
+    return out
+
+
+def test_eliminate_generator_substitutes_into_rules_that_use_it():
+    # n*z -> 0 uses n = x*y: it becomes x*y*z -> 0, which a -> x*y*z and
+    # a -> 0 need to stay confluent
+    x, y, z, n, a = gens = _closed_loops("xyzna")
+    zero = NcPoly.zero(ring, "L", "L")
+    cat = new_semifree(ring, ("L",), gens, {g.name: zero for g in gens},
+                       rules=[((x, y), _word(n)), ((n, z), zero),
+                              ((a,), _word(x, y, z)), ((a,), zero)],
+                       weights={"a": 4})
+    out = eliminate_generator(cat, "n")
+    assert [g.name for g in out.generators] == ["x", "y", "z", "a"]
+    assert out.rules == (((x, y, z), zero), ((a,), _word(x, y, z)),
+                         ((a,), zero))
+    assert out.normalize(_word(x, y, z)).is_zero()
+    assert "dropped_rules" not in out.provenance[-1]
+
+
+def test_eliminate_generator_orients_a_substituted_rule_again():
+    # n*z -> z*n with n = x*y gives the relation x*y*z = z*x*y, whose
+    # larger side is now z*x*y
+    x, y, z, n = gens = _closed_loops("xyzn")
+    cat = new_semifree(ring, ("L",), gens,
+                       {g.name: NcPoly.zero(ring, "L", "L") for g in gens},
+                       rules=[((x, y), _word(n)), ((n, z), _word(z, n))])
+    out = eliminate_generator(cat, "n")
+    assert out.rules == (((z, x, y), _word(x, y, z)),)
+
+
+def test_cancel_pair_drops_and_records_rules_whose_lhs_goes_to_zero():
+    # d(a) = b: a and b both go to zero, and so do the left sides of
+    # a*x -> 0 and b*x -> 0
+    x = Generator("x", "L", "L", 0, 0)
+    b = Generator("b", "L", "L", 0, 1)
+    a = Generator("a", "L", "L", -1, 2)
+    zero = NcPoly.zero(ring, "L", "L")
+    cat = new_semifree(ring, ("L",), (x, b, a),
+                       {"x": zero, "b": zero, "a": _word(b)},
+                       rules=[((b, x), zero), ((a, x), zero)])
+    out = cancel_pair(cat, "a", "b")
+    assert [g.name for g in out.generators] == ["x"]
+    assert out.rules == ()
+    assert out.provenance[-1]["dropped_rules"] == [["b", "x"], ["a", "x"]]
+
+
+def test_cancel_pair_keeps_a_rule_whose_rhs_is_left_when_its_lhs_goes():
+    # d(a) = b: b*x -> y becomes the relation y = 0
+    x, y = _closed_loops("xy")
+    b = Generator("b", "L", "L", 0, 2)
+    a = Generator("a", "L", "L", -1, 3)
+    zero = NcPoly.zero(ring, "L", "L")
+    cat = new_semifree(ring, ("L",), (x, y, b, a),
+                       {"x": zero, "y": zero, "b": zero, "a": _word(b)},
+                       rules=[((b, x), _word(y))])
+    out = cancel_pair(cat, "a", "b")
+    assert out.rules == (((y,), zero),)
+    assert "dropped_rules" not in out.provenance[-1]
+
+
+def test_cancel_pair_keeps_one_copy_of_rules_a_substitution_makes_equal():
+    # a1⊗1_L goes to delta1⊗1_L, so each interchange rule through it
+    # becomes one that the tensor already has
+    cat = tensor(build(ModelId.parse("M:1,1"), ring),
+                 build(ModelId.parse("C:1"), ring))
+    out = cancel_pair(cat, "h⊗1_L", "a1⊗1_L")
+    assert len(set(out.rules)) == len(out.rules)
+    assert len(out.rules) < len(cat.rules)
 
 
 def test_change_basis_rejects_higher_rank_summand():
