@@ -1,9 +1,9 @@
 """Command-line pipeline with deterministic, scriptable output.
 
 Subcommands: build, localize, tensor, hocolim, simplify, verify, hom,
-plumb, ginzburg, equiv, normalize.  All artifacts are JSON (or plain text
-via --emit text) with stable field order, so identical inputs give
-byte-identical outputs.
+plumb, ginzburg, equiv, normalize, functor.  All artifacts are JSON (or
+plain text via --emit text) with stable field order, so identical inputs
+give byte-identical outputs.
 """
 
 from __future__ import annotations

@@ -248,8 +248,8 @@ def strip_localization(cat):
 
 def _restrict_leg(leg: DgFunctor, core) -> DgFunctor:
     return DgFunctor(core, leg.target, dict(leg.object_map),
-                     {g.name: leg.generator_map[g.name] for g in core.generators},
-                     dict(leg.object_shifts))
+                     {g.name: leg.generator_map[g.name]
+                      for g in core.generators})
 
 
 def hocolim(span: PushoutSpan):
@@ -402,45 +402,6 @@ def _hocolim_full(span: PushoutSpan):
         "core_c": c,
     }
     return cat, ports
-
-
-def product_inverse(cat, names, obj: str | None = None):
-    """Two-sided homotopy inverse of a product of localized generators.
-
-    For the written-order product P = g_k o ... o g_1 (names listed left to
-    right) with every g_i localized, returns (inv, hat, check) with
-    d(hat) = 1 - inv o P and d(check) = 1 - P o inv, assembled from the
-    localization clusters.
-    """
-    ring = cat.ring
-    names = list(names)
-    if not names:
-        if obj is None:
-            raise ValueError("empty product needs an object")
-        ident = NcPoly.identity(ring, obj)
-        return ident, NcPoly.zero(ring, obj, obj), NcPoly.zero(ring, obj, obj)
-    records = {r.inverted: r for r in localization_records(cat)}
-    # fold from the right end of the written product
-    g = cat.gen(names[-1])
-    rec = records[g.name]
-    inv = NcPoly.gen(ring, cat.gen(rec.prime))
-    hat = NcPoly.gen(ring, cat.gen(rec.hat))
-    check = NcPoly.gen(ring, cat.gen(rec.check))
-    prod = NcPoly.gen(ring, g)
-    for name in reversed(names[:-1]):
-        g = cat.gen(name)
-        rec = records[g.name]
-        g_poly = NcPoly.gen(ring, g)
-        g_prime = NcPoly.gen(ring, cat.gen(rec.prime))
-        g_hat = NcPoly.gen(ring, cat.gen(rec.hat))
-        g_check = NcPoly.gen(ring, cat.gen(rec.check))
-        # P' = g o P: inv' = inv o g', hat' = hat + inv g_hat P,
-        # check' = g_check + g check g'
-        hat = hat + compose(compose(inv, g_hat), prod)
-        check = g_check + compose(compose(g_poly, check), g_prime)
-        inv = compose(inv, g_prime)
-        prod = compose(g_poly, prod)
-    return inv, hat, check
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from .algebra import (
     _checked,
     _concat,
     accumulate,
-    compose,
     leibniz_d,
     parse_poly,
     render_poly,
@@ -336,51 +335,16 @@ def push_poly(p: NcPoly, object_map: dict, gen_images: dict, ring: Ring) -> NcPo
 
 @dataclass(frozen=True)
 class DgFunctor:
-    """Object map plus generator -> NcPoly map into the target category.
-
-    object_shifts, when present, marks that object X is sent to (image of X)
-    shifted by object_shifts[X]; degrees and d-commutation are checked with
-    the corresponding Koszul corrections.
-    """
+    """Object map plus generator -> NcPoly map into the target category."""
 
     source: object
     target: object
     object_map: dict
     generator_map: dict  # name -> NcPoly in target
-    object_shifts: dict = field(default_factory=dict)
-
-    def shift(self, obj: str) -> int:
-        return self.object_shifts.get(obj, 0)
 
     def apply(self, p: NcPoly) -> NcPoly:
-        """Push a source polynomial through the functor (no shift signs)."""
+        """Push a source polynomial through the functor."""
         out = push_poly(p, self.object_map, self.generator_map, self.target.ring)
-        return self.target.normalize(out)
-
-    def shift_apply(self, p: NcPoly) -> NcPoly:
-        """Pushforward with the Koszul signs a per-object shift introduces.
-
-        A word f_k...f_1 through objects X_0 -> ... -> X_k acquires the sign
-        (-1)^(sum_{i>=2} |f_i| (s(X_{i-1}) - s(X_0))).
-        """
-        ring = self.target.ring
-        out = NcPoly.zero(ring, self.object_map[p.source],
-                          self.object_map[p.target])
-        for word, coeff in p.terms.items():
-            if isinstance(word, str):
-                out.add_in_place(NcPoly.identity(ring, self.object_map[word]),
-                                 coeff)
-                continue
-            s0 = self.shift(word[-1].source)
-            exponent = 0
-            piece = None
-            for idx, g in enumerate(word):
-                img = self.generator_map[g.name]
-                piece = img if piece is None else compose(piece, img)
-                if idx < len(word) - 1:  # letters f_k..f_2 in written order
-                    exponent += g.degree * (self.shift(g.source) - s0)
-            sign = -1 if exponent % 2 else 1
-            out.add_in_place(piece, ring.mul(ring.normalize(sign), coeff))
         return self.target.normalize(out)
 
 
@@ -402,17 +366,11 @@ def validate_functor(f: DgFunctor) -> dict:
             raise FunctorError(
                 f"F({g.name}) has boundary {img.source}->{img.target}, expected "
                 f"{f.object_map[g.source]}->{f.object_map[g.target]}")
-        expected = g.degree + f.shift(g.source) - f.shift(g.target)
         deg = f.target.normalize(img).degree()
-        if deg is not None and deg != expected:
+        if deg is not None and deg != g.degree:
             raise DegreeError(
-                f"F({g.name}) has degree {deg}, expected {expected}")
-        if f.object_shifts:
-            lhs = f.shift_apply(f.source.differentials[g.name])
-            if (f.shift(g.source) - f.shift(g.target)) % 2:
-                lhs = -lhs
-        else:
-            lhs = f.apply(f.source.differentials[g.name])
+                f"F({g.name}) has degree {deg}, expected {g.degree}")
+        lhs = f.apply(f.source.differentials[g.name])
         rhs = f.target.normalize(f.target.d(img))
         residual = f.target.normalize(lhs - rhs)
         if not residual.is_zero():

@@ -1,4 +1,5 @@
-"""Builders for the named model categories and their inclusion functors.
+"""Builders for the named model categories, and the invertibility witness
+of 1 + xy that the plumbing pipeline uses.
 
 Each builder emits the exact presentation from its defining statement;
 simplified forms are reached only through the reduction moves.  Categories
@@ -11,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Generator, NcPoly, Ring, compose, compose_all
-from .dgcat import DgFunctor, SemifreeDgCat, new_semifree, validate_functor
-from .constructions import localization_records, localize, name_as_generator
+from .dgcat import new_semifree
+from .constructions import localization_records, localize
 
-# twisted is imported where a D12, B01 or D01 model, a shift or a cone is
-# built, so the other models do not compile it.
+# twisted is imported where a D12, B01 or D01 model is built, so the other
+# models do not compile it.
 
 
 @dataclass(frozen=True)
@@ -229,140 +230,6 @@ def build_punctured_surface(g: int, m: int, ring: Ring, options: dict):
 
 
 # ---------------------------------------------------------------------------
-# inclusion functors
-# ---------------------------------------------------------------------------
-
-def _cluster_map(source, target, base: dict) -> dict:
-    """Extend a generator-name map over localization clusters on both sides."""
-    src_records = {r.inverted: r for r in localization_records(source)}
-    tgt_records = {r.inverted: r for r in localization_records(target)}
-    out = dict(base)
-    for name, image in base.items():
-        if name in src_records and image in tgt_records:
-            for n1, n2 in zip(src_records[name].names(),
-                              tgt_records[image].names()):
-                out[n1] = n2
-    return out
-
-
-def _name_functor(source, target, object_map: dict, name_map: dict) -> DgFunctor:
-    ring = target.ring
-    gm = {src: NcPoly.gen(ring, target.gen(tgt))
-          for src, tgt in name_map.items()}
-    functor = DgFunctor(source, target, object_map, gm)
-    validate_functor(functor)
-    return functor
-
-
-def inclusion_functor(kind: str, ring: Ring, **params) -> DgFunctor:
-    """The named inclusion functors between model categories.
-
-    kinds: "F" / "G" (punctured-sphere boundary inclusions, z to a_i or
-    b_i), "surface" (z to a_i in the surface model), "Phi" / "Psi"
-    (plumbing-sector inclusions), with "_shifted" variants taking m1/m2,
-    and "j0" / "j1" / "j2" (disk edges into the stopped-disk model).
-    """
-    if kind in ("F", "G"):
-        n, m_plus, m_minus, i = (params["n"], params["m_plus"],
-                                 params.get("m_minus", 0), params["i"])
-        target = build(ModelId("S", (n, m_plus, m_minus)), ring)
-        source = build(ModelId("C", (n - 1,)), ring)
-        base = f"a{i}" if kind == "F" else f"b{i}"
-        limit = m_plus if kind == "F" else m_minus
-        if not 1 <= i <= limit:
-            raise ValueError(f"index {i} out of range for {kind}")
-        names = _cluster_map(source, target, {"z": base})
-        return _name_functor(source, target, {"L": "L"}, names)
-    if kind == "surface":
-        g, m, i = params["g"], params["m"], params["i"]
-        if not 1 <= i <= m:
-            raise ValueError(f"index {i} out of range")
-        target = build(ModelId("M", (g, m)), ring)
-        source = build(ModelId("C", (1,)), ring)
-        names = _cluster_map(source, target, {"z": f"a{i}"})
-        return _name_functor(source, target, {"L": "L"}, names)
-    if kind in ("Phi", "Psi"):
-        n = params["n"]
-        if n == 2:
-            return _sector_inclusion_2(kind, ring)
-        from .twisted import build_d12
-        source = build(ModelId("C", (n - 1,)), ring)
-        target = build_d12(n, ring)
-        x = NcPoly.gen(ring, target.gen("x"))
-        y = NcPoly.gen(ring, target.gen("y"))
-        if kind == "Phi":
-            functor = DgFunctor(source, target, {"L": "L1"},
-                                {"z": compose(y, x)})
-        else:
-            functor = DgFunctor(source, target, {"L": "L2"},
-                                {"z": compose(x, y)})
-        validate_functor(functor)
-        return functor
-    if kind in ("Phi_shifted", "Psi_shifted"):
-        n, m1, m2 = params["n"], params.get("m1", 0), params.get("m2", 0)
-        from .twisted import shift_presentation
-        plain = inclusion_functor(kind.split("_")[0], ring, n=n)
-        shifted, comparison = shift_presentation(
-            plain.target, {"L1": m1, "L2": m2})
-        return comparison.compose_with(plain)
-    if kind in ("j0", "j1", "j2"):
-        source = build(ModelId("A1",), ring)
-        a2 = build(ModelId("A2",), ring)
-        if kind == "j0":
-            return _name_functor(source, a2, {"K": "K0"}, {})
-        if kind == "j1":
-            return _name_functor(source, a2, {"K": "K1"}, {})
-        from .twisted import cone_extend, cone_object
-        coned = cone_extend(a2, "f")
-        functor = DgFunctor(source, coned, {"K": cone_object("f")}, {})
-        validate_functor(functor)
-        return functor
-    raise ValueError(f"unknown inclusion kind {kind!r}")
-
-
-def _sector_inclusion_2(kind: str, ring: Ring) -> DgFunctor:
-    """n = 2 sector inclusions into the localized x/y presentation.
-
-    Phi sends z to the generator naming 1 + yx (cluster to cluster); Psi is
-    given on the unlocalized circle algebra, z to 1 + xy, whose
-    invertibility witness is constructed separately (one_plus_xy_inverse).
-    """
-    target = sector_category_2(ring)
-    if kind == "Phi":
-        source = build(ModelId("C", (1,)), ring)
-        gm = {"z": NcPoly.gen(ring, target.gen("w"))}
-        rec_src = localization_records(source)[0]
-        rec_tgt = [r for r in localization_records(target)
-                   if r.inverted == "w"][0]
-        for n1, n2 in zip(rec_src.names(), rec_tgt.names()):
-            gm[n1] = NcPoly.gen(ring, target.gen(n2))
-        functor = DgFunctor(source, target, {"L": "L1"}, gm)
-        validate_functor(functor)
-        return functor
-    source = new_semifree(ring, ("L",), (Generator("z", "L", "L", 0, 0),),
-                          {"z": NcPoly.zero(ring, "L", "L")},
-                          ({"op": "build", "model": "C:1", "localized": False},))
-    x = NcPoly.gen(ring, target.gen("x"))
-    y = NcPoly.gen(ring, target.gen("y"))
-    functor = DgFunctor(source, target, {"L": "L2"},
-                        {"z": NcPoly.identity(ring, "L2") + compose(x, y)})
-    validate_functor(functor)
-    return functor
-
-
-def sector_category_2(ring: Ring) -> SemifreeDgCat:
-    """The localized n = 2 plumbing-sector presentation: x, y free of degree
-    zero, with 1 + yx named as the generator w and inverted."""
-    from .twisted import build_d12
-    d12 = build_d12(2, ring)
-    x = NcPoly.gen(ring, d12.gen("x"))
-    y = NcPoly.gen(ring, d12.gen("y"))
-    named = name_as_generator(d12, NcPoly.identity(ring, "L1") + compose(y, x),
-                              "w")
-    return localize(named, ["w"])
-
-
-# ---------------------------------------------------------------------------
 # invertibility witnesses
 # ---------------------------------------------------------------------------
 
@@ -408,99 +275,3 @@ def one_plus_xy_inverse(cat, x_name: str, y_name: str, u_name: str) -> dict:
                              f"{residual!r}")
     return {"inverse": v, "left_htpy": left_htpy, "right_htpy": right_htpy,
             "bar_image": bar_image, "one_plus_xy": a}
-
-
-def sphere_last_loop_inverse(cat) -> dict:
-    """Witness that a_m is invertible from the others in the n = 2 sphere.
-
-    dh exhibits a_m (r) = 1 + dh for r = a_{m-1}...a_1, so -h is the
-    right homotopy; the left one chains the recorded cluster homotopies.
-    Verified by differentiating before returning.
-    """
-    from .constructions import product_inverse
-    ring = cat.ring
-    names = sorted((g.name for g in cat.generators
-                    if g.name.startswith("a") and g.name[1:].isdigit()),
-                   key=lambda s: int(s[1:]))
-    m = len(names)
-    last = NcPoly.gen(ring, cat.gen(f"a{m}"))
-    rest = [f"a{i}" for i in range(m - 1, 0, -1)]
-    r_poly = compose_all([NcPoly.gen(ring, cat.gen(nm)) for nm in rest],
-                         ring, "L")
-    r_inv, _, r_check = product_inverse(cat, rest, "L")
-    h = NcPoly.gen(ring, cat.gen("h"))
-    one = NcPoly.identity(ring, "L")
-    sigma_right = -h
-    sigma_left = (r_check - compose(compose(r_poly, h), r_inv)
-                  - compose(compose(r_poly, last), r_check))
-    res_r = cat.normalize(cat.d(sigma_right) - (one - compose(last, r_poly)))
-    res_l = cat.normalize(cat.d(sigma_left) - (one - compose(r_poly, last)))
-    if not res_r.is_zero() or not res_l.is_zero():
-        raise ValueError("sphere inverse witness failed")
-    return {"inverse": r_poly, "right_htpy": sigma_right,
-            "left_htpy": sigma_left}
-
-
-# ---------------------------------------------------------------------------
-# surface relation form
-# ---------------------------------------------------------------------------
-
-def surface_relation_form(g: int, m: int, ring: Ring):
-    """The non-semifree display of the surface model: gamma_j = h = 0,
-    delta_j the group commutator, and prod a_i = prod [alpha_j, beta_j] as
-    a rewrite rule.
-
-    Returns (relational category, witness functor) where the functor maps
-    the semifree surface core into the relation form (gamma, h to zero,
-    delta_j to the commutator) and has been validated modulo the rules.
-    """
-    gens = []
-    rank = 0
-    inverses = {}
-    for j in range(1, g + 1):
-        for base in (f"alpha{j}", f"beta{j}"):
-            fwd = Generator(base, "L", "L", 0, rank)
-            bwd = Generator(base + "'", "L", "L", 0, rank + 1)
-            gens += [fwd, bwd]
-            inverses[base] = (fwd, bwd)
-            rank += 2
-    a_gens = []
-    for i in range(1, m + 1):
-        a = Generator(f"a{i}", "L", "L", 0, rank)
-        a_gens.append(a)
-        gens.append(a)
-        rank += 1
-    table = {gen.name: NcPoly.zero(ring, "L", "L") for gen in gens}
-    rules = []
-    one = NcPoly.identity(ring, "L")
-    for fwd, bwd in inverses.values():
-        rules.append(((fwd, bwd), one))
-        rules.append(((bwd, fwd), one))
-    # prod a_i (read right to left) -> prod of commutators
-    commutators = {}
-    for j in range(1, g + 1):
-        alpha, alpha_i = inverses[f"alpha{j}"]
-        beta, beta_i = inverses[f"beta{j}"]
-        commutators[j] = compose_all(
-            [NcPoly.gen(ring, t) for t in (alpha_i, beta_i, alpha, beta)],
-            ring, "L")
-    rhs = compose_all([commutators[j] for j in range(g, 0, -1)], ring, "L")
-    lhs = tuple(a_gens[::-1])
-    weights = {a.name: 4 * g + 1 for a in a_gens}
-    rules.append((lhs, rhs))
-    entry = {"op": "surface_relation_form", "g": g, "m": m}
-    cat = new_semifree(ring, ("L",), gens, table, (entry,), rules, weights)
-
-    core = build(ModelId("M", (g, m)), ring, {"localize": False})
-    gm = {}
-    for j in range(1, g + 1):
-        gm[f"alpha{j}"] = NcPoly.gen(ring, cat.gen(f"alpha{j}"))
-        gm[f"beta{j}"] = NcPoly.gen(ring, cat.gen(f"beta{j}"))
-        gm[f"delta{j}"] = commutators[j]
-        gm[f"gamma{j}"] = NcPoly.zero(ring, "L", "L")
-    for i in range(1, m + 1):
-        gm[f"a{i}"] = NcPoly.gen(ring, cat.gen(f"a{i}"))
-    gm["h"] = NcPoly.zero(ring, "L", "L")
-    witness = DgFunctor(core, cat, {"L": "L"}, gm)
-    validate_functor(witness)
-    return cat, witness

@@ -1,5 +1,5 @@
-"""Plumbing data, the grading map, the wrapped-category pipeline, the
-Ginzburg construction, and the equivalence witnesses.
+"""Plumbing data, the wrapped-category pipeline, the Ginzburg
+construction, and the equivalence witnesses.
 
 A plumbing datum is a finite quiver with a manifold label per vertex, a sign
 per arrow, and an integer gauge per arrow.  build_wrapped emits the explicit
@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (
+    CompositionError,
     Generator,
     NcPoly,
     Ring,
@@ -23,11 +24,16 @@ from .algebra import (
     render_poly,
 )
 from .dgcat import (
+    _PARSE_ERRORS,
+    DSquaredNonzero,
+    DegreeError,
     DgFunctor,
     InputError,
+    OrdinalViolation,
     SemifreeDgCat,
     UnknownName,
     _field,
+    _first_repeat,
     _known,
     new_semifree,
     push_poly,
@@ -65,8 +71,6 @@ class VertexSpec:
     def __post_init__(self):
         if self.kind not in ("sphere", "surface", "disk", "custom"):
             raise ValueError(f"unknown manifold kind {self.kind!r}")
-        if self.kind == "surface" and self.genus < 0:
-            raise ValueError("surface genus must be >= 0")
 
 
 SPHERE = VertexSpec("sphere")
@@ -90,24 +94,42 @@ class PlumbingData:
     ring: Ring
 
     def __post_init__(self):
+        """The dimension, distinct vertex and arrow ids, arrows between
+        known vertices, and each vertex's manifold label.
+
+        An error carries part, the path of the part of the plumbing
+        document that breaks the check (see _part)."""
         if self.n < 2:
-            raise ValueError("plumbing dimension n must be >= 2")
+            raise _part(ValueError("plumbing dimension n must be >= 2"), "n")
         vids = [v for v, _ in self.vertices]
         if len(set(vids)) != len(vids):
-            raise ValueError("duplicate vertex ids")
+            raise _part(ValueError("duplicate vertex ids"),
+                        "vertices", _first_repeat(vids), "id")
         aids = [a.id for a in self.arrows]
         if len(set(aids)) != len(aids):
-            raise ValueError("duplicate arrow ids")
+            raise _part(ValueError("duplicate arrow ids"),
+                        "arrows", _first_repeat(aids), "id")
         known = set(vids)
-        for a in self.arrows:
+        for i, a in enumerate(self.arrows):
             if a.src not in known or a.tgt not in known:
-                raise ValueError(f"arrow {a.id} references unknown vertices")
-        for vid, spec in self.vertices:
+                end = "src" if a.src not in known else "tgt"
+                raise _part(ValueError(f"arrow {a.id} references unknown "
+                                       f"vertex {getattr(a, end)!r}"),
+                            "arrows", i, end)
+        for i, (vid, spec) in enumerate(self.vertices):
+            if spec.kind == "surface" and spec.genus < 0:
+                raise _part(ValueError("surface genus must be >= 0"),
+                            "vertices", i, "manifold", "genus")
             if spec.kind == "surface" and spec.genus > 0 and self.n != 2:
-                raise ValueError(
-                    f"vertex {vid}: surface labels need n = 2")
+                raise _part(ValueError(
+                    f"vertex {vid}: surface labels need n = 2"),
+                    "vertices", i, "manifold", "genus")
             if spec.kind == "custom":
-                _custom_category(spec, self.ring, self.n)  # validates
+                try:
+                    _custom_category(spec, self.ring, self.n)  # validates
+                except _DATA_ERRORS as err:
+                    raise _part(err, "vertices", i, "manifold",
+                                *getattr(err, "part", ()))
 
     def spec(self, vid: str) -> VertexSpec:
         return dict(self.vertices)[vid]
@@ -119,41 +141,59 @@ class PlumbingData:
         raise UnknownName(f"no arrow {aid!r}")
 
 
+def _part(err: Exception, *path) -> Exception:
+    """err, tagged with the path of the part of a plumbing document whose
+    check it breaks, as keys and list indices, such as ("arrows", 0,
+    "tgt").  plumbing_from_json spells it as a JSON path."""
+    err.part = path
+    return err
+
+
+# what PlumbingData's checks raise: a custom vertex builds its category
+_DATA_ERRORS = (ValueError, CompositionError, DegreeError, OrdinalViolation,
+                DSquaredNonzero)
+
+
 def _custom_category(spec: VertexSpec, ring: Ring, n: int):
-    """Validate and build the one-object loop algebra of a custom vertex."""
+    """Validate and build the one-object loop algebra of a custom vertex.
+
+    An error is tagged with the part of the manifold that breaks it: a
+    generator, a differential, or eta."""
     gens = tuple(Generator(name, "pt", "pt", int(deg), i)
                  for i, (name, deg) in enumerate(spec.generators))
     gm = {g.name: g for g in gens}
     diffs = dict(spec.differentials)
     table = {}
     for g in gens:
-        table[g.name] = parse_poly(diffs.get(g.name, "0"), ring, "pt", "pt",
-                                   gm.get)
-    cat = new_semifree(ring, ("pt",), gens, table)
-    eta = parse_poly(spec.eta, ring, "pt", "pt", gm.get)
+        try:
+            table[g.name] = parse_poly(diffs.get(g.name, "0"), ring, "pt",
+                                       "pt", gm.get)
+        except _PARSE_ERRORS as err:
+            raise _part(err, "differentials", g.name)
+    try:
+        cat = new_semifree(ring, ("pt",), gens, table)
+    except DSquaredNonzero as err:
+        raise _part(err, "differentials", err.gen_name)
+    except _DATA_ERRORS as err:  # the class's checks, at a generator
+        i, in_d = err.part
+        raise (_part(err, "differentials", gens[i].name) if in_d else
+               _part(err, "generators", i))
+    try:
+        eta = parse_poly(spec.eta, ring, "pt", "pt", gm.get)
+    except _PARSE_ERRORS as err:
+        raise _part(err, "eta")
     deg = eta.degree()
     if deg is not None and deg != 2 - n:
-        raise ValueError(f"custom eta has degree {deg}, expected {2 - n}")
+        raise _part(ValueError(f"custom eta has degree {deg}, expected "
+                               f"{2 - n}"), "eta")
     if not cat.d(eta).is_zero():
-        raise ValueError("custom eta is not closed")
+        raise _part(ValueError("custom eta is not closed"), "eta")
     return cat, eta
 
 
-# ---------------------------------------------------------------------------
-# the grading map
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GradingClass:
-    tree: tuple            # spanning-forest arrow ids
-    loops: tuple           # per basis loop: ((arrow id, +1 | -1), ...)
-    coordinates: tuple     # signed gauge sums around each loop
-
-    def same_class(self, other: "GradingClass") -> bool:
-        return self.loops == other.loops and self.coordinates == other.coordinates
-
-
 def _spanning_forest(data: PlumbingData):
+    """A deterministic spanning forest of the quiver, as (tree arrows, the
+    other arrows), both in arrow id order."""
     components = UnionFind(vid for vid, _ in data.vertices)
     tree = []
     rest = []
@@ -163,49 +203,6 @@ def _spanning_forest(data: PlumbingData):
         else:
             rest.append(a)
     return tree, rest
-
-
-def _tree_path(tree, start, goal):
-    """Undirected path start -> goal in the forest as (arrow, forward) steps."""
-    adjacency = {}
-    for a in tree:
-        adjacency.setdefault(a.src, []).append((a, True))
-        adjacency.setdefault(a.tgt, []).append((a, False))
-    stack = [(start, [])]
-    seen = {start}
-    while stack:
-        node, path = stack.pop()
-        if node == goal:
-            return path
-        for a, forward in adjacency.get(node, []):
-            nxt = a.tgt if forward else a.src
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            stack.append((nxt, path + [(a, forward)]))
-    raise ValueError("vertices lie in different components")
-
-
-def sigma(data: PlumbingData) -> GradingClass:
-    """Coordinates of the gauge in the loop basis of a deterministic
-    spanning forest; traversal against an arrow negates its gauge."""
-    tree, rest = _spanning_forest(data)
-    loops = []
-    coords = []
-    for a in rest:
-        steps = [(a, True)] + _tree_path(tree, a.tgt, a.src)
-        loops.append(tuple((s.id, 1 if fwd else -1) for s, fwd in steps))
-        coords.append(sum(s.d if fwd else -s.d for s, fwd in steps))
-    return GradingClass(tuple(t.id for t in tree), tuple(loops), tuple(coords))
-
-
-def regauge(data: PlumbingData, delta: dict) -> PlumbingData:
-    """Shift the gauge by a vertex potential; sigma is invariant under this."""
-    arrows = tuple(
-        Arrow(a.id, a.src, a.tgt, a.sign,
-              a.d + delta.get(a.tgt, 0) - delta.get(a.src, 0))
-        for a in data.arrows)
-    return PlumbingData(data.n, data.vertices, arrows, data.ring)
 
 
 # ---------------------------------------------------------------------------
@@ -744,7 +741,12 @@ def plumbing_from_json(doc: dict, ring: Ring | None = None,
         arrows.append(Arrow(*ends, sign, gauge))
     if n is None:
         n = _field(doc, "n", int, "")
-    return PlumbingData(n, tuple(vertices), tuple(arrows), ring)
+    try:
+        return PlumbingData(n, tuple(vertices), tuple(arrows), ring)
+    except _DATA_ERRORS as err:  # a check of the data, at its part
+        path = "".join(f"[{p}]" if isinstance(p, int) else f".{p}"
+                       for p in getattr(err, "part", ()))
+        raise InputError(path[1:] or "document", str(err)) from err
 
 
 def plumbing_to_json(data: PlumbingData) -> dict:
@@ -807,15 +809,21 @@ def quiver_from_json(doc: dict) -> GradedQuiver:
                 raise InputError(f"vertices[{i}]", f"expected a string or "
                                                    f"an object, got {v!r}")
             v = _field(v, "id", str, f"vertices[{i}]")
+        if v in vertices:
+            raise InputError(f"vertices[{i}]", f"duplicate vertex id {v!r}")
         vertices.append(v)
     known = set(vertices)
-    arrows = []
+    arrows, ids = [], set()
     for i, a in enumerate(_field(doc, "arrows", list, "")):
         if type(a) is not dict:
             raise InputError(f"arrows[{i}]", f"expected an object, got {a!r}")
         for key in ("id", "src", "tgt"):
             if type(a.get(key)) is not str:
                 _field(a, key, str, f"arrows[{i}]")
+        if a["id"] in ids:
+            raise InputError(f"arrows[{i}].id",
+                             f"duplicate arrow id {a['id']!r}")
+        ids.add(a["id"])
         for key in ("src", "tgt"):
             if a[key] not in known:
                 raise InputError(f"arrows[{i}].{key}",
@@ -871,13 +879,3 @@ def random_plumbing(rng, config: RandomPlumbingConfig, ring: Ring,
                             rng.choice((1, -1)),
                             rng.randint(config.gauge[0], config.gauge[1])))
     return PlumbingData(n, tuple(vertices), tuple(arrows), ring)
-
-
-def random_graded_quiver(rng, max_vertices=5, max_arrows=8, q_range=(-3, 3)):
-    n_vertices = rng.randint(1, max_vertices)
-    vids = tuple(f"v{i}" for i in range(n_vertices))
-    arrows = tuple(
-        GradedArrow(f"e{i}", rng.choice(vids), rng.choice(vids),
-                    rng.randint(q_range[0], q_range[1]))
-        for i in range(rng.randint(0, max_arrows)))
-    return GradedQuiver(vids, arrows)

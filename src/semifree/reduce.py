@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from .algebra import Generator, NcPoly, UnionFind, render_poly
+from .algebra import Generator, NcPoly, UnionFind, render_poly, render_word
 from .dgcat import (
     _PARSE_ERRORS,
     InputError,
@@ -21,6 +21,7 @@ from .dgcat import (
     new_semifree,
     push_poly,
 )
+from .rewrite import RuleError
 
 
 def _substitute(cat, rules, removed: dict, entry: dict):
@@ -31,7 +32,9 @@ def _substitute(cat, rules, removed: dict, entry: dict):
     pushed through the substitution; the others are carried over unchanged.
     A rule whose lhs uses one becomes the relation lhs = rhs, substituted,
     oriented again by _orient; it is dropped, and recorded under
-    dropped_rules, where that relation vanishes or has no unit lead.
+    dropped_rules, where that relation vanishes or has no unit lead.  A
+    RuleError of the rebuilt category (rules that are no longer confluent)
+    names the move and each rule it turned, old -> new.
     """
     ring = cat.ring
     gone = {cat.gen(name) for name in removed}
@@ -48,6 +51,7 @@ def _substitute(cat, rules, removed: dict, entry: dict):
 
     table = {g.name: pushed(cat.differentials[g.name]) for g in survivors}
     one = ring.one()
+    turned = []  # (old rule, new rule) for each rule whose lhs is substituted
     kept, dropped = {}, []  # kept: an ordered set, as a substitution can
     for lhs, rhs in rules:  # make two rules one
         if gone.isdisjoint(lhs):
@@ -61,12 +65,25 @@ def _substitute(cat, rules, removed: dict, entry: dict):
             except ValueError:  # nothing is left, or no unit leads
                 dropped.append([letter.name for letter in lhs])
                 continue
+            turned.append(((lhs, rhs), rule))
         kept[rule] = None
     if dropped:
         entry = dict(entry)
         entry["dropped_rules"] = dropped
-    return new_semifree(ring, cat.objects, survivors, table,
-                        cat.provenance + (entry,), list(kept), cat.weights)
+    try:
+        return new_semifree(ring, cat.objects, survivors, table,
+                            cat.provenance + (entry,), list(kept),
+                            cat.weights)
+    except RuleError as err:  # name the move and the rules it turned
+        move = f"{entry['op']} of {', '.join(removed)}"
+        changes = "".join(f"; it turned {_rendered(old)} into {_rendered(new)}"
+                          for old, new in turned)
+        raise RuleError(f"{move}: {err}{changes}") from None
+
+
+def _rendered(rule) -> str:
+    lhs, rhs = rule
+    return f"{render_word(lhs)} -> {render_poly(rhs)}"
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +244,6 @@ def strictify_t(cat):
     """Collapse hocolim comparison generators: identify the two objects each
     t_X connects, set t_X and its inverse to identities, and drop the
     localization clusters; t_f generators lose their t_ prefix when free."""
-    return strictify_t_with_map(cat)[0]
-
-
-def strictify_t_with_map(cat):
-    """strictify_t plus the substitution data (object map, name images)."""
     if cat.rules:
         raise ValueError("strictify_t cannot keep a category's rules")
     entries = [e for e in cat.provenance
@@ -304,41 +316,7 @@ def strictify_t_with_map(cat):
                   and e is entry)
         else {k: v for k, v in e.items() if k != "clusters"} | {"op": "hocolim_strictified"}
         for e in cat.provenance) + (step,)
-    strict = new_semifree(ring, objects, survivors, table, provenance)
-    return strict, rep, images
-
-
-def eliminate_generator(cat, name: str):
-    """Remove a generator that a rewrite rule identifies with a word.
-
-    Requires a rule w -> u*name with u a unit; the generator is replaced by
-    u^{-1} w everywhere and the defining rule is dropped.  The one rebuild
-    (the other rules need not be confluent without the defining one)
-    re-checks ordinal and d^2 conditions, so an unsound elimination raises.
-    """
-    if not cat.rules:
-        raise ValueError("eliminate_generator works on relational categories")
-    ring = cat.ring
-    defining = None
-    for idx, (lhs, rhs) in enumerate(cat.rules):
-        items = list(rhs.terms.items())
-        if len(items) != 1:
-            continue
-        word, coeff = items[0]
-        if (not isinstance(word, str) and len(word) == 1
-                and word[0].name == name and ring.is_unit(coeff)):
-            defining = (idx, lhs, coeff)
-            break
-    if defining is None:
-        raise ValueError(f"no rule identifies {name!r} with a word")
-    idx, lhs, coeff = defining
-    replacement = NcPoly(ring, lhs[-1].source, lhs[0].target,
-                         {lhs: ring.inv(coeff)})
-    entry = {"op": "eliminate", "gen": name,
-             "word": [g.name for g in lhs],
-             "before": len(cat.generators), "after": len(cat.generators) - 1}
-    return _substitute(cat, cat.rules[:idx] + cat.rules[idx + 1:],
-                       {name: replacement}, entry)
+    return new_semifree(ring, objects, survivors, table, provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -369,22 +347,11 @@ def _partner(da: NcPoly, ring):
     return b
 
 
-def cancellable_pairs(cat):
-    """Deterministic list of (a, b) currently eligible for cancel_pair."""
-    out = []
-    used = set()
-    for a in cat.generators:
-        b = _partner(cat.differentials[a.name], cat.ring)
-        if b is not None and a.name not in used and b.name not in used:
-            out.append((a.name, b.name))
-            used.update((a.name, b.name))
-    return out
-
-
 def greedy_simplify(cat):
     """Repeatedly cancel eligible (a, b) pairs until none remain.
 
-    Each round cancels the first pair cancellable_pairs would list.
+    Each round cancels the pair of the first generator a, in rank order,
+    that has a partner b.
     """
     steps = []
     while True:

@@ -5,6 +5,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 from semifree.algebra import (
     CompositionError,
     NcPoly,
@@ -28,6 +30,8 @@ from semifree.dgcat import (
     push_poly,
     validate_functor,
 )
+from semifree.plumbing import GradedArrow, GradedQuiver
+from semifree.reduce import _partner, strictify_t
 from semifree.rewrite import RuleError, RuleIndex
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -44,12 +48,7 @@ def compose_functors(f: DgFunctor, g: DgFunctor) -> DgFunctor:
         raise FunctorError("compose_functors: middle categories differ")
     object_map = {o: f.object_map[g.object_map[o]] for o in g.source.objects}
     gen_map = {name: f.apply(img) for name, img in g.generator_map.items()}
-    shifts = {}
-    for o in g.source.objects:
-        s = g.shift(o) + f.shift(g.object_map[o])
-        if s:
-            shifts[o] = s
-    return DgFunctor(g.source, f.target, object_map, gen_map, shifts)
+    return DgFunctor(g.source, f.target, object_map, gen_map)
 
 
 def key_view(p: NcPoly) -> dict:
@@ -72,9 +71,7 @@ def restrict_functor(f: DgFunctor, objects) -> DgFunctor:
     sub = restrict_to_objects(f.source, objects)
     return DgFunctor(sub, f.target,
                      {o: f.object_map[o] for o in sub.objects},
-                     {g.name: f.generator_map[g.name] for g in sub.generators},
-                     {o: s for o, s in f.object_shifts.items()
-                      if o in set(objects)})
+                     {g.name: f.generator_map[g.name] for g in sub.generators})
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +176,53 @@ def steps_from_provenance(cat):
             out.append(ReductionStep(kinds[e["op"]], params,
                                      e.get("before", -1), e.get("after", -1)))
     return out
+
+
+def strictify_map(cat):
+    """strictify_t(cat), with the object map and the generator images it
+    substituted, read back from the provenance of cat and of the result."""
+    strict = strictify_t(cat)
+    entry = [e for e in cat.provenance
+             if isinstance(e, dict) and e.get("op") == "hocolim"][-1]
+    step = strict.provenance[-1]
+    rep = {o: step["merged"].get(o, o) for o in cat.objects}
+    t_names = set(entry["t_objects"].values())
+    clusters = {c[0]: c[1:] for c in entry["clusters"]}
+    units = t_names | {clusters[t][0] for t in t_names}
+    zeros = {name for t in t_names for name in clusters[t][1:]}
+    ring, survivors = cat.ring, strict.gen_map()
+    images = {}
+    for g in cat.generators:
+        if g.name in units:
+            images[g.name] = NcPoly.identity(ring, rep[g.source])
+        elif g.name in zeros:
+            images[g.name] = NcPoly.zero(ring, rep[g.source], rep[g.target])
+        else:
+            name = step["renamed"].get(g.name, g.name)
+            images[g.name] = NcPoly.gen(ring, survivors[name])
+    return strict, rep, images
+
+
+def cancellable_pairs(cat):
+    """Deterministic list of (a, b) currently eligible for cancel_pair."""
+    out = []
+    used = set()
+    for a in cat.generators:
+        b = _partner(cat.differentials[a.name], cat.ring)
+        if b is not None and a.name not in used and b.name not in used:
+            out.append((a.name, b.name))
+            used.update((a.name, b.name))
+    return out
+
+
+def random_graded_quiver(rng, max_vertices=5, max_arrows=8, q_range=(-3, 3)):
+    n_vertices = rng.randint(1, max_vertices)
+    vids = tuple(f"v{i}" for i in range(n_vertices))
+    arrows = tuple(
+        GradedArrow(f"e{i}", rng.choice(vids), rng.choice(vids),
+                    rng.randint(q_range[0], q_range[1]))
+        for i in range(rng.randint(0, max_arrows)))
+    return GradedQuiver(vids, arrows)
 
 
 @dataclass(frozen=True)
@@ -591,6 +635,56 @@ MALFORMED_PLUMBINGS = {
         "coefficients: expected a string, got 7"),
     "document-not-an-object": ([1, 2],
                                "document: expected an object, got list"),
+    # the checks of PlumbingData and of a custom vertex, at their paths
+    "n-one": (_a2_with(lambda d: d.update(n=1)),
+              "n: plumbing dimension n must be >= 2"),
+    "duplicate-vertex-ids": (
+        _a2_with(lambda d: d["vertices"][1].update(id="v")),
+        "vertices[1].id: duplicate vertex ids"),
+    "duplicate-arrow-ids": (
+        _a2_with(lambda d: d["arrows"].append(dict(d["arrows"][0]))),
+        "arrows[1].id: duplicate arrow ids"),
+    "arrow-to-unknown-vertex": (
+        _a2_with(lambda d: d["arrows"][0].update(tgt="v9")),
+        "arrows[0].tgt: arrow e references unknown vertex 'v9'"),
+    "genus-negative": (
+        _a2_with(lambda d: d["vertices"][0].update(
+            manifold={"type": "surface", "genus": -1})),
+        "vertices[0].manifold.genus: surface genus must be >= 0"),
+    "surface-label-in-n3": (
+        _a2_with(lambda d: d["vertices"][1].update(
+            manifold={"type": "surface", "genus": 1})),
+        "vertices[1].manifold.genus: vertex w: surface labels need n = 2"),
+    "custom-eta-unknown-generator": (
+        _a2_with(lambda d: d["vertices"][0].update(manifold={
+            "type": "custom", "generators": [{"name": "c", "deg": -1}],
+            "eta": "q"})),
+        "vertices[0].manifold.eta: unknown generator 'q'"),
+    "custom-eta-degree": (
+        _a2_with(lambda d: d["vertices"][0].update(manifold={
+            "type": "custom", "generators": [{"name": "c", "deg": -1}],
+            "eta": "c*c"})),
+        "vertices[0].manifold.eta: custom eta has degree -2, expected -1"),
+    "custom-duplicate-generator": (
+        _a2_with(lambda d: d["vertices"][0].update(manifold={
+            "type": "custom", "generators": [{"name": "c", "deg": -1},
+                                             {"name": "c", "deg": 0}],
+            "eta": "c"})),
+        "vertices[0].manifold.generators[1]: duplicate generator names"),
+    "custom-d-degree": (
+        _a2_with(lambda d: d["vertices"][0].update(manifold={
+            "type": "custom", "generators": [{"name": "c", "deg": -1}],
+            "differentials": {"c": "c"}, "eta": "c"})),
+        "vertices[0].manifold.differentials.c: d(c) has degree -1, "
+        "expected 0"),
+    "custom-d-squared": (
+        _a2_with(lambda d: d["vertices"][0].update(manifold={
+            "type": "custom",
+            "generators": [{"name": "a", "deg": 0}, {"name": "b", "deg": -1},
+                           {"name": "c", "deg": -3}],
+            "differentials": {"b": "a", "c": "b*b"}, "eta": "0"})),
+        "vertices[0].manifold.differentials.c: d^2 != 0 at c: residual "
+        "a*b - b*a"),
 }
 
 
@@ -629,6 +723,79 @@ MALFORMED_QUIVERS = {
     "vertex-object-without-id": (
         _quiver_with(lambda d: d["vertices"].__setitem__(0, {"name": "v"})),
         "vertices[0]: missing 'id'"),
+    # ginzburg once failed on these with "boundary mismatch: v->v vs w->w"
+    # and "duplicate object ids"
+    "duplicate-arrow-ids": (
+        _quiver_with(lambda d: d["arrows"][1].update(id="e1")),
+        "arrows[1].id: duplicate arrow id 'e1'"),
+    "duplicate-vertex-ids": (
+        _quiver_with(lambda d: d["vertices"].append("v")),
+        "vertices[2]: duplicate vertex id 'v'"),
     "document-not-an-object": ([1, 2],
                                "document: expected an object, got list"),
 }
+
+
+# ---------------------------------------------------------------------------
+# loader fuzzing: documents with one or two parts changed
+# ---------------------------------------------------------------------------
+
+def _documents(kind):
+    """The JSON objects in tests/data that kind(document) accepts."""
+    docs = (json.loads(path.read_text(encoding="utf-8"))
+            for path in sorted(DATA.glob("**/*.json")))
+    return [doc for doc in docs if isinstance(doc, dict) and kind(doc)]
+
+
+PRESENTATIONS = _documents(lambda d: "generators" in d and "coefficients" in d)
+# the tests/data plumbings, and one with a custom vertex whose generator u
+# has a nonzero d
+PLUMBINGS = _documents(lambda d: "vertices" in d and "n" in d) + [{
+    "n": 3, "coefficients": "Z",
+    "vertices": [{"id": "v", "manifold": {"type": "sphere"}},
+                 {"id": "w", "manifold": {
+                     "type": "custom",
+                     "generators": [{"name": "c", "deg": -1},
+                                    {"name": "u", "deg": -3}],
+                     "differentials": {"c": "0", "u": "c*c"},
+                     "eta": "c"}}],
+    "arrows": [{"id": "e", "src": "v", "tgt": "w", "sign": -1, "d": 1}]}]
+QUIVERS = _documents(lambda d: "vertices" in d and "n" not in d)
+_DROP = object()  # a mutation that deletes the part
+
+
+def _parts(node, path=()):
+    """The JSON path of every part below node."""
+    items = (node.items() if isinstance(node, dict) else
+             enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _parts(value, path + (key,))
+
+
+@st.composite
+def mutated_documents(draw, documents, names):
+    """One of documents with one or two parts replaced, by a value of
+    another type, a huge integer, one of names(document), a product or a
+    list of them, or a polynomial text, or deleted."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(documents))))
+    names = names(doc)
+    values = st.one_of(
+        st.integers(-3, 6),
+        st.sampled_from([2 ** 70, -2 ** 70, True, None, 1.5, "", [], {},
+                         "0", "1_{L}", "1/0*z", "Q", "Zmod:4", _DROP]),
+        st.sampled_from(names),
+        st.lists(st.sampled_from(names), min_size=1, max_size=3).map(
+            "*".join),
+        st.lists(st.sampled_from(names), max_size=3))
+    for _ in range(draw(st.integers(1, 2))):
+        *path, key = draw(st.sampled_from(list(_parts(doc))))
+        parent = doc
+        for step in path:
+            parent = parent[step]
+        value = draw(values)
+        if value is _DROP:
+            del parent[key]
+        else:
+            parent[key] = value
+    return doc

@@ -21,29 +21,28 @@ from semifree.analysis import presentation_equal, truncated_cohomology
 from semifree.constructions import PushoutSpan, colimit, hocolim
 from semifree.dgcat import DgFunctor, audit_d_squared, new_semifree, \
     validate_functor
-from semifree.fukaya import (
-    ModelId,
-    build,
-    inclusion_functor,
-    one_plus_xy_inverse,
-    sector_category_2,
-    surface_relation_form,
-)
+from semifree.fukaya import ModelId, build, one_plus_xy_inverse
 from semifree.plumbing import (
     RandomPlumbingConfig,
     edge_flip_witness,
     ginzburg_witness,
-    random_graded_quiver,
     random_plumbing,
-    regauge,
-    sigma,
     sign_gauge_witness,
 )
 from semifree.reduce import change_basis, strictify_t
-from semifree.twisted import build_d12, build_e12, cone_extend, \
-    generator_change_d12
+from semifree.twisted import build_d12
 from semifree.cli import main as cli_main
-from helpers import assert_confluent_by_search
+from helpers import assert_confluent_by_search, random_graded_quiver
+from paper_models import (
+    build_e12,
+    cone_extend,
+    generator_change_d12,
+    inclusion_functor,
+    regauge,
+    sector_category_2,
+    sigma,
+    surface_relation_form,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 RINGS = (INTEGERS, RATIONALS, integers_mod(10007))

@@ -49,13 +49,14 @@ from semifree.plumbing import (
     random_plumbing,
 )
 from semifree.rewrite import RuleError
-from semifree.twisted import build_d12, build_e12
+from semifree.twisted import build_d12
 from helpers import (
     GeneratorRuleIndex,
     copy_based_cohomology,
     decoded,
     generator_normalize,
 )
+from paper_models import build_e12
 
 ring = INTEGERS
 Q = RATIONALS
@@ -765,7 +766,7 @@ def test_identity_functor_trivially_compatible():
 
 
 def test_generator_change_rank_compatible():
-    from semifree.twisted import generator_change_d12
+    from paper_models import generator_change_d12
     _, functor, _ = generator_change_d12(3, ring)
     report = functor_rank_compat(functor, (-2, 1), 6, Q)
     assert report["agree"]

@@ -23,13 +23,11 @@ from semifree.constructions import (
     localization_records,
     localize,
     name_as_generator,
-    product_inverse,
     strip_localization,
     tensor,
 )
 from semifree.fukaya import ModelId, build
-from semifree.reduce import strictify_t, strictify_t_with_map
-from semifree.twisted import build_e12, cone_extend, shift_presentation
+from semifree.reduce import strictify_t
 from semifree.analysis import presentation_equal
 from semifree.rewrite import audit_rules
 from helpers import (
@@ -37,6 +35,13 @@ from helpers import (
     assert_confluent_by_search,
     hocolim_functor,
     identity_functor,
+    strictify_map,
+)
+from paper_models import (
+    build_e12,
+    cone_extend,
+    product_inverse,
+    shift_presentation,
 )
 
 ring = INTEGERS
@@ -382,8 +387,8 @@ def test_strictify_commutes_with_induced_functor():
     # strictifying either before or after transporting generators agrees
     ladder = circle_to_sphere_ladder(3, 2)
     h = hocolim_functor(ladder)
-    strict_src, _, images_src = strictify_t_with_map(h.source)
-    strict_tgt, obj_tgt, images_tgt = strictify_t_with_map(h.target)
+    strict_src, _, images_src = strictify_map(h.source)
+    strict_tgt, obj_tgt, images_tgt = strictify_map(h.target)
     from semifree.dgcat import push_poly
     # route 1: source generator -> H -> strictified target
     # route 2: source generator -> strictified source name -> expected image

@@ -39,19 +39,22 @@ from semifree.dgcat import (
     to_json,
     validate_functor,
 )
-from semifree.fukaya import ModelId, build, surface_relation_form
+from semifree.fukaya import ModelId, build
 from semifree.rewrite import RuleError
-from semifree.twisted import build_d01, build_d12, build_e12, cone_extend
+from semifree.twisted import build_d01, build_d12
 from helpers import (
     MALFORMED_DOCUMENTS,
+    PRESENTATIONS,
     assert_rejection_by_search,
     compose_functors,
     decoded,
     identity_functor,
+    mutated_documents,
     restrict_functor,
     restrict_to_objects,
     rule_index_by_passes,
 )
+from paper_models import build_e12, cone_extend, surface_relation_form
 
 ring = INTEGERS
 DATA = Path(__file__).resolve().parent / "data"
@@ -202,7 +205,7 @@ def test_composition_of_valid_functors_is_valid():
 def test_composite_through_the_generator_change():
     # z -> yx in the free presentation, then the generator change into the
     # cone extension: the composite image normalizes to the loop alpha1
-    from semifree.twisted import generator_change_d12
+    from paper_models import generator_change_d12
     n = 3
     c = build(ModelId.parse(f"C:{n-1}"), ring)
     d12, change, _ = generator_change_d12(n, ring)
@@ -778,52 +781,9 @@ def test_from_json_rejects_malformed_document(case):
     assert str(err.value) == message
 
 
-PRESENTATIONS = [doc for doc in (json.loads(path.read_text(encoding="utf-8"))
-                                 for path in sorted(DATA.glob("**/*.json")))
-                 if isinstance(doc, dict) and "generators" in doc
-                 and "coefficients" in doc]
-_DROP = object()  # a mutation that deletes the part
-
-
-def _parts(node, path=()):
-    """The JSON path of every part below node."""
-    items = (node.items() if isinstance(node, dict) else
-             enumerate(node) if isinstance(node, list) else ())
-    for key, value in items:
-        yield path + (key,)
-        yield from _parts(value, path + (key,))
-
-
-@st.composite
-def mutated_presentations(draw):
-    """A presentation of tests/data with one or two parts replaced, by a
-    value of another type, a huge integer, a name of the document or a
-    polynomial text, or deleted."""
-    doc = json.loads(json.dumps(draw(st.sampled_from(PRESENTATIONS))))
-    names = [g["name"] for g in doc["generators"]] + doc["objects"]
-    values = st.one_of(
-        st.integers(-3, 6),
-        st.sampled_from([2 ** 70, -2 ** 70, True, None, 1.5, "", [], {},
-                         "0", "1_{L}", "1/0*z", "Q", "Zmod:4", _DROP]),
-        st.sampled_from(names),
-        st.lists(st.sampled_from(names), min_size=1, max_size=3).map(
-            "*".join),
-        st.lists(st.sampled_from(names), max_size=3))
-    for _ in range(draw(st.integers(1, 2))):
-        *path, key = draw(st.sampled_from(list(_parts(doc))))
-        parent = doc
-        for step in path:
-            parent = parent[step]
-        value = draw(values)
-        if value is _DROP:
-            del parent[key]
-        else:
-            parent[key] = value
-    return doc
-
-
 @settings(max_examples=500, deadline=None)
-@given(mutated_presentations())
+@given(mutated_documents(PRESENTATIONS, lambda doc: [
+    g["name"] for g in doc["generators"]] + doc["objects"]))
 def test_from_json_raises_only_documented_errors(doc):
     # structural errors once escaped as bare ValueError or DegreeError
     try:

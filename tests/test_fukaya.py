@@ -5,11 +5,9 @@ import pytest
 from semifree.algebra import INTEGERS, NcPoly, compose, render_poly
 from semifree.dgcat import audit_d_squared, validate_functor
 from semifree.constructions import localization_records
-from semifree.fukaya import (
-    ModelId,
-    build,
+from semifree.fukaya import ModelId, build, one_plus_xy_inverse
+from paper_models import (
     inclusion_functor,
-    one_plus_xy_inverse,
     sector_category_2,
     sphere_last_loop_inverse,
     surface_relation_form,

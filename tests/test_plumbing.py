@@ -3,11 +3,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from helpers import (
     MALFORMED_PLUMBINGS,
     MALFORMED_QUIVERS,
+    PLUMBINGS,
+    QUIVERS,
     compose_functors,
+    mutated_documents,
+    random_graded_quiver,
     total_endomorphism_algebra,
 )
 from semifree.algebra import INTEGERS, render_poly
@@ -29,13 +34,11 @@ from semifree.plumbing import (
     plumbing_from_json,
     plumbing_to_json,
     quiver_from_json,
-    random_graded_quiver,
     random_plumbing,
-    regauge,
-    sigma,
     sign_gauge_witness,
     surface,
 )
+from paper_models import regauge, sigma
 
 ring = INTEGERS
 
@@ -448,7 +451,7 @@ def test_plumbing_from_json_rejects_malformed_document(case):
     # a float or bool gauge and a string sign were once coerced, and a
     # document without "vertices" raised a bare KeyError
     doc, message = MALFORMED_PLUMBINGS[case]
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(InputError) as err:
         plumbing_from_json(doc)
     assert str(err.value) == message
 
@@ -461,6 +464,37 @@ def test_quiver_from_json_rejects_malformed_document(case):
     with pytest.raises(InputError) as err:
         quiver_from_json(doc)
     assert str(err.value) == message
+
+
+def _plumbing_names(doc):
+    """The vertex, arrow and custom generator ids and the manifold types."""
+    names = ["sphere", "disk", "surface", "custom"]
+    for v in doc["vertices"]:
+        names.append(v["id"])
+        names += [g["name"] for g in v["manifold"].get("generators", ())]
+    return names + [a["id"] for a in doc["arrows"]]
+
+
+@settings(max_examples=500, deadline=None)
+@given(mutated_documents(PLUMBINGS, _plumbing_names))
+def test_plumbing_from_json_raises_only_input_errors(doc):
+    # the checks of PlumbingData and of a custom vertex once escaped as a
+    # bare ValueError with no path, such as "plumbing dimension n must be
+    # >= 2"
+    try:
+        plumbing_from_json(doc)
+    except InputError:
+        pass
+
+
+@settings(max_examples=500, deadline=None)
+@given(mutated_documents(QUIVERS, lambda doc: doc["vertices"] + [
+    a["id"] for a in doc["arrows"]]))
+def test_quiver_from_json_raises_only_input_errors(doc):
+    try:
+        quiver_from_json(doc)
+    except InputError:
+        pass
 
 
 def test_quiver_from_json_reads_vertex_objects():

@@ -20,9 +20,7 @@ from semifree.dgcat import audit_d_squared, new_semifree, to_json
 from semifree.fukaya import ModelId, build
 from semifree.reduce import (
     cancel_pair,
-    cancellable_pairs,
     change_basis,
-    eliminate_generator,
     greedy_simplify,
     replay,
     set_generator,
@@ -33,9 +31,11 @@ from semifree.plumbing import (
     build_wrapped,
     random_plumbing,
 )
-from semifree.twisted import build_d12, build_e12
+from semifree.twisted import build_d12
 from semifree.analysis import presentation_equal
-from helpers import steps_from_provenance
+from semifree.rewrite import RuleError
+from helpers import cancellable_pairs, steps_from_provenance
+from paper_models import build_e12, eliminate_generator, surface_relation_form
 
 ring = INTEGERS
 
@@ -271,6 +271,21 @@ def test_set_generator_checks_d_compatibility():
     s = build(ModelId.parse("S:3,2,0"), ring)
     with pytest.raises(ValueError):
         set_generator(s, "h", "zero")  # dh = a1 + a2 does not map to 0
+
+
+@pytest.mark.parametrize("gen", ["a1", "a2"])
+def test_a_refused_move_names_itself_and_the_rule_it_turned(gen):
+    # setting a1 or a2 to zero turns a2*a1 -> [alpha1, beta1] into
+    # [alpha1, beta1] -> 0, which overlaps alpha1*alpha1' -> 1; the refusal
+    # once named the word but neither the move nor the rule
+    relations, _ = surface_relation_form(1, 2, RATIONALS)
+    with pytest.raises(RuleError) as err:
+        set_generator(relations, gen, "zero")
+    assert str(err.value) == (
+        f"set_generator of {gen}: rules are not confluent at "
+        "alpha1*alpha1'*beta1'*alpha1*beta1: beta1'*alpha1*beta1 vs 0; "
+        "it turned a2*a1 -> alpha1'*beta1'*alpha1*beta1 into "
+        "alpha1'*beta1'*alpha1*beta1 -> 0")
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,16 @@ import pytest
 
 from semifree.algebra import Generator, INTEGERS, NcPoly, compose, render_poly
 from semifree.dgcat import new_semifree
-from semifree.fukaya import ModelId, build, inclusion_functor
-from semifree.twisted import (
-    build_d01,
-    build_d12,
+from semifree.fukaya import ModelId, build
+from semifree.twisted import build_d01, build_d12
+from helpers import assert_confluent_by_search, composable_words, key_view
+from paper_models import (
     cone_extend,
     cone_object,
     generator_change_d12,
+    inclusion_functor,
     shift_presentation,
 )
-from helpers import assert_confluent_by_search, key_view
 
 ring = INTEGERS
 
@@ -35,6 +35,45 @@ def test_shift_degrees_and_sign(n, m1, m2):
     ((word, coeff),) = image.terms.items()
     assert coeff == sign
     assert tuple(g.name for g in word) == ("y", "x")
+
+
+def koszul_image(comparison, p: NcPoly) -> NcPoly:
+    """p's image in the shifted presentation by the pairwise Koszul rule
+    (1_{p,q} (x) f)(1_{q,r} (x) g) = (-1)^{|f|(q-r)} 1_{p,r} (x) (fg),
+    folded one letter at a time from the right of each word."""
+    ring, s = comparison.target.ring, comparison.shifts
+    om, gm = comparison.object_map, comparison.gen_map
+    out = NcPoly.zero(ring, om[p.source], om[p.target])
+    for word, coeff in p.terms.items():
+        if isinstance(word, str):
+            out = out + NcPoly.identity(ring, om[word]).scale(coeff)
+            continue
+        s0 = s[word[-1].source]
+        image = NcPoly.gen(ring, gm[word[-1].name])
+        for f in reversed(word[:-1]):  # f_2 .. f_k onto f_1
+            sign = -1 if f.degree * (s[f.source] - s0) % 2 else 1
+            image = compose(NcPoly.gen(ring, gm[f.name]), image).scale(sign)
+        out = out + image.scale(coeff)
+    return out
+
+
+@pytest.mark.parametrize("model,shifts", [
+    ("D12:3", {"L1": 1}), ("D12:4", {"L1": 1, "L2": 2}),
+    ("D12:5", {"L1": -1, "L2": 3}), ("B01:3", {"L0": 1}),
+    ("B01:4", {"L0": 2, "L1": -1}), ("D01:3", {"L1": 3})])
+def test_shift_signs_follow_the_koszul_rule(model, shifts):
+    # tilde on every word of up to three letters, and each shifted d is
+    # +-tilde(d), as d-commutation of the comparison needs; shift_presentation
+    # once checked the latter through a shift-aware functor validation
+    cat = build(ModelId.parse(model), ring)
+    shifted, comparison = shift_presentation(cat, shifts)
+    for word in composable_words(cat.generators, 3):
+        p = NcPoly(ring, word[-1].source, word[0].target, {word: 1})
+        assert comparison.tilde(p) == koszul_image(comparison, p)
+    for g in cat.generators:
+        odd = (comparison.shifts[g.source] - comparison.shifts[g.target]) % 2
+        assert shifted.differentials[g.name] == koszul_image(
+            comparison, cat.differentials[g.name]).scale(-1 if odd else 1)
 
 
 def test_shift_zero_is_identity():
