@@ -35,6 +35,11 @@ CASES = {
     "simplify_e12.txt": ["simplify", str(DATA / "e12_n3.json"),
                          "--script", str(DATA / "cancel_script.json"),
                          "--emit", "text"],
+    # change_basis on a relational category: the rules through a are
+    # turned, each in its place
+    "simplify_e12_basis.txt": ["simplify", str(DATA / "e12_n3.json"),
+                               "--script", str(DATA / "basis_script.json"),
+                               "--emit", "text"],
     "hom_d12.md": ["hom", "-", "--src", "L1", "--tgt", "L1",
                    "--window=-3:0", "--bound", "8", "--emit", "md"],
     "hom_d12.json": ["hom", "-", "--src", "L1", "--tgt", "L1",

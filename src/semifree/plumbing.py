@@ -158,11 +158,16 @@ def _custom_category(spec: VertexSpec, ring: Ring, n: int):
     """Validate and build the one-object loop algebra of a custom vertex.
 
     An error is tagged with the part of the manifold that breaks it: a
-    generator, a differential, or eta."""
+    generator, a differential (or one keyed by a name that is not a
+    generator), or eta."""
     gens = tuple(Generator(name, "pt", "pt", int(deg), i)
                  for i, (name, deg) in enumerate(spec.generators))
     gm = {g.name: g for g in gens}
     diffs = dict(spec.differentials)
+    for name in diffs:
+        if name not in gm:
+            raise _part(ValueError(f"unknown generator {name!r}"),
+                        "differentials", name)
     table = {}
     for g in gens:
         try:
@@ -841,11 +846,9 @@ class RandomPlumbingConfig:
     max_vertices: int = 5
     max_arrows: int = 8
     dims: tuple = (2, 3, 4, 5, 6)
-    gauge: tuple = (-2, 2)
     surfaces: bool = True
     disks: bool = True
     customs: bool = True
-    max_genus: int = 2
 
 
 def random_plumbing(rng, config: RandomPlumbingConfig, ring: Ring,
@@ -864,7 +867,7 @@ def random_plumbing(rng, config: RandomPlumbingConfig, ring: Ring,
             kinds.append("custom")
         kind = rng.choice(kinds)
         if kind == "surface":
-            vertices.append((vid, surface(rng.randint(0, config.max_genus))))
+            vertices.append((vid, surface(rng.randint(0, 2))))
         elif kind == "disk":
             vertices.append((vid, DISK))
         elif kind == "custom":
@@ -877,5 +880,5 @@ def random_plumbing(rng, config: RandomPlumbingConfig, ring: Ring,
     for i in range(rng.randint(0, config.max_arrows)):
         arrows.append(Arrow(f"e{i}", rng.choice(vids), rng.choice(vids),
                             rng.choice((1, -1)),
-                            rng.randint(config.gauge[0], config.gauge[1])))
+                            rng.randint(-2, 2)))
     return PlumbingData(n, tuple(vertices), tuple(arrows), ring)

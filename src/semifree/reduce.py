@@ -3,9 +3,11 @@ passes, and post-hocolim strictification.
 
 Every step re-validates the category (degree, ordinal, d^2 = 0), records a
 replayable provenance entry, and works on relational categories where that
-makes sense (rules are rewritten; a rule whose left side mentions a removed
-generator is substituted and oriented again, and dropped and recorded only
-where the substituted relation vanishes or has no unit lead).
+makes sense.  change_basis, cancel_pair and set_generator all rebuild the
+category through one substitution, _substitute: a rule whose left side
+mentions a replaced generator is substituted, normalized by the rules it
+leaves untouched and oriented again; it is dropped, and recorded under
+dropped_rules, only where that relation vanishes or has no unit lead.
 """
 
 from __future__ import annotations
@@ -21,24 +23,26 @@ from .dgcat import (
     new_semifree,
     push_poly,
 )
-from .rewrite import RuleError
+from .rewrite import RuleError, RuleIndex, _order_key
 
 
-def _substitute(cat, rules, removed: dict, entry: dict):
+def _substitute(cat, rules, removed: dict, entry: dict, tilde=None):
     """Remove generators from cat with the given rules, replacing
-    occurrences by the given polynomials.
+    occurrences by the given polynomials; tilde, which only change_basis
+    gives, is (f~, d(f~)), the generator that takes the removed f's rank.
 
     Only the differentials and rules that use a removed generator are
-    pushed through the substitution; the others are carried over unchanged.
-    A rule whose lhs uses one becomes the relation lhs = rhs, substituted,
-    oriented again by _orient; it is dropped, and recorded under
-    dropped_rules, where that relation vanishes or has no unit lead.  A
+    pushed through the substitution; the others are carried over with their
+    rhs pushed.  A rule whose lhs uses one becomes the relation lhs = rhs,
+    substituted, normalized by the carried rules and oriented again by
+    _orient; it is dropped, and recorded under dropped_rules, where that
+    relation vanishes or has no unit lead.  Each rule keeps its place.  A
     RuleError of the rebuilt category (rules that are no longer confluent)
     names the move and each rule it turned, old -> new.
     """
     ring = cat.ring
     gone = {cat.gen(name) for name in removed}
-    survivors = [g for g in cat.generators if g.name not in removed]
+    survivors = [g for g in cat.generators if g not in gone]
     images = {g.name: NcPoly.gen(ring, g) for g in survivors}
     images.update(removed)
     omap = {o: o for o in cat.objects}
@@ -50,18 +54,26 @@ def _substitute(cat, rules, removed: dict, entry: dict):
         return push_poly(poly, omap, images, ring)
 
     table = {g.name: pushed(cat.differentials[g.name]) for g in survivors}
+    if tilde is not None:
+        f_tilde, table[f_tilde.name] = tilde
+        survivors = [f_tilde if g in gone else g for g in cat.generators]
+    carried = [(lhs, pushed(rhs)) if gone.isdisjoint(lhs) else None
+               for lhs, rhs in rules]
+    index = None  # of the carried rules, built once a rule is turned
     one = ring.one()
     turned = []  # (old rule, new rule) for each rule whose lhs is substituted
     kept, dropped = {}, []  # kept: an ordered set, as a substitution can
-    for lhs, rhs in rules:  # make two rules one
-        if gone.isdisjoint(lhs):
-            rule = (lhs, pushed(rhs))
-        else:
-            # the relation lhs = rhs, substituted and oriented again: a
-            # substitution may lower lhs's image below a word of rhs's
+    for (lhs, rhs), rule in zip(rules, carried):  # make two rules one
+        if rule is None:
+            # the relation lhs = rhs, substituted, normalized and oriented
+            # again: a substitution may lower lhs's image below a word of
+            # rhs's
+            if index is None:
+                index = RuleIndex([r for r in carried if r is not None])
             lhs_poly = NcPoly(ring, rhs.source, rhs.target, {lhs: one})
             try:
-                rule = _orient(pushed(lhs_poly) - pushed(rhs), cat.weights)
+                rule = _orient(index.normalize(pushed(lhs_poly) - pushed(rhs)),
+                               cat.weights)
             except ValueError:  # nothing is left, or no unit leads
                 dropped.append([letter.name for letter in lhs])
                 continue
@@ -93,7 +105,8 @@ def _rendered(rule) -> str:
 def change_basis(cat, name: str, unit, lower: NcPoly | None = None,
                  new_name: str | None = None):
     """Replace f by f~ := unit*f + lower, with lower built from strictly
-    earlier generators; all differentials and rules are rewritten."""
+    earlier generators; _substitute rewrites all differentials and rules
+    through f = unit^{-1} (f~ - lower)."""
     ring = cat.ring
     g = cat.gen(name)
     unit = ring.normalize(unit)
@@ -118,59 +131,18 @@ def change_basis(cat, name: str, unit, lower: NcPoly | None = None,
     if fresh != name and fresh in {h.name for h in cat.generators}:
         raise ValueError(f"name {fresh!r} already used")
     new_gen = Generator(fresh, g.source, g.target, g.degree, g.rank)
-    # old f = unit^{-1} (f~ - lower)
-    inv = ring.inv(unit)
-    replacement = (NcPoly.gen(ring, new_gen) - lower).scale(inv)
-    ring_one = ring.one()
-
-    survivors = []
-    images = {}
-    for h in cat.generators:
-        if h.name == name:
-            survivors.append(new_gen)
-            images[name] = replacement
-        else:
-            survivors.append(h)
-            images[h.name] = NcPoly.gen(ring, h)
-    omap = {o: o for o in cat.objects}
-    table = {}
-    for h, nh in zip(cat.generators, survivors):
-        if h.name == name:
-            # d(f~) = unit*d(f) + d(lower); no occurrences of f possible
-            table[fresh] = (cat.d(NcPoly.gen(ring, g)).scale(unit)
-                            + cat.d(lower))
-        else:
-            table[nh.name] = push_poly(cat.differentials[h.name], omap,
-                                       images, ring)
-    rules = []
-    if cat.rules:
-        from .rewrite import RuleIndex, normalize_poly
-        carried = []
-        pending_eqs = []
-        for lhs, rhs in cat.rules:
-            if any(letter.name == name for letter in lhs):
-                lhs_poly = NcPoly(ring, lhs[-1].source, lhs[0].target,
-                                  {lhs: ring_one})
-                pending_eqs.append(push_poly(lhs_poly - rhs, omap, images,
-                                             ring))
-            else:
-                carried.append((lhs, push_poly(rhs, omap, images, ring)))
-        rules = list(carried)
-        carried_index = RuleIndex(carried)
-        for eq in pending_eqs:
-            eq = normalize_poly(carried_index, eq)
-            if not eq.is_zero():
-                rules.append(_orient(eq, cat.weights))
+    # d(f~) = unit*d(f) + d(lower), neither of which uses f
+    d_new = cat.differentials[name].scale(unit) + cat.d(lower)
+    replacement = (NcPoly.gen(ring, new_gen) - lower).scale(ring.inv(unit))
     entry = {"op": "change_basis", "gen": name, "unit": ring.render_value(unit),
              "lower": render_poly(lower), "renamed": fresh,
-             "before": len(cat.generators), "after": len(survivors)}
-    return new_semifree(ring, cat.objects, survivors, table,
-                        cat.provenance + (entry,), rules, cat.weights)
+             "before": len(cat.generators), "after": len(cat.generators)}
+    return _substitute(cat, cat.rules, {name: replacement}, entry,
+                       (new_gen, d_new))
 
 
 def _orient(eq: NcPoly, weights) -> tuple:
     """Orient an equation eq = 0 into a rule by its order-maximal word."""
-    from .rewrite import _order_key
     if eq.is_zero():
         raise ValueError("cannot orient the zero relation")
     ring = eq.ring
@@ -187,26 +159,19 @@ def _orient(eq: NcPoly, weights) -> tuple:
 
 
 def cancel_pair(cat, a_name: str, b_name: str):
-    """Remove a and b when da = u*b + r with u a unit and r built from
-    generators earlier than b; b is replaced by -u^{-1} r elsewhere."""
+    """Remove a and b when b is a's partner (see _partner): da = u*b + r
+    with u a unit and r built from generators earlier than b; b is replaced
+    by -u^{-1} r elsewhere."""
     ring = cat.ring
     a = cat.gen(a_name)
     b = cat.gen(b_name)
     da = cat.differentials[a_name]
-    u = da.terms.get((b,))
-    if u is None or not ring.is_unit(u):
-        raise ValueError(
-            f"d({a_name}) has no unit-coefficient {b_name} term")
+    if _partner(da, ring) != b:
+        raise ValueError(f"{b_name} is not the partner of {a_name}: "
+                         f"d({a_name}) = {render_poly(da)}")
+    u = da.terms[(b,)]
     r = NcPoly(ring, da.source, da.target,
                {w: c for w, c in da.terms.items() if w != (b,)})
-    for word in r.terms:
-        if isinstance(word, str):
-            continue
-        for letter in word:
-            if letter.rank >= b.rank:
-                raise ValueError(
-                    f"remainder of d({a_name}) uses {letter.name} of rank >= "
-                    f"rank({b_name})")
     replacement = (-r).scale(ring.inv(u))
     entry = {"op": "cancel_pair", "a": a_name, "b": b_name,
              "before": len(cat.generators), "after": len(cat.generators) - 2}
@@ -227,14 +192,12 @@ def set_generator(cat, name: str, value: str):
         image = NcPoly.identity(ring, g.source)
     else:
         raise ValueError("value must be 'zero' or 'identity'")
-    push = push_poly(cat.differentials[name], {o: o for o in cat.objects},
-                     {h.name: (image if h.name == name else
-                               NcPoly.gen(ring, h)) for h in cat.generators},
-                     ring)
-    if not cat.normalize(push).is_zero():
+    # d(name) uses only earlier generators, so the substitution keeps it
+    dx = cat.differentials[name]
+    if not cat.normalize(dx).is_zero():
         raise ValueError(
             f"setting {name} = {value} breaks d-compatibility: "
-            f"d({name}) maps to {render_poly(push)}")
+            f"d({name}) maps to {render_poly(dx)}")
     entry = {"op": "set_generator", "gen": name, "value": value,
              "before": len(cat.generators), "after": len(cat.generators) - 1}
     return _substitute(cat, cat.rules, {name: image}, entry)
@@ -301,12 +264,9 @@ def strictify_t(cat):
             gdead = by_name[dead]
             images[dead] = NcPoly.zero(ring, rep[gdead.source],
                                        rep[gdead.target])
-    table = {}
-    for g in cat.generators:
-        if g.name in removed_names:
-            continue
-        table[images[g.name].sorted_terms()[0][0][0].name] = push_poly(
-            cat.differentials[g.name], rep, images, ring)
+    table = {renames.get(g.name, g.name): push_poly(cat.differentials[g.name],
+                                                    rep, images, ring)
+             for g in cat.generators if g.name not in removed_names}
     step = {"op": "strictify", "merged": {o: rep[o] for o in cat.objects
                                           if rep[o] != o},
             "renamed": renames,

@@ -685,6 +685,11 @@ MALFORMED_PLUMBINGS = {
             "differentials": {"b": "a", "c": "b*b"}, "eta": "0"})),
         "vertices[0].manifold.differentials.c: d^2 != 0 at c: residual "
         "a*b - b*a"),
+    "custom-d-of-unknown-generator": (
+        _a2_with(lambda d: d["vertices"][0].update(manifold={
+            "type": "custom", "generators": [{"name": "c", "deg": -1}],
+            "differentials": {"zz": "c*c*c"}, "eta": "c"})),
+        "vertices[0].manifold.differentials.zz: unknown generator 'zz'"),
 }
 
 

@@ -46,6 +46,9 @@ CASES = [
     ("simplify_e12.txt", ["simplify", str(DATA / "e12_n3.json"),
                           "--script", str(DATA / "cancel_script.json"),
                           "--emit", "text"]),
+    ("simplify_e12_basis.txt", ["simplify", str(DATA / "e12_n3.json"),
+                                "--script", str(DATA / "basis_script.json"),
+                                "--emit", "text"]),
     ("hom_d12.md", ["hom", str(DATA / "d12_n3.json"), "--src", "L1",
                     "--tgt", "L1", "--window=-3:0", "--bound", "8",
                     "--emit", "md"]),

@@ -169,6 +169,14 @@ def test_cancel_pair_keeps_one_copy_of_rules_a_substitution_makes_equal():
     out = cancel_pair(cat, "h⊗1_L", "a1⊗1_L")
     assert len(set(out.rules)) == len(out.rules)
     assert len(out.rules) < len(cat.rules)
+    # such a turned rule normalizes to 0 by the rules it leaves untouched,
+    # so it is recorded as dropped
+    through_a1 = [lhs for lhs in out.provenance[-1]["dropped_rules"]
+                  if lhs[-1] == "a1⊗1_L"]
+    assert through_a1 == [["1_L⊗z", "a1⊗1_L"], ["1_L⊗z'", "a1⊗1_L"],
+                          ["1_L⊗z_hat", "a1⊗1_L"],
+                          ["1_L⊗z_check", "a1⊗1_L"],
+                          ["1_L⊗z_bar", "a1⊗1_L"]]
 
 
 def test_change_basis_rejects_higher_rank_summand():
@@ -195,6 +203,24 @@ def test_change_basis_invertible():
     rep = presentation_equal(s, back, {"L": "L"},
                              {g.name: g.name for g in s.generators})
     assert rep["equal"]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: tensor(build(ModelId("A2"), ring),
+                   build(ModelId.parse("C:1"), ring)),
+    lambda: tensor(build(ModelId.parse("M:1,1"), ring),
+                   build(ModelId.parse("C:1"), ring)),
+    lambda: build_e12(3, ring, first_form=True),
+], ids=["A2 x C:1", "M:1,1 x C:1", "E12 first form"])
+def test_change_basis_invertible_on_relational_categories(make):
+    # change_basis turns every rule through f's lhs, so flipping the sign
+    # of f twice gives back the generators, d and rules
+    cat = make()
+    for name in sorted({g.name for lhs, _ in cat.rules for g in lhs}):
+        back = change_basis(change_basis(cat, name, -1), name, -1)
+        assert back.generators == cat.generators
+        assert back.differentials == cat.differentials
+        assert set(back.rules) == set(cat.rules)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +273,15 @@ def test_cancel_pair_needs_unit_linear_term():
                                         2)})
     with pytest.raises(ValueError):
         cancel_pair(two, "a", "b")
+
+
+def test_cancel_pair_refuses_a_pair_that_is_not_the_partner():
+    # dh = a1 + a2: a2 outranks a1, so greedy would cancel (h, a2) and the
+    # script move refuses (h, a1) by the same rule
+    s = build(ModelId.parse("S:3,2,0"), ring)
+    with pytest.raises(ValueError) as err:
+        cancel_pair(s, "h", "a1")
+    assert str(err.value) == "a1 is not the partner of h: d(h) = a1 + a2"
 
 
 # ---------------------------------------------------------------------------
