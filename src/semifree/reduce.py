@@ -7,7 +7,8 @@ makes sense.  change_basis, cancel_pair and set_generator all rebuild the
 category through one substitution, _substitute: a rule whose left side
 mentions a replaced generator is substituted, normalized by the rules it
 leaves untouched and oriented again; it is dropped, and recorded under
-dropped_rules, only where that relation vanishes or has no unit lead.
+dropped_rules, only where that relation vanishes or is a multiple of an
+identity, and a relation whose lead has no unit coefficient refuses the move.
 """
 
 from __future__ import annotations
@@ -34,11 +35,14 @@ def _substitute(cat, rules, removed: dict, entry: dict, tilde=None):
     Only the differentials and rules that use a removed generator are
     pushed through the substitution; the others are carried over with their
     rhs pushed.  A rule whose lhs uses one becomes the relation lhs = rhs,
-    substituted, normalized by the carried rules and oriented again by
-    _orient; it is dropped, and recorded under dropped_rules, where that
-    relation vanishes or has no unit lead.  Each rule keeps its place.  A
-    RuleError of the rebuilt category (rules that are no longer confluent)
-    names the move and each rule it turned, old -> new.
+    substituted, normalized by the carried rules and oriented again by its
+    order-maximal word; it is dropped, and recorded under dropped_rules,
+    where that relation vanishes or is a multiple of an identity (so
+    cancelling a, b in E12, where a*x -> 1, gives D12).  Each rule keeps its
+    place.  A relation whose lead has no unit coefficient refuses the move
+    with a RuleError naming the move and the relation, and so does the
+    rebuilt category (rules that are no longer confluent), naming the move
+    and each rule it turned, old -> new.
     """
     ring = cat.ring
     gone = {cat.gen(name) for name in removed}
@@ -46,6 +50,7 @@ def _substitute(cat, rules, removed: dict, entry: dict, tilde=None):
     images = {g.name: NcPoly.gen(ring, g) for g in survivors}
     images.update(removed)
     omap = {o: o for o in cat.objects}
+    move = f"{entry['op']} of {', '.join(removed)}"
 
     def pushed(poly):
         # a word is a tuple of Generators: one set test per word
@@ -60,6 +65,7 @@ def _substitute(cat, rules, removed: dict, entry: dict, tilde=None):
     carried = [(lhs, pushed(rhs)) if gone.isdisjoint(lhs) else None
                for lhs, rhs in rules]
     index = None  # of the carried rules, built once a rule is turned
+    order = partial(_order_key, weights=cat.weights)
     one = ring.one()
     turned = []  # (old rule, new rule) for each rule whose lhs is substituted
     kept, dropped = {}, []  # kept: an ordered set, as a substitution can
@@ -71,12 +77,21 @@ def _substitute(cat, rules, removed: dict, entry: dict, tilde=None):
             if index is None:
                 index = RuleIndex([r for r in carried if r is not None])
             lhs_poly = NcPoly(ring, rhs.source, rhs.target, {lhs: one})
-            try:
-                rule = _orient(index.normalize(pushed(lhs_poly) - pushed(rhs)),
-                               cat.weights)
-            except ValueError:  # nothing is left, or no unit leads
+            eq = index.normalize(pushed(lhs_poly) - pushed(rhs))
+            # its order-maximal word leads; identities come first
+            lead = max(eq.terms, key=order, default="")
+            if isinstance(lead, str):  # eq is 0 or a multiple of an identity
                 dropped.append([letter.name for letter in lhs])
                 continue
+            coeff = eq.terms[lead]
+            if not ring.is_unit(coeff):  # dropping it would lose a relation
+                raise RuleError(f"{move}: it turned {_rendered((lhs, rhs))} "
+                                f"into {render_poly(eq)} = 0, whose lead "
+                                f"{render_word(lead)} has the coefficient "
+                                f"{ring.render_value(coeff)}, not a unit")
+            rest = NcPoly(ring, eq.source, eq.target,
+                          {w: c for w, c in eq.terms.items() if w != lead})
+            rule = (lead, (-rest).scale(ring.inv(coeff)))
             turned.append(((lhs, rhs), rule))
         kept[rule] = None
     if dropped:
@@ -87,7 +102,6 @@ def _substitute(cat, rules, removed: dict, entry: dict, tilde=None):
                             cat.provenance + (entry,), list(kept),
                             cat.weights)
     except RuleError as err:  # name the move and the rules it turned
-        move = f"{entry['op']} of {', '.join(removed)}"
         changes = "".join(f"; it turned {_rendered(old)} into {_rendered(new)}"
                           for old, new in turned)
         raise RuleError(f"{move}: {err}{changes}") from None
@@ -139,23 +153,6 @@ def change_basis(cat, name: str, unit, lower: NcPoly | None = None,
              "before": len(cat.generators), "after": len(cat.generators)}
     return _substitute(cat, cat.rules, {name: replacement}, entry,
                        (new_gen, d_new))
-
-
-def _orient(eq: NcPoly, weights) -> tuple:
-    """Orient an equation eq = 0 into a rule by its order-maximal word."""
-    if eq.is_zero():
-        raise ValueError("cannot orient the zero relation")
-    ring = eq.ring
-    words = sorted(eq.terms, key=lambda w: _order_key(w, weights))
-    lead = words[-1]
-    if isinstance(lead, str):
-        raise ValueError("relation with identity leading word")
-    coeff = eq.terms[lead]
-    if not ring.is_unit(coeff):
-        raise ValueError("leading coefficient of relation is not a unit")
-    rest = NcPoly(ring, eq.source, eq.target,
-                  {w: c for w, c in eq.terms.items() if w != lead})
-    return (lead, (-rest).scale(ring.inv(coeff)))
 
 
 def cancel_pair(cat, a_name: str, b_name: str):

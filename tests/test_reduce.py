@@ -179,6 +179,40 @@ def test_cancel_pair_keeps_one_copy_of_rules_a_substitution_makes_equal():
                           ["1_L⊗z_bar", "a1⊗1_L"]]
 
 
+def test_cancel_pair_refuses_to_drop_a_relation_with_a_non_unit_lead():
+    # d(a) = b - 2c over Z: b*x -> 0 becomes 2*c*x = 0, which no rule
+    # states and dropping it would lose
+    x, c = _closed_loops("xc")
+    b = Generator("b", "L", "L", 0, 2)
+    a = Generator("a", "L", "L", -1, 3)
+    zero = NcPoly.zero(ring, "L", "L")
+    cat = new_semifree(ring, ("L",), (x, c, b, a),
+                       {"x": zero, "c": zero, "b": zero,
+                        "a": _word(b) - _word(c).scale(2)},
+                       rules=[((b, x), zero)])
+    with pytest.raises(RuleError) as err:
+        cancel_pair(cat, "a", "b")
+    assert str(err.value) == (
+        "cancel_pair of a, b: it turned b*x -> 0 into 2*c*x = 0, whose lead "
+        "c*x has the coefficient 2, not a unit")
+
+
+def test_change_basis_refuses_to_drop_a_relation_with_a_non_unit_lead():
+    # f~ := f + 2c*c turns f*x -> 0 into f~*x - 2c*c*x = 0, which the
+    # weight order leads by c*c*x
+    c, x = _closed_loops("cx")
+    f = Generator("f", "L", "L", 0, 2)
+    zero = NcPoly.zero(ring, "L", "L")
+    cat = new_semifree(ring, ("L",), (c, x, f),
+                       {"c": zero, "x": zero, "f": zero},
+                       rules=[((f, x), zero)])
+    with pytest.raises(RuleError) as err:
+        change_basis(cat, "f", 1, _word(c, c).scale(2))
+    assert str(err.value) == (
+        "change_basis of f: it turned f*x -> 0 into f*x - 2*c*c*x = 0, "
+        "whose lead c*c*x has the coefficient -2, not a unit")
+
+
 def test_change_basis_rejects_higher_rank_summand():
     cat = new_semifree(ring, ("L",),
                        (Generator("p", "L", "L", -2, 0),
