@@ -19,6 +19,7 @@ from .algebra import Ring, render_poly
 from .analysis import functor_rank_compat, truncated_cohomology
 from .constructions import PushoutSpan, hocolim, localize, tensor
 from .dgcat import (
+    _PARSE_ERRORS,
     DgFunctor,
     DSquaredNonzero,
     InputError,
@@ -123,21 +124,27 @@ def _load_cat(path: str):
 
 def functor_from_json(doc: dict, source, target, where: str = "") -> DgFunctor:
     """The functor source -> target that doc (at the JSON path where)
-    gives: an "objects" map and "generators" images (absent ones are 0)."""
+    gives: an "objects" map and "generators" images (absent ones are 0).
+    A malformed entry is an InputError at its path."""
     objects = _field(doc, "objects", dict, where)
     images = _field(doc, "generators", dict, where)
     path = f"{where}." if where else ""
     for obj in source.objects:
         if not isinstance(objects.get(obj), str):
-            raise ValueError(f"{path}objects.{obj}: expected a target object "
-                             f"name, got {objects.get(obj)!r}")
+            raise InputError(f"{path}objects.{obj}", f"expected a target "
+                             f"object name, got {objects.get(obj)!r}")
+    _known(images, source.gen_map(), "generator named", f"{path}generators")
     gm = {}
     for g in source.generators:
         text = images.get(g.name, "0")
         if not isinstance(text, str):
-            raise ValueError(f"{path}generators.{g.name}: expected a "
+            raise InputError(f"{path}generators.{g.name}", f"expected a "
                              f"polynomial string, got {text!r}")
-        gm[g.name] = target.poly(text, objects[g.source], objects[g.target])
+        try:
+            gm[g.name] = target.poly(text, objects[g.source],
+                                     objects[g.target])
+        except _PARSE_ERRORS as err:
+            raise InputError(f"{path}generators.{g.name}", str(err)) from None
     return DgFunctor(source, target, dict(objects), gm)
 
 
@@ -162,14 +169,33 @@ def load_functor(doc: dict) -> DgFunctor:
     return functor_from_json(doc, source, target)
 
 
+def load_span(doc: dict) -> PushoutSpan:
+    """A span document: its presentations "a", "c" and "b" and the functors
+    "alpha": c -> a and "beta": c -> b."""
+    a, c, b = (_load_part(doc, key) for key in ("a", "c", "b"))
+    alpha = functor_from_json(_field(doc, "alpha", dict, ""), c, a, "alpha")
+    beta = functor_from_json(_field(doc, "beta", dict, ""), c, b, "beta")
+    return PushoutSpan(a, c, b, alpha, beta)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_build(args):
     ring = Ring.parse(args.coeff)
-    options = json.loads(args.options) if args.options else None
-    cat = build(ModelId.parse(args.model), ring, options)
+    try:
+        model = ModelId.parse(args.model)
+    except ValueError as err:
+        raise InputError("--model", str(err)) from None
+    try:
+        options = json.loads(args.options) if args.options else None
+    except ValueError as err:
+        raise InputError("--options", f"not JSON: {err}") from None
+    try:
+        cat = build(model, ring, options)
+    except InputError as err:  # only the options check raises it
+        raise err.within("--options") from None
     _emit_cat(cat, args)
     return 0
 
@@ -190,11 +216,7 @@ def cmd_tensor(args):
 
 
 def cmd_hocolim(args):
-    doc = _load_json(args.file)
-    a, c, b = (_load_part(doc, key) for key in ("a", "c", "b"))
-    alpha = functor_from_json(_field(doc, "alpha", dict, ""), c, a, "alpha")
-    beta = functor_from_json(_field(doc, "beta", dict, ""), c, b, "beta")
-    cat = hocolim(PushoutSpan(a, c, b, alpha, beta))
+    cat = hocolim(load_span(_load_json(args.file)))
     if args.strictify:
         from .reduce import strictify_t
         cat = strictify_t(cat)

@@ -55,52 +55,51 @@ class PushoutSpan:
 # dg localization
 # ---------------------------------------------------------------------------
 
-def localization_cluster(ring, g: Generator, rank: int, names) -> list:
-    """(generator, d) of g', g_hat, g_check, g_bar, named names and ranked
-    from rank, which invert the closed degree-0 g: d g' = 0,
-    d g_hat = 1 - g'g, d g_check = 1 - gg', d g_bar = g g_hat - g_check g."""
-    prime = Generator(names[0], g.target, g.source, 0, rank)
-    hat = Generator(names[1], g.source, g.source, -1, rank + 1)
-    check = Generator(names[2], g.target, g.target, -1, rank + 2)
-    bar = Generator(names[3], g.source, g.target, -2, rank + 3)
-    g_poly = NcPoly.gen(ring, g)
-    prime_poly = NcPoly.gen(ring, prime)
-    return [
-        (prime, NcPoly.zero(ring, g.target, g.source)),
-        (hat, NcPoly.identity(ring, g.source) - compose(prime_poly, g_poly)),
-        (check, NcPoly.identity(ring, g.target) - compose(g_poly, prime_poly)),
-        (bar, compose(g_poly, NcPoly.gen(ring, hat))
-         - compose(NcPoly.gen(ring, check), g_poly)),
-    ]
+def adjoin_clusters(ring, gens: list, table: dict, inverted) -> list:
+    """Append to gens and table, for each (g, names) of inverted, the
+    generators g', g_hat, g_check, g_bar named names that invert the closed
+    degree-0 g: d g' = 0, d g_hat = 1 - g'g, d g_check = 1 - gg',
+    d g_bar = g g_hat - g_check g.  gens is kept in rank order, so each
+    cluster is ranked after gens[-1].  Returns the provenance clusters
+    [g, *names]."""
+    clusters = []
+    for g, names in inverted:
+        rank = gens[-1].rank + 1
+        prime = Generator(names[0], g.target, g.source, 0, rank)
+        hat = Generator(names[1], g.source, g.source, -1, rank + 1)
+        check = Generator(names[2], g.target, g.target, -1, rank + 2)
+        bar = Generator(names[3], g.source, g.target, -2, rank + 3)
+        g_poly = NcPoly.gen(ring, g)
+        prime_poly = NcPoly.gen(ring, prime)
+        table[prime.name] = NcPoly.zero(ring, g.target, g.source)
+        table[hat.name] = (NcPoly.identity(ring, g.source)
+                           - compose(prime_poly, g_poly))
+        table[check.name] = (NcPoly.identity(ring, g.target)
+                             - compose(g_poly, prime_poly))
+        table[bar.name] = (compose(g_poly, NcPoly.gen(ring, hat))
+                           - compose(NcPoly.gen(ring, check), g_poly))
+        gens += (prime, hat, check, bar)
+        clusters.append([g.name, *names])
+    return clusters
 
 
 def localize(cat: SemifreeDgCat, names) -> SemifreeDgCat:
     """Invert closed degree-0 generators; adds g', g_hat, g_check, g_bar each."""
     names = list(names)
-    ring = cat.ring
-    gens = list(cat.generators)
-    table = dict(cat.differentials)
-    taken = {g.name for g in gens}
-    rank = cat.next_rank()
-    records = []
+    taken = set(cat.gen_map())
+    inverted = []
     for name in names:
         g = cat.gen(name)
         if g.degree != 0:
             raise ValueError(f"{name} has degree {g.degree}, cannot invert")
         if not cat.normalize(cat.differentials[name]).is_zero():
             raise ValueError(f"{name} is not closed, cannot invert")
-        quad = [_fresh(name + suffix, taken) for suffix in QUAD_SUFFIXES]
-        for ng, dg in localization_cluster(ring, g, rank, quad):
-            gens.append(ng)
-            table[ng.name] = dg
-        rank += 4
-        records.append(LocalizationRecord(name, *quad))
-    entry = {
-        "op": "localize",
-        "inverted": names,
-        "clusters": [[r.inverted, *r.names()] for r in records],
-    }
-    return new_semifree(ring, cat.objects, gens, table,
+        inverted.append((g, [_fresh(name + suffix, taken)
+                             for suffix in QUAD_SUFFIXES]))
+    gens, table = list(cat.generators), dict(cat.differentials)
+    entry = {"op": "localize", "inverted": names,
+             "clusters": adjoin_clusters(cat.ring, gens, table, inverted)}
+    return new_semifree(cat.ring, cat.objects, gens, table,
                         cat.provenance + (entry,), cat.rules, cat.weights)
 
 
@@ -174,6 +173,38 @@ def _fresh(name: str, taken: set) -> str:
     return name
 
 
+def _glue(a, b, objects_in_a: dict, images_in_a: dict):
+    """a's objects, generators and differentials, extended by the objects
+    and generators of b that objects_in_a and images_in_a do not already
+    send into a: each under a _fresh name, in b's order, ranked after a's
+    generators, with its d pushed over.  Returns those three and b's object
+    map and generator images into the result."""
+    ring = a.ring
+    taken = set(a.objects)
+    object_map = {o: objects_in_a[o] if o in objects_in_a else _fresh(o, taken)
+                  for o in b.objects}
+    objects = list(a.objects) + [object_map[o] for o in b.objects
+                                 if o not in objects_in_a]
+    gens = list(a.generators)
+    taken = {g.name for g in gens}
+    rank = a.next_rank()
+    images = dict(images_in_a)
+    glued = []
+    for g in b.generators:
+        if g.name not in images:
+            ng = Generator(_fresh(g.name, taken), object_map[g.source],
+                           object_map[g.target], g.degree, rank)
+            rank += 1
+            glued.append((g, ng))
+            images[g.name] = NcPoly.gen(ring, ng)
+    table = dict(a.differentials)
+    for g, ng in glued:
+        gens.append(ng)
+        table[ng.name] = push_poly(b.differentials[g.name], object_map,
+                                   images, ring)
+    return objects, gens, table, object_map, images
+
+
 def colimit(span: PushoutSpan) -> SemifreeDgCat:
     """Pushout: the base extended by beta's new objects and generators, with
     every occurrence of the image of c rewritten through alpha."""
@@ -185,48 +216,16 @@ def colimit(span: PushoutSpan) -> SemifreeDgCat:
         raise ValueError("beta leg is not a semifree extension")
     validate_functor(span.alpha)
     validate_functor(span.beta)
-    ring = a.ring
-
-    beta_objects = {span.beta.object_map[x]: x for x in c.objects}
-    beta_gens = {}
-    for g in c.generators:
-        ((word, _),) = span.beta.generator_map[g.name].terms.items()
-        beta_gens[word[0].name] = g.name
-
-    object_map = {}
-    taken_objects = set(a.objects)
-    for obj in b.objects:
-        if obj in beta_objects:
-            object_map[obj] = span.alpha.object_map[beta_objects[obj]]
-        else:
-            object_map[obj] = _fresh(obj, taken_objects)
-    objects = list(a.objects) + [object_map[o] for o in b.objects
-                                 if o not in beta_objects]
-
-    gens = list(a.generators)
-    taken_names = {g.name for g in gens}
-    rank = a.next_rank()
-    new_gens = []
-    gen_images = {}
-    for g in b.generators:
-        if g.name in beta_gens:
-            gen_images[g.name] = span.alpha.generator_map[beta_gens[g.name]]
-        else:
-            fresh = _fresh(g.name, taken_names)
-            ng = Generator(fresh, object_map[g.source], object_map[g.target],
-                           g.degree, rank)
-            rank += 1
-            new_gens.append((g, ng))
-            gen_images[g.name] = NcPoly.gen(ring, ng)
-    table = dict(a.differentials)
-    for g, ng in new_gens:
-        table[ng.name] = push_poly(b.differentials[g.name], object_map,
-                                   gen_images, ring)
-        gens.append(ng)
+    alpha, beta = span.alpha, span.beta
+    # beta sends each object and generator of c to one of b
+    objects_in_a = {beta.object_map[x]: alpha.object_map[x] for x in c.objects}
+    images_in_a = {word[0].name: alpha.generator_map[g.name]
+                   for g in c.generators
+                   for word in beta.generator_map[g.name].terms}
+    objects, gens, table, _, _ = _glue(a, b, objects_in_a, images_in_a)
     entry = {"op": "colimit",
-             "identified": sorted((beta_objects[o], object_map[o])
-                                  for o in beta_objects)}
-    return new_semifree(ring, objects, gens, table, a.provenance + (entry,))
+             "identified": sorted((x, alpha.object_map[x]) for x in c.objects)}
+    return new_semifree(a.ring, objects, gens, table, a.provenance + (entry,))
 
 
 # ---------------------------------------------------------------------------
@@ -252,18 +251,17 @@ def _restrict_leg(leg: DgFunctor, core) -> DgFunctor:
                       for g in core.generators})
 
 
-def hocolim(span: PushoutSpan):
+def hocolim(span: PushoutSpan) -> SemifreeDgCat:
     """Homotopy colimit of a span of semifree dg categories.
 
-    Strictifies to the plain colimit whenever a leg is a semifree extension;
-    otherwise runs the t-generator construction with t_X localized on the
-    spot.
+    c's localization clusters are dropped first.  The result is the plain
+    colimit whenever a leg is a semifree extension.  Otherwise a and b are
+    glued side by side (b's objects and generators follow a's, in b's
+    order), with a comparison generator t_X per object of c, localized on
+    the spot, and a homotopy generator t_f per generator f: X -> Y of c,
+    d t_f = (-1)^|f| (beta(f) t_X - t_Y alpha(f)) + T(d f), T the
+    twisted_derivation.  The provenance entry names every t.
     """
-    cat, _ = _hocolim_full(span)
-    return cat
-
-
-def _hocolim_full(span: PushoutSpan):
     a, c, b = span.a, span.c, span.b
     alpha, beta = span.alpha, span.beta
     for part in ("a", "c", "b"):
@@ -275,133 +273,90 @@ def _hocolim_full(span: PushoutSpan):
         beta = _restrict_leg(beta, core)
         c = core
     if is_semifree_extension(beta):
-        return colimit(PushoutSpan(a, c, b, alpha, beta)), None
+        return colimit(PushoutSpan(a, c, b, alpha, beta))
     if is_semifree_extension(alpha):
-        return colimit(PushoutSpan(b, c, a, beta, alpha)), None
+        return colimit(PushoutSpan(b, c, a, beta, alpha))
     validate_functor(alpha)
     validate_functor(beta)
     ring = a.ring
-
-    taken_objects = set(a.objects)
-    object_map_a = {o: o for o in a.objects}
-    object_map_b = {o: _fresh(o, taken_objects) for o in b.objects}
-    objects = list(a.objects) + [object_map_b[o] for o in b.objects]
-
-    taken = {g.name for g in a.generators}
-    gens = list(a.generators)
-    rank = a.next_rank()
-    b_images = {}
-    b_renamed = {}
-    for g in b.generators:
-        ng = Generator(_fresh(g.name, taken), object_map_b[g.source],
-                       object_map_b[g.target], g.degree, rank)
-        rank += 1
-        gens.append(ng)
-        b_images[g.name] = NcPoly.gen(ring, ng)
-        b_renamed[g.name] = ng
-    table = dict(a.differentials)
-    for g in b.generators:
-        table[b_renamed[g.name].name] = push_poly(
-            b.differentials[g.name], object_map_b, b_images, ring)
-
-    def push_alpha(p):
-        return push_poly(p, alpha.object_map, alpha.generator_map, ring)
-
-    def push_beta(p):
-        raw = push_poly(p, beta.object_map, beta.generator_map, ring)
-        return push_poly(raw, object_map_b, b_images, ring)
+    objects, gens, table, b_objects, b_images = _glue(a, b, {}, {})
+    alpha_leg = (alpha.object_map, alpha.generator_map)
+    beta_leg = ({x: b_objects[beta.object_map[x]] for x in c.objects},
+                {g.name: push_poly(beta.generator_map[g.name], b_objects,
+                                   b_images, ring) for g in c.generators})
+    taken = {g.name for g in gens}
 
     # comparison generators t_X, localized on the spot
+    rank = gens[-1].rank + 1 if gens else 0
     t_obj = {}
     for x in c.objects:
-        name = _fresh(f"t_{x}", taken)
-        src = alpha.object_map[x]
-        tgt = object_map_b[beta.object_map[x]]
-        t = Generator(name, src, tgt, 0, rank)
+        src, tgt = alpha.object_map[x], beta_leg[0][x]
+        t = t_obj[x] = Generator(_fresh(f"t_{x}", taken), src, tgt, 0, rank)
         rank += 1
         gens.append(t)
-        table[name] = NcPoly.zero(ring, src, tgt)
-        t_obj[x] = t
-    clusters = []
-    for x in c.objects:
-        t = t_obj[x]
-        quad = [_fresh(t.name + suffix, taken) for suffix in QUAD_SUFFIXES]
-        for ng, dg in localization_cluster(ring, t, rank, quad):
-            gens.append(ng)
-            table[ng.name] = dg
-        rank += 4
-        clusters.append([t.name, *quad])
+        table[t.name] = NcPoly.zero(ring, src, tgt)
+    clusters = adjoin_clusters(ring, gens, table, [
+        (t, [_fresh(t.name + suffix, taken) for suffix in QUAD_SUFFIXES])
+        for t in t_obj.values()])
 
     # homotopy generators t_f
+    rank = gens[-1].rank + 1
     t_gen = {}
     for g in c.generators:
-        name = _fresh(f"t_{g.name}", taken)
-        src = alpha.object_map[g.source]
-        tgt = object_map_b[beta.object_map[g.target]]
-        t_gen[g.name] = Generator(name, src, tgt, g.degree - 1, rank)
+        t_gen[g.name] = Generator(_fresh(f"t_{g.name}", taken),
+                                  alpha.object_map[g.source],
+                                  beta_leg[0][g.target], g.degree - 1, rank)
         rank += 1
-
-    def twisted(p: NcPoly) -> NcPoly:
-        """T(p): (beta, alpha)-twisted derivation with T(g) = t_g, T(1) = 0.
-
-        On a word g_k...g_1 this is sum_j (-1)^{e_j} beta(g_k...g_{j+1})
-        o t_{g_j} o alpha(g_{j-1}...g_1), e_j the degree of the right
-        alpha-block.  The convention is pinned by the global d^2 = 0 audit.
-        """
-        src = alpha.object_map[p.source]
-        tgt = object_map_b[beta.object_map[p.target]]
-        out = NcPoly.zero(ring, src, tgt)
-        for word, coeff in p.terms.items():
-            if isinstance(word, str):
-                continue
-            right_degree = 0
-            for j in range(len(word) - 1, -1, -1):
-                piece = NcPoly.gen(ring, t_gen[word[j].name])
-                if j < len(word) - 1:
-                    right = word[j + 1:]
-                    piece = compose(piece, push_alpha(
-                        NcPoly(ring, right[-1].source, right[0].target,
-                               {right: ring.one()})))
-                if j > 0:
-                    left = word[:j]
-                    piece = compose(push_beta(
-                        NcPoly(ring, left[-1].source, left[0].target,
-                               {left: ring.one()})), piece)
-                sign = -1 if right_degree % 2 else 1
-                out.add_in_place(piece, ring.mul(ring.normalize(sign), coeff))
-                right_degree += word[j].degree
-        return out
-
     for g in c.generators:
         tf = t_gen[g.name]
         gens.append(tf)
-        g_poly = NcPoly.gen(ring, c.gen(g.name))
-        main = (compose(push_beta(g_poly), NcPoly.gen(ring, t_obj[g.source]))
-                - compose(NcPoly.gen(ring, t_obj[g.target]), push_alpha(g_poly)))
+        main = (compose(beta_leg[1][g.name], NcPoly.gen(ring, t_obj[g.source]))
+                - compose(NcPoly.gen(ring, t_obj[g.target]),
+                          alpha.generator_map[g.name]))
         if g.degree % 2:
             main = -main
-        table[tf.name] = main + twisted(c.differentials[g.name])
+        table[tf.name] = main + twisted_derivation(
+            c.differentials[g.name], alpha_leg, beta_leg, t_gen, ring)
 
     entry = {
         "op": "hocolim",
         "t_objects": {x: t_obj[x].name for x in c.objects},
         "t_gens": {g.name: t_gen[g.name].name for g in c.generators},
         "clusters": clusters,
-        "identified": sorted((t_obj[x].source, t_obj[x].target)
-                             for x in c.objects),
+        "identified": sorted((t.source, t.target) for t in t_obj.values()),
     }
-    cat = new_semifree(ring, objects, gens, table, a.provenance + (entry,))
-    ports = {
-        "t_obj": t_obj,
-        "t_gen": t_gen,
-        "twisted": twisted,
-        "object_map_a": object_map_a,
-        "object_map_b": object_map_b,
-        "b_renamed": b_renamed,
-        "b_images": b_images,
-        "core_c": c,
-    }
-    return cat, ports
+    return new_semifree(ring, objects, gens, table, a.provenance + (entry,))
+
+
+def twisted_derivation(p: NcPoly, alpha_leg, beta_leg, t_gen: dict,
+                       ring) -> NcPoly:
+    """T(p) for p in c: the (beta, alpha)-twisted derivation with
+    T(f) = t_gen[f] and T(1) = 0.  Each leg is an (object map, generator
+    images) pair from c into the hocolim.
+
+    On a word g_k...g_1 this is sum_j (-1)^{e_j} beta(g_k...g_{j+1})
+    o t_{g_j} o alpha(g_{j-1}...g_1), e_j the degree of the right
+    alpha-block.  The convention is pinned by the global d^2 = 0 audit.
+    """
+    def push(leg, word):
+        return push_poly(NcPoly(ring, word[-1].source, word[0].target,
+                                {word: ring.one()}), *leg, ring)
+
+    out = NcPoly.zero(ring, alpha_leg[0][p.source], beta_leg[0][p.target])
+    for word, coeff in p.terms.items():
+        if isinstance(word, str):
+            continue
+        right_degree = 0
+        for j in range(len(word) - 1, -1, -1):
+            piece = NcPoly.gen(ring, t_gen[word[j].name])
+            if j < len(word) - 1:
+                piece = compose(piece, push(alpha_leg, word[j + 1:]))
+            if j > 0:
+                piece = compose(push(beta_leg, word[:j]), piece)
+            sign = -1 if right_degree % 2 else 1
+            out.add_in_place(piece, ring.mul(ring.normalize(sign), coeff))
+            right_degree += word[j].degree
+    return out
 
 
 # ---------------------------------------------------------------------------

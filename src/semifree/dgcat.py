@@ -594,14 +594,16 @@ _PARSE_ERRORS = (ValueError, CompositionError)
 _GENERATOR_FIELDS = {"name": str, "src": str, "tgt": str, "deg": int,
                      "rank": int, "d": str}
 _EXPECTED = {str: "a string", int: "an integer", list: "a list",
-             dict: "an object"}
+             dict: "an object", bool: "true or false"}
 
 
 def _known(names, known, what: str, where: str):
-    """names, when each is in known; otherwise an InputError at where, the
-    JSON path or option that gave them, such as "no arrow 'e9'" for what
-    "arrow"."""
-    for name in names:
+    """names, when each is a string in known; otherwise an InputError at
+    where, the JSON path or option that gave them, such as "no arrow 'e9'"
+    for what "arrow", or at where[i] for an entry that is not a string."""
+    for i, name in enumerate(names):
+        if not isinstance(name, str):
+            raise InputError(f"{where}[{i}]", f"expected a string, got {name!r}")
         if name not in known:
             raise InputError(where, f"no {what} {name!r}")
     return names

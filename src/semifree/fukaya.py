@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Generator, NcPoly, Ring, compose, compose_all
-from .dgcat import new_semifree
+from .dgcat import _EXPECTED, InputError, new_semifree
 from .constructions import localization_records, localize
 
 # twisted is imported where a D12, B01 or D01 model is built, so the other
@@ -49,11 +49,14 @@ class ModelId:
 
     @staticmethod
     def parse(text: str) -> "ModelId":
-        if ":" in text:
-            tag, rest = text.split(":", 1)
+        if ":" not in text:
+            return ModelId(text)
+        tag, rest = text.split(":", 1)
+        try:
             params = tuple(int(p) for p in rest.split(","))
-        else:
-            tag, params = text, ()
+        except ValueError:
+            raise ValueError(f"{tag} parameters must be integers, got "
+                             f"{rest!r}") from None
         return ModelId(tag, params)
 
     def render(self) -> str:
@@ -62,10 +65,37 @@ class ModelId:
         return self.tag + ":" + ",".join(str(p) for p in self.params)
 
 
+# the options each model family takes, as a schema: a value's type, a
+# one-entry list for a list of such values, or an object's keys
+OPTIONS = {"S": {"gradings": [int], "background": [int], "localize": bool},
+           "M": {"gradings": {"p": [int], "q": [int], "r": [int]},
+                 "localize": bool}}
+
+
+def _check_option(value, schema, where: str):
+    """An InputError at where, a path within the options, or below it,
+    where value does not fit schema; a boolean is not an integer."""
+    kind = schema if isinstance(schema, type) else type(schema)
+    if type(value) is not kind:
+        raise InputError(where, f"expected {_EXPECTED[kind]}, got {value!r}")
+    if kind is list:
+        for i, entry in enumerate(value):
+            _check_option(entry, schema[0], f"{where}[{i}]")
+    elif kind is dict:
+        for key, entry in value.items():
+            if key not in schema:
+                raise InputError(where, f"unknown key {key!r}, expected "
+                                 + (" or ".join(map(repr, schema)) or "none"))
+            _check_option(entry, schema[key],
+                          key if where == "document" else f"{where}.{key}")
+
+
 def build(model: ModelId, ring: Ring, options: dict | None = None):
-    """The presentation for a model id; localized where the theory localizes."""
-    options = options or {}
+    """The presentation for a model id; localized where the theory localizes.
+    options must fit the schema of the model's family in OPTIONS."""
+    options = {} if options is None else options
     tag, params = model.tag, model.params
+    _check_option(options, OPTIONS.get(tag, {}), "document")
     if tag == "A1":
         return new_semifree(ring, ("K",), (), {},
                             ({"op": "build", "model": "A1"},))

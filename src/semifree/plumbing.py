@@ -41,7 +41,7 @@ from .dgcat import (
 )
 from .constructions import (
     QUAD_SUFFIXES,
-    localization_cluster,
+    adjoin_clusters,
     localization_records,
 )
 from .fukaya import one_plus_xy_inverse
@@ -228,8 +228,8 @@ def _default_tokens(data: PlumbingData, vid: str):
 
 
 def _check_tokens(data, vid, left, right):
-    want = sorted(map(tuple, _default_tokens(data, vid)[0][1:]
-                      + _default_tokens(data, vid)[1]))
+    default_left, default_right = _default_tokens(data, vid)
+    want = sorted(map(tuple, default_left[1:] + default_right))
     have = sorted(t for t in map(tuple, left + right) if t != ("eta",))
     if have != want or sum(1 for t in left + right if tuple(t) == ("eta",)) != 1:
         raise ValueError(f"vertex {vid}: reordered factors do not match the "
@@ -352,7 +352,6 @@ def build_wrapped(data: PlumbingData, placement: dict | None = None):
             for vid in sorted(placement)}
 
     if n == 2:
-        clusters = []
         to_invert = []
         for a in data.arrows:
             u = add(f"u_{a.id}", f"L_{a.src}", f"L_{a.src}", 0)
@@ -362,14 +361,10 @@ def build_wrapped(data: PlumbingData, placement: dict | None = None):
                                "expr": render_poly(out_factor(a.id))})
             to_invert.append(u.name)
         to_invert += surface_loops
-        for name in to_invert:
-            g = next(gg for gg in gens if gg.name == name)
-            quad = [name + suffix for suffix in QUAD_SUFFIXES]
-            for ng, dg in localization_cluster(ring, g, rank, quad):
-                gens.append(ng)
-                table[ng.name] = dg
-            rank += 4
-            clusters.append([name, *quad])
+        by_name = {g.name: g for g in gens}
+        clusters = adjoin_clusters(ring, gens, table, [
+            (by_name[name], [name + suffix for suffix in QUAD_SUFFIXES])
+            for name in to_invert])
         provenance.append({"op": "localize", "inverted": to_invert,
                            "clusters": clusters})
 
@@ -509,8 +504,8 @@ def edge_flip_witness(data: PlumbingData, arrow_id: str) -> FlipWitness:
     if n >= 3:
         w1 = build_wrapped(data)
         w2 = build_wrapped(flipped)
-        fwd = _flip_functor(data, w1, w2, u, n)
-        bwd = _flip_functor(flipped, w2, w1, flipped.arrow(arrow_id), n)
+        fwd = _flip_functor(w1, w2, u, n)
+        bwd = _flip_functor(w2, w1, flipped.arrow(arrow_id), n)
     else:
         place1 = {vid: dict(zip(("left", "right"), _default_tokens(data, vid)))
                   for vid, _ in data.vertices}
@@ -519,13 +514,13 @@ def edge_flip_witness(data: PlumbingData, arrow_id: str) -> FlipWitness:
                   for vid, _ in data.vertices}
         w1 = build_wrapped(data, place1)
         w2 = build_wrapped(flipped, place2)
-        fwd = _flip_functor_2(data, w1, w2, u)
-        bwd = _flip_functor_2(flipped, w2, w1, flipped.arrow(arrow_id))
+        fwd = _flip_functor_2(w1, w2, u)
+        bwd = _flip_functor_2(w2, w1, flipped.arrow(arrow_id))
     certs = (validate_functor(fwd), validate_functor(bwd))
     return FlipWitness(data, flipped, fwd, bwd, certs)
 
 
-def _flip_functor(data, w1, w2, u: Arrow, n: int) -> DgFunctor:
+def _flip_functor(w1, w2, u: Arrow, n: int) -> DgFunctor:
     ring = w1.ring
     gen_map = {}
     for g in w1.generators:
@@ -537,7 +532,7 @@ def _flip_functor(data, w1, w2, u: Arrow, n: int) -> DgFunctor:
     return DgFunctor(w1, w2, {o: o for o in w1.objects}, gen_map)
 
 
-def _flip_functor_2(data, w1, w2, u: Arrow) -> DgFunctor:
+def _flip_functor_2(w1, w2, u: Arrow) -> DgFunctor:
     """n = 2 flip: x_u and y_u swap plainly; the u-localization cluster is
     transported through the explicit inverse of 1 + x_u y_u."""
     ring = w1.ring

@@ -19,8 +19,9 @@ from semifree.algebra import (
 from semifree.analysis import change_coefficients, truncated_cohomology
 from semifree.constructions import (
     PushoutSpan,
-    _hocolim_full,
+    hocolim,
     localization_records,
+    twisted_derivation,
 )
 from semifree.dgcat import (
     DgFunctor,
@@ -102,6 +103,25 @@ def _functors_agree(f: DgFunctor, g: DgFunctor) -> bool:
     return True
 
 
+def _glued_parts(span: PushoutSpan, h):
+    """What h = hocolim(span) glued in, read back from h: b's object map and
+    generator images, beta's leg through them and the hocolim provenance
+    entry.  b's objects and generators follow a's in h, in b's order."""
+    entry = h.provenance[-1]
+    if entry.get("op") != "hocolim":
+        raise ValueError("hocolim_functor needs both spans in general position "
+                         "(no semifree-extension leg)")
+    ring = h.ring
+    b_objects = dict(zip(span.b.objects, h.objects[len(span.a.objects):]))
+    b_images = {g.name: NcPoly.gen(ring, ng) for g, ng in zip(
+        span.b.generators, h.generators[len(span.a.generators):])}
+    beta_leg = ({x: b_objects[span.beta.object_map[x]]
+                 for x in entry["t_objects"]},
+                {name: push_poly(span.beta.generator_map[name], b_objects,
+                                 b_images, ring) for name in entry["t_gens"]})
+    return b_objects, b_images, beta_leg, entry
+
+
 def hocolim_functor(ladder: SpanLadder):
     """Induced functor between homotopy colimits of a commuting ladder.
 
@@ -115,41 +135,33 @@ def hocolim_functor(ladder: SpanLadder):
     if not _functors_agree(compose_functors(ladder.f_b, top.beta),
                            compose_functors(bottom.beta, ladder.f_c)):
         raise ValueError("ladder does not commute on the beta legs")
-    h1, ports1 = _hocolim_full(top)
-    h2, ports2 = _hocolim_full(bottom)
-    if ports1 is None or ports2 is None:
-        raise ValueError("hocolim_functor needs both spans in general position "
-                         "(no semifree-extension leg)")
+    h1, h2 = hocolim(top), hocolim(bottom)
+    b_objects1, _, _, entry1 = _glued_parts(top, h1)
+    b_objects2, b_images2, beta_leg2, entry2 = _glued_parts(bottom, h2)
     ring = h2.ring
 
-    object_map = {}
-    for obj in top.a.objects:
-        object_map[ports1["object_map_a"][obj]] = \
-            ports2["object_map_a"][ladder.f_a.object_map[obj]]
+    object_map = {obj: ladder.f_a.object_map[obj] for obj in top.a.objects}
     for obj in top.b.objects:
-        object_map[ports1["object_map_b"][obj]] = \
-            ports2["object_map_b"][ladder.f_b.object_map[obj]]
+        object_map[b_objects1[obj]] = b_objects2[ladder.f_b.object_map[obj]]
 
-    gen_map = {}
-    for g in top.a.generators:
-        gen_map[g.name] = ladder.f_a.generator_map[g.name]
-    for g in top.b.generators:
-        renamed = ports1["b_renamed"][g.name]
-        gen_map[renamed.name] = push_poly(ladder.f_b.generator_map[g.name],
-                                          ports2["object_map_b"],
-                                          ports2["b_images"], ring)
+    gen_map = {g.name: ladder.f_a.generator_map[g.name]
+               for g in top.a.generators}
+    for g, ng in zip(top.b.generators,
+                     h1.generators[len(top.a.generators):]):
+        gen_map[ng.name] = push_poly(ladder.f_b.generator_map[g.name],
+                                     b_objects2, b_images2, ring)
     records2 = {r.inverted: r for r in localization_records(h2)}
     records1 = {r.inverted: r for r in localization_records(h1)}
-    for x in ports1["core_c"].objects:
-        t1 = ports1["t_obj"][x]
-        t2 = ports2["t_obj"][ladder.f_c.object_map[x]]
-        gen_map[t1.name] = NcPoly.gen(ring, t2)
-        rec1, rec2 = records1[t1.name], records2[t2.name]
-        for n1, n2 in zip(rec1.names(), rec2.names()):
+    for x, t1 in entry1["t_objects"].items():
+        t2 = entry2["t_objects"][ladder.f_c.object_map[x]]
+        gen_map[t1] = NcPoly.gen(ring, h2.gen(t2))
+        for n1, n2 in zip(records1[t1].names(), records2[t2].names()):
             gen_map[n1] = NcPoly.gen(ring, h2.gen(n2))
-    for g in ports1["core_c"].generators:
-        t1 = ports1["t_gen"][g.name]
-        gen_map[t1.name] = ports2["twisted"](ladder.f_c.generator_map[g.name])
+    alpha_leg2 = (bottom.alpha.object_map, bottom.alpha.generator_map)
+    t_gen2 = {name: h2.gen(t) for name, t in entry2["t_gens"].items()}
+    for name, t1 in entry1["t_gens"].items():
+        gen_map[t1] = twisted_derivation(ladder.f_c.generator_map[name],
+                                         alpha_leg2, beta_leg2, t_gen2, ring)
 
     functor = DgFunctor(h1, h2, object_map, gen_map)
     validate_functor(functor)

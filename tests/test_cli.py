@@ -19,9 +19,12 @@ from helpers import (
     MALFORMED_QUIVERS,
     NON_COMPOSABLE_RULE,
     NOT_CONFLUENT,
+    mutated_documents,
 )
 from semifree.algebra import _MR_LIMIT
-from semifree.cli import _dump, main, make_parser
+from semifree.cli import _dump, load_functor, load_span, main, make_parser
+from semifree.dgcat import DSquaredNonzero, FunctorError, InputError
+from semifree.rewrite import RuleError
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data"
@@ -602,6 +605,8 @@ def test_functor_ranks_names_a_malformed_window(window, tmp_path, capsys):
      "[0].gen: no generator named 'zz'"),
     ([{"op": "localize", "gens": ["x", "qq"]}],
      "[0].gens: no generator named 'qq'"),
+    ([{"op": "localize", "gens": [{"a": 1}]}],
+     "[0].gens[0]: expected a string, got {'a': 1}"),
     ([{"op": "change_basis", "gen": "a", "unit": 1}],
      "[0].unit: expected a string, got 1"),
     ([{"op": "change_basis", "gen": "a", "lower": 0}],
@@ -625,6 +630,7 @@ def test_functor_ranks_names_a_malformed_window(window, tmp_path, capsys):
 ], ids=["no-op", "object", "no-argument", "step-not-object",
         "argument-type", "unknown-op", "unknown-generator",
         "unknown-set-generator", "unknown-localize-generator",
+        "localize-generator-not-a-string",
         "unit-not-a-string", "lower-not-a-string", "renamed-not-a-string",
         "lower-does-not-parse", "expr-does-not-parse", "set-to-unknown-value",
         "renamed-to-a-used-name", "named-a-used-name",
@@ -682,6 +688,132 @@ def test_options_name_an_unknown_name(argv, message, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--model", "S:x"], "--model: S parameters must be integers, got 'x'"),
+    (["--model", "Q"], "--model: unknown model tag 'Q'"),
+    (["--model", "S:2,2", "--options", "[1]"],
+     "--options: expected an object, got [1]"),
+    (["--model", "S:2,2", "--options", "{"],
+     "--options: not JSON: Expecting property name enclosed in double "
+     "quotes: line 1 column 2 (char 1)"),
+    (["--model", "S:2,2", "--options", '{"gradings": [1.5, -1.5]}'],
+     "--options.gradings[0]: expected an integer, got 1.5"),
+    (["--model", "S:2,2", "--options", '{"gradings": [true, -1]}'],
+     "--options.gradings[0]: expected an integer, got True"),
+    (["--model", "S:3,2", "--options", '{"background": "1"}'],
+     "--options.background: expected a list, got '1'"),
+    (["--model", "M:1,1", "--options", '{"gradings": {"r": [0.5]}}'],
+     "--options.gradings.r[0]: expected an integer, got 0.5"),
+    (["--model", "M:1,1", "--options", '{"gradings": [0]}'],
+     "--options.gradings: expected an object, got [0]"),
+    (["--model", "M:1,1", "--options", '{"gradings": {"s": [0]}}'],
+     "--options.gradings: unknown key 's', expected 'p' or 'q' or 'r'"),
+    (["--model", "S:2,2", "--options", '{"localize": 0}'],
+     "--options.localize: expected true or false, got 0"),
+    (["--model", "S:2,2", "--options", '{"gradings": [], "zz": 1}'],
+     "--options: unknown key 'zz', expected 'gradings' or 'background' or "
+     "'localize'"),
+    (["--model", "A2", "--options", '{"localize": false}'],
+     "--options: unknown key 'localize', expected none"),
+], ids=["model-parameter-not-integer", "unknown-model", "options-list",
+        "options-not-json", "grading-float", "grading-bool",
+        "background-not-list", "surface-grading-float",
+        "surface-gradings-list", "surface-grading-unknown-key",
+        "localize-not-bool", "unknown-key",
+        "model-takes-no-options"])
+def test_build_names_a_malformed_model_or_option(argv, message, tmp_path,
+                                                 capsys):
+    # these once printed a raw Python error, or, for a float grading, built
+    # generators of degree 1.5 and failed only when writing them
+    out = tmp_path / "cat.json"
+    assert main(["build", *argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def _functor_document(model, images):
+    from semifree.algebra import INTEGERS
+    from semifree.dgcat import to_json
+    from semifree.fukaya import ModelId, build
+    cat = to_json(build(ModelId.parse(model), INTEGERS))
+    return {"type": "functor", "source": cat, "target": cat,
+            "objects": {o: o for o in cat["objects"]}, "generators": images}
+
+
+@pytest.mark.parametrize("doc,message", [
+    (_functor_document("C:2", {"z": "zz"}),
+     "generators.z: unknown generator 'zz'"),
+    (_functor_document("A2", {"f": "f*f"}),
+     "generators.f: non-composable factors f o f: f starts at K0 but f "
+     "ends at K1"),
+    (_functor_document("C:2", {"z": 5}),
+     "generators.z: expected a polynomial string, got 5"),
+    (_functor_document("C:2", {"zz": "z"}),
+     "generators: no generator named 'zz'"),
+    ({**_functor_document("C:2", {}), "objects": {"L": 5}},
+     "objects.L: expected a target object name, got 5"),
+], ids=["unknown-generator", "not-composable", "image-not-a-string",
+        "image-of-unknown-generator", "object-not-a-string"])
+def test_functor_and_verify_name_a_malformed_image(doc, message, tmp_path,
+                                                   capsys):
+    # an image that did not parse was once reported with no path, and the
+    # two type checks raised a bare ValueError
+    path = tmp_path / "functor.json"
+    path.write_text(json.dumps(doc))
+    assert main(["functor", str(path), "--out", str(tmp_path / "c.json")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().out == f"FAIL {path}: {message}\n"
+
+
+@pytest.mark.parametrize("leg,key,value,message", [
+    ("alpha", "generators", {"a1": "zz"},
+     "alpha.generators.a1: unknown generator 'zz'"),
+    ("beta", "generators", {"a1": "1_{L}"},
+     "beta.generators.a1: word ('1', 'L') has boundary L->L, expected K->K"),
+    ("beta", "objects", {"L": ["K"]},
+     "beta.objects.L: expected a target object name, got ['K']"),
+], ids=["alpha-unknown-generator", "beta-boundary",
+        "beta-object-not-a-string"])
+def test_hocolim_names_a_malformed_leg(leg, key, value, message, tmp_path,
+                                       capsys):
+    path = tmp_path / "span.json"
+    path.write_text(json.dumps({**_SPAN, leg: {**_SPAN[leg], key: value}}))
+    out = tmp_path / "h.json"
+    assert main(["hocolim", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def _part_names(doc):
+    """The objects and generator names of every presentation in doc."""
+    names = []
+    for part in doc.values():
+        if isinstance(part, dict) and "generators" in part and \
+                isinstance(part["generators"], list):
+            names += part["objects"] + [g["name"] for g in part["generators"]]
+    return names
+
+
+FUNCTOR_DOCUMENTS = [_functor_document("C:2", {"z": "z*z"}),
+                     _functor_document("A2", {"f": "2*f"}),
+                     _functor_document("S:2,2", {"a1": "a2", "a2": "a1"})]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    mutated_documents(FUNCTOR_DOCUMENTS, _part_names).map(
+        lambda doc: (load_functor, doc)),
+    mutated_documents([_SPAN], _part_names).map(lambda doc: (load_span, doc))))
+def test_functor_and_span_loaders_raise_only_documented_errors(case):
+    # an image that did not parse once left as a bare ValueError with no path
+    load, doc = case
+    try:
+        load(doc)
+    except (InputError, DSquaredNonzero, FunctorError, RuleError):
+        pass
 
 
 # A fresh interpreter runs main on each argv of the JSON list sys.argv[2]
