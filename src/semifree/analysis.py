@@ -27,12 +27,10 @@ def exact_rank(rows, ring: Ring) -> int:
 
     rows is a list of {column: value} dicts; they are not modified, and
     their values need not be reduced: zeros and, over Zmod, multiples of
-    the modulus are dropped here.  A row with one nonzero entry pivots its
-    column outright.  Every other row is copied once, with its values
-    reduced mod p or its denominators cleared, and without the zeros and
-    the columns of those pivots; the copies are eliminated by _rank_core.
-    Q ranks are thus always computed over the integers, never modulo a
-    prime.
+    the modulus are dropped.  A row with one nonzero entry pivots its
+    column outright.  The other rows go to _rank_core as they are, which
+    cleans and copies only the rows it must.  Q ranks are thus always
+    computed over the integers, never modulo a prime.
     """
     p = ring.modulus if ring.kind == "Zmod" else None
     pivoted = set()  # the columns of one-entry rows
@@ -44,39 +42,53 @@ def exact_rank(rows, ring: Ring) -> int:
                     pivoted.add(c)
         elif row:
             rest.append(row)
-    reduced = []
-    for row in rest:
-        if p is not None:
-            row = {c: r for c, v in row.items()
-                   if (r := v % p) and c not in pivoted}
-        elif type(sum(row.values())) is int:  # no Fraction in the row
-            row = {c: v for c, v in row.items() if v and c not in pivoted}
-        else:
-            denom = lcm(*(v.denominator for v in row.values()))
-            row = {c: int(v * denom) for c, v in row.items()
-                   if v and c not in pivoted}
-        if row:
-            reduced.append(row)
-    return len(pivoted) + _rank_core(reduced, p)
+    return len(pivoted) + _rank_core(rest, p, pivoted)
 
 
-def _rank_core(rows, p) -> int:
-    """Rank by sparse elimination into pivot rows keyed by leading column.
+def _rank_core(rows, p, pivoted) -> int:
+    """Rank, outside the columns pivoted, by sparse elimination into pivot
+    rows keyed by leading column.
 
-    rows are {column: nonzero value} dicts, which the core reduces in
-    place.  A row's leading column is its largest.  The hom complex lists
-    columns by word length, so that is the row's longest word, which few
-    other rows share: pivots chosen there meet fewer rows and stay short
-    (fill-in).  Rows enter sparsest first.  Each is reduced
-    against the pivots found so far until it vanishes or its leading column
-    has no pivot, and then it becomes that column's pivot.  With p None the
-    entries are integers and a reduction is fraction-free: cross-multiply,
-    then divide out the gcd of the row.  With p set the entries are residues
-    mod the prime p and each pivot is scaled to lead with 1.  A pivot row is
-    never changed again, so a row costs one pass over each pivot it meets.
+    rows are {column: value} dicts, which the core does not modify.  A row
+    is clean when its values are nonzero, reduced mod p (p set) or ints (p
+    None), and none of its columns is in pivoted.  A clean row enters the
+    elimination as it is; any other row is cleaned as it enters: its values
+    are reduced mod p or its denominators cleared, and the zeros and the
+    columns of pivoted dropped, in a new dict.  A row is copied the first
+    time a reduction changes it, and a pivot row is never changed, so a
+    clean row that becomes a pivot is the caller's dict.
+
+    A row's leading column is its largest.  The hom complex lists columns
+    by word length, so that is the row's longest word, which few other rows
+    share: pivots chosen there meet fewer rows and stay short (fill-in).
+    Rows enter sparsest first.  Each is reduced against the pivots found so
+    far until it vanishes or its leading column has no pivot, and then it
+    becomes that column's pivot.  With p None the entries are integers and
+    a reduction is fraction-free: cross-multiply, then divide out the gcd
+    of the row.  With p set the entries are residues mod the prime p and
+    each pivot is scaled to lead with 1.  A row costs one pass over each
+    pivot it meets.
     """
     pivots = {}
     for row in sorted(rows, key=len):
+        values = row.values()
+        if p is not None:
+            clean = min(values) > 0 and max(values) < p
+        else:
+            ints = type(sum(values)) is int  # no Fraction in the row
+            clean = ints and all(values)
+        clean = clean and pivoted.isdisjoint(row)
+        if not clean:
+            if p is not None:
+                row = {c: r for c, v in row.items()
+                       if (r := v % p) and c not in pivoted}
+            elif ints:
+                row = {c: v for c, v in row.items() if v and c not in pivoted}
+            else:
+                denom = lcm(*(v.denominator for v in values))
+                row = {c: int(v * denom) for c, v in row.items()
+                       if v and c not in pivoted}
+        owned = not clean  # whether row is a dict of the core's own
         while row:
             col = max(row)
             pivot = pivots.get(col)
@@ -92,6 +104,10 @@ def _rank_core(rows, p) -> int:
                 lead, factor = pivot[col] // g, factor // g
                 if lead != 1:
                     row = {c: v * lead for c, v in row.items()}
+                    owned = True
+            if not owned:
+                row = dict(row)
+                owned = True
             for c, v in pivot.items():
                 s = row.get(c, 0) - v * factor
                 if p is not None:
@@ -218,10 +234,7 @@ def truncated_cohomology(cat, source: str, target: str, window, bound: int,
         cat = change_coefficients(cat, field)
     words = hom_slice(cat, source, target, (lo - 1, hi + 1),
                       bound).words_by_degree
-    # degree -> {coded word: column}, in the slice's order
-    index = {k: {w: i for i, w in enumerate(words.get(k, ()))}
-             for k in range(lo - 1, hi + 2)}
-    del words  # the index holds every word the rows need
+    sizes = {k: len(words.get(k, ())) for k in range(lo, hi + 1)}
     table = _d_table(cat)
     if cat.rules and not copied:
         # The rows normalize through the rules, so they must commute with
@@ -234,13 +247,18 @@ def truncated_cohomology(cat, source: str, target: str, window, bound: int,
     ranks_d = {}
     dropped = {}
     for k in range(lo - 1, hi + 1):
-        rows, dropped[k] = _d_rows(field, table, rules, index[k],
-                                   index[k + 1], bound)
+        # one degree's words, columns and rows at a time: each is dropped
+        # once its rank is known
+        basis = words.pop(k, ())
+        columns = {w: i for i, w in enumerate(words.get(k + 1, ()))}
+        rows, dropped[k] = _d_rows(field, table, rules, basis, columns,
+                                   bound)
         ranks_d[k] = exact_rank(rows, field)
+        del basis, columns, rows
     ranks = {}
     exact = {}
     for k in range(lo, hi + 1):
-        dim = len(index[k])
+        dim = sizes[k]
         rank_out, rank_in = ranks_d.get(k, 0), ranks_d.get(k - 1, 0)
         value = dim - rank_out - rank_in
         if value < 0:
@@ -251,13 +269,14 @@ def truncated_cohomology(cat, source: str, target: str, window, bound: int,
         ranks[k] = value
         exact[k] = not (dropped.get(k, False) or dropped.get(k - 1, False))
     return RankTable(source, target, (lo, hi), bound, field.render(), ranks,
-                     exact, {k: len(index[k]) for k in range(lo, hi + 1)})
+                     exact, sizes)
 
 
-def _d_rows(ring: Ring, table: dict, rules, basis: dict, index: dict,
+def _d_rows(ring: Ring, table: dict, rules, basis, index: dict,
             bound: int):
-    """The rows {column in index: value} of d on the coded words of basis,
-    by the graded Leibniz rule, and whether a term of some d(word) was lost
+    """The rows {column in index: value} of d on the coded words of basis
+    (any iterable of them), in its order, by the graded Leibniz rule, and
+    whether a term of some d(word) was lost
     (outside index: longer than the bound or not listed).  table is a coded
     d table (dgcat._d_table) and rules a rule index or None, both with
     values in ring; the terms outside index are normalized through rules

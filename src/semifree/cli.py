@@ -20,6 +20,7 @@ from .analysis import functor_rank_compat, truncated_cohomology
 from .constructions import PushoutSpan, hocolim, localize, tensor
 from .dgcat import (
     _PARSE_ERRORS,
+    BadArgument,
     DgFunctor,
     DSquaredNonzero,
     InputError,
@@ -194,7 +195,7 @@ def cmd_build(args):
         raise InputError("--options", f"not JSON: {err}") from None
     try:
         cat = build(model, ring, options)
-    except InputError as err:  # only the options check raises it
+    except InputError as err:  # only the options checks raise it
         raise err.within("--options") from None
     _emit_cat(cat, args)
     return 0
@@ -202,8 +203,12 @@ def cmd_build(args):
 
 def cmd_localize(args):
     cat = _load_cat(args.file)
-    cat = localize(cat, _known(args.gens.split(","), cat.gen_map(),
-                               "generator named", "--gens"))
+    names = _known(args.gens.split(","), cat.gen_map(), "generator named",
+                   "--gens")
+    try:
+        cat = localize(cat, names)
+    except BadArgument as err:
+        raise InputError("--gens", str(err)) from None
     _emit_cat(cat, args)
     return 0
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .algebra import Generator, NcPoly, compose, render_poly
 from .dgcat import (
+    BadArgument,
     DgFunctor,
     SemifreeDgCat,
     keep_generators,
@@ -84,16 +85,18 @@ def adjoin_clusters(ring, gens: list, table: dict, inverted) -> list:
 
 
 def localize(cat: SemifreeDgCat, names) -> SemifreeDgCat:
-    """Invert closed degree-0 generators; adds g', g_hat, g_check, g_bar each."""
+    """Invert closed degree-0 generators; adds g', g_hat, g_check, g_bar each.
+    A generator that is not one is a BadArgument "gens"."""
     names = list(names)
     taken = set(cat.gen_map())
     inverted = []
     for name in names:
         g = cat.gen(name)
         if g.degree != 0:
-            raise ValueError(f"{name} has degree {g.degree}, cannot invert")
+            raise BadArgument("gens", f"{name} has degree {g.degree}, "
+                                      f"cannot invert")
         if not cat.normalize(cat.differentials[name]).is_zero():
-            raise ValueError(f"{name} is not closed, cannot invert")
+            raise BadArgument("gens", f"{name} is not closed, cannot invert")
         inverted.append((g, [_fresh(name + suffix, taken)
                              for suffix in QUAD_SUFFIXES]))
     gens, table = list(cat.generators), dict(cat.differentials)
@@ -120,12 +123,13 @@ def name_as_generator(cat: SemifreeDgCat, expr: NcPoly, name: str) -> SemifreeDg
     composite expression, name it first and then localize the name.
     """
     if expr.degree() not in (0, None):
-        raise ValueError("only degree-0 expressions can be named for inversion")
+        raise BadArgument("expr", "only degree-0 expressions can be named "
+                                  "for inversion")
     if not cat.normalize(cat.d(expr)).is_zero():
-        raise ValueError("expression is not closed")
+        raise BadArgument("expr", "expression is not closed")
     taken = {g.name for g in cat.generators}
     if name in taken or name + "_htpy" in taken:
-        raise ValueError(f"name {name!r} already used")
+        raise BadArgument("name", f"name {name!r} already used")
     rank = cat.next_rank()
     u = Generator(name, expr.source, expr.target, 0, rank)
     k = Generator(name + "_htpy", expr.source, expr.target, -1, rank + 1)

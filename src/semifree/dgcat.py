@@ -60,6 +60,17 @@ class UnknownName(ValueError):
     """A generator or arrow name that the category or plumbing lacks."""
 
 
+class BadArgument(ValueError):
+    """A construction or reduction move refuses one of its arguments: the
+    text says why, and argument names it as a reduction script step does
+    (its key, such as "unit"; None for the category itself).  replay and
+    the CLI report it as an InputError at that step's key or option."""
+
+    def __init__(self, argument: str | None, message: str):
+        self.argument = argument
+        super().__init__(message)
+
+
 def _at(err: Exception, generator: int | None = None,
         in_d: bool = False) -> Exception:
     """err, tagged with the part of a presentation whose check it breaks:

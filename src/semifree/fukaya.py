@@ -92,7 +92,9 @@ def _check_option(value, schema, where: str):
 
 def build(model: ModelId, ring: Ring, options: dict | None = None):
     """The presentation for a model id; localized where the theory localizes.
-    options must fit the schema of the model's family in OPTIONS."""
+    options must fit the schema of the model's family in OPTIONS, and hold
+    values the model can take; otherwise an InputError names the option's
+    path within options."""
     options = {} if options is None else options
     tag, params = model.tag, model.params
     _check_option(options, OPTIONS.get(tag, {}), "document")
@@ -146,16 +148,20 @@ def build_punctured_sphere(n: int, m_plus: int, m_minus: int, ring: Ring,
     gradings = options.get("gradings")
     if gradings is not None:
         if n != 2 or m_minus != 0:
-            raise ValueError("nonstandard sphere gradings apply to the "
-                             "n = 2 one-sign case only")
+            raise InputError("gradings", "nonstandard sphere gradings apply "
+                                         "to the n = 2 one-sign case only")
         if len(gradings) != m or sum(gradings) != 0:
-            raise ValueError(f"gradings must be {m} integers summing to 0")
+            raise InputError("gradings", f"expected {m} integers summing to "
+                                         f"0, got {gradings}")
     background = sorted(options.get("background", ()))
     if background:
         if n != 3:
-            raise ValueError("nonstandard background classes apply to n = 3 only")
+            raise InputError("background", "nonstandard background classes "
+                                           "apply to n = 3 only")
         if any(i < 1 or i >= m for i in background):
-            raise ValueError("background flips index a_1 .. a_{m-1}")
+            raise InputError("background", f"expected indices of a_1 .. "
+                                           f"a_{m - 1}, got "
+                                           f"{options['background']}")
     gens = []
     table = {}
     for i in range(1, m_plus + 1):
@@ -207,9 +213,11 @@ def build_punctured_surface(g: int, m: int, ring: Ring, options: dict):
                                   list(gradings.get("q", [0] * g)),
                                   list(gradings.get("r", [0] * m)))
         if len(p_list) != g or len(q_list) != g or len(r_list) != m:
-            raise ValueError("gradings need g p's, g q's, and m r's")
+            raise InputError("gradings", f"expected {g} p's, {g} q's and "
+                                         f"{m} r's")
         if sum(r_list) != 0:
-            raise ValueError("puncture gradings must sum to 0")
+            raise InputError("gradings.r", f"expected integers summing to "
+                                           f"0, got {r_list}")
     else:
         p_list, q_list, r_list = [0] * g, [0] * g, [0] * m
     gens = []

@@ -18,6 +18,7 @@ from functools import partial
 from .algebra import Generator, NcPoly, UnionFind, render_poly, render_word
 from .dgcat import (
     _PARSE_ERRORS,
+    BadArgument,
     InputError,
     _field,
     _known,
@@ -125,25 +126,27 @@ def change_basis(cat, name: str, unit, lower: NcPoly | None = None,
     g = cat.gen(name)
     unit = ring.normalize(unit)
     if not ring.is_unit(unit):
-        raise ValueError(f"{unit} is not a unit in {ring.render()}")
+        raise BadArgument("unit", f"{unit} is not a unit in {ring.render()}")
     if lower is None:
         lower = NcPoly.zero(ring, g.source, g.target)
     if lower.source != g.source or lower.target != g.target:
-        raise ValueError("basis-change summand has the wrong boundary")
+        raise BadArgument("lower", "basis-change summand has the wrong "
+                                   "boundary")
     deg = lower.degree()
     if deg is not None and deg != g.degree:
-        raise ValueError("basis-change summand has the wrong degree")
+        raise BadArgument("lower", "basis-change summand has the wrong "
+                                   "degree")
     for word in lower.terms:
         if isinstance(word, str):
             continue
         for letter in word:
             if letter.rank >= g.rank:
-                raise ValueError(
-                    f"basis-change summand uses {letter.name} of rank >= "
-                    f"rank({name})")
+                raise BadArgument(
+                    "lower", f"basis-change summand uses {letter.name} of "
+                             f"rank >= rank({name})")
     fresh = new_name or name
     if fresh != name and fresh in {h.name for h in cat.generators}:
-        raise ValueError(f"name {fresh!r} already used")
+        raise BadArgument("renamed", f"name {fresh!r} already used")
     new_gen = Generator(fresh, g.source, g.target, g.degree, g.rank)
     # d(f~) = unit*d(f) + d(lower), neither of which uses f
     d_new = cat.differentials[name].scale(unit) + cat.d(lower)
@@ -164,8 +167,8 @@ def cancel_pair(cat, a_name: str, b_name: str):
     b = cat.gen(b_name)
     da = cat.differentials[a_name]
     if _partner(da, ring) != b:
-        raise ValueError(f"{b_name} is not the partner of {a_name}: "
-                         f"d({a_name}) = {render_poly(da)}")
+        raise BadArgument("b", f"{b_name} is not the partner of {a_name}: "
+                               f"d({a_name}) = {render_poly(da)}")
     u = da.terms[(b,)]
     r = NcPoly(ring, da.source, da.target,
                {w: c for w, c in da.terms.items() if w != (b,)})
@@ -185,16 +188,17 @@ def set_generator(cat, name: str, value: str):
         image = NcPoly.zero(ring, g.source, g.target)
     elif value == "identity":
         if g.source != g.target or g.degree != 0:
-            raise ValueError(f"{name} cannot be set to an identity")
+            raise BadArgument("value", f"{name} cannot be set to an "
+                                       f"identity")
         image = NcPoly.identity(ring, g.source)
     else:
-        raise ValueError("value must be 'zero' or 'identity'")
+        raise BadArgument("value", "value must be 'zero' or 'identity'")
     # d(name) uses only earlier generators, so the substitution keeps it
     dx = cat.differentials[name]
     if not cat.normalize(dx).is_zero():
-        raise ValueError(
-            f"setting {name} = {value} breaks d-compatibility: "
-            f"d({name}) maps to {render_poly(dx)}")
+        raise BadArgument(
+            "gen", f"setting {name} = {value} breaks d-compatibility: "
+                   f"d({name}) maps to {render_poly(dx)}")
     entry = {"op": "set_generator", "gen": name, "value": value,
              "before": len(cat.generators), "after": len(cat.generators) - 1}
     return _substitute(cat, cat.rules, {name: image}, entry)
@@ -205,11 +209,12 @@ def strictify_t(cat):
     t_X connects, set t_X and its inverse to identities, and drop the
     localization clusters; t_f generators lose their t_ prefix when free."""
     if cat.rules:
-        raise ValueError("strictify_t cannot keep a category's rules")
+        raise BadArgument(None, "strictify_t cannot keep a category's "
+                                "rules")
     entries = [e for e in cat.provenance
                if isinstance(e, dict) and e.get("op") == "hocolim"]
     if not entries:
-        raise ValueError("no hocolim provenance to strictify")
+        raise BadArgument(None, "no hocolim provenance to strictify")
     entry = entries[-1]
     t_names = set(entry["t_objects"].values())
     cluster_names = {}
@@ -343,10 +348,21 @@ def _parsed(where: str, parse, *args):
         raise InputError(where, str(err)) from None
 
 
+def _moved(where: str, move, *args):
+    """move(*args), the move of the step at where; an argument it refuses
+    is an InputError at the step key that gives it (the step itself for
+    the category)."""
+    try:
+        return move(*args)
+    except BadArgument as err:
+        raise InputError(f"{where}.{err.argument}" if err.argument else where,
+                         str(err)) from None
+
+
 def replay(cat, steps):
     """Replay a serialized reduction script, a list of steps; a malformed
-    step, or one naming a generator the category lacks, is an InputError at
-    its JSON path."""
+    step, one naming a generator the category lacks, or one whose move
+    refuses an argument (BadArgument), is an InputError at its JSON path."""
     from .constructions import localize, name_as_generator
     if not isinstance(steps, list):
         raise InputError("document", f"expected a list of steps, got "
@@ -364,34 +380,26 @@ def replay(cat, steps):
             lower = _parsed(f"{where}.lower", cat.poly,
                             _text_arg(step, "lower", "0", where),
                             g.source, g.target)
-            renamed = _text_arg(step, "renamed", None, where)
-            if renamed != g.name and renamed in cat.gen_map():
-                raise InputError(f"{where}.renamed",
-                                 f"name {renamed!r} already used")
-            cat = change_basis(cat, g.name, unit, lower, renamed)
+            cat = _moved(where, change_basis, cat, g.name, unit, lower,
+                         _text_arg(step, "renamed", None, where))
         elif op == "cancel_pair":
-            cat = cancel_pair(cat, _gen_arg(cat, step, "a", where),
-                              _gen_arg(cat, step, "b", where))
+            cat = _moved(where, cancel_pair, cat,
+                         _gen_arg(cat, step, "a", where),
+                         _gen_arg(cat, step, "b", where))
         elif op == "set_generator":
-            name, value = _gen_arg(cat, step, "gen", where), arg("value")
-            if value not in ("zero", "identity"):
-                raise InputError(f"{where}.value",
-                                 "value must be 'zero' or 'identity'")
-            cat = set_generator(cat, name, value)
+            cat = _moved(where, set_generator, cat,
+                         _gen_arg(cat, step, "gen", where), arg("value"))
         elif op == "strictify":
-            cat = strictify_t(cat)
+            cat = _moved(where, strictify_t, cat)
         elif op == "localize":
-            cat = localize(cat, _known(arg("gens", kind=list), cat.gen_map(),
-                                       "generator named", f"{where}.gens"))
+            cat = _moved(where, localize, cat, _known(
+                arg("gens", kind=list), cat.gen_map(), "generator named",
+                f"{where}.gens"))
         elif op == "name_generator":
             ends = [_known((arg(key),), cat.objects, "object",
                            f"{where}.{key}")[0] for key in ("src", "tgt")]
             expr = _parsed(f"{where}.expr", cat.poly, arg("expr"), *ends)
-            name = arg("name")
-            if {name, name + "_htpy"} & cat.gen_map().keys():
-                raise InputError(f"{where}.name",
-                                 f"name {name!r} already used")
-            cat = name_as_generator(cat, expr, name)
+            cat = _moved(where, name_as_generator, cat, expr, arg("name"))
         elif op == "greedy":
             cat, _ = greedy_simplify(cat)
         else:

@@ -806,7 +806,10 @@ def mutated_documents(draw, documents, names):
             "*".join),
         st.lists(st.sampled_from(names), max_size=3))
     for _ in range(draw(st.integers(1, 2))):
-        *path, key = draw(st.sampled_from(list(_parts(doc))))
+        parts = list(_parts(doc))
+        if not parts:  # the first change emptied a list document
+            break
+        *path, key = draw(st.sampled_from(parts))
         parent = doc
         for step in path:
             parent = parent[step]

@@ -2,6 +2,7 @@
 
 import functools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -219,6 +220,44 @@ def test_exact_rank_on_singleton_heavy_rows_matches_dense_oracle(data):
         [list(map(type, r.values())) for r in before]
 
 
+@st.composite
+def aliased_rows(draw, p, rational: bool):
+    """singleton_heavy_rows with clean multi-entry rows added (nonzero,
+    reduced values) and some dicts listed more than once, in any order: a
+    clean row that becomes a pivot meets its own alias later."""
+    rows = draw(singleton_heavy_rows(p, rational))
+    value = st.integers(1, p - 1) if p else st.integers(-5, 5).filter(bool)
+    for _ in range(draw(st.integers(1, 4))):
+        cols = draw(st.lists(st.integers(0, NCOLS - 1), min_size=2,
+                             max_size=NCOLS, unique=True))
+        rows.append({c: draw(value) for c in cols})
+    aliases = draw(st.lists(st.sampled_from(rows), min_size=1, max_size=6))
+    return draw(st.permutations(rows + aliases))
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_exact_rank_on_aliased_rows_matches_dense_oracle(data):
+    # clean rows enter the elimination uncopied, so a reduction must copy
+    # a row before it changes it, even when the pivot is the row itself
+    ring_ = data.draw(st.sampled_from([INTEGERS, Q, integers_mod(2),
+                                       integers_mod(3), integers_mod(7)]))
+    p = ring_.modulus if ring_.kind == "Zmod" else None
+    rows = data.draw(aliased_rows(p, ring_ is Q))
+    before = [dict(r) for r in rows]
+    assert exact_rank(rows, ring_) == dense_rank(rows, NCOLS, p)
+    assert rows == before  # the caller's rows are not modified
+    assert [list(map(type, r.values())) for r in rows] == \
+        [list(map(type, r.values())) for r in before]
+
+
+@pytest.mark.parametrize("ring_", [INTEGERS, P], ids=["Z", "Zmod"])
+def test_exact_rank_of_a_pivot_listed_twice(ring_):
+    row = {0: 3, 2: 5, 4: 1}  # clean, leading with 1: the caller's pivot
+    assert exact_rank([row, {1: 2, 3: 1}, row], ring_) == 2
+    assert row == {0: 3, 2: 5, 4: 1}
+
+
 @pytest.mark.parametrize("field", ["Q", "Zmod:7"])
 @pytest.mark.parametrize("spec,bound", [("M:1,1", 2), ("S:2,1,1", 3)])
 def test_exact_rank_on_assembled_matrices_matches_dense_oracle(spec, bound,
@@ -328,6 +367,30 @@ def test_rational_and_modular_tables_agree_with_fractional_d(window, bound):
         "t": NcPoly(Q, "L", "L", {(x, h): Fraction(3, 5),
                                   (h, x): Fraction(-3, 5)})})
     assert_fields_agree(cat, "L", "L", window, bound)
+
+
+class _Rows(list):
+    """A list that a weak reference can follow."""
+
+
+def test_hom_holds_one_degrees_rows_at_a_time(monkeypatch):
+    # each degree's rows are dropped once ranked, before the next degree's
+    # are made: a weak reference to them is dead by the next _d_rows call
+    cat = build(ModelId.parse("M:1,1"), ring)
+    expected = truncated_cohomology(cat, "L", "L", (-6, 0), 3, Q)
+    made = []
+    d_rows = analysis._d_rows
+
+    def tracked(*args):
+        assert [ref() for ref in made] == [None] * len(made)
+        rows, lost = d_rows(*args)
+        rows = _Rows(rows)
+        made.append(weakref.ref(rows))
+        return rows, lost
+
+    monkeypatch.setattr(analysis, "_d_rows", tracked)
+    assert truncated_cohomology(cat, "L", "L", (-6, 0), 3, Q) == expected
+    assert len(made) == 8 and made[-1]() is None
 
 
 def test_negative_rank_raises_instead_of_clamping(monkeypatch):

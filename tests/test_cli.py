@@ -3,6 +3,7 @@
 import importlib
 import inspect
 import json
+import re
 import runpy
 import subprocess
 import sys
@@ -23,7 +24,8 @@ from helpers import (
 )
 from semifree.algebra import _MR_LIMIT
 from semifree.cli import _dump, load_functor, load_span, main, make_parser
-from semifree.dgcat import DSquaredNonzero, FunctorError, InputError
+from semifree.dgcat import DSquaredNonzero, FunctorError, InputError, from_json
+from semifree.reduce import replay
 from semifree.rewrite import RuleError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -143,6 +145,19 @@ def test_localize_keeps_the_rules_of_a_tensor(tmp_path, capsys):
     assert len(doc["rules"]) == 198
     assert main(["verify", str(local)]) == 0
     assert capsys.readouterr().out == f"ok {local}\n"
+
+
+@pytest.mark.parametrize("document,gens,message", [
+    ("c3.json", "z", "--gens: z has degree -2, cannot invert"),
+    ("e12_n3.json", "x,a", "--gens: a is not closed, cannot invert"),
+], ids=["wrong-degree", "not-closed"])
+def test_localize_names_the_option_of_a_generator_it_cannot_invert(
+        document, gens, message, tmp_path, capsys):
+    out = tmp_path / "local.json"
+    assert main(["localize", str(DATA / document), "--gens", gens,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_hocolim_refuses_a_part_with_rules(tmp_path, capsys):
@@ -627,6 +642,20 @@ def test_functor_ranks_names_a_malformed_window(window, tmp_path, capsys):
        "name": "w"}], "[0].src: no object 'Q'"),
     ([{"op": "name_generator", "expr": "0", "src": "L1", "tgt": "Q",
        "name": "w"}], "[0].tgt: no object 'Q'"),
+    ([{"op": "localize", "gens": ["y"]}],
+     "[0].gens: y has degree -1, cannot invert"),
+    ([{"op": "localize", "gens": ["x", "a"]}],
+     "[0].gens: a is not closed, cannot invert"),
+    ([{"op": "change_basis", "gen": "a", "unit": "2"}],
+     "[0].unit: 2 is not a unit in Z"),
+    ([{"op": "cancel_pair", "a": "a", "b": "y"}],
+     "[0].b: y is not the partner of a: d(a) = -b"),
+    ([{"op": "set_generator", "gen": "a", "value": "zero"}],
+     "[0].gen: setting a = zero breaks d-compatibility: d(a) maps to -b"),
+    ([{"op": "strictify"}],
+     "[0]: strictify_t cannot keep a category's rules"),
+    ([{"op": "name_generator", "expr": "a", "src": "L2", "tgt": "L1",
+       "name": "w"}], "[0].expr: expression is not closed"),
 ], ids=["no-op", "object", "no-argument", "step-not-object",
         "argument-type", "unknown-op", "unknown-generator",
         "unknown-set-generator", "unknown-localize-generator",
@@ -634,7 +663,10 @@ def test_functor_ranks_names_a_malformed_window(window, tmp_path, capsys):
         "unit-not-a-string", "lower-not-a-string", "renamed-not-a-string",
         "lower-does-not-parse", "expr-does-not-parse", "set-to-unknown-value",
         "renamed-to-a-used-name", "named-a-used-name",
-        "named-from-unknown-object", "named-to-unknown-object"])
+        "named-from-unknown-object", "named-to-unknown-object",
+        "localize-wrong-degree", "localize-not-closed", "unit-not-a-unit",
+        "cancel-not-a-partner", "set-not-closed", "strictify-with-rules",
+        "named-not-closed"])
 def test_simplify_names_a_malformed_script(script, message, tmp_path,
                                            capsys):
     path = tmp_path / "script.json"
@@ -717,12 +749,28 @@ def test_options_name_an_unknown_name(argv, message, tmp_path, capsys):
      "'localize'"),
     (["--model", "A2", "--options", '{"localize": false}'],
      "--options: unknown key 'localize', expected none"),
+    (["--model", "S:2,3", "--options", '{"gradings": [1, 1, 1]}'],
+     "--options.gradings: expected 3 integers summing to 0, got [1, 1, 1]"),
+    (["--model", "S:3,3", "--options", '{"background": [1, 3]}'],
+     "--options.background: expected indices of a_1 .. a_2, got [1, 3]"),
+    (["--model", "S:3,3", "--options", '{"gradings": [1, -1, 0]}'],
+     "--options.gradings: nonstandard sphere gradings apply to the n = 2 "
+     "one-sign case only"),
+    (["--model", "S:2,3", "--options", '{"background": [1]}'],
+     "--options.background: nonstandard background classes apply to n = 3 "
+     "only"),
+    (["--model", "M:1,2", "--options", '{"gradings": {"r": [0]}}'],
+     "--options.gradings: expected 1 p's, 1 q's and 2 r's"),
+    (["--model", "M:1,2", "--options", '{"gradings": {"r": [1, 1]}}'],
+     "--options.gradings.r: expected integers summing to 0, got [1, 1]"),
 ], ids=["model-parameter-not-integer", "unknown-model", "options-list",
         "options-not-json", "grading-float", "grading-bool",
         "background-not-list", "surface-grading-float",
         "surface-gradings-list", "surface-grading-unknown-key",
         "localize-not-bool", "unknown-key",
-        "model-takes-no-options"])
+        "model-takes-no-options", "gradings-not-summing-to-zero",
+        "background-out-of-range", "gradings-off-n-2", "background-off-n-3",
+        "surface-gradings-miscounted", "surface-gradings-not-summing-to-zero"])
 def test_build_names_a_malformed_model_or_option(argv, message, tmp_path,
                                                  capsys):
     # these once printed a raw Python error, or, for a float grading, built
@@ -813,6 +861,53 @@ def test_functor_and_span_loaders_raise_only_documented_errors(case):
     try:
         load(doc)
     except (InputError, DSquaredNonzero, FunctorError, RuleError):
+        pass
+
+
+_E12 = from_json(json.loads((DATA / "e12_n3.json").read_text()))
+# every reduction step, in a script that runs on e12_n3.json
+SCRIPTS = [json.loads((DATA / name).read_text())
+           for name in ("cancel_script.json", "basis_script.json")] + [[
+    {"op": "change_basis", "gen": "a", "unit": "-1", "lower": "0",
+     "renamed": "a2"},
+    {"op": "set_generator", "gen": "y", "value": "zero"},
+    {"op": "name_generator", "expr": "x", "src": "L1", "tgt": "L2",
+     "name": "u"},
+    {"op": "localize", "gens": ["u"]},
+    {"op": "greedy"}]]
+STEP_WORDS = ["change_basis", "cancel_pair", "set_generator", "strictify",
+              "localize", "name_generator", "greedy", "zero", "identity",
+              "L1", "L2", "x", "a", "b", "y", "u", "a2", "-1", "2"]
+
+
+def _resolves(doc, path: str) -> bool:
+    """Whether the JSON path path ("document", or steps such as [0].gens[1])
+    names a part of doc."""
+    if path == "document":
+        return True
+    node = doc
+    for index, key in re.findall(r"\[(\d+)\]|\.?([^.\[]+)", path):
+        if index:
+            if not isinstance(node, list) or int(index) >= len(node):
+                return False
+            node = node[int(index)]
+        elif isinstance(node, dict) and key in node:
+            node = node[key]
+        else:
+            return False
+    return True
+
+
+@settings(max_examples=500, deadline=None)
+@given(mutated_documents(SCRIPTS, lambda doc: STEP_WORDS))
+def test_replay_raises_only_documented_errors_at_their_paths(script):
+    # simplify --script runs replay on the loaded category; a move that
+    # refused an argument once left as a bare ValueError with no path
+    try:
+        replay(_E12, script)
+    except InputError as err:
+        assert _resolves(script, err.path), (err.path, script)
+    except (DSquaredNonzero, FunctorError, RuleError):
         pass
 
 
