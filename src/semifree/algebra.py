@@ -16,11 +16,11 @@ from math import gcd
 from typing import Iterable, NamedTuple, Union
 
 
-class CompositionError(Exception):
+class CompositionError(ValueError):
     """Raised when sources and targets do not line up."""
 
 
-class MissingDifferential(Exception):
+class MissingDifferential(ValueError):
     """Raised when a generator has no entry in a differential table."""
 
 

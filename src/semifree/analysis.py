@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .algebra import NcPoly, Ring, render_poly
-from .dgcat import _d_table, hom_slice, new_semifree, push_poly
+from .dgcat import BadArgument, _d_table, hom_slice, new_semifree, push_poly
 from .rewrite import audit_rules, normal_form
 
 
@@ -220,12 +220,13 @@ class RankTable:
 
 def truncated_cohomology(cat, source: str, target: str, window, bound: int,
                          field: Ring) -> RankTable:
-    """Kernel/image ranks of the word-length-truncated hom complex."""
+    """Kernel/image ranks of the word-length-truncated hom complex; an
+    argument it or hom_slice refuses is a BadArgument that names it."""
     if not field.is_field():
-        raise ValueError(f"{field.render()} is not a field")
+        raise BadArgument("field", f"{field.render()} is not a field")
     lo, hi = window
     if lo > hi:
-        raise ValueError(f"hom window {lo}:{hi} is empty (lo > hi)")
+        raise BadArgument("window", f"hom window {lo}:{hi} is empty (lo > hi)")
     copied = cat.ring.kind == "Zmod" and field != cat.ring
     if copied:
         # Residues mod m read as values of another field make no ring map,

@@ -19,7 +19,6 @@ from .algebra import Ring, render_poly
 from .analysis import functor_rank_compat, truncated_cohomology
 from .constructions import PushoutSpan, hocolim, localize, tensor
 from .dgcat import (
-    _PARSE_ERRORS,
     BadArgument,
     DgFunctor,
     DSquaredNonzero,
@@ -144,7 +143,7 @@ def functor_from_json(doc: dict, source, target, where: str = "") -> DgFunctor:
         try:
             gm[g.name] = target.poly(text, objects[g.source],
                                      objects[g.target])
-        except _PARSE_ERRORS as err:
+        except ValueError as err:
             raise InputError(f"{path}generators.{g.name}", str(err)) from None
     return DgFunctor(source, target, dict(objects), gm)
 
@@ -183,8 +182,35 @@ def load_span(doc: dict) -> PushoutSpan:
 # subcommands
 # ---------------------------------------------------------------------------
 
+# the argument a computation refuses (BadArgument.argument) -> the option
+# that gives it
+_OPTIONS = {"gens": "--gens", "source": "--src", "target": "--tgt",
+            "window": "--window", "bound": "--bound", "field": "--field",
+            "n": "--n"}
+
+
+def _run(compute, *args):
+    """compute(*args); an argument it refuses is an InputError at the
+    option that gives it."""
+    try:
+        return compute(*args)
+    except BadArgument as err:
+        raise InputError(_OPTIONS[err.argument], str(err)) from None
+
+
+def _ring(args, option: str):
+    """The ring that the option --coeff or --field (option "coeff" or
+    "field") gives, or None when it is not given; a text that names no
+    ring is an InputError at the option."""
+    text = getattr(args, option)
+    try:
+        return None if text is None else Ring.parse(text)
+    except ValueError as err:
+        raise InputError(f"--{option}", str(err)) from None
+
+
 def cmd_build(args):
-    ring = Ring.parse(args.coeff)
+    ring = _ring(args, "coeff")
     try:
         model = ModelId.parse(args.model)
     except ValueError as err:
@@ -205,11 +231,7 @@ def cmd_localize(args):
     cat = _load_cat(args.file)
     names = _known(args.gens.split(","), cat.gen_map(), "generator named",
                    "--gens")
-    try:
-        cat = localize(cat, names)
-    except BadArgument as err:
-        raise InputError("--gens", str(err)) from None
-    _emit_cat(cat, args)
+    _emit_cat(_run(localize, cat, names), args)
     return 0
 
 
@@ -275,9 +297,8 @@ def _window(text: str) -> tuple:
 
 def cmd_hom(args):
     cat = _load_cat(args.file)
-    field = Ring.parse(args.field)
-    table = truncated_cohomology(cat, args.src, args.tgt, _window(args.window),
-                                 args.bound, field)
+    table = _run(truncated_cohomology, cat, args.src, args.tgt,
+                 _window(args.window), args.bound, _ring(args, "field"))
     if args.emit == "md":
         _emit(table.markdown() + "\n", args.out)
     else:
@@ -288,8 +309,13 @@ def cmd_hom(args):
 def cmd_plumb(args):
     from .plumbing import (build_wrapped, placement_from_json,
                            plumbing_from_json)
-    ring = Ring.parse(args.coeff) if args.coeff else None
-    data = plumbing_from_json(_load_json(args.file), ring, args.n)
+    try:
+        data = plumbing_from_json(_load_json(args.file), _ring(args, "coeff"),
+                                  args.n)
+    except InputError as err:
+        if args.n is None or err.path != "n":
+            raise
+        raise InputError("--n", err.message) from None
     placement = (placement_from_json(_load_json(args.reorder), data)
                  if args.reorder else None)
     cat = build_wrapped(data, placement)
@@ -301,9 +327,9 @@ def cmd_ginzburg(args):
     from .plumbing import (build_ginzburg, ginzburg_witness, plumbing_to_json,
                            quiver_from_json)
     gq = quiver_from_json(_load_json(args.file))
-    ring = Ring.parse(args.coeff)
+    ring = _ring(args, "coeff")
     if args.witness:
-        data, functor, report = ginzburg_witness(gq, args.n, ring)
+        data, functor, report = _run(ginzburg_witness, gq, args.n, ring)
         doc = {
             "equal": report["equal"],
             "mismatches": report["mismatches"],
@@ -321,8 +347,7 @@ def cmd_ginzburg(args):
 def cmd_equiv(args):
     from .plumbing import (edge_flip_witness, plumbing_from_json,
                            plumbing_to_json, sign_gauge_witness)
-    ring = Ring.parse(args.coeff) if args.coeff else None
-    data = plumbing_from_json(_load_json(args.file), ring)
+    data = plumbing_from_json(_load_json(args.file), _ring(args, "coeff"))
     if args.mode == "flip":
         if args.arrow is None:
             raise InputError("--arrow", "required by equiv flip")
@@ -365,9 +390,9 @@ def cmd_functor_check(args):
     cert = validate_functor(functor)
     if args.ranks:
         cert = {"functor": cert,
-                "ranks": functor_rank_compat(functor, _window(args.window),
-                                             args.bound,
-                                             Ring.parse(args.field))}
+                "ranks": _run(functor_rank_compat, functor,
+                              _window(args.window), args.bound,
+                              _ring(args, "field"))}
     _emit(_dump(cert), args.out)
     return 0
 

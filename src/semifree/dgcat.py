@@ -32,11 +32,11 @@ from .algebra import (
 )
 
 
-class DegreeError(Exception):
+class DegreeError(ValueError):
     pass
 
 
-class OrdinalViolation(Exception):
+class OrdinalViolation(ValueError):
     pass
 
 
@@ -61,23 +61,31 @@ class UnknownName(ValueError):
 
 
 class BadArgument(ValueError):
-    """A construction or reduction move refuses one of its arguments: the
-    text says why, and argument names it as a reduction script step does
-    (its key, such as "unit"; None for the category itself).  replay and
-    the CLI report it as an InputError at that step's key or option."""
+    """A construction, reduction move or hom computation refuses one of its
+    arguments: the text says why, and argument names it as a reduction
+    script step does (its key, such as "unit"), or else by its parameter
+    (such as "window"); None for the category itself.  replay and the CLI
+    report it as an InputError at that step's key or option."""
 
     def __init__(self, argument: str | None, message: str):
         self.argument = argument
         super().__init__(message)
 
 
-def _at(err: Exception, generator: int | None = None,
-        in_d: bool = False) -> Exception:
-    """err, tagged with the part of a presentation whose check it breaks:
-    the objects (generator None), or the generator at that index, in its d
-    or not.  from_json reports the part as a JSON path."""
-    err.part = (generator, in_d)
+def _part(err: Exception, *path) -> Exception:
+    """err, tagged with the part of a document whose check it breaks, as
+    keys and list indices, such as ("generators", 3, "d"); the loaders
+    report it at _json_path(err)."""
+    err.part = path
     return err
+
+
+def _json_path(err: Exception) -> str:
+    """The JSON path of err's part, such as generators[3].d, or "document"
+    for an error with no part."""
+    path = "".join(f"[{p}]" if isinstance(p, int) else f".{p}"
+                   for p in getattr(err, "part", ()))
+    return path[1:] or "document"
 
 
 def _first_repeat(values) -> int:
@@ -102,32 +110,34 @@ class SemifreeDgCat:
     def __post_init__(self):
         """Distinct objects, names and ranks, ranks in order; for each
         generator, declared objects and a d over the category's ring, along
-        its boundary, of its degree + 1, in earlier generators; the rules.
+        its boundary, of its degree + 1, in earlier generators; weights of
+        generators, integers >= 0, kept only with rules; the rules.
 
         A structural error carries part, the part of the presentation that
-        breaks the check (see _at)."""
+        breaks the check (see _part)."""
         ring, generators = self.ring, self.generators
         obj_set = set(self.objects)
         if len(obj_set) != len(self.objects):
-            raise _at(ValueError("duplicate object ids"))
+            raise _part(ValueError("duplicate object ids"), "objects")
         gen_map = {g.name: g for g in generators}
         if len(gen_map) != len(generators):
             i = _first_repeat(g.name for g in generators)
-            raise _at(ValueError("duplicate generator names"), i)
+            raise _part(ValueError("duplicate generator names"),
+                        "generators", i)
         # ranks code words (hom_slice, _d_table, the rule index)
         by_rank = {g.rank: g for g in generators}
         if len(by_rank) != len(generators):
             i = _first_repeat(g.rank for g in generators)
-            raise _at(ValueError("duplicate ordinal ranks"), i)
+            raise _part(ValueError("duplicate ordinal ranks"), "generators", i)
         if list(by_rank) != sorted(by_rank):
             i = next(i for i in range(1, len(generators))
                      if generators[i].rank < generators[i - 1].rank)
-            raise _at(ValueError("generators must be listed in rank order"),
-                      i)
+            raise _part(ValueError("generators must be listed in rank order"),
+                        "generators", i)
         for i, g in enumerate(generators):
             if g.source not in obj_set or g.target not in obj_set:
-                raise _at(ValueError(f"generator {g.name} references "
-                                     f"undeclared objects"), i)
+                raise _part(ValueError(f"generator {g.name} references "
+                                       f"undeclared objects"), "generators", i)
         try:
             for i, g in enumerate(generators):
                 dg = self.differentials.get(g.name)
@@ -168,12 +178,19 @@ class SemifreeDgCat:
                             f"d({g.name}) has the term {render_word(word)}, "
                             f"which does not compose along "
                             f"{g.source}->{g.target}")
-        except (ValueError, CompositionError, DegreeError,
-                OrdinalViolation) as err:
-            raise _at(err, i, in_d=True)
+        except ValueError as err:
+            raise _part(err, "generators", i, "d")
+        for name, weight in self.weights.items():
+            if name not in gen_map:
+                raise _part(ValueError(f"unknown generator {name!r}"),
+                            "weights")
+            if type(weight) is not int or weight < 0:
+                raise _part(ValueError(f"expected an integer >= 0, got "
+                                       f"{weight!r}"), "weights", name)
         # not fields: equality and repr stay those of the fields
         object.__setattr__(self, "_gen_map", gen_map)
         if not self.rules:
+            object.__setattr__(self, "weights", {})
             return
         from .rewrite import RuleError, RuleIndex
         # the index codes words by rank and decodes them through by_rank,
@@ -276,10 +293,10 @@ class SemifreeDgCat:
 def new_semifree(ring: Ring, objects, generators, differentials,
                  provenance=(), rules=(), weights=None) -> SemifreeDgCat:
     """The class's structural checks, then d^2 = 0 modulo the rules, then
-    the rules' compatibility with d; weights are kept only with rules."""
+    the rules' compatibility with d."""
     cat = SemifreeDgCat(ring, tuple(objects), tuple(generators),
                         dict(differentials), tuple(provenance), tuple(rules),
-                        dict(weights or {}) if rules else {})
+                        dict(weights or {}))
     audit_d_squared(cat)
     if cat.rules:
         from .rewrite import audit_rules
@@ -402,8 +419,7 @@ def keep_generators(cat: SemifreeDgCat, gens, **changes) -> SemifreeDgCat:
     names = {g.name for g in gens}
     rules = tuple((lhs, rhs) for lhs, rhs in cat.rules
                   if all(g.name in names for g in lhs))
-    weights = ({n: w for n, w in cat.weights.items() if n in names}
-               if rules else {})
+    weights = {n: w for n, w in cat.weights.items() if n in names}
     return replace(cat, generators=tuple(gens),
                    differentials={g.name: cat.differentials[g.name]
                                   for g in gens},
@@ -466,12 +482,13 @@ def hom_slice(cat, source: str, target: str, window, length_bound: int) -> HomBa
     for role, obj in (("source", source), ("target", target)):
         if obj not in cat.objects:
             known = ", ".join(map(str, cat.objects))
-            raise ValueError(f"hom {role} {obj!r} is not an object of the "
-                             f"category (objects: {known})")
+            raise BadArgument(role, f"hom {role} {obj!r} is not an object "
+                                    f"of the category (objects: {known})")
     if lo > hi:
-        raise ValueError(f"hom window {lo}:{hi} is empty (lo > hi)")
+        raise BadArgument("window", f"hom window {lo}:{hi} is empty (lo > hi)")
     if length_bound < 0:
-        raise ValueError(f"hom length bound {length_bound} is negative")
+        raise BadArgument("bound",
+                          f"hom length bound {length_bound} is negative")
     # Every grown word is irreducible, so a rule lhs can occur in (r,)+word
     # only as a prefix: r starts the lhs and word[:k] is the rest of it.
     # tails[r] lists (k, the rests of length k of the lhs that start at r).
@@ -598,10 +615,6 @@ class InputError(ValueError):
         return InputError(path, self.message)
 
 
-# what parse_poly raises for a polynomial string that does not parse or
-# does not fit its boundary
-_PARSE_ERRORS = (ValueError, CompositionError)
-
 _GENERATOR_FIELDS = {"name": str, "src": str, "tgt": str, "deg": int,
                      "rank": int, "d": str}
 _EXPECTED = {str: "a string", int: "an integer", list: "a list",
@@ -665,7 +678,7 @@ def from_json(data: dict):
         for i, (spec, g) in enumerate(zip(specs, gens)):
             table[g.name] = parse_poly(spec["d"], ring, g.source, g.target,
                                        gm.get)
-    except _PARSE_ERRORS as err:
+    except ValueError as err:
         raise InputError(f"generators[{i}].d", str(err)) from None
     provenance = data.get("provenance", [])
     if not isinstance(provenance, list):
@@ -673,12 +686,6 @@ def from_json(data: dict):
     weights = data.get("weights", {})
     if not isinstance(weights, dict):
         raise InputError("weights", f"expected an object, got {weights!r}")
-    for name, weight in weights.items():
-        if name not in gm:
-            raise InputError("weights", f"unknown generator {name!r}")
-        if type(weight) is not int or weight < 0:
-            raise InputError(f"weights.{name}",
-                             f"expected an integer >= 0, got {weight!r}")
     specs = data.get("rules", [])
     if not isinstance(specs, list):
         raise InputError("rules", f"expected a list of rules, got {specs!r}")
@@ -705,19 +712,13 @@ def from_json(data: dict):
         try:
             rhs = (parse_poly(r["rhs"], ring, lhs[-1].source, lhs[0].target,
                               gm.get) if lhs else None)
-        except _PARSE_ERRORS as err:
+        except ValueError as err:
             raise InputError(f"rules[{i}].rhs", str(err)) from None
         rules.append((lhs, rhs))
     try:
         cat = SemifreeDgCat(ring, objects, gens, table, tuple(provenance),
-                            tuple(rules), dict(weights) if rules else {})
-    except (ValueError, CompositionError, DegreeError,
-            OrdinalViolation) as err:  # a structural check, at its part
-        path = "document"
-        if hasattr(err, "part"):
-            i, in_d = err.part
-            path = ("objects" if i is None else
-                    f"generators[{i}]" + (".d" if in_d else ""))
-        raise InputError(path, str(err)) from err
+                            tuple(rules), dict(weights))
+    except ValueError as err:  # a structural check, at its part
+        raise InputError(_json_path(err), str(err)) from err
     audit_d_squared(cat)
     return cat

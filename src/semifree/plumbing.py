@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (
-    CompositionError,
     Generator,
     NcPoly,
     Ring,
@@ -24,17 +23,17 @@ from .algebra import (
     render_poly,
 )
 from .dgcat import (
-    _PARSE_ERRORS,
+    BadArgument,
     DSquaredNonzero,
-    DegreeError,
     DgFunctor,
     InputError,
-    OrdinalViolation,
     SemifreeDgCat,
     UnknownName,
     _field,
     _first_repeat,
+    _json_path,
     _known,
+    _part,
     new_semifree,
     push_poly,
     validate_functor,
@@ -127,31 +126,15 @@ class PlumbingData:
             if spec.kind == "custom":
                 try:
                     _custom_category(spec, self.ring, self.n)  # validates
-                except _DATA_ERRORS as err:
+                except (ValueError, DSquaredNonzero) as err:
                     raise _part(err, "vertices", i, "manifold",
                                 *getattr(err, "part", ()))
-
-    def spec(self, vid: str) -> VertexSpec:
-        return dict(self.vertices)[vid]
 
     def arrow(self, aid: str) -> Arrow:
         for a in self.arrows:
             if a.id == aid:
                 return a
         raise UnknownName(f"no arrow {aid!r}")
-
-
-def _part(err: Exception, *path) -> Exception:
-    """err, tagged with the path of the part of a plumbing document whose
-    check it breaks, as keys and list indices, such as ("arrows", 0,
-    "tgt").  plumbing_from_json spells it as a JSON path."""
-    err.part = path
-    return err
-
-
-# what PlumbingData's checks raise: a custom vertex builds its category
-_DATA_ERRORS = (ValueError, CompositionError, DegreeError, OrdinalViolation,
-                DSquaredNonzero)
 
 
 def _custom_category(spec: VertexSpec, ring: Ring, n: int):
@@ -173,19 +156,19 @@ def _custom_category(spec: VertexSpec, ring: Ring, n: int):
         try:
             table[g.name] = parse_poly(diffs.get(g.name, "0"), ring, "pt",
                                        "pt", gm.get)
-        except _PARSE_ERRORS as err:
+        except ValueError as err:
             raise _part(err, "differentials", g.name)
     try:
         cat = new_semifree(ring, ("pt",), gens, table)
     except DSquaredNonzero as err:
         raise _part(err, "differentials", err.gen_name)
-    except _DATA_ERRORS as err:  # the class's checks, at a generator
-        i, in_d = err.part
-        raise (_part(err, "differentials", gens[i].name) if in_d else
-               _part(err, "generators", i))
+    except ValueError as err:  # the class's checks: a d is keyed by name
+        if err.part[-1] == "d":
+            raise _part(err, "differentials", gens[err.part[1]].name)
+        raise
     try:
         eta = parse_poly(spec.eta, ring, "pt", "pt", gm.get)
-    except _PARSE_ERRORS as err:
+    except ValueError as err:
         raise _part(err, "eta")
     deg = eta.degree()
     if deg is not None and deg != 2 - n:
@@ -389,10 +372,25 @@ class GradedQuiver:
     arrows: tuple  # GradedArrow
 
     def __post_init__(self):
-        vids = set(self.vertices)
-        for a in self.arrows:
-            if a.src not in vids or a.tgt not in vids:
-                raise ValueError(f"arrow {a.id} references unknown vertices")
+        """Distinct vertex and arrow ids, and arrows between known vertices.
+
+        An error carries part, the part of the quiver document that breaks
+        the check (see dgcat._part)."""
+        if len(set(self.vertices)) != len(self.vertices):
+            i = _first_repeat(self.vertices)
+            raise _part(ValueError(f"duplicate vertex id "
+                                   f"{self.vertices[i]!r}"), "vertices", i)
+        known, ids = set(self.vertices), set()
+        for i, a in enumerate(self.arrows):
+            if a.id in ids:
+                raise _part(ValueError(f"duplicate arrow id {a.id!r}"),
+                            "arrows", i, "id")
+            ids.add(a.id)
+            for end in ("src", "tgt"):
+                if getattr(a, end) not in known:
+                    raise _part(ValueError(f"unknown vertex "
+                                           f"{getattr(a, end)!r}"),
+                                "arrows", i, end)
 
 
 def build_ginzburg(gq: GradedQuiver, n: int, ring: Ring) -> SemifreeDgCat:
@@ -433,7 +431,7 @@ def ginzburg_witness(gq: GradedQuiver, n: int, ring: Ring):
     """Sphere plumbing data whose wrapped presentation is the Ginzburg
     category on the nose, with the unit relabeling and an exact report."""
     if n < 3:
-        raise ValueError("the Ginzburg comparison needs n >= 3")
+        raise BadArgument("n", "the Ginzburg comparison needs n >= 3")
     half = (n * (n - 1)) // 2
     arrows = tuple(
         Arrow(a.id, a.src, a.tgt,
@@ -743,10 +741,8 @@ def plumbing_from_json(doc: dict, ring: Ring | None = None,
         n = _field(doc, "n", int, "")
     try:
         return PlumbingData(n, tuple(vertices), tuple(arrows), ring)
-    except _DATA_ERRORS as err:  # a check of the data, at its part
-        path = "".join(f"[{p}]" if isinstance(p, int) else f".{p}"
-                       for p in getattr(err, "part", ()))
-        raise InputError(path[1:] or "document", str(err)) from err
+    except (ValueError, DSquaredNonzero) as err:  # a check, at its part
+        raise InputError(_json_path(err), str(err)) from err
 
 
 def plumbing_to_json(data: PlumbingData) -> dict:
@@ -797,8 +793,8 @@ def placement_from_json(doc, data: PlumbingData) -> dict:
 def quiver_from_json(doc: dict) -> GradedQuiver:
     """The graded quiver of a document: "vertices" (ids, or objects with an
     "id") and "arrows" with "id", "src", "tgt" and an integer "q" (default
-    0).  A document that breaks the schema is an InputError at the JSON
-    path that breaks it."""
+    0).  A document that breaks the schema, or a check of GradedQuiver, is
+    an InputError at the JSON path that breaks it."""
     if type(doc) is not dict:
         raise InputError("document", f"expected an object, got "
                                      f"{type(doc).__name__}")
@@ -809,31 +805,23 @@ def quiver_from_json(doc: dict) -> GradedQuiver:
                 raise InputError(f"vertices[{i}]", f"expected a string or "
                                                    f"an object, got {v!r}")
             v = _field(v, "id", str, f"vertices[{i}]")
-        if v in vertices:
-            raise InputError(f"vertices[{i}]", f"duplicate vertex id {v!r}")
         vertices.append(v)
-    known = set(vertices)
-    arrows, ids = [], set()
+    arrows = []
     for i, a in enumerate(_field(doc, "arrows", list, "")):
         if type(a) is not dict:
             raise InputError(f"arrows[{i}]", f"expected an object, got {a!r}")
         for key in ("id", "src", "tgt"):
             if type(a.get(key)) is not str:
                 _field(a, key, str, f"arrows[{i}]")
-        if a["id"] in ids:
-            raise InputError(f"arrows[{i}].id",
-                             f"duplicate arrow id {a['id']!r}")
-        ids.add(a["id"])
-        for key in ("src", "tgt"):
-            if a[key] not in known:
-                raise InputError(f"arrows[{i}].{key}",
-                                 f"unknown vertex {a[key]!r}")
         q = a.get("q", 0)
         if type(q) is not int:
             raise InputError(f"arrows[{i}].q",
                              f"expected an integer, got {q!r}")
         arrows.append(GradedArrow(a["id"], a["src"], a["tgt"], q))
-    return GradedQuiver(tuple(vertices), tuple(arrows))
+    try:
+        return GradedQuiver(tuple(vertices), tuple(arrows))
+    except ValueError as err:  # a check of the quiver, at its part
+        raise InputError(_json_path(err), str(err)) from err
 
 
 @dataclass

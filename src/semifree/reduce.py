@@ -17,7 +17,6 @@ from functools import partial
 
 from .algebra import Generator, NcPoly, UnionFind, render_poly, render_word
 from .dgcat import (
-    _PARSE_ERRORS,
     BadArgument,
     InputError,
     _field,
@@ -101,7 +100,8 @@ def _substitute(cat, rules, removed: dict, entry: dict, tilde=None):
     try:
         return new_semifree(ring, cat.objects, survivors, table,
                             cat.provenance + (entry,), list(kept),
-                            cat.weights)
+                            {name: w for name, w in cat.weights.items()
+                             if name in table})  # of the survivors
     except RuleError as err:  # name the move and the rules it turned
         changes = "".join(f"; it turned {_rendered(old)} into {_rendered(new)}"
                           for old, new in turned)
@@ -344,7 +344,7 @@ def _parsed(where: str, parse, *args):
     parse is an InputError at where."""
     try:
         return parse(*args)
-    except _PARSE_ERRORS as err:
+    except ValueError as err:
         raise InputError(where, str(err)) from None
 
 

@@ -538,6 +538,11 @@ MALFORMED_DOCUMENTS = {
     "weight-not-an-integer": (
         _c3_with(lambda d: d.update(weights={"z": "y"})),
         "weights.z: expected an integer >= 0, got 'y'"),
+    # the weights are the class's check, made whether or not there are rules
+    "weight-negative": (_c3_with(lambda d: d.update(weights={"z": -1})),
+                        "weights.z: expected an integer >= 0, got -1"),
+    "weight-bool": (_c3_with(lambda d: d.update(weights={"z": True})),
+                    "weights.z: expected an integer >= 0, got True"),
     # parse errors once carried no path
     "d-unknown-generator": (
         _c3_with(lambda d: d["generators"][0].update(d="q")),
@@ -578,6 +583,18 @@ MALFORMED_DOCUMENTS = {
     "d-of-the-wrong-degree": (
         _with("m11.json", lambda d: d["generators"][4].update(deg=5)),
         "generators[4].d: d(gamma1) has degree 0, expected 6"),
+    # the check errors are ValueErrors at the d they break: parsing's
+    # CompositionError, the class's DegreeError (above) and OrdinalViolation
+    "d-does-not-compose": (
+        _with("d12_n3.json", lambda d: d["generators"][1].update(d="x*x")),
+        "generators[1].d: non-composable factors x o x: x starts at L1 but "
+        "x ends at L2"),
+    "d-uses-a-later-generator": (
+        _c3_with(lambda d: (d["generators"][0].update(d="w"),
+                            d["generators"].append({
+                                "name": "w", "src": "L", "tgt": "L",
+                                "deg": -1, "rank": 1, "d": "0"}))),
+        "generators[0].d: d(z) uses w of rank 1 >= rank 0"),
     "d-inhomogeneous": (
         _with("m11.json", lambda d: d["generators"][2].update(deg=2 ** 70)),
         "generators[4].d: inhomogeneous polynomial with degrees "

@@ -588,6 +588,63 @@ def test_hom_rejects_bad_arguments(flags, named, capsys, tmp_path):
     assert not out.exists()
 
 
+_HOM = ["hom", str(DATA / "c3.json"), "--src", "L", "--tgt", "L"]
+_RANKS = ["functor", "FUNCTOR", "--ranks"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["hom", str(DATA / "c3.json"), "--src", "Q", "--tgt", "L",
+      "--window=-3:0"],
+     "--src: hom source 'Q' is not an object of the category (objects: L)"),
+    (["hom", str(DATA / "c3.json"), "--src", "L", "--tgt", "Q",
+      "--window=-3:0"],
+     "--tgt: hom target 'Q' is not an object of the category (objects: L)"),
+    ([*_HOM, "--window=0:-1"], "--window: hom window 0:-1 is empty (lo > hi)"),
+    ([*_HOM, "--window=-3:0", "--bound", "-1"],
+     "--bound: hom length bound -1 is negative"),
+    ([*_HOM, "--window=-3:0", "--field", "Z"], "--field: Z is not a field"),
+    ([*_HOM, "--window=-3:0", "--field", "Zmod:x"],
+     "--field: unknown ring 'Zmod:x': the modulus is not an integer"),
+    ([*_RANKS, "--window=0:-1"],
+     "--window: hom window 0:-1 is empty (lo > hi)"),
+    ([*_RANKS, "--bound", "-1"], "--bound: hom length bound -1 is negative"),
+    ([*_RANKS, "--field", "Zmod:4"], "--field: Zmod:4 is not a field"),
+    ([*_RANKS, "--field", "Zmod:x"],
+     "--field: unknown ring 'Zmod:x': the modulus is not an integer"),
+    (["build", "--model", "A2", "--coeff", "Q2"],
+     "--coeff: unknown ring 'Q2'"),
+    (["ginzburg", str(DATA / "loop_quiver.json"), "--n", "3", "--coeff", "R"],
+     "--coeff: unknown ring 'R'"),
+    (["ginzburg", str(DATA / "loop_quiver.json"), "--n", "2", "--witness"],
+     "--n: the Ginzburg comparison needs n >= 3"),
+    (["plumb", str(DATA / "a2_n3.json"), "--n", "1"],
+     "--n: plumbing dimension n must be >= 2"),
+    (["plumb", str(DATA / "a2_n3.json"), "--coeff", "Zmod:"],
+     "--coeff: unknown ring 'Zmod:': the modulus is not an integer"),
+    (["equiv", "gauge", str(DATA / "a2_n3.json"), "--flip-set", "v",
+      "--coeff", "W"], "--coeff: unknown ring 'W'"),
+], ids=["hom-src", "hom-tgt", "hom-window", "hom-bound", "hom-field",
+        "hom-field-not-a-ring", "ranks-window", "ranks-bound", "ranks-field",
+        "ranks-field-not-a-ring", "build-coeff", "ginzburg-coeff",
+        "ginzburg-witness-n", "plumb-n", "plumb-coeff", "equiv-coeff"])
+def test_a_refused_option_names_itself(argv, message, tmp_path, capsys):
+    # each of these once printed its text with no option, and plumb --n
+    # named the document's field n
+    from semifree.algebra import INTEGERS
+    from semifree.dgcat import to_json
+    from semifree.fukaya import ModelId, build
+    c = to_json(build(ModelId.parse("C:2"), INTEGERS))
+    functor = tmp_path / "id.json"
+    functor.write_text(json.dumps({
+        "type": "functor", "source": c, "target": c,
+        "objects": {"L": "L"}, "generators": {"z": "z"}}))
+    argv = [str(functor) if a == "FUNCTOR" else a for a in argv]
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("window", ["1", "a:b", "-3:1:2"])
 def test_functor_ranks_names_a_malformed_window(window, tmp_path, capsys):
     from semifree.algebra import INTEGERS

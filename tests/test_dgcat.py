@@ -549,6 +549,39 @@ def test_replace_reruns_the_structural_checks():
         assert str(err.value) == message
 
 
+@pytest.mark.parametrize("weights,part,message", [
+    ({"b": -1}, ("weights", "b"), "expected an integer >= 0, got -1"),
+    ({"b": 1.5}, ("weights", "b"), "expected an integer >= 0, got 1.5"),
+    ({"b": True}, ("weights", "b"), "expected an integer >= 0, got True"),
+    ({"zz": 3}, ("weights",), "unknown generator 'zz'"),
+])
+@pytest.mark.parametrize("with_rules", [True, False])
+def test_the_class_refuses_bad_weights(weights, part, message, with_rules):
+    # these were accepted, and from_json then refused the category's own
+    # document; with b of weight -1, a rule b -> b*b decreased the order,
+    # and normalizing b never ended.  Weights are checked with or without
+    # rules
+    a, b = (Generator(name, "X", "X", 0, rank)
+            for rank, name in enumerate("ab"))
+    table = {g.name: NcPoly.zero(ring, "X", "X") for g in (a, b)}
+    rules = [((b,), NcPoly.gen(ring, a))] if with_rules else []
+    with pytest.raises(ValueError) as err:
+        new_semifree(ring, ("X",), (a, b), table, rules=rules,
+                     weights=weights)
+    assert str(err.value) == message and err.value.part == part
+
+
+def test_weights_are_kept_only_with_rules():
+    a, b = (Generator(name, "X", "X", 0, rank)
+            for rank, name in enumerate("ab"))
+    table = {g.name: NcPoly.zero(ring, "X", "X") for g in (a, b)}
+    assert SemifreeDgCat(ring, ("X",), (a, b), table,
+                         weights={"b": 2}).weights == {}
+    rules = (((b,), NcPoly.gen(ring, a)),)
+    assert SemifreeDgCat(ring, ("X",), (a, b), table, rules=rules,
+                         weights={"b": 2}).weights == {"b": 2}
+
+
 def test_rule_rhs_over_another_ring_is_rejected_when_built():
     a = Generator("a", "X", "X", 0, 0)
     b = Generator("b", "X", "X", 0, 1)

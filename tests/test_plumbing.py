@@ -497,6 +497,22 @@ def test_quiver_from_json_raises_only_input_errors(doc):
         pass
 
 
+@pytest.mark.parametrize("vertices,arrows,part,message", [
+    (("v", "v"), (), ("vertices", 1), "duplicate vertex id 'v'"),
+    (("v", "w"), (("e", "v", "w"), ("e", "w", "v")), ("arrows", 1, "id"),
+     "duplicate arrow id 'e'"),
+    (("v",), (("e", "x", "v"),), ("arrows", 0, "src"), "unknown vertex 'x'"),
+    (("v",), (("e", "v", "x"),), ("arrows", 0, "tgt"), "unknown vertex 'x'"),
+], ids=["duplicate-vertex", "duplicate-arrow", "unknown-src", "unknown-tgt"])
+def test_graded_quiver_checks_itself(vertices, arrows, part, message):
+    # the class checked only the arrow ends: a quiver with a repeated
+    # vertex was built, and build_ginzburg failed on it with "duplicate
+    # object ids"
+    with pytest.raises(ValueError) as err:
+        GradedQuiver(vertices, tuple(GradedArrow(*a) for a in arrows))
+    assert str(err.value) == message and err.value.part == part
+
+
 def test_quiver_from_json_reads_vertex_objects():
     doc = {"vertices": [{"id": "v"}, "w"],
            "arrows": [{"id": "e", "src": "v", "tgt": "w"}]}

@@ -16,7 +16,7 @@ from semifree.algebra import (
     render_poly,
 )
 from semifree.constructions import tensor
-from semifree.dgcat import audit_d_squared, new_semifree, to_json
+from semifree.dgcat import audit_d_squared, from_json, new_semifree, to_json
 from semifree.fukaya import ModelId, build
 from semifree.reduce import (
     cancel_pair,
@@ -340,6 +340,17 @@ def test_set_generator_checks_d_compatibility():
     s = build(ModelId.parse("S:3,2,0"), ring)
     with pytest.raises(ValueError):
         set_generator(s, "h", "zero")  # dh = a1 + a2 does not map to 0
+
+
+def test_a_renamed_generator_leaves_no_weight_behind():
+    # the weight of a1 was kept after change_basis renamed a1 to b1, and
+    # from_json refused the result's document: "weights: unknown
+    # generator 'a1'"
+    relations, _ = surface_relation_form(1, 2, RATIONALS)
+    assert relations.weights == {"a1": 5, "a2": 5}
+    out = change_basis(relations, "a1", 1, None, "b1")
+    assert out.weights == {"a2": 5}
+    assert to_json(from_json(to_json(out))) == to_json(out)
 
 
 @pytest.mark.parametrize("gen", ["a1", "a2"])
