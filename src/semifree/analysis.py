@@ -173,9 +173,9 @@ def _over_field(cat, field: Ring, table=None):
     if field == cat.ring:
         return table, rules
     convert, neg = _converter(field), field.neg
-    for r, (g, (terms, _)) in table.items():
+    for r, (odd, terms, _) in table.items():
         terms = [(t, v) for t, c in terms if (v := convert(c))]
-        table[r] = (g, (terms, [(t, neg(v)) for t, v in terms]))
+        table[r] = (odd, terms, [(t, neg(v)) for t, v in terms])
     if rules is not None:
         rules = rules.mapped(convert, field)
     return table, rules
@@ -221,8 +221,13 @@ class RankTable:
 def truncated_cohomology(cat, source: str, target: str, window, bound: int,
                          field: Ring) -> RankTable:
     """Kernel/image ranks of the word-length-truncated hom complex; an
-    argument it or hom_slice refuses is a BadArgument that names it."""
-    if not field.is_field():
+    argument it or hom_slice refuses is a BadArgument that names it, a
+    modulus whose primality is not decided too."""
+    try:
+        is_field = field.is_field()
+    except ValueError as err:
+        raise BadArgument("field", str(err)) from None
+    if not is_field:
         raise BadArgument("field", f"{field.render()} is not a field")
     lo, hi = window
     if lo > hi:
@@ -279,14 +284,18 @@ def _d_rows(ring: Ring, table: dict, rules, basis, index: dict,
     (any iterable of them), in its order, by the graded Leibniz rule, and
     whether a term of some d(word) was lost
     (outside index: longer than the bound or not listed).  table is a coded
-    d table (dgcat._d_table) and rules a rule index or None, both with
-    values in ring; the terms outside index are normalized through rules
-    first.
+    d table (dgcat._d_table: rank -> (degree parity, +d terms, -d terms))
+    and rules a rule index or None, both with values in ring; the terms
+    outside index are normalized through rules first.
 
-    Each spliced term in index is added straight into its column.  The
-    values are raw sums, not reduced: a row may hold zeros and, over Zmod,
-    values of any size; exact_rank reduces them.  Only the sum of a term
-    outside index is reduced, to decide whether it is lost.
+    A word none of whose letters has a d term is skipped: its d is 0, so
+    its row is empty and it loses nothing.  In the other words, the letter
+    at j takes its -d terms when the letters before it hold an odd number
+    of odd degrees (the parity, kept by XOR), and each spliced term in
+    index is added straight into its column.  The values are raw sums, not
+    reduced: a row may hold zeros and, over Zmod, values of any size;
+    exact_rank reduces them.  Only the sum of a term outside index is
+    reduced, to decide whether it is lost.
 
     index lists words of length at most bound.  Once a term is lost, a
     spliced term longer than bound can change no row and no flag unless a
@@ -299,12 +308,15 @@ def _d_rows(ring: Ring, table: dict, rules, basis, index: dict,
     p = ring.modulus if ring.kind == "Zmod" else None
     rows = []
     lost = False
+    with_d = {r for r, (_, terms, _) in table.items() if terms}
     # an identity rhs word is (), of length 0
     trim = rules is None or all(len(w) >= len(lhs)
                                 for lhs, terms, _ in rules.rules
                                 for w, _ in terms)
     trimmed = {}  # room -> table with the d terms of length <= room
     for word in basis:
+        if with_d.isdisjoint(word):
+            continue  # d(word) = 0: an empty row, and nothing lost
         use = table
         if lost and trim:
             room = bound + 1 - len(word)
@@ -312,21 +324,26 @@ def _d_rows(ring: Ring, table: dict, rules, basis, index: dict,
             if use is None:
                 use = trimmed[room] = _trim(table, room)
         row = {}
-        outside = {}
-        left_degree = 0
+        outside = None
+        parity = 0  # of the letters left of j
         for j, r in enumerate(word):
-            g, signed = use[r]
-            dterms = signed[left_degree % 2]
+            odd, plus, minus = use[r]
+            dterms = minus if parity else plus
             if dterms:
                 left, right = word[:j], word[j + 1:]
                 for t, c in dterms:
                     key = left + t + right
                     col = index.get(key)
                     if col is None:
-                        outside[key] = outside.get(key, 0) + c
+                        if outside is None:
+                            outside = {key: c}
+                        else:
+                            outside[key] = outside.get(key, 0) + c
+                    elif col in row:
+                        row[col] += c
                     else:
-                        row[col] = row.get(col, 0) + c
-            left_degree += g.degree
+                        row[col] = c
+            parity ^= odd
         if outside:
             if rules is not None:
                 # the words of index are irreducible already: hom_slice
@@ -353,9 +370,9 @@ def _d_rows(ring: Ring, table: dict, rules, basis, index: dict,
 
 def _trim(table: dict, room: int) -> dict:
     """table with only the d terms of at most room letters."""
-    return {r: (g, tuple([(t, c) for t, c in terms if len(t) <= room]
-                         for terms in signed))
-            for r, (g, signed) in table.items()}
+    return {r: (odd, [(t, c) for t, c in plus if len(t) <= room],
+                [(t, c) for t, c in minus if len(t) <= room])
+            for r, (odd, plus, minus) in table.items()}
 
 
 # ---------------------------------------------------------------------------

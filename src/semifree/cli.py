@@ -186,7 +186,7 @@ def load_span(doc: dict) -> PushoutSpan:
 # that gives it
 _OPTIONS = {"gens": "--gens", "source": "--src", "target": "--tgt",
             "window": "--window", "bound": "--bound", "field": "--field",
-            "n": "--n"}
+            "n": "--n", "flip_set": "--flip-set"}
 
 
 def _run(compute, *args):
@@ -365,7 +365,7 @@ def cmd_equiv(args):
             raise InputError("--flip-set", "required by equiv gauge")
         flip_set = _known(args.flip_set.split(","), dict(data.vertices),
                           "vertex", "--flip-set")
-        witness = sign_gauge_witness(data, flip_set)
+        witness = _run(sign_gauge_witness, data, flip_set)
         doc = {
             "mode": "gauge",
             "flip_set": sorted(flip_set),

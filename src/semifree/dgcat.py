@@ -549,9 +549,12 @@ def _code(word) -> tuple:
 
 
 def _d_table(cat) -> dict:
-    """rank -> (generator, (+d terms, -d terms)) of each generator, where
-    the d terms are the (coded word, value) pairs of d(generator), and the
-    -d terms the same words with negated values.
+    """rank -> (degree parity, +d terms, -d terms) of each generator: the
+    parity is 1 for an odd degree and 0 for an even one, the +d terms are
+    the (coded word, value) pairs of d(generator), and the -d terms the
+    same words with negated values.  Splicing d into a word by the graded
+    Leibniz rule takes the -d terms of a letter after an odd number of odd
+    letters, so the parity is all of the degree it needs.
 
     The class checks that every d term composes along its generator's
     boundary.  Put in place of its generator in a composable word, such a
@@ -564,7 +567,8 @@ def _d_table(cat) -> dict:
     for g in cat.generators:
         terms = [(_code(w), c)
                  for w, c in cat.differentials[g.name].terms.items()]
-        table[g.rank] = (g, (terms, [(t, ring.neg(c)) for t, c in terms]))
+        table[g.rank] = (g.degree % 2, terms,
+                         [(t, ring.neg(c)) for t, c in terms])
     return table
 
 

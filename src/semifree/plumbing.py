@@ -568,10 +568,13 @@ def sign_gauge_witness(data: PlumbingData, flip_set) -> GaugeWitness:
     The solver tries the indicator of flip_set or of its complement on each
     component; vertices whose loop element eta is nonzero must keep sign +1,
     and an unsatisfiable component is reported with the blocking constraint.
+    Data with n = 2 is an InputError at its "n", and a flip set that
+    blocks every sign assignment a BadArgument("flip_set", ...).
     """
     if data.n == 2:
-        raise ValueError("the n = 2 sign-change functor is not monomial; "
-                         "only n >= 3 witnesses are constructed")
+        raise InputError("n", "the n = 2 sign-change functor is not "
+                              "monomial; only n >= 3 witnesses are "
+                              "constructed")
     flip_set = set(flip_set)
     arrows = tuple(
         Arrow(a.id, a.src, a.tgt,
@@ -599,10 +602,10 @@ def sign_gauge_witness(data: PlumbingData, flip_set) -> GaugeWitness:
                 break
         else:
             blocking = sorted((set(vids) & flip_set) & eta_vertices)
-            raise ValueError(
-                "no sign assignment: vertices with nontrivial loop algebra "
-                f"cannot be rescaled ({', '.join(blocking)} and the "
-                "complement both conflict)")
+            raise BadArgument(
+                "flip_set", "no sign assignment: vertices with nontrivial "
+                f"loop algebra cannot be rescaled ({', '.join(blocking)} "
+                "and the complement both conflict)")
     w1 = build_wrapped(data)
     w2 = build_wrapped(regauged)
     ring = data.ring

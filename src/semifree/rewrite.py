@@ -218,11 +218,11 @@ def audit_rules(cat, table=None) -> None:
         # in the reduction order, so none is lhs itself
         spliced = {}
         for word, coeff in [(ranks, one)] + [(w, neg(c)) for w, c in terms]:
-            left_degree = 0
+            parity = 0  # of the letters left of j
             for j, r in enumerate(word):
-                g, signed = table[r]
+                odd, plus, minus = table[r]
                 left, right = word[:j], word[j + 1:]
-                for t, c in signed[left_degree % 2]:
+                for t, c in minus if parity else plus:
                     # the d terms are reduced, so one * c is c
                     t, c = (left + t + right,
                             c if coeff == one else mul(coeff, c))
@@ -232,7 +232,7 @@ def audit_rules(cat, table=None) -> None:
                         spliced.pop(t, None)
                     else:
                         spliced[t] = c
-                left_degree += g.degree
+                parity ^= odd
         residual = normal_form(index, ring, list(spliced.items()))
         if residual:
             raise DSquaredNonzero(render_word(lhs), _decode(

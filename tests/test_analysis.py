@@ -532,6 +532,44 @@ def test_trimmed_assembly_matches_oracle_on_every_degree(field):
     assert oracle_rows(cat, words[-6][:1], words[-5], 3)[1]
 
 
+class CountedTable(dict):
+    """A coded d table that counts the letters whose d terms are read."""
+
+    reads = 0
+
+    def __getitem__(self, rank):
+        self.reads += 1
+        return super().__getitem__(rank)
+
+
+@pytest.mark.parametrize("spec,window,bound,k", [
+    ("M:1,1", (-6, 0), 3, 0),  # no letter of a degree-0 word has a d
+    ("S:3,2,1", (-4, 0), 4, -4),  # only h has a d
+])
+def test_a_word_with_no_d_letter_takes_no_d_term(spec, window, bound, k):
+    # the slice hom takes for the window
+    cat = assembly_model(spec, "Q")
+    table, rules = _over_field(cat, cat.ring)
+    slice_ = hom_slice(cat, "L", "L", (window[0] - 1, window[1] + 1), bound)
+    coded, words = slice_.words_by_degree, decoded(cat, slice_)
+    closed = {r for r, (_, terms, _) in table.items() if not terms}
+    columns = {w: i for i, w in enumerate(coded.get(k + 1, []))}
+    skipped = {i for i, w in enumerate(coded[k]) if closed.issuperset(w)}
+    assert skipped
+    # the words with no d letter alone, then the whole degree
+    for chosen in (sorted(skipped), range(len(coded[k]))):
+        counted = CountedTable(table)
+        rows, lost = _d_rows(cat.ring, counted, rules,
+                             [coded[k][i] for i in chosen], columns, bound)
+        assert (rows, lost) == oracle_rows(cat, [words[k][i] for i in chosen],
+                                           words.get(k + 1, []), bound)
+        # the other words read the entry of each of their letters once
+        assert counted.reads == sum(len(coded[k][i]) for i in chosen
+                                    if i not in skipped)
+    # S:3,2,1's degree also holds words with h, whose rows are not empty
+    assert bool(rows) == (spec == "S:3,2,1")
+
+
 def test_assembly_before_a_loss_builds_every_term():
     # Terms beyond the bound can cancel, which the ordinal condition rules
     # out in a category without rules, so the coded table is written by
@@ -544,7 +582,7 @@ def test_assembly_before_a_loss_builds_every_term():
     p = Generator("p", "Y", "Y", 1, 2)
     for field in (Q, integers_mod(7)):
         one = field.one()
-        table = {g.rank: (g, ([(t, one)], [(t, field.neg(one))]))
+        table = {g.rank: (g.degree % 2, [(t, one)], [(t, field.neg(one))])
                  for g, t in ((u, (0, 2)), (v, (2, 1)), (p, (2, 2)))}
         assert _d_rows(field, table, None, {(0, 1): 0}, {}, 2) == ([], False)
         # d(u*p*v) = u*p*p*v

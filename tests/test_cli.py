@@ -444,8 +444,61 @@ def test_hom_over_an_undecidable_modulus_fails_fast(tmp_path, capsys):
                  "--out", str(tmp_path / "table.json")]) == 1
     assert time.perf_counter() - started < 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot decide whether {2**89 - 1} is prime")
+    assert err.startswith(
+        f"error: --field: cannot decide whether {2**89 - 1} is prime")
     assert f"{_MR_LIMIT:,}" in err
+
+
+def test_functor_ranks_over_an_undecidable_modulus_names_the_field(
+        tmp_path, capsys):
+    from semifree.algebra import INTEGERS
+    from semifree.dgcat import to_json
+    from semifree.fukaya import ModelId, build
+    c = to_json(build(ModelId.parse("C:2"), INTEGERS))
+    path = tmp_path / "id.json"
+    path.write_text(json.dumps({
+        "type": "functor", "source": c, "target": c,
+        "objects": {"L": "L"}, "generators": {"z": "z"}}))
+    out = tmp_path / "cert.json"
+    assert main(["functor", str(path), "--ranks", "--field",
+                 f"Zmod:{2**89 - 1}", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"error: --field: cannot decide whether {2**89 - 1} is prime")
+    assert not out.exists()
+
+
+# two custom vertices whose loop element eta = w is nonzero, so neither v
+# nor its complement u may change sign
+_ETA_SPEC = {"type": "custom", "generators": [{"name": "w", "deg": -1}],
+             "differentials": {"w": "0"}, "eta": "w"}
+_ETA_PLUMBING = {"n": 3, "coefficients": "Z",
+                 "vertices": [{"id": "v", "manifold": _ETA_SPEC},
+                              {"id": "u", "manifold": _ETA_SPEC}],
+                 "arrows": [{"id": "e", "src": "v", "tgt": "u", "sign": 1,
+                             "d": 0}]}
+
+
+@pytest.mark.parametrize("document,message", [
+    (DATA / "surface_plumbing_n2.json",
+     "n: the n = 2 sign-change functor is not monomial; only n >= 3 "
+     "witnesses are constructed"),
+    (_ETA_PLUMBING,
+     "--flip-set: no sign assignment: vertices with nontrivial loop algebra "
+     "cannot be rescaled (v and the complement both conflict)"),
+], ids=["n2", "blocked-flip-set"])
+def test_equiv_gauge_refusals_name_their_path_or_option(
+        document, message, tmp_path, capsys):
+    # both once printed the bare text, with no path or option
+    if isinstance(document, dict):
+        path = tmp_path / "plumbing.json"
+        path.write_text(json.dumps(document))
+        document = path
+    out = tmp_path / "out.json"
+    assert main(["equiv", "gauge", str(document), "--flip-set", "v",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def _relational_doc(ring, generators, rules):
