@@ -119,11 +119,17 @@ class Ring:
         if text == "Q":
             return Ring("Q")
         if text.startswith("Zmod:"):
+            digits = text[len("Zmod:"):]
             try:
-                modulus = int(text.split(":", 1)[1])
+                modulus = int(digits)
             except ValueError:
                 raise ValueError(f"unknown ring {text!r}: the modulus is not "
                                  f"an integer") from None
+            if digits != str(modulus):
+                # int() also reads signs, spaces, underscores, leading zeros
+                # and non-ASCII digits, which render() would not give back
+                raise ValueError(f"unknown ring {text!r}: write the modulus "
+                                 f"in plain digits, as Zmod:{modulus}")
             return Ring("Zmod", modulus)
         raise ValueError(f"unknown ring {text!r}")
 

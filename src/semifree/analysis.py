@@ -27,10 +27,12 @@ def exact_rank(rows, ring: Ring) -> int:
 
     rows is a list of {column: value} dicts; they are not modified, and
     their values need not be reduced: zeros and, over Zmod, multiples of
-    the modulus are dropped.  A row with one nonzero entry pivots its
-    column outright.  The other rows go to _rank_core as they are, which
-    cleans and copies only the rows it must.  Q ranks are thus always
-    computed over the integers, never modulo a prime.
+    the modulus are dropped.  truncated_cohomology passes d's columns
+    (_d_columns), keyed by basis position, since d and its transpose have
+    one rank.  A row with one nonzero entry pivots its column outright.
+    The other rows go to _rank_core as they are, which cleans and copies
+    only the rows it must.  Q ranks are thus always computed over the
+    integers, never modulo a prime.
     """
     p = ring.modulus if ring.kind == "Zmod" else None
     pivoted = set()  # the columns of one-entry rows
@@ -58,9 +60,10 @@ def _rank_core(rows, p, pivoted) -> int:
     time a reduction changes it, and a pivot row is never changed, so a
     clean row that becomes a pivot is the caller's dict.
 
-    A row's leading column is its largest.  The hom complex lists columns
-    by word length, so that is the row's longest word, which few other rows
-    share: pivots chosen there meet fewer rows and stay short (fill-in).
+    A row's leading column is its largest.  The hom complex lists its words
+    by length, so on d's columns that is the latest and longest source
+    word, which few other columns reach: pivots chosen there meet fewer
+    rows and stay short (fill-in).
     Rows enter sparsest first.  Each is reduced against the pivots found so
     far until it vanishes or its leading column has no pivot, and then it
     becomes that column's pivot.  With p None the entries are integers and
@@ -243,7 +246,7 @@ def truncated_cohomology(cat, source: str, target: str, window, bound: int,
     sizes = {k: len(words.get(k, ())) for k in range(lo, hi + 1)}
     table = _d_table(cat)
     if cat.rules and not copied:
-        # The rows normalize through the rules, so they must commute with
+        # The lines normalize through the rules, so they must commute with
         # d.  One audit over cat's ring (Z, Q or field itself) covers
         # field: the map into field is then a ring map, which keeps rule/d
         # compatibility, and normal forms commute with it.  Every
@@ -253,14 +256,14 @@ def truncated_cohomology(cat, source: str, target: str, window, bound: int,
     ranks_d = {}
     dropped = {}
     for k in range(lo - 1, hi + 1):
-        # one degree's words, columns and rows at a time: each is dropped
-        # once its rank is known
+        # one degree's words, column index and lines at a time: each is
+        # dropped once its rank is known
         basis = words.pop(k, ())
         columns = {w: i for i, w in enumerate(words.get(k + 1, ()))}
-        rows, dropped[k] = _d_rows(field, table, rules, basis, columns,
-                                   bound)
-        ranks_d[k] = exact_rank(rows, field)
-        del basis, columns, rows
+        lines, dropped[k] = _d_columns(field, table, rules, basis, columns,
+                                       bound)
+        ranks_d[k] = exact_rank(lines, field)
+        del basis, columns, lines
     ranks = {}
     exact = {}
     for k in range(lo, hi + 1):
@@ -278,27 +281,31 @@ def truncated_cohomology(cat, source: str, target: str, window, bound: int,
                      exact, sizes)
 
 
-def _d_rows(ring: Ring, table: dict, rules, basis, index: dict,
-            bound: int):
-    """The rows {column in index: value} of d on the coded words of basis
-    (any iterable of them), in its order, by the graded Leibniz rule, and
-    whether a term of some d(word) was lost
-    (outside index: longer than the bound or not listed).  table is a coded
-    d table (dgcat._d_table: rank -> (degree parity, +d terms, -d terms))
-    and rules a rule index or None, both with values in ring; the terms
-    outside index are normalized through rules first.
+def _d_columns(ring: Ring, table: dict, rules, basis, index: dict,
+               bound: int):
+    """The columns of d on the coded words of basis (any iterable of them),
+    by the graded Leibniz rule, and whether a term of some d(word) was lost
+    (outside index: longer than the bound or not listed).  The columns are
+    lines {basis position: value}, one for each word of index that some
+    term reaches, in index's order; d has the same rank as its transpose,
+    so exact_rank takes them as rows.  table is a coded d table
+    (dgcat._d_table: rank -> (degree parity, +d terms, -d terms)) and rules
+    a rule index or None, both with values in ring; the terms outside index
+    are normalized through rules first.
 
     A word none of whose letters has a d term is skipped: its d is 0, so
-    its row is empty and it loses nothing.  In the other words, the letter
+    it is in no line and it loses nothing.  In the other words, the letter
     at j takes its -d terms when the letters before it hold an odd number
     of odd degrees (the parity, kept by XOR), and each spliced term in
-    index is added straight into its column.  The values are raw sums, not
-    reduced: a row may hold zeros and, over Zmod, values of any size;
-    exact_rank reduces them.  Only the sum of a term outside index is
-    reduced, to decide whether it is lost.
+    index is added straight into its line.  The words are taken in basis
+    order, so a line lists its entries by position and leads with the
+    latest word that reaches it.  The values are raw sums, not reduced: a
+    line may hold zeros and, over Zmod, values of any size; exact_rank
+    reduces them.  Only the sum of a term outside index is reduced, to
+    decide whether it is lost.
 
     index lists words of length at most bound.  Once a term is lost, a
-    spliced term longer than bound can change no row and no flag unless a
+    spliced term longer than bound can change no line and no flag unless a
     rule shortens it back into index, so, when no rule has an rhs word
     shorter than its lhs, it is not built: a word of length L takes only
     the d terms of length at most bound + 1 - L.  Until then every term is
@@ -306,7 +313,8 @@ def _d_rows(ring: Ring, table: dict, rules, basis, index: dict,
     cancel.
     """
     p = ring.modulus if ring.kind == "Zmod" else None
-    rows = []
+    # a slot per word of index, made at the first word with a d letter
+    lines = None
     lost = False
     with_d = {r for r, (_, terms, _) in table.items() if terms}
     # an identity rhs word is (), of length 0
@@ -314,16 +322,18 @@ def _d_rows(ring: Ring, table: dict, rules, basis, index: dict,
                                 for lhs, terms, _ in rules.rules
                                 for w, _ in terms)
     trimmed = {}  # room -> table with the d terms of length <= room
-    for word in basis:
+    find = index.get
+    for i, word in enumerate(basis):
         if with_d.isdisjoint(word):
-            continue  # d(word) = 0: an empty row, and nothing lost
+            continue  # d(word) = 0: in no line, and nothing lost
+        if lines is None:
+            lines = [None] * len(index)
         use = table
         if lost and trim:
             room = bound + 1 - len(word)
             use = trimmed.get(room)
             if use is None:
                 use = trimmed[room] = _trim(table, room)
-        row = {}
         outside = None
         parity = 0  # of the letters left of j
         for j, r in enumerate(word):
@@ -333,16 +343,20 @@ def _d_rows(ring: Ring, table: dict, rules, basis, index: dict,
                 left, right = word[:j], word[j + 1:]
                 for t, c in dterms:
                     key = left + t + right
-                    col = index.get(key)
+                    col = find(key)
                     if col is None:
                         if outside is None:
                             outside = {key: c}
                         else:
                             outside[key] = outside.get(key, 0) + c
-                    elif col in row:
-                        row[col] += c
+                        continue
+                    line = lines[col]
+                    if line is None:
+                        lines[col] = {i: c}
+                    elif i in line:
+                        line[i] += c
                     else:
-                        row[col] = c
+                        line[i] = c
             parity ^= odd
         if outside:
             if rules is not None:
@@ -353,19 +367,19 @@ def _d_rows(ring: Ring, table: dict, rules, basis, index: dict,
                     if (r := value % p if p is not None else value)])
                 outside = {}
                 for key, value in normal.items():
-                    col = index.get(key)
+                    col = find(key)
                     if col is None:
                         outside[key] = value
+                    elif lines[col] is None:
+                        lines[col] = {i: value}
                     else:
-                        row[col] = row.get(col, 0) + value
+                        lines[col][i] = lines[col].get(i, 0) + value
             if not lost:
                 for value in outside.values():
                     if value % p if p is not None else value:
                         lost = True
                         break
-        if row:
-            rows.append(row)
-    return rows, lost
+    return ([] if lines is None else list(filter(None, lines))), lost
 
 
 def _trim(table: dict, room: int) -> dict:

@@ -559,8 +559,8 @@ def _d_table(cat) -> dict:
     The class checks that every d term composes along its generator's
     boundary.  Put in place of its generator in a composable word, such a
     term gives a composable word with the same boundary, so the spliced
-    words of analysis._d_rows and rewrite.audit_rules need no check of
-    their own.
+    words of analysis._d_columns and rewrite.audit_rules need no check
+    of their own.
     """
     ring = cat.ring
     table = {}

@@ -528,6 +528,10 @@ MALFORMED_DOCUMENTS = {
     "modulus-not-an-integer": (
         _c3_with(lambda d: d.update(coefficients="Zmod:x")),
         "coefficients: unknown ring 'Zmod:x': the modulus is not an integer"),
+    "modulus-not-plain-digits": (
+        _c3_with(lambda d: d.update(coefficients="Zmod:1_0007")),
+        "coefficients: unknown ring 'Zmod:1_0007': write the modulus in "
+        "plain digits, as Zmod:10007"),
     "weights-not-an-object": (_c3_with(lambda d: d.update(weights=5)),
                               "weights: expected an object, got 5"),
     "weights-a-list": (_c3_with(lambda d: d.update(weights=[1])),

@@ -618,3 +618,16 @@ def test_rational_arithmetic_exact(x, y):
 def test_ring_parse_roundtrip():
     for ring in RINGS:
         assert Ring.parse(ring.render()) == ring
+
+
+@pytest.mark.parametrize("text,modulus", [
+    ("Zmod: 7", 7), ("Zmod:07", 7), ("Zmod:+7", 7), ("Zmod:7 ", 7),
+    ("Zmod:٧", 7), ("Zmod:1_0007", 10007)])
+def test_ring_parse_refuses_a_modulus_render_would_not_give_back(text,
+                                                                 modulus):
+    # int() reads each of these, but the ring would render as another text
+    with pytest.raises(ValueError) as err:
+        Ring.parse(text)
+    assert str(err.value) == (f"unknown ring {text!r}: write the modulus in "
+                              f"plain digits, as Zmod:{modulus}")
+    assert Ring.parse(f"Zmod:{modulus}").render() == f"Zmod:{modulus}"

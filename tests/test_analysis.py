@@ -23,7 +23,7 @@ from semifree.algebra import (
 )
 from semifree import analysis
 from semifree.analysis import (
-    _d_rows,
+    _d_columns,
     _over_field,
     change_coefficients,
     exact_rank,
@@ -189,7 +189,7 @@ def test_exact_rank_modular_matches_dense_oracle(p, rows):
 
 @st.composite
 def singleton_heavy_rows(draw, p, rational: bool):
-    """Rows as _d_rows gives them to exact_rank: most have one entry, on
+    """Rows as _d_columns gives them to exact_rank: most have one entry, on
     few columns, so one-entry rows share columns with each other and with
     longer rows; values may be zero, multiples of p or Fractions."""
     small = st.integers(-3, 3)
@@ -262,8 +262,8 @@ def test_exact_rank_of_a_pivot_listed_twice(ring_):
 @pytest.mark.parametrize("spec,bound", [("M:1,1", 2), ("S:2,1,1", 3)])
 def test_exact_rank_on_assembled_matrices_matches_dense_oracle(spec, bound,
                                                                field):
-    # the d-matrices of real hom complexes, up to 385 x 439, whose fill
-    # pattern the small random rows above do not have
+    # the transposed d-matrices of real hom complexes, up to 439 x 385,
+    # whose fill pattern the small random rows above do not have
     cat = change_coefficients(build(ModelId.parse(spec), ring),
                               Ring.parse(field))
     words = hom_slice(cat, "L", "L", (-8, 2), bound).words_by_degree
@@ -273,9 +273,9 @@ def test_exact_rank_on_assembled_matrices_matches_dense_oracle(spec, bound,
     for k in sorted(words)[:-1]:
         basis = {w: i for i, w in enumerate(words[k])}
         index = {w: i for i, w in enumerate(words.get(k + 1, []))}
-        rows, _ = _d_rows(cat.ring, table, rules, basis, index, bound)
-        ranks.append(exact_rank(rows, cat.ring))
-        assert ranks[-1] == dense_rank(rows, len(index), p)
+        lines, _ = _d_columns(cat.ring, table, rules, basis, index, bound)
+        ranks.append(exact_rank(lines, cat.ring))
+        assert ranks[-1] == dense_rank(lines, len(basis), p)
     assert max(ranks) > 20
 
 
@@ -374,21 +374,21 @@ class _Rows(list):
 
 
 def test_hom_holds_one_degrees_rows_at_a_time(monkeypatch):
-    # each degree's rows are dropped once ranked, before the next degree's
-    # are made: a weak reference to them is dead by the next _d_rows call
+    # each degree's lines are dropped once ranked, before the next degree's
+    # are made: a weak reference to them is dead by the next _d_columns call
     cat = build(ModelId.parse("M:1,1"), ring)
     expected = truncated_cohomology(cat, "L", "L", (-6, 0), 3, Q)
     made = []
-    d_rows = analysis._d_rows
+    d_columns = analysis._d_columns
 
     def tracked(*args):
         assert [ref() for ref in made] == [None] * len(made)
-        rows, lost = d_rows(*args)
-        rows = _Rows(rows)
-        made.append(weakref.ref(rows))
-        return rows, lost
+        lines, lost = d_columns(*args)
+        lines = _Rows(lines)
+        made.append(weakref.ref(lines))
+        return lines, lost
 
-    monkeypatch.setattr(analysis, "_d_rows", tracked)
+    monkeypatch.setattr(analysis, "_d_columns", tracked)
     assert truncated_cohomology(cat, "L", "L", (-6, 0), 3, Q) == expected
     assert len(made) == 8 and made[-1]() is None
 
@@ -446,6 +446,20 @@ def oracle_rows(cat, basis, next_basis, bound):
     return rows, lost
 
 
+def oracle_lines(cat, basis, next_basis, bound):
+    """oracle_rows transposed: a line {basis position: value} for each word
+    of next_basis that some row reaches, in next_basis's order, and the
+    lost flag."""
+    lines, lost = {}, False
+    for i, w in enumerate(basis):
+        rows, lost_w = oracle_rows(cat, [w], next_basis, bound)
+        lost = lost or lost_w
+        for row in rows:  # one at most
+            for col, value in row.items():
+                lines.setdefault(col, {})[i] = value
+    return [lines[col] for col in sorted(lines)], lost
+
+
 def spliced_reducible():
     """A relational category in which d of an irreducible word can be
     reducible, which no built model has: d(x*y) = x*x -> z + 2*1_L, and
@@ -480,48 +494,69 @@ def assembly_model(spec: str, ring_text: str):
     return change_coefficients(cat, Ring.parse(ring_text))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_assembled_rows_match_leibniz_oracle(data):
-    spec, max_bound = data.draw(st.sampled_from([
+@st.composite
+def assembly_cases(draw):
+    """(category, source, target, degree k, bound) for the oracle tests."""
+    spec, max_bound = draw(st.sampled_from([
         ("M:1,1", 3), ("S:2,1,1", 4), ("D01:3", 4), ("A2 x C:3", 4),
         ("M:1,1 x S:2,1,1", 2), ("spliced-reducible", 4)]))
-    cat = assembly_model(spec, data.draw(st.sampled_from(["Z", "Q",
-                                                          "Zmod:7"])))
-    source = data.draw(st.sampled_from(cat.objects))
-    target = data.draw(st.sampled_from(cat.objects))
-    k = data.draw(st.integers(-4, 1))
-    bound = data.draw(st.integers(0, max_bound))
-    got, want, _ = coded_rows(cat, source, target, (k, k + 1), bound, k)
+    cat = assembly_model(spec, draw(st.sampled_from(["Z", "Q", "Zmod:7"])))
+    return (cat, draw(st.sampled_from(cat.objects)),
+            draw(st.sampled_from(cat.objects)), draw(st.integers(-4, 1)),
+            draw(st.integers(0, max_bound)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(assembly_cases())
+def test_assembled_rows_match_leibniz_oracle(case):
+    cat, source, target, k, bound = case
+    got, want, _ = coded_columns(cat, source, target, (k, k + 1), bound, k)
     assert got == want
 
 
-def coded_rows(cat, source, target, window, bound, k):
-    """_d_rows and oracle_rows on degree k of the slice.  _d_rows gives raw
-    sums, so its rows are compared as exact_rank reduces them: mod p, and
-    without zeros or empty rows."""
+@settings(max_examples=150, deadline=None)
+@given(assembly_cases())
+def test_assembled_columns_are_the_transposed_oracle_rows(case):
+    # the lines in column order, their entries in basis order, and their
+    # rank that of the oracle's rows
+    cat, source, target, k, bound = case
+    (lines, lost), (want, want_lost), words = coded_columns(
+        cat, source, target, (k, k + 1), bound, k)
+    assert [list(line.items()) for line in lines] == \
+        [list(line.items()) for line in want]
+    assert lost == want_lost
+    p = cat.ring.modulus if cat.ring.kind == "Zmod" else None
+    rows, _ = oracle_rows(cat, words.get(k, []), words.get(k + 1, []), bound)
+    assert exact_rank(lines, cat.ring) == \
+        dense_rank(rows, len(words.get(k + 1, [])), p)
+
+
+def coded_columns(cat, source, target, window, bound, k):
+    """_d_columns and oracle_lines on degree k of the slice.  _d_columns
+    gives raw sums, so its lines are compared as exact_rank reduces them:
+    mod p, and without zeros or empty lines."""
     slice_ = hom_slice(cat, source, target, window, bound)
     coded, words = slice_.words_by_degree, decoded(cat, slice_)
-    rows, lost = _d_rows(cat.ring, *_over_field(cat, cat.ring),
-                         {w: i for i, w in enumerate(coded.get(k, []))},
-                         {w: i for i, w in enumerate(coded.get(k + 1, []))},
-                         bound)
+    lines, lost = _d_columns(
+        cat.ring, *_over_field(cat, cat.ring),
+        {w: i for i, w in enumerate(coded.get(k, []))},
+        {w: i for i, w in enumerate(coded.get(k + 1, []))}, bound)
     p = cat.ring.modulus if cat.ring.kind == "Zmod" else None
-    reduced = ({c: r for c, v in row.items() if (r := v % p if p else v)}
-               for row in rows)
-    got = [row for row in reduced if row], lost
-    return got, oracle_rows(cat, words.get(k, []), words.get(k + 1, []),
-                            bound), words
+    reduced = ({i: r for i, v in line.items() if (r := v % p if p else v)}
+               for line in lines)
+    got = [line for line in reduced if line], lost
+    return got, oracle_lines(cat, words.get(k, []), words.get(k + 1, []),
+                             bound), words
 
 
 @pytest.mark.parametrize("field", ["Q", "Zmod:7"])
 def test_trimmed_assembly_matches_oracle_on_every_degree(field):
     # once a degree is lost, each word takes only the d terms that fit the
-    # bound; no row may change
+    # bound; no line may change
     cat = assembly_model("M:1,1", field)
     lost = {}
     for k in range(-7, 1):
-        got, want, words = coded_rows(cat, "L", "L", (-7, 1), 3, k)
+        got, want, words = coded_columns(cat, "L", "L", (-7, 1), 3, k)
         assert got == want
         lost[k] = got[1]
     assert lost == {-7: False, -6: True, -5: True, -4: True, -3: True,
@@ -559,15 +594,16 @@ def test_a_word_with_no_d_letter_takes_no_d_term(spec, window, bound, k):
     # the words with no d letter alone, then the whole degree
     for chosen in (sorted(skipped), range(len(coded[k]))):
         counted = CountedTable(table)
-        rows, lost = _d_rows(cat.ring, counted, rules,
-                             [coded[k][i] for i in chosen], columns, bound)
-        assert (rows, lost) == oracle_rows(cat, [words[k][i] for i in chosen],
-                                           words.get(k + 1, []), bound)
+        lines, lost = _d_columns(cat.ring, counted, rules,
+                                 [coded[k][i] for i in chosen], columns,
+                                 bound)
+        assert (lines, lost) == oracle_lines(
+            cat, [words[k][i] for i in chosen], words.get(k + 1, []), bound)
         # the other words read the entry of each of their letters once
         assert counted.reads == sum(len(coded[k][i]) for i in chosen
                                     if i not in skipped)
-    # S:3,2,1's degree also holds words with h, whose rows are not empty
-    assert bool(rows) == (spec == "S:3,2,1")
+    # S:3,2,1's degree also holds words with h, whose d is not 0
+    assert bool(lines) == (spec == "S:3,2,1")
 
 
 def test_assembly_before_a_loss_builds_every_term():
@@ -584,20 +620,21 @@ def test_assembly_before_a_loss_builds_every_term():
         one = field.one()
         table = {g.rank: (g.degree % 2, [(t, one)], [(t, field.neg(one))])
                  for g, t in ((u, (0, 2)), (v, (2, 1)), (p, (2, 2)))}
-        assert _d_rows(field, table, None, {(0, 1): 0}, {}, 2) == ([], False)
+        assert _d_columns(field, table, None, {(0, 1): 0}, {}, 2) == \
+            ([], False)
         # d(u*p*v) = u*p*p*v
-        assert _d_rows(field, table, None, {(0, 2, 1): 0}, {}, 3) == \
+        assert _d_columns(field, table, None, {(0, 2, 1): 0}, {}, 3) == \
             ([], True)
 
 
 @pytest.mark.parametrize("field", ["Z", "Zmod:7"])
 def test_assembly_with_rules_builds_every_term_after_a_loss(field):
     # at bound 1, d(w) = z*z is lost first; the x*x of d(t) is beyond the
-    # bound too, but reduces to z + 2*1_L, so it still reaches t's row
+    # bound too, but reduces to z + 2*1_L, so it still reaches t's entries
     cat = assembly_model("spliced-reducible", field)
-    got, want, _ = coded_rows(cat, "L", "L", (-2, 1), 1, -1)
-    # columns: 1_L, z, x; rows: y, u and t (w's only term is lost)
-    assert got == want == ([{2: 1}, {1: cat.ring.neg(1)}, {0: 2, 1: 2}],
+    got, want, _ = coded_columns(cat, "L", "L", (-2, 1), 1, -1)
+    # lines: 1_L, z, x; basis: y, u, w and t (w's only term is lost)
+    assert got == want == ([{3: 2}, {1: cat.ring.neg(1), 3: 2}, {0: 1}],
                            True)
 
 
@@ -609,9 +646,9 @@ def test_assembly_with_rules_builds_every_term_after_a_loss(field):
 ])
 def test_rows_with_rules_equal_those_of_the_oracle_normalizer(
         spec, source, target, window, bound, field, monkeypatch):
-    # _d_rows on every degree, once with the coded core and once with
+    # _d_columns on every degree, once with the coded core and once with
     # normal_form replaced by the Generator-word normalizer of helpers.py;
-    # the rows, their entries' order and the flags must agree
+    # the lines, their entries' order and the flags must agree
     cat = assembly_model(spec, field)
     words = hom_slice(cat, source, target, window, bound).words_by_degree
     table, rules = _over_field(cat, cat.ring)
@@ -631,11 +668,11 @@ def test_rows_with_rules_equal_those_of_the_oracle_normalizer(
     def all_rows():
         out = []
         for k in range(window[0], window[1]):
-            rows, lost = _d_rows(
+            lines, lost = _d_columns(
                 cat.ring, table, rules,
                 {w: i for i, w in enumerate(words.get(k, []))},
                 {w: i for i, w in enumerate(words.get(k + 1, []))}, bound)
-            out.append(([list(row.items()) for row in rows], lost))
+            out.append(([list(line.items()) for line in lines], lost))
         return out
 
     got = all_rows()
@@ -787,7 +824,7 @@ def test_trimmed_assembly_with_rules_equals_the_untrimmed_one(
         spec, source, target, bound, field, monkeypatch):
     # no interchange rule shortens a word, so once a degree is lost each
     # word takes only the d terms that fit the bound; on every degree the
-    # rows and the flag must be those of the untrimmed assembly
+    # lines and the flag must be those of the untrimmed assembly
     cat = assembly_model(spec, field)
     table, rules = _over_field(cat, cat.ring)
     assert all(len(w) >= len(lhs) for lhs, terms, _ in rules.rules
@@ -797,8 +834,9 @@ def test_trimmed_assembly_with_rules_equals_the_untrimmed_one(
     def all_rows():
         columns = {k: {w: i for i, w in enumerate(ws)}
                    for k, ws in words.items()}
-        return [_d_rows(cat.ring, table, rules, columns[k],
-                        columns.get(k + 1, {}), bound) for k in sorted(words)]
+        return [_d_columns(cat.ring, table, rules, columns[k],
+                           columns.get(k + 1, {}), bound)
+                for k in sorted(words)]
 
     trims = []
     trim = analysis._trim

@@ -658,6 +658,9 @@ _RANKS = ["functor", "FUNCTOR", "--ranks"]
     ([*_HOM, "--window=-3:0", "--field", "Z"], "--field: Z is not a field"),
     ([*_HOM, "--window=-3:0", "--field", "Zmod:x"],
      "--field: unknown ring 'Zmod:x': the modulus is not an integer"),
+    ([*_HOM, "--window=-3:0", "--field", "Zmod:07"],
+     "--field: unknown ring 'Zmod:07': write the modulus in plain digits, "
+     "as Zmod:7"),
     ([*_RANKS, "--window=0:-1"],
      "--window: hom window 0:-1 is empty (lo > hi)"),
     ([*_RANKS, "--bound", "-1"], "--bound: hom length bound -1 is negative"),
@@ -674,12 +677,16 @@ _RANKS = ["functor", "FUNCTOR", "--ranks"]
      "--n: plumbing dimension n must be >= 2"),
     (["plumb", str(DATA / "a2_n3.json"), "--coeff", "Zmod:"],
      "--coeff: unknown ring 'Zmod:': the modulus is not an integer"),
+    (["build", "--model", "A2", "--coeff", "Zmod:+7"],
+     "--coeff: unknown ring 'Zmod:+7': write the modulus in plain digits, "
+     "as Zmod:7"),
     (["equiv", "gauge", str(DATA / "a2_n3.json"), "--flip-set", "v",
       "--coeff", "W"], "--coeff: unknown ring 'W'"),
 ], ids=["hom-src", "hom-tgt", "hom-window", "hom-bound", "hom-field",
-        "hom-field-not-a-ring", "ranks-window", "ranks-bound", "ranks-field",
-        "ranks-field-not-a-ring", "build-coeff", "ginzburg-coeff",
-        "ginzburg-witness-n", "plumb-n", "plumb-coeff", "equiv-coeff"])
+        "hom-field-not-a-ring", "hom-field-not-plain-digits", "ranks-window",
+        "ranks-bound", "ranks-field", "ranks-field-not-a-ring", "build-coeff",
+        "ginzburg-coeff", "ginzburg-witness-n", "plumb-n", "plumb-coeff",
+        "build-coeff-not-plain-digits", "equiv-coeff"])
 def test_a_refused_option_names_itself(argv, message, tmp_path, capsys):
     # each of these once printed its text with no option, and plumb --n
     # named the document's field n
