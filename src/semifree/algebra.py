@@ -46,28 +46,25 @@ class Ring:
 
     # -- raw value operations (values are int or Fraction, never floats) --
     def normalize(self, value):
+        """The one map of an int or Fraction into the ring.  Values come out
+        as reduced ints, or over Q as Fractions that are not integers, so
+        zero is the int 0 and one the int 1."""
         if isinstance(value, float):
             raise TypeError("floating-point coefficients are not allowed")
-        if self.kind == "Z":
-            if isinstance(value, Fraction):
-                if value.denominator != 1:
-                    raise ValueError(f"{value} is not an integer")
-                value = value.numerator
-            return int(value)
-        if self.kind == "Q":
-            # an integral rational is kept as int: int arithmetic is faster
-            # and renders the same
-            if isinstance(value, int):
-                return int(value)
-            value = Fraction(value)
-            return value.numerator if value.denominator == 1 else value
-        return int(value) % self.modulus
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
+        if isinstance(value, Fraction):
+            num, den = value.numerator, value.denominator
+            if den == 1:
+                value = num
+            elif self.kind == "Z":
+                raise ValueError(f"{value} is not an integer")
+            elif self.kind == "Q":
+                return value
+            elif gcd(den, self.modulus) != 1:
+                raise ValueError(f"denominator {den} not invertible mod "
+                                 f"{self.modulus}")
+            else:
+                return num * pow(den, -1, self.modulus) % self.modulus
+        return int(value) % self.modulus if self.kind == "Zmod" else int(value)
 
     def add(self, a, b):
         return (a + b) % self.modulus if self.kind == "Zmod" else a + b
@@ -77,9 +74,6 @@ class Ring:
 
     def mul(self, a, b):
         return (a * b) % self.modulus if self.kind == "Zmod" else a * b
-
-    def is_zero(self, a) -> bool:
-        return a == 0
 
     def is_unit(self, a) -> bool:
         if self.kind == "Z":
@@ -132,9 +126,6 @@ class Ring:
                                  f"in plain digits, as Zmod:{modulus}")
             return Ring("Zmod", modulus)
         raise ValueError(f"unknown ring {text!r}")
-
-    def render_value(self, value) -> str:
-        return str(value)
 
     def parse_value(self, text: str):
         text = text.strip()
@@ -251,12 +242,12 @@ class NcPoly:
 
     @staticmethod
     def identity(ring: Ring, obj: str) -> "NcPoly":
-        return NcPoly(ring, obj, obj, {obj: ring.one()})
+        return NcPoly(ring, obj, obj, {obj: 1})
 
     @staticmethod
     def gen(ring: Ring, g: Generator, coeff=None) -> "NcPoly":
-        c = ring.one() if coeff is None else ring.normalize(coeff)
-        terms = {} if ring.is_zero(c) else {(g,): c}
+        c = 1 if coeff is None else ring.normalize(coeff)
+        terms = {(g,): c} if c else {}
         return NcPoly(ring, g.source, g.target, terms)
 
     @staticmethod
@@ -319,7 +310,7 @@ class NcPoly:
         items = other.terms.items()
         if coeff is not None:
             coeff = ring.normalize(coeff)
-            if ring.is_zero(coeff):
+            if not coeff:
                 return
             items = ((w, ring.mul(coeff, c)) for w, c in items)
         accumulate(ring, self.terms, items)
@@ -335,7 +326,7 @@ class NcPoly:
     def scale(self, value) -> "NcPoly":
         ring = self.ring
         value = ring.normalize(value)
-        if ring.is_zero(value):
+        if not value:
             return NcPoly.zero(ring, self.source, self.target)
         return NcPoly(ring, self.source, self.target,
                       {w: ring.mul(value, c) for w, c in self.terms.items()})
@@ -362,14 +353,14 @@ def accumulate(ring: Ring, terms: dict, items) -> dict:
     ring.normalize leaves them.  A word whose sum is zero is removed; any
     other word keeps its place in the dict's order.
     """
-    add, is_zero = ring.add, ring.is_zero
+    add = ring.add
     for word, value in items:
         if word in terms:
             value = add(terms[word], value)
-        if is_zero(value):
-            terms.pop(word, None)
-        else:
+        if value:
             terms[word] = value
+        else:
+            terms.pop(word, None)
     return terms
 
 
@@ -497,16 +488,14 @@ def render_poly(p: NcPoly) -> str:
     if p.is_zero():
         return "0"
     parts = []
-    one = p.ring.one()
-    minus_one = p.ring.neg(one)
     for word, coeff in p.sorted_terms():
         body = render_word(word)
-        if coeff == one:
+        if coeff == 1:
             text = body
-        elif coeff == minus_one and p.ring.kind != "Zmod":
+        elif coeff == -1:  # not over Zmod, whose values are reduced
             text = "-" + body
         else:
-            text = f"{p.ring.render_value(coeff)}*{body}"
+            text = f"{coeff}*{body}"
         if not parts:
             parts.append(text)
         elif text.startswith("-"):
@@ -569,7 +558,7 @@ def _parse_term(chunk: str, ring: Ring, lookup):
     identity among generators is a unit, but it must sit on the object
     where it stands: the source of the generator on its left, or, left of
     every generator, the target of the first one."""
-    coeff = ring.one()
+    coeff = 1
     letters = []
     unit = None  # the object of the identities left of every generator
     for tok in chunk.split("*"):

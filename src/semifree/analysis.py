@@ -10,7 +10,6 @@ integers for rational ranks, modular for prime fields) and shares one core.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 from .algebra import NcPoly, Ring, render_poly
@@ -134,28 +133,15 @@ def _rank_core(rows, p, pivoted) -> int:
 # coefficient change
 # ---------------------------------------------------------------------------
 
-def _converter(ring: Ring):
-    """The map of int and Fraction values into ring."""
-    def convert(value):
-        if ring.kind == "Zmod" and isinstance(value, Fraction):
-            num, den = value.numerator, value.denominator
-            if gcd(den, ring.modulus) != 1:
-                raise ValueError(f"denominator {den} not invertible mod "
-                                 f"{ring.modulus}")
-            return num * pow(den, -1, ring.modulus) % ring.modulus
-        return ring.normalize(value)
-    return convert
-
-
 def change_coefficients(cat, ring: Ring):
-    """Rebuild a presentation over another exact ring (values mapped through)."""
+    """Rebuild a presentation over another exact ring, each value mapped
+    by ring.normalize."""
     if cat.ring == ring:
         return cat
-    convert = _converter(ring)
 
     def mapped(p):
-        return NcPoly(ring, p.source, p.target,
-                      {w: v for w, c in p.terms.items() if (v := convert(c))})
+        return NcPoly(ring, p.source, p.target, {
+            w: v for w, c in p.terms.items() if (v := ring.normalize(c))})
 
     table = {name: mapped(p) for name, p in cat.differentials.items()}
     entry = {"op": "change_coefficients", "ring": ring.render()}
@@ -175,12 +161,12 @@ def _over_field(cat, field: Ring, table=None):
     rules = cat._index if cat.rules else None
     if field == cat.ring:
         return table, rules
-    convert, neg = _converter(field), field.neg
+    normalize, neg = field.normalize, field.neg
     for r, (odd, terms, _) in table.items():
-        terms = [(t, v) for t, c in terms if (v := convert(c))]
+        terms = [(t, v) for t, c in terms if (v := normalize(c))]
         table[r] = (odd, terms, [(t, neg(v)) for t, v in terms])
     if rules is not None:
-        rules = rules.mapped(convert, field)
+        rules = rules.mapped(field)
     return table, rules
 
 

@@ -30,7 +30,6 @@ from .dgcat import (
     validate_functor,
 )
 from .fukaya import ModelId, build
-from .rewrite import RuleError
 
 # plumbing and reduce are imported by the subcommands that use them, so
 # build, verify, hom and tensor do not compile them at start-up.
@@ -157,7 +156,7 @@ def _load_part(doc: dict, key: str):
         return from_json(part)
     except InputError as err:
         raise err.within(key) from None
-    except (DSquaredNonzero, RuleError) as err:  # d^2 or rules
+    except DSquaredNonzero as err:
         raise InputError(key, str(err)) from err
 
 

@@ -161,7 +161,7 @@ def is_semifree_extension(f: DgFunctor) -> bool:
         if img is None or len(img.terms) != 1:
             return False
         ((word, coeff),) = img.terms.items()
-        if isinstance(word, str) or len(word) != 1 or coeff != f.target.ring.one():
+        if isinstance(word, str) or len(word) != 1 or coeff != 1:
             return False
         letter = word[0]
         if letter.name in seen:
@@ -344,7 +344,7 @@ def twisted_derivation(p: NcPoly, alpha_leg, beta_leg, t_gen: dict,
     """
     def push(leg, word):
         return push_poly(NcPoly(ring, word[-1].source, word[0].target,
-                                {word: ring.one()}), *leg, ring)
+                                {word: 1}), *leg, ring)
 
     out = NcPoly.zero(ring, alpha_leg[0][p.source], beta_leg[0][p.target])
     for word, coeff in p.terms.items():

@@ -197,68 +197,77 @@ class SemifreeDgCat:
         # so every rule letter must be one of the generators
         weight_of = self.weights.get
         index = RuleIndex(letters=by_rank)
-        for lhs, rhs in self.rules:
-            if not lhs:
-                raise RuleError("empty rule lhs")
-            if rhs.ring is not ring and rhs.ring != ring:
-                raise ValueError("mixed coefficient rings")
-            source, target = rhs.source, rhs.target
-            if source != lhs[-1].source or target != lhs[0].target:
-                raise RuleError(
-                    f"rule {render_word(lhs)} -> {render_poly(rhs)} changes boundary")
-            # one walk per word, lhs first, gives its rank code, degree and
-            # weight, whether it composes along source->target, and the
-            # first letter that is not a generator of the category
-            walks, composes, foreign = [], True, None
-            for w in (lhs, *rhs.terms):
-                word = () if isinstance(w, str) else w  # an identity's is ()
-                end = target if word else w if w == target else None
-                degree = weight = 0
-                for letter in word:
-                    known = gen_map.get(letter.name)
-                    if known is not letter and known != letter:
-                        foreign = foreign or letter
-                    end = letter.source if letter.target == end else None
-                    degree += letter.degree
-                    weight += weight_of(letter.name, 1)
-                composes &= end == source
-                walks.append((tuple(map(_rank, word)), degree, weight))
-            # rewriting splices coded rhs words in place of the lhs, and d
-            # terms in place of letters, with no check of the spliced words
-            if not composes:
-                try:
-                    for w in (lhs, *rhs.terms):
-                        _checked(w, source, target)  # raises its error
-                except CompositionError as err:
-                    raise RuleError(str(err)) from None
-            if foreign is not None:
-                raise RuleError(
-                    f"rule {render_word(lhs)} -> {render_poly(rhs)} uses "
-                    f"{foreign.name}, which is not a generator of the "
-                    f"category")
-            ranks, degree, weight = walks[0]
-            terms = []
-            for (w, c), (w_ranks, w_degree, w_weight) in zip(rhs.terms.items(),
-                                                             walks[1:]):
-                # w < lhs in the reduction order, stably under
-                # multiplication: an identity is below every lhs of weight
-                # >= 0, and equal weight but different length is not stable
-                # under embedding
-                below = (w_weight < weight if w_weight != weight
-                         else not w_ranks or len(w_ranks) == len(ranks)
-                         and w_ranks < ranks)
-                if w_degree != degree:
+        try:  # a rule's check error names the rule
+            for i, (lhs, rhs) in enumerate(self.rules):
+                if not lhs:
+                    raise RuleError("empty rule lhs")
+                if rhs.ring is not ring and rhs.ring != ring:
+                    raise ValueError("mixed coefficient rings")
+                source, target = rhs.source, rhs.target
+                if source != lhs[-1].source or target != lhs[0].target:
+                    raise RuleError(f"rule {render_word(lhs)} -> "
+                                    f"{render_poly(rhs)} changes boundary")
+                # one walk per word, lhs first, gives its rank code, degree
+                # and weight, whether it composes along source->target, and
+                # the first letter that is not a generator of the category
+                walks, composes, foreign = [], True, None
+                for w in (lhs, *rhs.terms):
+                    # an identity's word is ()
+                    word = () if isinstance(w, str) else w
+                    end = target if word else w if w == target else None
+                    degree = weight = 0
+                    for letter in word:
+                        known = gen_map.get(letter.name)
+                        if known is not letter and known != letter:
+                            foreign = foreign or letter
+                        end = letter.source if letter.target == end else None
+                        degree += letter.degree
+                        weight += weight_of(letter.name, 1)
+                    composes &= end == source
+                    walks.append((tuple(map(_rank, word)), degree, weight))
+                # rewriting splices coded rhs words in place of the lhs, and
+                # d terms in place of letters, with no check of the spliced
+                # words
+                if not composes:
+                    try:
+                        for w in (lhs, *rhs.terms):
+                            _checked(w, source, target)  # raises its error
+                    except CompositionError as err:
+                        raise RuleError(str(err)) from None
+                if foreign is not None:
                     raise RuleError(
-                        f"rule {render_word(lhs)} -> {render_poly(rhs)} changes "
-                        f"degree: lhs has degree {degree}, rhs term "
-                        f"{render_word(w)} has degree {w_degree}")
-                if not below:
-                    raise RuleError(
-                        f"rule {render_word(lhs)} -> {render_poly(rhs)} does not "
-                        f"decrease the reduction order at {render_word(w)}")
-                terms.append((w_ranks, c))
-            index.add(ranks, terms, rhs.ring)
-        index.check_confluent(ring)
+                        f"rule {render_word(lhs)} -> {render_poly(rhs)} uses "
+                        f"{foreign.name}, which is not a generator of the "
+                        f"category")
+                ranks, degree, weight = walks[0]
+                terms = []
+                for (w, c), (w_ranks, w_degree, w_weight) in zip(
+                        rhs.terms.items(), walks[1:]):
+                    # w < lhs in the reduction order, stably under
+                    # multiplication: an identity is below every lhs of
+                    # weight >= 0, and equal weight but different length is
+                    # not stable under embedding
+                    below = (w_weight < weight if w_weight != weight
+                             else not w_ranks or len(w_ranks) == len(ranks)
+                             and w_ranks < ranks)
+                    if w_degree != degree:
+                        raise RuleError(
+                            f"rule {render_word(lhs)} -> {render_poly(rhs)} "
+                            f"changes degree: lhs has degree {degree}, rhs "
+                            f"term {render_word(w)} has degree {w_degree}")
+                    if not below:
+                        raise RuleError(
+                            f"rule {render_word(lhs)} -> {render_poly(rhs)} "
+                            f"does not decrease the reduction order at "
+                            f"{render_word(w)}")
+                    terms.append((w_ranks, c))
+                index.add(ranks, terms, rhs.ring)
+        except ValueError as err:
+            raise _part(err, "rules", i)
+        try:
+            index.check_confluent(ring)
+        except ValueError as err:
+            raise _part(err, "rules")
         object.__setattr__(self, "_index", index)
 
     # -- lookups --
@@ -351,7 +360,7 @@ def push_poly(p: NcPoly, object_map: dict, gen_images: dict, ring: Ring) -> NcPo
                 f"boundary mismatch: {out.source}->{out.target} vs "
                 f"{left.source}->{first.target}")
         coeff = ring.normalize(coeff)
-        if not ring.is_zero(coeff):
+        if coeff:
             accumulate(ring, out.terms,
                        ((w, mul(coeff, c)) for w, c in partial))
     return out

@@ -66,7 +66,6 @@ def _substitute(cat, rules, removed: dict, entry: dict, tilde=None):
                for lhs, rhs in rules]
     index = None  # of the carried rules, built once a rule is turned
     order = partial(_order_key, weights=cat.weights)
-    one = ring.one()
     turned = []  # (old rule, new rule) for each rule whose lhs is substituted
     kept, dropped = {}, []  # kept: an ordered set, as a substitution can
     for (lhs, rhs), rule in zip(rules, carried):  # make two rules one
@@ -76,7 +75,7 @@ def _substitute(cat, rules, removed: dict, entry: dict, tilde=None):
             # rhs's
             if index is None:
                 index = RuleIndex([r for r in carried if r is not None])
-            lhs_poly = NcPoly(ring, rhs.source, rhs.target, {lhs: one})
+            lhs_poly = NcPoly(ring, rhs.source, rhs.target, {lhs: 1})
             eq = index.normalize(pushed(lhs_poly) - pushed(rhs))
             # its order-maximal word leads; identities come first
             lead = max(eq.terms, key=order, default="")
@@ -88,7 +87,7 @@ def _substitute(cat, rules, removed: dict, entry: dict, tilde=None):
                 raise RuleError(f"{move}: it turned {_rendered((lhs, rhs))} "
                                 f"into {render_poly(eq)} = 0, whose lead "
                                 f"{render_word(lead)} has the coefficient "
-                                f"{ring.render_value(coeff)}, not a unit")
+                                f"{coeff}, not a unit")
             rest = NcPoly(ring, eq.source, eq.target,
                           {w: c for w, c in eq.terms.items() if w != lead})
             rule = (lead, (-rest).scale(ring.inv(coeff)))
@@ -151,7 +150,7 @@ def change_basis(cat, name: str, unit, lower: NcPoly | None = None,
     # d(f~) = unit*d(f) + d(lower), neither of which uses f
     d_new = cat.differentials[name].scale(unit) + cat.d(lower)
     replacement = (NcPoly.gen(ring, new_gen) - lower).scale(ring.inv(unit))
-    entry = {"op": "change_basis", "gen": name, "unit": ring.render_value(unit),
+    entry = {"op": "change_basis", "gen": name, "unit": str(unit),
              "lower": render_poly(lower), "renamed": fresh,
              "before": len(cat.generators), "after": len(cat.generators)}
     return _substitute(cat, cat.rules, {name: replacement}, entry,

@@ -28,8 +28,9 @@ from .dgcat import (
 RelationalDgCat = SemifreeDgCat
 
 
-class RuleError(Exception):
-    pass
+class RuleError(ValueError):
+    """A rule breaks a check: its boundary, degree, letters or reduction
+    order, or confluence."""
 
 
 def _order_key(word, weights):
@@ -70,12 +71,13 @@ class RuleIndex:
         if len(lhs) not in self.lengths:
             insort(self.lengths, len(lhs))
 
-    def mapped(self, convert, ring) -> "RuleIndex":
-        """This index with each rhs value mapped by convert into ring and
-        the zeros dropped; it shares first, lengths and letters."""
+    def mapped(self, ring) -> "RuleIndex":
+        """This index with each rhs value mapped by ring.normalize and the
+        zeros dropped; it shares first, lengths and letters."""
         out = RuleIndex(letters=self.letters)
         out.first, out.lengths = self.first, self.lengths
-        out.rules = [(lhs, [(w, v) for w, c in terms if (v := convert(c))],
+        normalize = ring.normalize
+        out.rules = [(lhs, [(w, v) for w, c in terms if (v := normalize(c))],
                       ring) for lhs, terms, _ in self.rules]
         return out
 
@@ -152,7 +154,7 @@ def normal_form(index: RuleIndex, ring, pending: list) -> dict:
     at its leftmost match by the smallest rule index there: each rhs term
     is spliced in place of the lhs, dropping zero products.  Irreducible
     terms are summed in the order they are found."""
-    mul, is_zero = ring.mul, ring.is_zero
+    mul = ring.mul
     rules = index.rules
     normal = []
     while pending:
@@ -169,7 +171,7 @@ def normal_form(index: RuleIndex, ring, pending: list) -> dict:
         right = word[i + len(lhs):]
         for w, c in terms:
             c = mul(coeff, c)
-            if not is_zero(c):
+            if c:
                 pending.append((left + w + right, c))
     return accumulate(ring, {}, normal)
 
@@ -210,28 +212,27 @@ def audit_rules(cat, table=None) -> None:
     if table is None:
         table = _d_table(cat)
     index = cat._index
-    one, neg, mul = ring.one(), ring.neg, ring.mul
-    add, is_zero = ring.add, ring.is_zero
+    neg, mul, add = ring.neg, ring.mul, ring.add
     for (lhs, rhs), (ranks, terms, _) in zip(cat.rules, index.rules):
         # d(lhs) - d(rhs) as one d(lhs - rhs), summed as it is spliced
         # (accumulate's loop, inlined): every rhs word is smaller than lhs
         # in the reduction order, so none is lhs itself
         spliced = {}
-        for word, coeff in [(ranks, one)] + [(w, neg(c)) for w, c in terms]:
+        for word, coeff in [(ranks, 1)] + [(w, neg(c)) for w, c in terms]:
             parity = 0  # of the letters left of j
             for j, r in enumerate(word):
                 odd, plus, minus = table[r]
                 left, right = word[:j], word[j + 1:]
                 for t, c in minus if parity else plus:
-                    # the d terms are reduced, so one * c is c
+                    # the d terms are reduced, so 1 * c is c
                     t, c = (left + t + right,
-                            c if coeff == one else mul(coeff, c))
+                            c if coeff == 1 else mul(coeff, c))
                     if t in spliced:
                         c = add(spliced[t], c)
-                    if is_zero(c):
-                        spliced.pop(t, None)
-                    else:
+                    if c:
                         spliced[t] = c
+                    else:
+                        spliced.pop(t, None)
                 parity ^= odd
         residual = normal_form(index, ring, list(spliced.items()))
         if residual:

@@ -86,7 +86,7 @@ def _tilde(p: NcPoly, ring, shifts: dict, object_map: dict,
         new_word = tuple(gen_map[g.name] for g in word)
         sign = -1 if exponent % 2 else 1
         out.add_in_place(NcPoly(ring, new_word[-1].source, new_word[0].target,
-                                {new_word: ring.one()}),
+                                {new_word: 1}),
                          ring.mul(ring.normalize(sign), coeff))
     return out
 

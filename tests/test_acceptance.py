@@ -294,7 +294,7 @@ def test_criterion_8_surface_presentations():
                 rel, witness = surface_relation_form(g, m, ring)
                 assert validate_functor(witness)["valid"]
                 a_word = tuple(rel.gen(f"a{i}") for i in range(m, 0, -1))
-                prod = NcPoly(ring, "L", "L", {a_word: ring.one()})
+                prod = NcPoly(ring, "L", "L", {a_word: 1})
                 commutators = rel.rules[-1][1]
                 assert rel.normalize(prod) == rel.normalize(commutators)
 

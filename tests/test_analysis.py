@@ -432,7 +432,7 @@ def oracle_rows(cat, basis, next_basis, bound):
         if isinstance(w, str):
             continue  # d(1_X) = 0
         dw = generator_normalize(rules, leibniz_d(
-            NcPoly(cat.ring, w[-1].source, w[0].target, {w: cat.ring.one()}),
+            NcPoly(cat.ring, w[-1].source, w[0].target, {w: 1}),
             cat.differentials))
         row = {}
         for word, coeff in dw.terms.items():
@@ -617,8 +617,7 @@ def test_assembly_before_a_loss_builds_every_term():
     v = Generator("v", "X", "Y", -1, 1)
     p = Generator("p", "Y", "Y", 1, 2)
     for field in (Q, integers_mod(7)):
-        one = field.one()
-        table = {g.rank: (g.degree % 2, [(t, one)], [(t, field.neg(one))])
+        table = {g.rank: (g.degree % 2, [(t, 1)], [(t, field.neg(1))])
                  for g, t in ((u, (0, 2)), (v, (2, 1)), (p, (2, 2)))}
         assert _d_columns(field, table, None, {(0, 1): 0}, {}, 2) == \
             ([], False)

@@ -27,7 +27,6 @@ from semifree.dgcat import (
     DegreeError,
     DgFunctor,
     DSquaredNonzero,
-    FunctorError,
     InputError,
     OrdinalViolation,
     SemifreeDgCat,
@@ -703,7 +702,9 @@ def test_from_json_rejects_empty_rule_lhs():
     doc = to_json(tensor(build(ModelId.parse("A2"), ring),
                          build(ModelId.parse("C:3"), ring)))
     doc["rules"].append({"lhs": [], "rhs": "0"})
-    with pytest.raises(RuleError, match="empty rule lhs"):
+    index = len(doc["rules"]) - 1
+    with pytest.raises(InputError, match=rf"^rules\[{index}\]: empty rule "
+                                         rf"lhs$"):
         from_json(doc)
 
 
@@ -711,9 +712,9 @@ def test_rule_must_preserve_degree():
     # z has degree -2, so z*z (degree -4) -> z (degree -2) changes degree
     doc = json.loads((DATA / "c3.json").read_text())
     doc["rules"] = [{"lhs": ["z", "z"], "rhs": "z"}]
-    with pytest.raises(RuleError, match=r"rule z\*z -> z changes degree: "
-                                        r"lhs has degree -4, rhs term z has "
-                                        r"degree -2"):
+    with pytest.raises(InputError, match=r"^rules\[0\]: rule z\*z -> z "
+                                         r"changes degree: lhs has degree "
+                                         r"-4, rhs term z has degree -2$"):
         from_json(doc)
     doc["rules"] = [{"lhs": ["z", "z", "z"], "rhs": "0"}]
     assert from_json(doc).rules  # a zero rhs has no degree to disagree
@@ -821,7 +822,7 @@ def test_from_json_raises_only_documented_errors(doc):
     # structural errors once escaped as bare ValueError or DegreeError
     try:
         from_json(doc)
-    except (InputError, DSquaredNonzero, FunctorError, RuleError):
+    except (InputError, DSquaredNonzero):
         pass
 
 

@@ -213,9 +213,8 @@ def test_relation_form(g, m):
         f"alpha{j}'*beta{j}'*alpha{j}*beta{j}" for j in range(g, 0, -1))
     assert render_poly(rhs) == expected
     # exact rewriting: the product of a's reduces to the commutator product
-    ring_one = ring.one()
     a_word = tuple(rel.gen(f"a{i}") for i in range(m, 0, -1))
-    prod = NcPoly(ring, "L", "L", {a_word: ring_one})
+    prod = NcPoly(ring, "L", "L", {a_word: 1})
     assert rel.normalize(prod) == rel.normalize(rhs)
 
 
