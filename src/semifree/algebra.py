@@ -415,12 +415,10 @@ def compose(p: NcPoly, q: NcPoly) -> NcPoly:
     return NcPoly(ring, q.source, p.target, terms)
 
 
-def compose_all(factors, ring: Ring, obj: str | None = None) -> NcPoly:
+def compose_all(factors, ring: Ring, obj: str) -> NcPoly:
     """Compose a written-order sequence of polynomials; empty product is 1_obj."""
     factors = list(factors)
     if not factors:
-        if obj is None:
-            raise ValueError("empty product needs an object for the identity")
         return NcPoly.identity(ring, obj)
     out = factors[0]
     for f in factors[1:]:

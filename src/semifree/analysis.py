@@ -211,7 +211,8 @@ def truncated_cohomology(cat, source: str, target: str, window, bound: int,
                          field: Ring) -> RankTable:
     """Kernel/image ranks of the word-length-truncated hom complex; an
     argument it or hom_slice refuses is a BadArgument that names it, a
-    modulus whose primality is not decided too."""
+    modulus whose primality is not decided, or a field that cannot invert
+    a denominator of cat, too."""
     try:
         is_field = field.is_field()
     except ValueError as err:
@@ -238,7 +239,10 @@ def truncated_cohomology(cat, source: str, target: str, window, bound: int,
         # compatibility, and normal forms commute with it.  Every
         # constructor and from_json audited d^2 = 0 over cat's ring.
         audit_rules(cat, table)
-    table, rules = _over_field(cat, field, table)
+    try:
+        table, rules = _over_field(cat, field, table)
+    except ValueError as err:  # a denominator that field cannot invert
+        raise BadArgument("field", str(err)) from None
     ranks_d = {}
     dropped = {}
     for k in range(lo - 1, hi + 1):

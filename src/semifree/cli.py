@@ -21,7 +21,6 @@ from .constructions import PushoutSpan, hocolim, localize, tensor
 from .dgcat import (
     BadArgument,
     DgFunctor,
-    DSquaredNonzero,
     InputError,
     _field,
     _known,
@@ -129,16 +128,11 @@ def functor_from_json(doc: dict, source, target, where: str = "") -> DgFunctor:
     images = _field(doc, "generators", dict, where)
     path = f"{where}." if where else ""
     for obj in source.objects:
-        if not isinstance(objects.get(obj), str):
-            raise InputError(f"{path}objects.{obj}", f"expected a target "
-                             f"object name, got {objects.get(obj)!r}")
+        _field(objects, obj, str, f"{path}objects")
     _known(images, source.gen_map(), "generator named", f"{path}generators")
     gm = {}
     for g in source.generators:
-        text = images.get(g.name, "0")
-        if not isinstance(text, str):
-            raise InputError(f"{path}generators.{g.name}", f"expected a "
-                             f"polynomial string, got {text!r}")
+        text = _field(images, g.name, str, f"{path}generators", "0")
         try:
             gm[g.name] = target.poly(text, objects[g.source],
                                      objects[g.target])
@@ -156,8 +150,6 @@ def _load_part(doc: dict, key: str):
         return from_json(part)
     except InputError as err:
         raise err.within(key) from None
-    except DSquaredNonzero as err:
-        raise InputError(key, str(err)) from err
 
 
 def load_functor(doc: dict) -> DgFunctor:

@@ -111,7 +111,7 @@ def localization_records(cat) -> list:
     out = []
     for entry in cat.provenance:
         if isinstance(entry, dict) and entry.get("op") in ("localize", "hocolim"):
-            for cluster in entry.get("clusters", []):
+            for cluster in entry["clusters"]:
                 out.append(LocalizationRecord(*cluster))
     return out
 

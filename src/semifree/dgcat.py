@@ -40,7 +40,7 @@ class OrdinalViolation(ValueError):
     pass
 
 
-class DSquaredNonzero(Exception):
+class DSquaredNonzero(ValueError):
     def __init__(self, gen_name: str, residual: NcPoly):
         self.gen_name = gen_name
         self.residual = residual
@@ -314,11 +314,13 @@ def new_semifree(ring: Ring, objects, generators, differentials,
 
 
 def audit_d_squared(cat) -> None:
-    """Re-runnable d^2 = 0 audit, modulo the category's rules."""
-    for g in cat.generators:
+    """Re-runnable d^2 = 0 audit, modulo the category's rules; a failure
+    is tagged with the generator's d (see _part)."""
+    for i, g in enumerate(cat.generators):
         residual = cat.normalize(cat.d(cat.differentials[g.name]))
         if not residual.is_zero():
-            raise DSquaredNonzero(g.name, residual)
+            raise _part(DSquaredNonzero(g.name, residual),
+                        "generators", i, "d")
 
 
 def push_poly(p: NcPoly, object_map: dict, gen_images: dict, ring: Ring) -> NcPoly:
@@ -631,7 +633,9 @@ class InputError(ValueError):
 _GENERATOR_FIELDS = {"name": str, "src": str, "tgt": str, "deg": int,
                      "rank": int, "d": str}
 _EXPECTED = {str: "a string", int: "an integer", list: "a list",
-             dict: "an object", bool: "true or false"}
+             dict: "an object", bool: "true or false",
+             (str, dict): "a string or an object"}
+_REQUIRED = object()  # the default of a field that must be given
 
 
 def _known(names, known, what: str, where: str):
@@ -646,19 +650,35 @@ def _known(names, known, what: str, where: str):
     return names
 
 
-def _field(obj: dict, key: str, kind, where: str):
-    """obj[key], where obj sits at the JSON path where ("" for the document).
+def _field(obj: dict, key: str, kind, where: str, default=_REQUIRED):
+    """obj[key], where obj sits at the JSON path where ("" for the
+    document), or default when obj lacks key and a default is given.
 
-    A missing key or a value not of kind (a bool is not an integer) is an
-    InputError at that path.
+    A missing key without a default, or a value not of kind (a type, or a
+    tuple of types; a bool is not an integer), is an InputError at that
+    path.
     """
     if key not in obj:
-        raise InputError(where or "document", f"missing {key!r}")
+        if default is _REQUIRED:
+            raise InputError(where or "document", f"missing {key!r}")
+        return default
     value = obj[key]
     if not isinstance(value, kind) or isinstance(value, bool):
         raise InputError(f"{where}.{key}" if where else key,
                          f"expected {_EXPECTED[kind]}, got {value!r}")
     return value
+
+
+def _entries(obj: dict, key: str, kind, where: str, default=_REQUIRED):
+    """_field(obj, key, list, where, default), each of whose entries is of
+    kind: one that is not is an InputError at key[i]."""
+    values = _field(obj, key, list, where, default)
+    for i, value in enumerate(values):
+        if not isinstance(value, kind) or isinstance(value, bool):
+            path = f"{where}.{key}" if where else key
+            raise InputError(f"{path}[{i}]", f"expected {_EXPECTED[kind]}, "
+                                             f"got {value!r}")
+    return values
 
 
 def from_json(data: dict):
@@ -670,16 +690,9 @@ def from_json(data: dict):
         ring = Ring.parse(coefficients)
     except ValueError as err:
         raise InputError("coefficients", str(err)) from None
-    objects = tuple(_field(data, "objects", list, ""))
-    for i, obj in enumerate(objects):
-        if not isinstance(obj, str):
-            raise InputError(f"objects[{i}]",
-                             f"expected a string, got {obj!r}")
-    specs = _field(data, "generators", list, "")
+    objects = tuple(_entries(data, "objects", str, ""))
+    specs = _entries(data, "generators", dict, "")
     for i, spec in enumerate(specs):
-        if not isinstance(spec, dict):
-            raise InputError(f"generators[{i}]",
-                             f"expected an object, got {spec!r}")
         for key, kind in _GENERATOR_FIELDS.items():
             if type(spec.get(key)) is not kind:  # JSON gives exact types
                 _field(spec, key, kind, f"generators[{i}]")
@@ -693,45 +706,41 @@ def from_json(data: dict):
                                        gm.get)
     except ValueError as err:
         raise InputError(f"generators[{i}].d", str(err)) from None
-    provenance = data.get("provenance", [])
-    if not isinstance(provenance, list):
-        raise InputError("provenance", f"expected a list, got {provenance!r}")
-    weights = data.get("weights", {})
-    if not isinstance(weights, dict):
-        raise InputError("weights", f"expected an object, got {weights!r}")
-    specs = data.get("rules", [])
-    if not isinstance(specs, list):
-        raise InputError("rules", f"expected a list of rules, got {specs!r}")
+    provenance = _field(data, "provenance", list, "", [])
+    # the entries localization_records and strictify_t read; a later move
+    # may have removed the generators they name
+    for i, entry in enumerate(provenance):
+        if isinstance(entry, dict) and entry.get("op") in ("localize",
+                                                           "hocolim"):
+            at = f"provenance[{i}]"
+            for j, cluster in enumerate(_entries(entry, "clusters", list, at)):
+                if len(cluster) != 5 or not all(isinstance(name, str)
+                                                for name in cluster):
+                    raise InputError(f"{at}.clusters[{j}]", f"expected 5 "
+                                     f"generator names, got {cluster!r}")
+            if entry["op"] == "hocolim":
+                for key in ("t_objects", "t_gens"):
+                    names = _field(entry, key, dict, at)
+                    for name in names:
+                        _field(names, name, str, f"{at}.{key}")
+    weights = _field(data, "weights", dict, "", {})
     rules = []
-    for i, r in enumerate(specs):
-        if not isinstance(r, dict):
-            raise InputError(f"rules[{i}]", f"expected an object with "
-                             f"\"lhs\" and \"rhs\", got {r!r}")
-        for key in ("lhs", "rhs"):
-            if key not in r:
-                raise InputError(f"rules[{i}]", f"missing {key!r}")
-        if not isinstance(r["lhs"], list) or not all(
-                isinstance(name, str) for name in r["lhs"]):
-            raise InputError(f"rules[{i}]", f"lhs must be a list of "
-                             f"generator names, got {r['lhs']!r}")
-        if not isinstance(r["rhs"], str):
-            raise InputError(f"rules[{i}]", f"rhs must be a "
-                             f"polynomial string, got {r['rhs']!r}")
-        lhs = tuple(map(gm.get, r["lhs"]))
-        if None in lhs:
-            raise InputError(f"rules[{i}]", f"lhs names unknown generator "
-                             f"{r['lhs'][lhs.index(None)]!r}")
+    for i, r in enumerate(_entries(data, "rules", dict, "", [])):
+        at = f"rules[{i}]"
+        lhs = tuple(map(gm.get, _known(_field(r, "lhs", list, at), gm,
+                                       "generator", f"{at}.lhs")))
+        text = _field(r, "rhs", str, at)
         # an empty lhs has no boundary; the class raises RuleError
         try:
-            rhs = (parse_poly(r["rhs"], ring, lhs[-1].source, lhs[0].target,
+            rhs = (parse_poly(text, ring, lhs[-1].source, lhs[0].target,
                               gm.get) if lhs else None)
         except ValueError as err:
-            raise InputError(f"rules[{i}].rhs", str(err)) from None
+            raise InputError(f"{at}.rhs", str(err)) from None
         rules.append((lhs, rhs))
     try:
         cat = SemifreeDgCat(ring, objects, gens, table, tuple(provenance),
                             tuple(rules), dict(weights))
-    except ValueError as err:  # a structural check, at its part
+        audit_d_squared(cat)
+    except ValueError as err:  # a check or the audit, at its part
         raise InputError(_json_path(err), str(err)) from err
-    audit_d_squared(cat)
     return cat

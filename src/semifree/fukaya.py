@@ -59,11 +59,6 @@ class ModelId:
                              f"{rest!r}") from None
         return ModelId(tag, params)
 
-    def render(self) -> str:
-        if not self.params:
-            return self.tag
-        return self.tag + ":" + ",".join(str(p) for p in self.params)
-
 
 # the options each model family takes, as a schema: a value's type, a
 # one-entry list for a list of such values, or an object's keys

@@ -24,11 +24,11 @@ from .algebra import (
 )
 from .dgcat import (
     BadArgument,
-    DSquaredNonzero,
     DgFunctor,
     InputError,
     SemifreeDgCat,
     UnknownName,
+    _entries,
     _field,
     _first_repeat,
     _json_path,
@@ -126,7 +126,7 @@ class PlumbingData:
             if spec.kind == "custom":
                 try:
                     _custom_category(spec, self.ring, self.n)  # validates
-                except (ValueError, DSquaredNonzero) as err:
+                except ValueError as err:
                     raise _part(err, "vertices", i, "manifold",
                                 *getattr(err, "part", ()))
 
@@ -160,9 +160,7 @@ def _custom_category(spec: VertexSpec, ring: Ring, n: int):
             raise _part(err, "differentials", g.name)
     try:
         cat = new_semifree(ring, ("pt",), gens, table)
-    except DSquaredNonzero as err:
-        raise _part(err, "differentials", err.gen_name)
-    except ValueError as err:  # the class's checks: a d is keyed by name
+    except ValueError as err:  # a check or the audit: a d is keyed by name
         if err.part[-1] == "d":
             raise _part(err, "differentials", gens[err.part[1]].name)
         raise
@@ -215,8 +213,7 @@ def _check_tokens(data, vid, left, right):
     want = sorted(map(tuple, default_left[1:] + default_right))
     have = sorted(t for t in map(tuple, left + right) if t != ("eta",))
     if have != want or sum(1 for t in left + right if tuple(t) == ("eta",)) != 1:
-        raise ValueError(f"vertex {vid}: reordered factors do not match the "
-                         f"arrow ends")
+        raise InputError(vid, "reordered factors do not match the arrow ends")
 
 
 def build_wrapped(data: PlumbingData, placement: dict | None = None):
@@ -677,24 +674,16 @@ def plumbing_from_json(doc: dict, ring: Ring | None = None,
         raise InputError("document", f"expected an object, got "
                                      f"{type(doc).__name__}")
     if ring is None:
-        coefficients = doc.get("coefficients", "Z")
-        if not isinstance(coefficients, str):
-            raise InputError("coefficients",
-                             f"expected a string, got {coefficients!r}")
+        coefficients = _field(doc, "coefficients", str, "", "Z")
         try:
             ring = Ring.parse(coefficients)
         except ValueError as err:
             raise InputError("coefficients", str(err)) from None
     vertices = []
-    for i, v in enumerate(_field(doc, "vertices", list, "")):
+    for i, v in enumerate(_entries(doc, "vertices", dict, "")):
         where = f"vertices[{i}]"
-        if not isinstance(v, dict):
-            raise InputError(where, f"expected an object, got {v!r}")
         vid = _field(v, "id", str, where)
-        m = v.get("manifold", {"type": "sphere"})
-        if not isinstance(m, dict):
-            raise InputError(f"{where}.manifold",
-                             f"expected an object, got {m!r}")
+        m = _field(v, "manifold", dict, where, {"type": "sphere"})
         where += ".manifold"
         kind = _field(m, "type", str, where)
         if kind == "sphere":
@@ -702,49 +691,35 @@ def plumbing_from_json(doc: dict, ring: Ring | None = None,
         elif kind == "disk":
             spec = DISK
         elif kind == "surface":
-            spec = surface(_field(m, "genus", int, where)
-                           if "genus" in m else 0)
+            spec = surface(_field(m, "genus", int, where, 0))
         elif kind == "custom":
             gens = []
-            for j, g in enumerate(_field(m, "generators", list, where)):
+            for j, g in enumerate(_entries(m, "generators", dict, where)):
                 at = f"{where}.generators[{j}]"
-                if not isinstance(g, dict):
-                    raise InputError(at, f"expected an object, got {g!r}")
                 gens.append((_field(g, "name", str, at),
                              _field(g, "deg", int, at)))
-            diffs = m.get("differentials", {})
-            if not isinstance(diffs, dict) or not all(
-                    isinstance(x, str) for x in diffs.values()):
-                raise InputError(f"{where}.differentials", f"expected an "
-                                 f"object of polynomial strings, got {diffs!r}")
-            eta = m.get("eta", "0")
-            if not isinstance(eta, str):
-                raise InputError(f"{where}.eta", f"expected a polynomial "
-                                 f"string, got {eta!r}")
-            spec = custom(gens, list(diffs.items()), eta)
+            diffs = _field(m, "differentials", dict, where, {})
+            for name in diffs:
+                _field(diffs, name, str, f"{where}.differentials")
+            spec = custom(gens, list(diffs.items()),
+                          _field(m, "eta", str, where, "0"))
         else:
             raise InputError(f"{where}.type", f"unknown manifold type "
                                               f"{kind!r}")
         vertices.append((vid, spec))
     arrows = []
-    for i, a in enumerate(_field(doc, "arrows", list, "")):
+    for i, a in enumerate(_entries(doc, "arrows", dict, "")):
         where = f"arrows[{i}]"
-        if not isinstance(a, dict):
-            raise InputError(where, f"expected an object, got {a!r}")
         ends = [_field(a, key, str, where) for key in ("id", "src", "tgt")]
-        sign = a.get("sign", 1)
+        sign = a.get("sign", 1)  # a value check, so not _field
         if type(sign) is not int or sign not in (1, -1):
             raise InputError(f"{where}.sign", f"expected 1 or -1, got {sign!r}")
-        gauge = a.get("d", 0)
-        if type(gauge) is not int:
-            raise InputError(f"{where}.d",
-                             f"expected an integer, got {gauge!r}")
-        arrows.append(Arrow(*ends, sign, gauge))
+        arrows.append(Arrow(*ends, sign, _field(a, "d", int, where, 0)))
     if n is None:
         n = _field(doc, "n", int, "")
     try:
         return PlumbingData(n, tuple(vertices), tuple(arrows), ring)
-    except (ValueError, DSquaredNonzero) as err:  # a check, at its part
+    except ValueError as err:  # a check, at its part
         raise InputError(_json_path(err), str(err)) from err
 
 
@@ -774,22 +749,28 @@ def plumbing_to_json(data: PlumbingData) -> dict:
 def placement_from_json(doc, data: PlumbingData) -> dict:
     """The placement document of build_wrapped for data, vertex id ->
     {"left": tokens, "right": tokens} with each token a list of strings such
-    as ["in", "e1"], checked: a fault, or a vertex that data lacks, is an
-    InputError at its JSON path."""
+    as ["in", "e1"], checked: a fault, a vertex that data lacks, tokens that
+    do not match its arrow ends, or any placement for data with n >= 3,
+    whose products it does not reorder, is an InputError at its JSON
+    path."""
     if not isinstance(doc, dict):
         raise InputError("document", f"expected an object of vertex ids, "
                                      f"got {type(doc).__name__}")
+    if data.n >= 3:
+        raise InputError("document", f"a placement reorders the n = 2 "
+                                     f"products, but the plumbing has "
+                                     f"n = {data.n}")
     vertices = dict(data.vertices)
-    for vid, v in doc.items():
+    for vid in doc:
         _known((vid,), vertices, "vertex", vid)
-        if not isinstance(v, dict):
-            raise InputError(vid, f"expected an object, got {v!r}")
+        v = _field(doc, vid, dict, "")
         for side in ("left", "right"):
             for i, t in enumerate(_field(v, side, list, vid)):
                 if not isinstance(t, list) or not all(
                         isinstance(x, str) for x in t):
                     raise InputError(f"{vid}.{side}[{i}]", f"expected a list "
                                      f"of strings, got {t!r}")
+        _check_tokens(data, vid, v["left"], v["right"])
     return doc
 
 
@@ -801,26 +782,14 @@ def quiver_from_json(doc: dict) -> GradedQuiver:
     if type(doc) is not dict:
         raise InputError("document", f"expected an object, got "
                                      f"{type(doc).__name__}")
-    vertices = []
-    for i, v in enumerate(_field(doc, "vertices", list, "")):
-        if type(v) is not str:  # JSON gives exact types
-            if type(v) is not dict:
-                raise InputError(f"vertices[{i}]", f"expected a string or "
-                                                   f"an object, got {v!r}")
-            v = _field(v, "id", str, f"vertices[{i}]")
-        vertices.append(v)
+    vertices = _entries(doc, "vertices", (str, dict), "")
+    vertices = [_field(v, "id", str, f"vertices[{i}]") if isinstance(v, dict)
+                else v for i, v in enumerate(vertices)]
     arrows = []
-    for i, a in enumerate(_field(doc, "arrows", list, "")):
-        if type(a) is not dict:
-            raise InputError(f"arrows[{i}]", f"expected an object, got {a!r}")
-        for key in ("id", "src", "tgt"):
-            if type(a.get(key)) is not str:
-                _field(a, key, str, f"arrows[{i}]")
-        q = a.get("q", 0)
-        if type(q) is not int:
-            raise InputError(f"arrows[{i}].q",
-                             f"expected an integer, got {q!r}")
-        arrows.append(GradedArrow(a["id"], a["src"], a["tgt"], q))
+    for i, a in enumerate(_entries(doc, "arrows", dict, "")):
+        where = f"arrows[{i}]"
+        ends = [_field(a, key, str, where) for key in ("id", "src", "tgt")]
+        arrows.append(GradedArrow(*ends, _field(a, "q", int, where, 0)))
     try:
         return GradedQuiver(tuple(vertices), tuple(arrows))
     except ValueError as err:  # a check of the quiver, at its part

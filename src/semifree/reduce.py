@@ -225,6 +225,15 @@ def strictify_t(cat):
     merged = UnionFind(cat.objects)
     by_name = cat.gen_map()
     for t_name in sorted(t_names):
+        # from_json checks the entry's shape, not that its names exist
+        quad = cluster_names.get(t_name, ())
+        for name in (t_name, *quad):
+            if name not in by_name:
+                raise BadArgument(None, f"the hocolim provenance names "
+                                        f"{name}, which the category lacks")
+        if not quad:
+            raise BadArgument(None, f"the hocolim provenance gives {t_name} "
+                                    f"no cluster")
         t = by_name[t_name]
         merged.union(t.source, t.target)
     rep = {o: merged.find(o) for o in cat.objects}
@@ -333,11 +342,6 @@ def _gen_arg(cat, step: dict, key: str, where: str) -> str:
     return name
 
 
-def _text_arg(step: dict, key: str, default, where: str):
-    """step[key], a string, or default when the step does not give it."""
-    return _field(step, key, str, where) if key in step else default
-
-
 def _parsed(where: str, parse, *args):
     """parse(*args), whose first argument is a text; a text that does not
     parse is an InputError at where."""
@@ -375,12 +379,11 @@ def replay(cat, steps):
         if op == "change_basis":
             g = cat.gen(_gen_arg(cat, step, "gen", where))
             unit = _parsed(f"{where}.unit", cat.ring.parse_value,
-                           _text_arg(step, "unit", "1", where))
+                           arg("unit", default="1"))
             lower = _parsed(f"{where}.lower", cat.poly,
-                            _text_arg(step, "lower", "0", where),
-                            g.source, g.target)
+                            arg("lower", default="0"), g.source, g.target)
             cat = _moved(where, change_basis, cat, g.name, unit, lower,
-                         _text_arg(step, "renamed", None, where))
+                         arg("renamed", default=None))
         elif op == "cancel_pair":
             cat = _moved(where, cancel_pair, cat,
                          _gen_arg(cat, step, "a", where),

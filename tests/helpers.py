@@ -2,6 +2,7 @@
 only tests use."""
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -874,3 +875,21 @@ def mutated_documents(draw, documents, names):
         else:
             parent[key] = value
     return doc
+
+
+def resolves(doc, path: str) -> bool:
+    """Whether the JSON path path ("document", or steps such as [0].gens[1])
+    names a part of doc."""
+    if path == "document":
+        return True
+    node = doc
+    for index, key in re.findall(r"\[(\d+)\]|\.?([^.\[]+)", path):
+        if index:
+            if not isinstance(node, list) or int(index) >= len(node):
+                return False
+            node = node[int(index)]
+        elif isinstance(node, dict) and key in node:
+            node = node[key]
+        else:
+            return False
+    return True

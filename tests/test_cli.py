@@ -3,7 +3,6 @@
 import importlib
 import inspect
 import json
-import re
 import runpy
 import subprocess
 import sys
@@ -22,6 +21,7 @@ from helpers import (
     NOT_CONFLUENT,
     _c3_with,
     mutated_documents,
+    resolves,
 )
 from semifree.algebra import _MR_LIMIT
 from semifree.cli import _dump, load_functor, load_span, main, make_parser
@@ -217,14 +217,13 @@ def _c3_rules(rules, degree=-2):
 
 @pytest.mark.parametrize("doc,message", [
     (_c3_rules([{"lhs": ["z", "q"], "rhs": "0"}]),
-     "rules[0]: lhs names unknown generator 'q'"),
+     "rules[0].lhs: no generator 'q'"),
     (_c3_rules([{"lhs": [], "rhs": "0"}]), "rules[0]: empty rule lhs"),
-    (_c3_rules("abc"), "rules: expected a list of rules, got 'abc'"),
-    (_c3_rules([5]),
-     'rules[0]: expected an object with "lhs" and "rhs", got 5'),
+    (_c3_rules("abc"), "rules: expected a list, got 'abc'"),
+    (_c3_rules([5]), "rules[0]: expected an object, got 5"),
     (_c3_rules([{"lhs": ["z", "z", "z"]}]), "rules[0]: missing 'rhs'"),
     (_c3_rules([{"lhs": "zz", "rhs": "0"}]),
-     "rules[0]: lhs must be a list of generator names, got 'zz'"),
+     "rules[0].lhs: expected a list, got 'zz'"),
     (_c3_rules([{"lhs": ["z", "z"], "rhs": "z"}]),
      "rules[0]: rule z*z -> z changes degree: lhs has degree -4, rhs term "
      "z has degree -2"),
@@ -285,7 +284,7 @@ _SPAN = json.loads((DATA / "sphere_span_m2.json").read_text())
 @pytest.mark.parametrize("command,doc,out,err", [
     ("verify", _functor_with_source(_part([("x", 0, "0"), ("h", -1, "x"),
                                            ("k", -2, "h")])),
-     "source: d^2 != 0 at k: residual x", None),
+     "source.generators[2].d: d^2 != 0 at k: residual x", None),
     ("hocolim", {**_SPAN, "a": _part([], objects=("L", "L"))}, None,
      "a.objects: duplicate object ids"),
     ("verify", _functor_with_source(NOT_CONFLUENT[0]),
@@ -368,7 +367,7 @@ def test_verify_functor_files(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", str(path)]) == 1
     assert capsys.readouterr().out == (
-        f"FAIL {path}: objects.L: expected a target object name, got None\n")
+        f"FAIL {path}: objects: missing 'L'\n")
 
 
 @pytest.mark.parametrize("doc,message", [
@@ -586,7 +585,22 @@ def test_hom_names_a_denominator_not_invertible_mod_p(d_h, rules, den,
                  "--window=-1:0", "--bound", "2", "--field", "Zmod:7",
                  "--out", str(tmp_path / "table.json")]) == 1
     assert capsys.readouterr().err == \
-        f"error: denominator {den} not invertible mod 7\n"
+        f"error: --field: denominator {den} not invertible mod 7\n"
+
+
+def test_functor_ranks_names_a_denominator_not_invertible_mod_p(tmp_path,
+                                                                capsys):
+    # functor --ranks maps each side's fractions into --field as hom does
+    part = _relational_doc("Q", [("a", 0, "0"), ("h", -1, "1/2*a")], [])
+    path = tmp_path / "functor.json"
+    path.write_text(json.dumps({
+        "type": "functor", "source": part, "target": part,
+        "objects": {"L": "L"}, "generators": {"a": "a", "h": "h"}}))
+    assert main(["functor", str(path), "--ranks", "--window=-1:0",
+                 "--bound", "2", "--field", "Zmod:2",
+                 "--out", str(tmp_path / "c.json")]) == 1
+    assert capsys.readouterr().err == \
+        "error: --field: denominator 2 not invertible mod 2\n"
 
 
 JSON_VALUES = st.recursive(
@@ -805,25 +819,81 @@ def test_simplify_names_a_malformed_script(script, message, tmp_path,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("placement,message", [
-    ({"v": {"right": []}}, "v: missing 'left'"),
-    ({"v": {"left": [["eta"]]}}, "v: missing 'right'"),
-    ([], "document: expected an object of vertex ids, got list"),
-    ({"v": []}, "v: expected an object, got []"),
-    ({"v": {"left": "eta", "right": []}}, "v.left: expected a list, got 'eta'"),
-    ({"v": {"left": [["eta"]], "right": ["in"]}},
+def _d12_with_provenance(entries):
+    doc = json.loads((DATA / "d12_n3.json").read_text())
+    doc["provenance"] = entries
+    return doc
+
+
+_T_CLUSTER = ["t_L1", "t_L1'", "t_L1_hat", "t_L1_check", "t_L1_bar"]
+
+
+@pytest.mark.parametrize("command,doc,message", [
+    ("simplify", _d12_with_provenance([{"op": "hocolim"}]),
+     "provenance[0]: missing 'clusters'"),
+    ("simplify", _d12_with_provenance([{
+        "op": "hocolim", "clusters": [_T_CLUSTER], "t_objects": {"L1": 5},
+        "t_gens": {}}]), "provenance[0].t_objects.L1: expected a string, "
+                         "got 5"),
+    ("simplify", _d12_with_provenance([{
+        "op": "hocolim", "clusters": [_T_CLUSTER],
+        "t_objects": {"L1": "t_L1"}, "t_gens": {}}]),
+     "[0]: the hocolim provenance names t_L1, which the category lacks"),
+    ("simplify", _d12_with_provenance([{
+        "op": "hocolim", "clusters": [], "t_objects": {"L1": "x"},
+        "t_gens": {}}]), "[0]: the hocolim provenance gives x no cluster"),
+    ("hocolim", {**_SPAN, "c": {**_SPAN["c"], "provenance": [
+        {"op": "localize", "clusters": [["x"]]}]}},
+     "c.provenance[0].clusters[0]: expected 5 generator names, got ['x']"),
+], ids=["no-clusters", "t-object-not-a-string", "t-generator-missing",
+        "no-t-cluster", "short-cluster"])
+def test_read_provenance_is_checked(command, doc, message, tmp_path, capsys):
+    # strictify_t reads the last hocolim entry, and localization_records
+    # every cluster; each once let out a raw KeyError ('t_objects', or a
+    # missing name) or TypeError (a cluster of one name)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps([{"op": "strictify"}]))
+    argv = ([command, str(path), "--script", str(script)]
+            if command == "simplify" else [command, str(path)])
+    assert main(argv + ["--out", str(tmp_path / "o.json")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+_N2 = "surface_plumbing_n2.json"
+
+
+@pytest.mark.parametrize("plumbing,placement,message", [
+    (_N2, {"v": {"right": []}}, "v: missing 'left'"),
+    (_N2, {"v": {"left": [["eta"]]}}, "v: missing 'right'"),
+    (_N2, [], "document: expected an object of vertex ids, got list"),
+    (_N2, {"v": []}, "v: expected an object, got []"),
+    (_N2, {"v": {"left": "eta", "right": []}},
+     "v.left: expected a list, got 'eta'"),
+    (_N2, {"v": {"left": [["eta"]], "right": ["in"]}},
      "v.right[0]: expected a list of strings, got 'in'"),
-    ({"v": {"left": [["eta", 1]], "right": []}},
+    (_N2, {"v": {"left": [["eta", 1]], "right": []}},
      "v.left[0]: expected a list of strings, got ['eta', 1]"),
-    ({"zz": {"left": [["eta"]], "right": []}}, "zz: no vertex 'zz'"),
+    (_N2, {"zz": {"left": [["eta"]], "right": []}}, "zz: no vertex 'zz'"),
+    # v's factor for its out-arrow e is missing
+    (_N2, {"v": {"left": [["eta"]], "right": []}},
+     "v: reordered factors do not match the arrow ends"),
+    # n = 3 products have no order to place
+    ("a2_n3.json", {"v": {"left": [["eta"]], "right": []}},
+     "document: a placement reorders the n = 2 products, but the plumbing "
+     "has n = 3"),
 ], ids=["no-left", "no-right", "list", "vertex-not-object", "side-not-list",
-        "token-not-list", "token-not-strings", "unknown-vertex"])
-def test_plumb_names_a_malformed_placement(placement, message, tmp_path,
-                                           capsys):
+        "token-not-list", "token-not-strings", "unknown-vertex",
+        "tokens-not-the-arrow-ends", "n-3"])
+def test_plumb_names_a_malformed_placement(plumbing, placement, message,
+                                           tmp_path, capsys):
+    # tokens that did not match the arrow ends were once reported with no
+    # path, and at n >= 3 a placement was ignored but written into the
+    # provenance
     path = tmp_path / "placement.json"
     path.write_text(json.dumps(placement))
-    assert main(["plumb", str(DATA / "surface_plumbing_n2.json"),
-                 "--reorder", str(path),
+    assert main(["plumb", str(DATA / plumbing), "--reorder", str(path),
                  "--out", str(tmp_path / "w.json")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -926,11 +996,11 @@ def _functor_document(model, images):
      "generators.f: non-composable factors f o f: f starts at K0 but f "
      "ends at K1"),
     (_functor_document("C:2", {"z": 5}),
-     "generators.z: expected a polynomial string, got 5"),
+     "generators.z: expected a string, got 5"),
     (_functor_document("C:2", {"zz": "z"}),
      "generators: no generator named 'zz'"),
     ({**_functor_document("C:2", {}), "objects": {"L": 5}},
-     "objects.L: expected a target object name, got 5"),
+     "objects.L: expected a string, got 5"),
 ], ids=["unknown-generator", "not-composable", "image-not-a-string",
         "image-of-unknown-generator", "object-not-a-string"])
 def test_functor_and_verify_name_a_malformed_image(doc, message, tmp_path,
@@ -951,7 +1021,7 @@ def test_functor_and_verify_name_a_malformed_image(doc, message, tmp_path,
     ("beta", "generators", {"a1": "1_{L}"},
      "beta.generators.a1: word ('1', 'L') has boundary L->L, expected K->K"),
     ("beta", "objects", {"L": ["K"]},
-     "beta.objects.L: expected a target object name, got ['K']"),
+     "beta.objects.L: expected a string, got ['K']"),
 ], ids=["alpha-unknown-generator", "beta-boundary",
         "beta-object-not-a-string"])
 def test_hocolim_names_a_malformed_leg(leg, key, value, message, tmp_path,
@@ -1009,24 +1079,6 @@ STEP_WORDS = ["change_basis", "cancel_pair", "set_generator", "strictify",
               "L1", "L2", "x", "a", "b", "y", "u", "a2", "-1", "2"]
 
 
-def _resolves(doc, path: str) -> bool:
-    """Whether the JSON path path ("document", or steps such as [0].gens[1])
-    names a part of doc."""
-    if path == "document":
-        return True
-    node = doc
-    for index, key in re.findall(r"\[(\d+)\]|\.?([^.\[]+)", path):
-        if index:
-            if not isinstance(node, list) or int(index) >= len(node):
-                return False
-            node = node[int(index)]
-        elif isinstance(node, dict) and key in node:
-            node = node[key]
-        else:
-            return False
-    return True
-
-
 @settings(max_examples=500, deadline=None)
 @given(mutated_documents(SCRIPTS, lambda doc: STEP_WORDS))
 def test_replay_raises_only_documented_errors_at_their_paths(script):
@@ -1035,7 +1087,7 @@ def test_replay_raises_only_documented_errors_at_their_paths(script):
     try:
         replay(_E12, script)
     except InputError as err:
-        assert _resolves(script, err.path), (err.path, script)
+        assert resolves(script, err.path), (err.path, script)
     except (DSquaredNonzero, FunctorError, RuleError):
         pass
 

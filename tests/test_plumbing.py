@@ -4,6 +4,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     MALFORMED_PLUMBINGS,
@@ -13,6 +14,7 @@ from helpers import (
     compose_functors,
     mutated_documents,
     random_graded_quiver,
+    resolves,
     total_endomorphism_algebra,
 )
 from semifree.algebra import INTEGERS, render_poly
@@ -25,12 +27,14 @@ from semifree.plumbing import (
     PlumbingData,
     RandomPlumbingConfig,
     SPHERE,
+    _default_tokens,
     build_ginzburg,
     build_wrapped,
     custom,
     edge_flip_witness,
     ginzburg_witness,
     normalize,
+    placement_from_json,
     plumbing_from_json,
     plumbing_to_json,
     quiver_from_json,
@@ -495,6 +499,49 @@ def test_quiver_from_json_raises_only_input_errors(doc):
         quiver_from_json(doc)
     except InputError:
         pass
+
+
+def _placements():
+    """(plumbing data, placement document): each tests/data plumbing at
+    n = 2 with its default placement and with each left list reversed, and
+    at n = 3, where no placement is taken."""
+    cases = []
+    for doc in PLUMBINGS:
+        for n in (2, 3):
+            try:
+                data = plumbing_from_json(doc, n=n)
+            except InputError:  # a surface at n = 3, or an eta of degree -1
+                continue
+            place = {vid: {side: [list(t) for t in tokens] for side, tokens
+                           in zip(("left", "right"),
+                                  _default_tokens(data, vid))}
+                     for vid, _ in data.vertices}
+            turned = {vid: {**p, "left": p["left"][::-1]}
+                      for vid, p in place.items()}
+            cases += [(data, place), (data, turned)]
+    return cases
+
+
+def _placement_names(doc):
+    """The vertex and arrow ids and the token words of a placement."""
+    names = {"eta", "in", "out", "left", "right", *doc}
+    for p in doc.values():
+        for token in p["left"] + p["right"]:
+            names.update(token)
+    return sorted(names)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(*(mutated_documents([place], _placement_names).map(
+    lambda doc, data=data: (data, doc)) for data, place in _placements())))
+def test_placement_from_json_raises_only_input_errors_at_their_paths(case):
+    # tokens that did not match the arrow ends once left build_wrapped as a
+    # ValueError with no path
+    data, doc = case
+    try:
+        build_wrapped(data, placement_from_json(doc, data))
+    except InputError as err:
+        assert resolves(doc, err.path), (err.path, doc)
 
 
 @pytest.mark.parametrize("vertices,arrows,part,message", [
